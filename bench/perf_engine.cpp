@@ -1,7 +1,10 @@
 // Simulator performance microbenchmarks (google-benchmark): the cost of the
 // inner loops — breaker thermal stepping, fleet operating-point solving,
-// one controller step, a full 30-minute experiment run, and the serial vs
-// parallel oracle search on the src/exp runner.
+// one controller step on the MS trace's noisy demand, the fixed cost of a
+// run (plant build, controller construction, one step), a full 30-minute
+// experiment run, and the serial vs parallel oracle search on the src/exp
+// runner. The PDU-count arguments show what the paper's 909-PDU facility
+// costs next to a small one.
 //
 // Unless --benchmark_out is given, results are also written as a
 // machine-readable BENCH_perf_engine.json perf record (wall times, items/s)
@@ -63,15 +66,38 @@ void BM_ControllerStep(benchmark::State& state) {
   core::SprintingController controller(
       config, {&fleet, &topology, &cooling, &tes, &room}, &greedy,
       core::Mode::kControlled);
+  // Cycle through the MS trace's demand: fresh noise every sample, so every
+  // step changes the plant's per-PDU loads the way a real run does.
+  const TimeSeries trace = workload::generate_ms_trace();
+  std::vector<double> demand;
+  for (const Sample& sample : trace.samples()) demand.push_back(sample.value);
+  std::size_t i = 0;
   Duration now = Duration::zero();
   for (auto _ : state) {
-    benchmark::DoNotOptimize(controller.step(now, 2.5, Duration::seconds(1)));
+    benchmark::DoNotOptimize(
+        controller.step(now, demand[i], Duration::seconds(1)));
+    i = i + 1 == demand.size() ? 0 : i + 1;
     now += Duration::seconds(1);
   }
   state.SetItemsProcessed(state.iterations() *
                           static_cast<int64_t>(config.fleet.pdu_count));
 }
 BENCHMARK(BM_ControllerStep)->Arg(1)->Arg(8)->Arg(64)->Arg(909);
+
+void BM_PlantSetup(benchmark::State& state) {
+  // One-control-period DataCenter::run: plant build, controller
+  // construction and a single step — the fixed cost every run pays.
+  core::DataCenterConfig config;
+  config.fleet.pdu_count = static_cast<std::size_t>(state.range(0));
+  core::DataCenter dc(config);
+  const TimeSeries tick = workload::generate_ms_trace().slice(
+      Duration::zero(), config.control_period);
+  core::GreedyStrategy greedy;
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(dc.run(tick, &greedy));
+  }
+}
+BENCHMARK(BM_PlantSetup)->Arg(8)->Arg(909)->Arg(4096);
 
 void BM_FullMsRun(benchmark::State& state) {
   core::DataCenterConfig config;
@@ -96,16 +122,17 @@ void BM_FullMsRun(benchmark::State& state) {
     }
   }
 }
-// 909 is the paper's full fleet: the uniform-representative topology makes
-// the run PDU-count-invariant in cost, which this arg locks into the
-// baseline (the per-PDU walk used to scale linearly).
+// 909 is the paper's full fleet. The plant is one weighted PDU group, so a
+// 909-PDU run should cost about what a 2-PDU run does; this arg locks that
+// into the baseline.
 BENCHMARK(BM_FullMsRun)->Arg(2)->Arg(8)->Arg(909)->Unit(benchmark::kMillisecond);
 
 void BM_OracleSearch(benchmark::State& state) {
-  // Arg = worker threads for the candidate sweep (the serial-vs-parallel
-  // speedup of the src/exp runner is the interesting trajectory here).
+  // Args = {worker threads for the candidate sweep, PDUs}: the serial vs
+  // parallel speedup of the src/exp runner, and the search at the paper's
+  // 909 PDUs next to a 2-PDU plant.
   core::DataCenterConfig config;
-  config.fleet.pdu_count = 2;
+  config.fleet.pdu_count = static_cast<std::size_t>(state.range(1));
   core::DataCenter dc(config);
   const TimeSeries trace = workload::generate_ms_trace();
   const auto threads = static_cast<std::size_t>(state.range(0));
@@ -114,9 +141,10 @@ void BM_OracleSearch(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_OracleSearch)
-    ->Arg(1)
-    ->Arg(4)
-    ->Arg(8)
+    ->Args({1, 2})
+    ->Args({4, 2})
+    ->Args({8, 2})
+    ->Args({1, 909})
     ->Unit(benchmark::kMillisecond)
     ->UseRealTime();
 

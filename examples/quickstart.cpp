@@ -19,8 +19,8 @@ int main(int argc, char** argv) {
       std::span<const char* const>(argv + 1, static_cast<std::size_t>(argc - 1)));
 
   core::DataCenterConfig config;
-  // All normalized results are invariant to the PDU count (see datacenter.h);
-  // a small count keeps the quickstart fast.
+  // Normalized results agree across PDU counts to rounding and a run costs
+  // the same at any count (see datacenter.h); only absolute powers scale.
   config.fleet.pdu_count =
       static_cast<std::size_t>(args.get_int("pdus", 8));
   config.dc_headroom = args.get_double("dc_headroom", 0.10);

@@ -62,6 +62,8 @@ SprintingController::SprintingController(const DataCenterConfig& config,
     : config_(config), deps_(deps), strategy_(strategy), mode_(mode) {
   DCS_REQUIRE(deps_.fleet != nullptr, "controller needs a fleet");
   DCS_REQUIRE(deps_.topology != nullptr, "controller needs a power topology");
+  DCS_REQUIRE(deps_.topology->groups().size() == 1,
+              "the controller steps a uniform fleet: one PDU group");
   DCS_REQUIRE(deps_.cooling != nullptr, "controller needs a cooling plant");
   DCS_REQUIRE(deps_.room != nullptr, "controller needs a room model");
   DCS_REQUIRE(mode_ != Mode::kControlled || strategy_ != nullptr,
@@ -163,7 +165,7 @@ bool SprintingController::check_cores(std::size_t cores, double demand,
                                       Power* tes_relief) const {
   const auto op = deps_.fleet->operate_with_cores(demand, cores);
   const auto& topo = *deps_.topology;
-  const power::Pdu& pdu = topo.pdu(0);  // fleet is homogeneous
+  const power::Pdu& pdu = topo.groups().front().pdu;
 
   if (pdu.breaker().tripped() || topo.dc_breaker().tripped()) return false;
 
@@ -635,7 +637,7 @@ StepResult SprintingController::step_capped(double demand, Duration dt,
     const std::size_t desired =
         deps_.fleet->operate(demand, max_degree).active_cores;
     const Power pdu_limit =
-        deps_.topology->pdu(0).breaker().effective_rated();
+        deps_.topology->groups().front().pdu.breaker().effective_rated();
     const Power dc_limit = deps_.topology->dc_breaker().effective_rated();
     for (std::size_t n = desired; n >= normal; --n) {
       const auto op = deps_.fleet->operate_with_cores(demand, n);

@@ -18,26 +18,17 @@ constexpr double kTripMarginCapSec = 3600.0;
 
 /// Adapts the per-tick run body to the simulation engine's Component
 /// interface, so experiment runs share the engine's clock/event machinery.
-/// The optional `hint` reports the next change point of the driver's inputs
-/// (demand/supply samples, fault edges) so the engine's span skipping can
-/// replay quiescent spans in its tight loop; without one the driver
-/// declines skipping (the conservative Component default).
 class RunDriver final : public sim::Component {
  public:
-  explicit RunDriver(std::function<void(Duration, Duration)> body,
-                     std::function<Duration(Duration)> hint = nullptr)
-      : body_(std::move(body)), hint_(std::move(hint)) {}
+  explicit RunDriver(std::function<void(Duration, Duration)> body)
+      : body_(std::move(body)) {}
   void tick(Duration now, Duration dt) override { body_(now, dt); }
-  [[nodiscard]] Duration next_event_hint(Duration now) const override {
-    return hint_ ? hint_(now) : now;
-  }
   [[nodiscard]] std::string_view name() const noexcept override {
     return "run-driver";
   }
 
  private:
   std::function<void(Duration, Duration)> body_;
-  std::function<Duration(Duration)> hint_;
 };
 
 }  // namespace
@@ -112,6 +103,10 @@ RunResult DataCenter::run(const TimeSeries& demand, Strategy* strategy,
   watchdog.set_tracer(options.tracer);
   watchdog.set_decision_log(options.decisions);
 
+  // The plant is the uniform fleet: one PDU group whose state every PDU
+  // shares.
+  const power::Pdu& pdu = plant->topology.groups().front().pdu;
+
   RunResult result;
   workload::AdmissionController sprint_admission;
   workload::AdmissionController baseline_admission;
@@ -126,7 +121,6 @@ RunResult DataCenter::run(const TimeSeries& demand, Strategy* strategy,
   DegradationLevel prev_degradation = DegradationLevel::kNominal;
   sim::Engine engine(dt);
   engine.set_tracer(options.tracer);
-  engine.set_span_skip(options.span_skip);
 
   // Hot-path channel handles, bound lazily on the first recorded tick so a
   // zero-tick run leaves the recorder exactly as empty as it always was.
@@ -141,7 +135,6 @@ RunResult DataCenter::run(const TimeSeries& demand, Strategy* strategy,
   // Cursor-based trace reads: the run visits times monotonically, so every
   // sample lookup is O(1) amortized instead of a binary search per tick.
   TimeSeries::Cursor demand_cursor;
-  TimeSeries::Cursor supply_cursor;
 
   RunDriver driver([&](Duration now, Duration tick_dt) {
     // One time stamp per control period: everything that emits decisions
@@ -158,8 +151,8 @@ RunResult DataCenter::run(const TimeSeries& demand, Strategy* strategy,
       m.counter("ticks_total").inc();
       m.histogram("sprint_degree", {1.0, 1.5, 2.0, 2.5, 3.0, 3.5, 4.0})
           .observe(step.degree);
-      m.gauge("ups_soc").set(plant->topology.pdu(0).ups().soc());
-      m.gauge("ups_soc_min").set_min(plant->topology.pdu(0).ups().soc());
+      m.gauge("ups_soc").set(pdu.ups().soc());
+      m.gauge("ups_soc_min").set_min(pdu.ups().soc());
       if (plant->tes != nullptr) {
         m.gauge("tes_soc").set(plant->tes->state_of_charge());
         m.gauge("tes_soc_min").set_min(plant->tes->state_of_charge());
@@ -192,7 +185,7 @@ RunResult DataCenter::run(const TimeSeries& demand, Strategy* strategy,
     baseline_admission.admit(d, 1.0, dt);
 
     result.min_ups_soc =
-        std::min(result.min_ups_soc, plant->topology.pdu(0).ups().soc());
+        std::min(result.min_ups_soc, pdu.ups().soc());
     if (plant->tes != nullptr) {
       result.min_tes_soc =
           std::min(result.min_tes_soc, plant->tes->state_of_charge());
@@ -238,13 +231,13 @@ RunResult DataCenter::run(const TimeSeries& demand, Strategy* strategy,
       rec.record(rh.ups_mw, now, step.ups_power.mw());
       rec.record(rh.dc_load_mw, now, step.dc_load.mw());
       rec.record(rh.room_c, now, step.room.c());
-      rec.record(rh.ups_soc, now, plant->topology.pdu(0).ups().soc());
+      rec.record(rh.ups_soc, now, pdu.ups().soc());
       rec.record(rh.tes_soc, now,
                  plant->tes != nullptr ? plant->tes->state_of_charge() : 0.0);
       rec.record(rh.dc_cb_heat, now,
                  plant->topology.dc_breaker().thermal_state());
       rec.record(rh.pdu_cb_heat, now,
-                 plant->topology.pdu(0).breaker().thermal_state());
+                 pdu.breaker().thermal_state());
       // Time-to-trip margin at the current load, clamped so the channel
       // stays finite (infinity has no JSON literal for trace export); an
       // hour of margin is indistinguishable from "safe" on every figure.
@@ -264,21 +257,6 @@ RunResult DataCenter::run(const TimeSeries& demand, Strategy* strategy,
     }
 
     if (options.on_step) options.on_step(now, tick_dt, step);
-  },
-  // The driver's only time-varying inputs are the demand trace, the supply
-  // trace and the fault schedule; their next change point bounds the span
-  // the engine may replay in its leap loop. The leap replays every tick
-  // verbatim, so the hint affects scheduling only — never results.
-  [&](Duration now) {
-    Duration hint = demand.next_time_after(now, demand_cursor);
-    if (options.supply_fraction != nullptr) {
-      hint = std::min(hint,
-                      options.supply_fraction->next_time_after(now, supply_cursor));
-    }
-    if (injector != nullptr) {
-      hint = std::min(hint, injector->schedule().next_edge_after(now));
-    }
-    return hint;
   });
   engine.add(&driver);
   // Extra components (e.g. the request-level serving layer) tick after the
@@ -287,8 +265,6 @@ RunResult DataCenter::run(const TimeSeries& demand, Strategy* strategy,
     engine.add(component);
   }
   engine.run_until(end);
-  result.engine_leaps = engine.leap_count();
-  result.engine_leaped_ticks = engine.leaped_ticks();
 
   const double total_sec = (end - Duration::zero()).sec();
   result.avg_achieved = achieved_integral / total_sec;
@@ -321,7 +297,7 @@ RunResult DataCenter::run(const TimeSeries& demand, Strategy* strategy,
     options.metrics->counter("watchdog_violations_total")
         .inc(static_cast<double>(watchdog.report().violations));
   }
-  const power::Battery& bank = plant->topology.pdu(0).ups();
+  const power::Battery& bank = pdu.ups();
   result.ups_discharge_events = bank.discharge_events();
   result.ups_equivalent_cycles = bank.equivalent_full_cycles();
   result.ups_max_depth = 1.0 - result.min_ups_soc;

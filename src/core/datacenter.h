@@ -5,11 +5,13 @@
 // Each run() builds fresh subsystem state (breakers cold, batteries and TES
 // full, room at setpoint), so a DataCenter is a reusable experiment factory.
 //
-// Scale note: the fleet is homogeneous and the workload uniform, so every
-// result is invariant to `fleet.pdu_count` (all per-PDU state evolves
-// identically and every rating scales linearly). Experiments may lower the
-// PDU count for speed without changing any normalized output; the default
-// stays at the paper's 909.
+// Scale note: the fleet is homogeneous and the workload uniform, so the
+// plant is one weighted PDU group (power/topology.h) and a run costs the
+// same at any `fleet.pdu_count`. Normalized results agree across PDU
+// counts to within floating-point rounding (~1e-13 relative; asserted by
+// `DataCenter.NormalizedResultsAgreeAcrossPduCounts`), while absolute
+// powers and energies scale with the count. The default stays at the
+// paper's 909.
 #pragma once
 
 #include <array>
@@ -51,10 +53,6 @@ struct RunOptions {
   const faults::FaultSchedule* faults = nullptr;
   /// Seed for the injector's sensor-noise stream.
   std::uint64_t fault_seed = 0x5eedu;
-  /// Engine span skipping (sim/engine.h). On by default; results are
-  /// bit-identical either way — the bit-identity tests run both and
-  /// byte-compare every channel. Off forces the plain per-tick loop.
-  bool span_skip = true;
   /// Optional structured-trace sink wired through the engine, controller,
   /// injector and watchdog; must outlive the run. All events carry sim
   /// time, so the stream is bit-identical regardless of who else runs in
@@ -124,12 +122,6 @@ struct RunResult {
   /// Invariant-watchdog diagnostics: DESIGN.md Section 6 invariants checked
   /// every tick against the *true* plant state.
   faults::WatchdogReport watchdog;
-  /// Engine span-skipping observability: leaps taken and ticks replayed
-  /// inside leaps. Zero with RunOptions::span_skip off, or when the inputs
-  /// change every tick. These are scheduling counters, not results — every
-  /// other RunResult field is bit-identical regardless.
-  std::size_t engine_leaps = 0;
-  std::size_t engine_leaped_ticks = 0;
   /// Per-tick channels (only when RunOptions::record): demand, achieved,
   /// achieved_nosprint, degree, bound, cores, phase, server_mw, cooling_mw,
   /// ups_mw, dc_load_mw, room_c, ups_soc, tes_soc, dc_cb_heat, pdu_cb_heat,

@@ -13,13 +13,22 @@ const Power kPowerEps = Power::watts(1e-6);
 /// facility-wide channel in datacenter.cpp: an infinite time-to-trip
 /// records as one hour.
 constexpr double kTripMarginCapSec = 3600.0;
+
+/// The fleet's topology with one PDU group per zone.
+power::PowerTopology::Params zoned_params(const DataCenterConfig& config,
+                                          const std::vector<ZoneSpec>& zones) {
+  power::PowerTopology::Params params = config.topology_params();
+  for (const ZoneSpec& spec : zones) params.group_sizes.push_back(spec.pdu_count);
+  return params;
 }
+}  // namespace
 
 ZonalController::ZonalController(const DataCenterConfig& config,
                                  std::vector<ZoneSpec> zones)
     : config_(config),
       fleet_(config.fleet),
-      topology_(config.topology_params()),
+      // The topology rejects zones that do not tile the fleet exactly.
+      topology_(zoned_params(config, zones)),
       tes_(config.has_tes
                ? std::make_unique<thermal::TesTank>("dc/tes", config.tes_params())
                : nullptr),
@@ -28,31 +37,21 @@ ZonalController::ZonalController(const DataCenterConfig& config,
   config_.validate();
   DCS_REQUIRE(!zones.empty(), "need at least one zone");
   if (tes_ != nullptr) tes_activation_time_ = config_.tes_activation_time();
-  std::size_t first = 0;
   for (const ZoneSpec& spec : zones) {
-    DCS_REQUIRE(spec.pdu_count > 0, "zone must own at least one PDU");
     DCS_REQUIRE(spec.demand != nullptr && !spec.demand->empty(),
                 "zone needs a demand trace");
-    ZoneRuntime rt;
-    rt.spec = spec;
-    rt.first_pdu = first;
-    first += spec.pdu_count;
-    zones_.push_back(rt);
+    zones_.push_back(ZoneRuntime{spec});
   }
-  DCS_REQUIRE(first == topology_.pdu_count(),
-              "zones must tile the topology exactly");
 }
 
 std::size_t ZonalController::shed_to_grant(double demand, Power grant,
-                                           Power ups_max, Duration dt,
-                                           std::size_t first_pdu) const {
-  (void)dt;
+                                           Power ups_max,
+                                           const power::Pdu& zone_pdu) const {
   const compute::Chip& chip = fleet_.server().chip();
   const std::size_t normal = chip.params().normal_cores;
   const double max_degree = chip.max_sprint_degree();
   const std::size_t desired = fleet_.operate(demand, max_degree).active_cores;
-  const Power pdu_allow =
-      topology_.pdu(first_pdu).breaker().max_load_for(config_.cb_reserve);
+  const Power pdu_allow = zone_pdu.breaker().max_load_for(config_.cb_reserve);
   for (std::size_t cores = desired; cores > normal; --cores) {
     const auto op = fleet_.operate_with_cores(demand, cores);
     const Power over =
@@ -94,7 +93,7 @@ ZonalStepResult ZonalController::step(Duration now, Duration dt) {
   Power fleet_power = Power::zero();
   for (std::size_t z = 0; z < zones_.size(); ++z) {
     const ZoneRuntime& rt = zones_[z];
-    const power::Pdu& rep = topology_.pdu(rt.first_pdu);
+    const power::Pdu& rep = topology_.groups()[z].pdu;
     ZoneWant w;
     w.op = fleet_.operate(demand[z], max_degree);
     w.ups_max = std::min(rep.ups().max_discharge(), rep.ups().available() / dt);
@@ -146,24 +145,23 @@ ZonalStepResult ZonalController::step(Duration now, Duration dt) {
   // Shed each zone to its grant, then commit.
   ZonalStepResult result;
   result.zones.resize(zones_.size());
-  std::vector<Power> server_power(topology_.pdu_count());
-  std::vector<Power> ups_request(topology_.pdu_count());
+  std::vector<Power> server_power(zones_.size());
+  std::vector<Power> ups_request(zones_.size());
   Power committed_fleet = Power::zero();
   for (std::size_t z = 0; z < zones_.size(); ++z) {
     ZoneRuntime& rt = zones_[z];
     const auto n = static_cast<double>(rt.spec.pdu_count);
     const Power grant_per_pdu = grants[z] / n;
     const std::size_t cores = shed_to_grant(demand[z], grant_per_pdu,
-                                            wants[z].ups_max, dt, rt.first_pdu);
+                                            wants[z].ups_max,
+                                            topology_.groups()[z].pdu);
     const auto op = fleet_.operate_with_cores(demand[z], cores);
     const Power over = op.per_pdu > wants[z].pdu_allow
                            ? op.per_pdu - wants[z].pdu_allow
                            : Power::zero();
     const Power ups_use = std::min(over, wants[z].ups_max);
-    for (std::size_t i = 0; i < rt.spec.pdu_count; ++i) {
-      server_power[rt.first_pdu + i] = op.per_pdu;
-      ups_request[rt.first_pdu + i] = ups_use;
-    }
+    server_power[z] = op.per_pdu;
+    ups_request[z] = ups_use;
     committed_fleet += op.per_pdu * n;
 
     ZoneState& state = result.zones[z];
@@ -217,17 +215,16 @@ ZonalStepResult ZonalController::step(Duration now, Duration dt) {
     // reflects this tick's thermal state at this tick's committed load.
     for (std::size_t z = 0; z < zones_.size(); ++z) {
       const ZoneRuntime& rt = zones_[z];
+      const power::Pdu& pdu = topology_.groups()[z].pdu;
       const ZoneState& state = result.zones[z];
       const std::string prefix = "zone" + std::to_string(z) + "/";
       recorder_->record(prefix + "demand", now, state.demand);
       recorder_->record(prefix + "degree", now, state.degree);
       recorder_->record(prefix + "grid_mw", now, state.grid_power.mw());
-      recorder_->record(prefix + "ups_soc", now,
-                        topology_.pdu(rt.first_pdu).ups().soc());
+      recorder_->record(prefix + "ups_soc", now, pdu.ups().soc());
       const auto n = static_cast<double>(rt.spec.pdu_count);
       const Duration margin =
-          topology_.pdu(rt.first_pdu).breaker().time_to_trip_at(
-              state.grid_power / n);
+          pdu.breaker().time_to_trip_at(state.grid_power / n);
       recorder_->record(prefix + "cb_trip_margin_s", now,
                         margin.is_infinite()
                             ? kTripMarginCapSec

@@ -5,10 +5,11 @@
 // CB has already reached its upper bound, then a power increase on any of
 // its child CBs demands a power decrease on some other child CBs". This
 // controller implements that case — the fleet is partitioned into zones
-// (contiguous runs of PDUs) with independent demand streams (each
-// normalized to its own zone's sprint-free capacity), and each control
-// period the substation budget left after cooling is divided across zones
-// max-min fairly (core/cb_budget.h). A zone whose grant cannot feed its
+// (contiguous runs of PDUs, each one weighted group of the power topology)
+// with independent demand streams (each normalized to its own zone's
+// sprint-free capacity), and each control period the substation budget
+// left after cooling is divided across zones max-min fairly
+// (core/cb_budget.h). A zone whose grant cannot feed its
 // desired cores sheds cores; UPS banks cover each zone's gap above its own
 // breaker bound. The TES phase stays facility-wide.
 #pragma once
@@ -76,8 +77,8 @@ class ZonalController {
   /// Optional per-tick channel sink (must outlive the controller). Each
   /// step then records, per zone k, `zone<k>/demand`, `zone<k>/degree`,
   /// `zone<k>/grid_mw`, `zone<k>/ups_soc` and `zone<k>/cb_trip_margin_s`
-  /// (the zone's representative PDU breaker time-to-trip at its committed
-  /// load, capped at 3600 s), plus facility-wide `dc_load_mw` /
+  /// (the zone's PDU breaker time-to-trip at its committed load, capped
+  /// at 3600 s), plus facility-wide `dc_load_mw` /
   /// `cooling_mw` — the channels obs::with_zonal_channels names for
   /// Perfetto counter-track export. Null (the default) keeps the unrecorded
   /// fast path.
@@ -86,14 +87,13 @@ class ZonalController {
  private:
   struct ZoneRuntime {
     ZoneSpec spec;
-    std::size_t first_pdu = 0;
     bool in_burst = false;
     Duration burst_elapsed = Duration::zero();
   };
 
   [[nodiscard]] std::size_t shed_to_grant(double demand, Power grant,
-                                          Power ups_max, Duration dt,
-                                          std::size_t first_pdu) const;
+                                          Power ups_max,
+                                          const power::Pdu& zone_pdu) const;
 
   DataCenterConfig config_;
   compute::Fleet fleet_;

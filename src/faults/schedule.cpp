@@ -48,15 +48,6 @@ void FaultSchedule::add(const Fault& fault) {
   faults_.push_back(fault);
 }
 
-Duration FaultSchedule::next_edge_after(Duration t) const noexcept {
-  Duration next = Duration::infinity();
-  for (const Fault& f : faults_) {
-    if (f.start > t) next = std::min(next, f.start);
-    if (f.end > t) next = std::min(next, f.end);
-  }
-  return next;
-}
-
 bool FaultSchedule::any_active(Duration t) const noexcept {
   return std::any_of(faults_.begin(), faults_.end(),
                      [t](const Fault& f) { return f.active_at(t); });

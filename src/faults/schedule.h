@@ -32,11 +32,6 @@ class FaultSchedule {
   /// Worst severity_of() over the faults active at `t`.
   [[nodiscard]] double severity_at(Duration t) const noexcept;
 
-  /// Earliest fault start or end strictly after `t`, or Duration::infinity()
-  /// when no edge lies ahead. The engine's span-skipping treats every edge
-  /// as an event boundary, so leaps never cross a fault transition.
-  [[nodiscard]] Duration next_edge_after(Duration t) const noexcept;
-
   /// Same windows and kinds with every magnitude multiplied by `factor`
   /// (clamped to each kind's valid range). Severity sweeps hold the seed
   /// fixed and vary only this factor.

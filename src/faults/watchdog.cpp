@@ -18,48 +18,29 @@ void Watchdog::check(Duration now, const power::PowerTopology& topology,
   ++report_.checks;
   const std::size_t violations_before = report_.violations;
 
-  const auto breaker_bad = [](const power::CircuitBreaker& cb) {
-    return cb.tripped() || cb.thermal_state() >= 1.0;
-  };
-  const auto soc_bad = [&](double soc) {
-    return soc < options_.ups_floor - kSocEps || soc > 1.0 + kSocEps;
-  };
-
-  // Uniform fast path: every PDU provably shares the representative's
-  // state, so a clean representative (and DC breaker) clears all per-PDU
-  // invariants without materializing the pool. Any failure falls through to
-  // the full walk below, preserving per-PDU violation counts and messages.
-  bool per_pdu_clean = false;
-  if (topology.uniform()) {
-    const power::Pdu& rep = topology.pdu(0);
-    per_pdu_clean =
-        (!options_.check_breakers ||
-         (!breaker_bad(topology.dc_breaker()) && !breaker_bad(rep.breaker()))) &&
-        !soc_bad(rep.ups().soc());
-  }
-
-  if (!per_pdu_clean) {
-    if (options_.check_breakers) {
-      const auto check_breaker = [&](const power::CircuitBreaker& cb) {
-        if (breaker_bad(cb)) {
-          std::ostringstream msg;
-          msg << "breaker '" << cb.name() << "' "
-              << (cb.tripped() ? "tripped" : "accumulator reached 1");
-          fail(now, msg.str());
-        }
-      };
-      check_breaker(topology.dc_breaker());
-      for (const auto& pdu : topology.pdus()) check_breaker(pdu.breaker());
-    }
-
-    for (const auto& pdu : topology.pdus()) {
-      const double soc = pdu.ups().soc();
-      if (soc_bad(soc)) {
+  // One check per PDU group: every PDU in a group shares its state, so a
+  // group counts one violation however many PDUs it stands for.
+  if (options_.check_breakers) {
+    const auto check_breaker = [&](const power::CircuitBreaker& cb) {
+      if (cb.tripped() || cb.thermal_state() >= 1.0) {
         std::ostringstream msg;
-        msg << "UPS bank '" << pdu.ups().name() << "' SoC " << soc
-            << " outside [" << options_.ups_floor << ", 1]";
+        msg << "breaker '" << cb.name() << "' "
+            << (cb.tripped() ? "tripped" : "accumulator reached 1");
         fail(now, msg.str());
       }
+    };
+    check_breaker(topology.dc_breaker());
+    for (const auto& group : topology.groups()) check_breaker(group.pdu.breaker());
+  }
+
+  for (const auto& group : topology.groups()) {
+    const power::Battery& bank = group.pdu.ups();
+    const double soc = bank.soc();
+    if (soc < options_.ups_floor - kSocEps || soc > 1.0 + kSocEps) {
+      std::ostringstream msg;
+      msg << "UPS bank '" << bank.name() << "' SoC " << soc << " outside ["
+          << options_.ups_floor << ", 1]";
+      fail(now, msg.str());
     }
   }
 

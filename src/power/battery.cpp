@@ -9,8 +9,8 @@ namespace dcs::power {
 Battery::Battery(std::string name, const Params& params)
     : name_(std::move(name)),
       params_(params),
-      capacity_(params.capacity.at_volts(params.bus_voltage)) {
-  own_.stored = capacity_;
+      capacity_(params.capacity.at_volts(params.bus_voltage)),
+      stored_(capacity_) {
   DCS_REQUIRE(params_.capacity > Charge::zero(), "capacity must be positive");
   DCS_REQUIRE(params_.bus_voltage > 0.0, "bus voltage must be positive");
   DCS_REQUIRE(params_.max_discharge > Power::zero(), "max discharge must be positive");
@@ -21,45 +21,13 @@ Battery::Battery(std::string name, const Params& params)
               "reserve floor in [0, 1)");
 }
 
-Battery::Battery(const Battery& other)
-    : name_(other.name_),
-      params_(other.params_),
-      capacity_(other.capacity_),
-      own_(*other.s_) {}
-
-Battery& Battery::operator=(const Battery& other) {
-  if (this != &other) {
-    name_ = other.name_;
-    params_ = other.params_;
-    capacity_ = other.capacity_;
-    *s_ = *other.s_;
-  }
-  return *this;
-}
-
-Battery::Battery(Battery&& other) noexcept
-    : name_(std::move(other.name_)),
-      params_(other.params_),
-      capacity_(other.capacity_),
-      own_(*other.s_) {}
-
-Battery& Battery::operator=(Battery&& other) noexcept {
-  if (this != &other) {
-    name_ = std::move(other.name_);
-    params_ = other.params_;
-    capacity_ = other.capacity_;
-    *s_ = *other.s_;
-  }
-  return *this;
-}
-
 Energy Battery::available() const noexcept {
   const Energy floor = effective_capacity() * params_.reserve_floor;
-  const Energy above = s_->stored > floor ? s_->stored - floor : Energy::zero();
-  return above * s_->availability;
+  const Energy above = stored_ > floor ? stored_ - floor : Energy::zero();
+  return above * availability_;
 }
 
-double Battery::soc() const noexcept { return s_->stored / capacity_; }
+double Battery::soc() const noexcept { return stored_ / capacity_; }
 
 Power Battery::discharge(Power power, Duration dt) {
   DCS_REQUIRE(power >= Power::zero(), "discharge power must be non-negative");
@@ -68,41 +36,41 @@ Power Battery::discharge(Power power, Duration dt) {
   const Energy want = requested * dt;
   const Energy give = std::min(want, available());
   if (give <= Energy::zero()) {
-    s_->discharging = false;
+    discharging_ = false;
     return Power::zero();
   }
-  if (!s_->discharging) {
-    ++s_->events;
-    s_->discharging = true;
+  if (!discharging_) {
+    ++events_;
+    discharging_ = true;
   }
-  s_->stored -= give;
-  s_->total_discharged += give;
+  stored_ -= give;
+  total_discharged_ += give;
   return give / dt;
 }
 
 Power Battery::recharge(Power power, Duration dt) {
   DCS_REQUIRE(power >= Power::zero(), "recharge power must be non-negative");
   DCS_REQUIRE(dt > Duration::zero(), "dt must be positive");
-  s_->discharging = false;
-  const Power offered = std::min(power, params_.max_recharge * s_->availability);
-  const Energy room = effective_capacity() - s_->stored;
+  discharging_ = false;
+  const Power offered = std::min(power, params_.max_recharge * availability_);
+  const Energy room = effective_capacity() - stored_;
   const Energy accept = std::min(offered * dt * params_.recharge_efficiency, room);
   if (accept <= Energy::zero()) return Power::zero();
-  s_->stored += accept;
+  stored_ += accept;
   // Grid power drawn includes conversion losses.
   return accept / params_.recharge_efficiency / dt;
 }
 
 double Battery::equivalent_full_cycles() const noexcept {
-  return s_->total_discharged / capacity_;
+  return total_discharged_ / capacity_;
 }
 
 void Battery::set_fault(double availability, double capacity_factor) noexcept {
-  s_->availability = availability;
-  s_->capacity_factor = capacity_factor;
+  availability_ = availability;
+  capacity_factor_ = capacity_factor;
   // Faded capacity loses the charge above it immediately; the charge does
   // not reappear when the fault clears (it must be recharged).
-  s_->stored = std::min(s_->stored, effective_capacity());
+  stored_ = std::min(stored_, effective_capacity());
 }
 
 }  // namespace dcs::power

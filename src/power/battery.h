@@ -35,41 +35,12 @@ class Battery {
     double reserve_floor = 0.0;
   };
 
-  /// Mutable per-battery state, separated from the immutable parameters so a
-  /// topology can keep the states of many identical banks in one contiguous
-  /// array (structure-of-arrays). A battery normally owns its state;
-  /// bind_state() repoints it at an external slot.
-  struct State {
-    Energy stored;
-    Energy total_discharged;
-    double availability = 1.0;     ///< injected bank outage (1 = all online)
-    double capacity_factor = 1.0;  ///< injected capacity fade (1 = nominal)
-    std::size_t events = 0;
-    bool discharging = false;
-  };
-
   Battery(std::string name, const Params& params);
-
-  /// Copies keep the source's current state but own it themselves.
-  Battery(const Battery& other);
-  Battery& operator=(const Battery& other);
-  Battery(Battery&& other) noexcept;
-  Battery& operator=(Battery&& other) noexcept;
-
-  /// Repoints this battery's state at `slot` (copying the current state into
-  /// it). The caller guarantees `slot` outlives the battery or is replaced
-  /// by another bind_state() call.
-  void bind_state(State* slot) noexcept {
-    *slot = *s_;
-    s_ = slot;
-  }
-  [[nodiscard]] const State& state() const noexcept { return *s_; }
-  void restore_state(const State& s) noexcept { *s_ = s; }
 
   /// Energy the battery can still deliver (above the reserve floor).
   [[nodiscard]] Energy available() const noexcept;
   /// Stored energy (including any reserve floor).
-  [[nodiscard]] Energy stored() const noexcept { return s_->stored; }
+  [[nodiscard]] Energy stored() const noexcept { return stored_; }
   [[nodiscard]] Energy capacity() const noexcept { return capacity_; }
   /// State of charge in [0, 1].
   [[nodiscard]] double soc() const noexcept;
@@ -88,14 +59,14 @@ class Battery {
   /// Number of discharge *events*: transitions from not-discharging to
   /// discharging with at least `deep_fraction` of capacity drawn before the
   /// next recharge-or-idle period.
-  [[nodiscard]] std::size_t discharge_events() const noexcept { return s_->events; }
+  [[nodiscard]] std::size_t discharge_events() const noexcept { return events_; }
   [[nodiscard]] Energy total_discharged() const noexcept {
-    return s_->total_discharged;
+    return total_discharged_;
   }
 
   /// Discharge power limit after any injected bank outage.
   [[nodiscard]] Power max_discharge() const noexcept {
-    return params_.max_discharge * s_->availability;
+    return params_.max_discharge * availability_;
   }
   [[nodiscard]] std::string_view name() const noexcept { return name_; }
 
@@ -107,15 +78,19 @@ class Battery {
   void set_fault(double availability, double capacity_factor) noexcept;
   /// Capacity after any injected fade.
   [[nodiscard]] Energy effective_capacity() const noexcept {
-    return capacity_ * s_->capacity_factor;
+    return capacity_ * capacity_factor_;
   }
 
  private:
   std::string name_;
   Params params_;
   Energy capacity_;
-  State own_{};
-  State* s_ = &own_;
+  Energy stored_;
+  Energy total_discharged_;
+  double availability_ = 1.0;     ///< injected bank outage (1 = all online)
+  double capacity_factor_ = 1.0;  ///< injected capacity fade (1 = nominal)
+  std::size_t events_ = 0;
+  bool discharging_ = false;
 };
 
 }  // namespace dcs::power

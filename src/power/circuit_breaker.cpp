@@ -14,42 +14,6 @@ CircuitBreaker::CircuitBreaker(std::string name, const Params& params)
               "cooling time constant must be positive");
 }
 
-CircuitBreaker::CircuitBreaker(const CircuitBreaker& other)
-    : name_(other.name_),
-      params_(other.params_),
-      own_(*other.s_),
-      decay_cache_dt_s_(other.decay_cache_dt_s_),
-      decay_cache_(other.decay_cache_) {}
-
-CircuitBreaker& CircuitBreaker::operator=(const CircuitBreaker& other) {
-  if (this != &other) {
-    name_ = other.name_;
-    params_ = other.params_;
-    *s_ = *other.s_;
-    decay_cache_dt_s_ = other.decay_cache_dt_s_;
-    decay_cache_ = other.decay_cache_;
-  }
-  return *this;
-}
-
-CircuitBreaker::CircuitBreaker(CircuitBreaker&& other) noexcept
-    : name_(std::move(other.name_)),
-      params_(other.params_),
-      own_(*other.s_),
-      decay_cache_dt_s_(other.decay_cache_dt_s_),
-      decay_cache_(other.decay_cache_) {}
-
-CircuitBreaker& CircuitBreaker::operator=(CircuitBreaker&& other) noexcept {
-  if (this != &other) {
-    name_ = std::move(other.name_);
-    params_ = other.params_;
-    *s_ = *other.s_;
-    decay_cache_dt_s_ = other.decay_cache_dt_s_;
-    decay_cache_ = other.decay_cache_;
-  }
-  return *this;
-}
-
 double CircuitBreaker::load_ratio(Power load) const {
   DCS_REQUIRE(load >= Power::zero(), "load must be non-negative");
   return load / effective_rated();
@@ -57,7 +21,7 @@ double CircuitBreaker::load_ratio(Power load) const {
 
 void CircuitBreaker::apply_load(Power load, Duration dt) {
   DCS_REQUIRE(dt > Duration::zero(), "dt must be positive");
-  if (s_->tripped) return;
+  if (tripped_) return;
   const Duration trip_time = params_.curve.time_to_trip(load_ratio(load));
   if (trip_time.is_infinite()) {
     // Cooling: exponential decay toward zero.
@@ -65,27 +29,27 @@ void CircuitBreaker::apply_load(Power load, Duration dt) {
       decay_cache_ = std::exp(-(dt / params_.cooling_tau));
       decay_cache_dt_s_ = dt.sec();
     }
-    s_->heat *= decay_cache_;
+    heat_ *= decay_cache_;
     return;
   }
-  s_->heat += dt / trip_time;
-  if (s_->heat >= 1.0 - s_->trip_bias) {
-    s_->heat = 1.0;
-    s_->tripped = true;
+  heat_ += dt / trip_time;
+  if (heat_ >= 1.0 - trip_bias_) {
+    heat_ = 1.0;
+    tripped_ = true;
   }
 }
 
 Duration CircuitBreaker::time_to_trip_at(Power load) const {
-  if (s_->tripped) return Duration::zero();
+  if (tripped_) return Duration::zero();
   const Duration trip_time = params_.curve.time_to_trip(load_ratio(load));
   if (trip_time.is_infinite()) return Duration::infinity();
-  const double headroom = std::max(0.0, 1.0 - s_->trip_bias - s_->heat);
+  const double headroom = std::max(0.0, 1.0 - trip_bias_ - heat_);
   return trip_time * headroom;
 }
 
 Power CircuitBreaker::max_load_for(Duration hold) const {
-  if (s_->tripped) return Power::zero();
-  const double headroom = 1.0 - s_->trip_bias - s_->heat;
+  if (tripped_) return Power::zero();
+  const double headroom = 1.0 - trip_bias_ - heat_;
   // Holding for `hold` from thermal state `heat_` needs a fresh-element trip
   // time of at least hold / headroom.
   Duration required = Duration::infinity();
@@ -97,13 +61,13 @@ Power CircuitBreaker::max_load_for(Duration hold) const {
 }
 
 void CircuitBreaker::reset() noexcept {
-  s_->heat = 0.0;
-  s_->tripped = false;
+  heat_ = 0.0;
+  tripped_ = false;
 }
 
 void CircuitBreaker::set_fault(double rating_factor, double trip_bias) noexcept {
-  s_->rating_factor = rating_factor;
-  s_->trip_bias = trip_bias;
+  rating_factor_ = rating_factor;
+  trip_bias_ = trip_bias;
 }
 
 }  // namespace dcs::power

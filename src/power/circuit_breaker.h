@@ -27,44 +27,15 @@ class CircuitBreaker {
     Duration cooling_tau = Duration::minutes(10);
   };
 
-  /// Mutable per-breaker state, separated from the immutable parameters so a
-  /// topology can keep the states of many identical breakers in one
-  /// contiguous array (structure-of-arrays) and update them in tight loops.
-  /// A breaker normally owns its state; bind_state() repoints it at an
-  /// external slot.
-  struct State {
-    double heat = 0.0;            ///< trip fraction in [0, 1]
-    double rating_factor = 1.0;   ///< injected derating (1 = nominal)
-    double trip_bias = 0.0;       ///< injected trip-threshold bias (0 = nominal)
-    bool tripped = false;
-  };
-
   CircuitBreaker(std::string name, const Params& params);
-
-  /// Copies keep the source's current state but own it themselves (a copied
-  /// breaker never aliases the source's external state slot).
-  CircuitBreaker(const CircuitBreaker& other);
-  CircuitBreaker& operator=(const CircuitBreaker& other);
-  CircuitBreaker(CircuitBreaker&& other) noexcept;
-  CircuitBreaker& operator=(CircuitBreaker&& other) noexcept;
-
-  /// Repoints this breaker's state at `slot` (copying the current state into
-  /// it). The caller guarantees `slot` outlives the breaker or is replaced
-  /// by another bind_state() call.
-  void bind_state(State* slot) noexcept {
-    *slot = *s_;
-    s_ = slot;
-  }
-  [[nodiscard]] const State& state() const noexcept { return *s_; }
-  void restore_state(const State& s) noexcept { *s_ = s; }
 
   /// Advances the thermal state under `load` for `dt`. Once the trip
   /// fraction reaches 1 the breaker opens and stays open until reset().
   void apply_load(Power load, Duration dt);
 
-  [[nodiscard]] bool tripped() const noexcept { return s_->tripped; }
+  [[nodiscard]] bool tripped() const noexcept { return tripped_; }
   /// Trip fraction in [0, 1]; 1 means tripped.
-  [[nodiscard]] double thermal_state() const noexcept { return s_->heat; }
+  [[nodiscard]] double thermal_state() const noexcept { return heat_; }
 
   [[nodiscard]] double load_ratio(Power load) const;
 
@@ -78,7 +49,7 @@ class CircuitBreaker {
   /// the full curve lookup during the long spells the governor pins the
   /// load at this boundary.
   [[nodiscard]] bool can_trip_at(Power load) const noexcept {
-    return s_->tripped ||
+    return tripped_ ||
            load.w() > effective_rated().w() *
                           params_.curve.params().no_trip_ratio * (1.0 + 1e-9);
   }
@@ -91,8 +62,8 @@ class CircuitBreaker {
   /// headroom and tripped states are unconditionally within the horizon,
   /// matching the full computation.
   [[nodiscard]] bool trips_within(Power load, Duration horizon) const noexcept {
-    if (s_->tripped) return true;
-    const double headroom = 1.0 - s_->trip_bias - s_->heat;
+    if (tripped_) return true;
+    const double headroom = 1.0 - trip_bias_ - heat_;
     if (headroom <= 0.0) return true;
     const double rated_w = effective_rated().w();
     const double over_w = load.w() - rated_w;
@@ -120,7 +91,7 @@ class CircuitBreaker {
   void set_fault(double rating_factor, double trip_bias) noexcept;
   /// Rated power after any injected derating.
   [[nodiscard]] Power effective_rated() const noexcept {
-    return params_.rated * s_->rating_factor;
+    return params_.rated * rating_factor_;
   }
 
   [[nodiscard]] Power rated() const noexcept { return params_.rated; }
@@ -130,8 +101,10 @@ class CircuitBreaker {
  private:
   std::string name_;
   Params params_;
-  State own_{};
-  State* s_ = &own_;
+  double heat_ = 0.0;           ///< trip fraction in [0, 1]
+  double rating_factor_ = 1.0;  ///< injected derating (1 = nominal)
+  double trip_bias_ = 0.0;      ///< injected trip-threshold bias (0 = nominal)
+  bool tripped_ = false;
   // exp(-(dt / cooling_tau)) keyed on the dt it was computed for: dt is the
   // fixed engine step within a run, so the cooling decay costs one exp per
   // run instead of one per tick. Bit-identical to recomputing.

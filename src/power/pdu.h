@@ -53,24 +53,6 @@ class Pdu {
 
   [[nodiscard]] std::string_view name() const noexcept { return name_; }
 
-  /// PowerTopology implementation detail: repoints the breaker and bank
-  /// states at external structure-of-arrays slots (copying current values
-  /// into them).
-  void bind_states(CircuitBreaker::State* breaker_slot,
-                   Battery::State* battery_slot) noexcept {
-    breaker_.bind_state(breaker_slot);
-    ups_.bind_state(battery_slot);
-  }
-
-  /// PowerTopology implementation detail: copies all mutable per-step state
-  /// from `rep` (used to materialize uniform topologies on demand).
-  void copy_dynamic_state_from(const Pdu& rep) noexcept {
-    breaker_.restore_state(rep.breaker_.state());
-    ups_.restore_state(rep.ups_.state());
-    last_grid_load_ = rep.last_grid_load_;
-    last_ups_power_ = rep.last_ups_power_;
-  }
-
  private:
   static Battery::Params aggregate(const Battery::Params& per_server,
                                    std::size_t count);

@@ -1,162 +1,55 @@
 #include "power/topology.h"
 
-#include <cstring>
+#include <algorithm>
+#include <string>
 
 #include "util/check.h"
 
 namespace dcs::power {
 
 PowerTopology::PowerTopology(const Params& params)
-    : dc_breaker_("dc/cb", params.dc_breaker) {
+    : pdu_count_(params.pdu_count), dc_breaker_("dc/cb", params.dc_breaker) {
   DCS_REQUIRE(params.pdu_count > 0, "need at least one PDU");
-  pdus_.reserve(params.pdu_count);
-  for (std::size_t i = 0; i < params.pdu_count; ++i) {
-    pdus_.emplace_back("pdu" + std::to_string(i), params.pdu);
+  const std::vector<std::size_t> sizes =
+      params.group_sizes.empty() ? std::vector<std::size_t>{params.pdu_count}
+                                 : params.group_sizes;
+  groups_.reserve(sizes.size());
+  std::size_t first = 0;
+  for (const std::size_t count : sizes) {
+    DCS_REQUIRE(count > 0, "every PDU group needs at least one PDU");
+    std::string name = "pdu" + std::to_string(first);
+    if (count > 1) name += "-" + std::to_string(first + count - 1);
+    groups_.push_back(Group{Pdu(std::move(name), params.pdu), count});
+    first += count;
   }
-  breaker_states_.resize(params.pdu_count);
-  battery_states_.resize(params.pdu_count);
-  rebind_states();
-}
-
-PowerTopology::PowerTopology(const PowerTopology& other)
-    : dc_breaker_(other.dc_breaker_) {
-  other.materialize();
-  pdus_ = other.pdus_;
-  breaker_states_.resize(pdus_.size());
-  battery_states_.resize(pdus_.size());
-  uniform_ = other.uniform_;
-  materialized_ = true;
-  grid_sum_ = other.grid_sum_;
-  ups_sum_ = other.ups_sum_;
-  avail_sum_ = other.avail_sum_;
-  capacity_sum_ = other.capacity_sum_;
-  rebind_states();
-}
-
-PowerTopology& PowerTopology::operator=(const PowerTopology& other) {
-  if (this != &other) {
-    other.materialize();
-    pdus_ = other.pdus_;
-    breaker_states_.resize(pdus_.size());
-    battery_states_.resize(pdus_.size());
-    dc_breaker_ = other.dc_breaker_;
-    uniform_ = other.uniform_;
-    materialized_ = true;
-    grid_sum_ = other.grid_sum_;
-    ups_sum_ = other.ups_sum_;
-    avail_sum_ = other.avail_sum_;
-    capacity_sum_ = other.capacity_sum_;
-    rebind_states();
-  }
-  return *this;
-}
-
-PowerTopology::PowerTopology(PowerTopology&& other) noexcept
-    : pdus_(std::move(other.pdus_)),
-      breaker_states_(std::move(other.breaker_states_)),
-      battery_states_(std::move(other.battery_states_)),
-      dc_breaker_(std::move(other.dc_breaker_)),
-      uniform_(other.uniform_),
-      materialized_(other.materialized_),
-      grid_sum_(other.grid_sum_),
-      ups_sum_(other.ups_sum_),
-      avail_sum_(other.avail_sum_),
-      capacity_sum_(other.capacity_sum_) {
-  // Vector moves steal the heap buffers, so the per-PDU views still point at
-  // valid slots; rebinding keeps the invariant explicit regardless.
-  rebind_states();
-}
-
-PowerTopology& PowerTopology::operator=(PowerTopology&& other) noexcept {
-  if (this != &other) {
-    pdus_ = std::move(other.pdus_);
-    breaker_states_ = std::move(other.breaker_states_);
-    battery_states_ = std::move(other.battery_states_);
-    dc_breaker_ = std::move(other.dc_breaker_);
-    uniform_ = other.uniform_;
-    materialized_ = other.materialized_;
-    grid_sum_ = other.grid_sum_;
-    ups_sum_ = other.ups_sum_;
-    avail_sum_ = other.avail_sum_;
-    capacity_sum_ = other.capacity_sum_;
-    rebind_states();
-  }
-  return *this;
-}
-
-void PowerTopology::rebind_states() noexcept {
-  for (std::size_t i = 0; i < pdus_.size(); ++i) {
-    pdus_[i].bind_states(&breaker_states_[i], &battery_states_[i]);
-  }
-}
-
-void PowerTopology::materialize() const {
-  if (materialized_) return;
-  for (std::size_t i = 1; i < pdus_.size(); ++i) {
-    pdus_[i].copy_dynamic_state_from(pdus_[0]);
-  }
-  materialized_ = true;
-}
-
-std::vector<Pdu>& PowerTopology::pdus() noexcept {
-  materialize();
-  uniform_ = false;
-  return pdus_;
-}
-
-const std::vector<Pdu>& PowerTopology::pdus() const {
-  materialize();
-  return pdus_;
-}
-
-const Pdu& PowerTopology::pdu(std::size_t i) const {
-  if (i != 0) materialize();
-  return pdus_[i];
+  DCS_REQUIRE(first == params.pdu_count,
+              "PDU group sizes must sum to the PDU count");
 }
 
 std::size_t PowerTopology::server_count() const noexcept {
   std::size_t n = 0;
-  for (const Pdu& p : pdus_) n += p.server_count();
+  for (const Group& g : groups_) n += g.pdu.server_count() * g.count;
   return n;
-}
-
-double PowerTopology::uniform_sum(SumMemo& memo, double value) const {
-  std::uint64_t bits = 0;
-  static_assert(sizeof(bits) == sizeof(value));
-  std::memcpy(&bits, &value, sizeof(bits));
-  if (!memo.valid || memo.value_bits != bits) {
-    // Same sequential accumulation the per-PDU walk performs, so the memo is
-    // bit-identical to summing the materialized pool.
-    double sum = 0.0;
-    for (std::size_t i = 0; i < pdus_.size(); ++i) sum += value;
-    memo.value_bits = bits;
-    memo.sum = sum;
-    memo.valid = true;
-  }
-  return memo.sum;
 }
 
 Flows PowerTopology::step_uniform(Power server_power_per_pdu,
                                   Power ups_request_per_pdu,
                                   Power cooling_power, Duration dt) {
-  if (uniform_) {
-    pdus_[0].step(server_power_per_pdu, ups_request_per_pdu, dt);
-    materialized_ = false;
-    return finish_step_uniform(cooling_power, dt);
+  for (Group& g : groups_) {
+    g.pdu.step(server_power_per_pdu, ups_request_per_pdu, dt);
   }
-  for (Pdu& p : pdus_) p.step(server_power_per_pdu, ups_request_per_pdu, dt);
   return finish_step(cooling_power, dt);
 }
 
 Flows PowerTopology::step(const std::vector<Power>& server_power,
                           const std::vector<Power>& ups_request,
                           Power cooling_power, Duration dt) {
-  DCS_REQUIRE(server_power.size() == pdus_.size(), "one server power per PDU");
-  DCS_REQUIRE(ups_request.size() == pdus_.size(), "one ups request per PDU");
-  materialize();
-  uniform_ = false;
-  for (std::size_t i = 0; i < pdus_.size(); ++i) {
-    pdus_[i].step(server_power[i], ups_request[i], dt);
+  DCS_REQUIRE(server_power.size() == groups_.size(),
+              "one server power per PDU group");
+  DCS_REQUIRE(ups_request.size() == groups_.size(),
+              "one ups request per PDU group");
+  for (std::size_t i = 0; i < groups_.size(); ++i) {
+    groups_[i].pdu.step(server_power[i], ups_request[i], dt);
   }
   return finish_step(cooling_power, dt);
 }
@@ -164,37 +57,21 @@ Flows PowerTopology::step(const std::vector<Power>& server_power,
 Flows PowerTopology::recharge_uniform(Power server_power_per_pdu,
                                       Power recharge_per_pdu,
                                       Power cooling_power, Duration dt) {
-  if (uniform_) {
-    pdus_[0].recharge_step(server_power_per_pdu, recharge_per_pdu, dt);
-    materialized_ = false;
-    return finish_step_uniform(cooling_power, dt);
+  for (Group& g : groups_) {
+    g.pdu.recharge_step(server_power_per_pdu, recharge_per_pdu, dt);
   }
-  for (Pdu& p : pdus_) p.recharge_step(server_power_per_pdu, recharge_per_pdu, dt);
   return finish_step(cooling_power, dt);
 }
 
 Flows PowerTopology::finish_step(Power cooling_power, Duration dt) {
   DCS_REQUIRE(cooling_power >= Power::zero(), "cooling power must be non-negative");
   Flows flows{};
-  for (const Pdu& p : pdus_) {
-    flows.pdu_grid_total += p.last_grid_load();
-    flows.ups_total += p.last_ups_power();
-    flows.any_pdu_tripped = flows.any_pdu_tripped || p.breaker().tripped();
+  for (const Group& g : groups_) {
+    const auto n = static_cast<double>(g.count);
+    flows.pdu_grid_total += g.pdu.last_grid_load() * n;
+    flows.ups_total += g.pdu.last_ups_power() * n;
+    flows.any_pdu_tripped = flows.any_pdu_tripped || g.pdu.breaker().tripped();
   }
-  flows.cooling = cooling_power;
-  flows.dc_load = flows.pdu_grid_total + cooling_power;
-  dc_breaker_.apply_load(flows.dc_load, dt);
-  flows.dc_tripped = dc_breaker_.tripped();
-  return flows;
-}
-
-Flows PowerTopology::finish_step_uniform(Power cooling_power, Duration dt) {
-  DCS_REQUIRE(cooling_power >= Power::zero(), "cooling power must be non-negative");
-  const Pdu& rep = pdus_[0];
-  Flows flows{};
-  flows.pdu_grid_total = Power::watts(uniform_sum(grid_sum_, rep.last_grid_load().w()));
-  flows.ups_total = Power::watts(uniform_sum(ups_sum_, rep.last_ups_power().w()));
-  flows.any_pdu_tripped = rep.breaker().tripped();
   flows.cooling = cooling_power;
   flows.dc_load = flows.pdu_grid_total + cooling_power;
   dc_breaker_.apply_load(flows.dc_load, dt);
@@ -203,25 +80,25 @@ Flows PowerTopology::finish_step_uniform(Power cooling_power, Duration dt) {
 }
 
 Energy PowerTopology::ups_available() const {
-  if (uniform_) {
-    return Energy::joules(uniform_sum(avail_sum_, pdus_[0].ups().available().j()));
-  }
   Energy total = Energy::zero();
-  for (const Pdu& p : pdus_) total += p.ups().available();
+  for (const Group& g : groups_) {
+    total += g.pdu.ups().available() * static_cast<double>(g.count);
+  }
   return total;
 }
 
 Energy PowerTopology::ups_capacity() const {
-  // Capacity ignores injected fade, and all banks are built from identical
-  // params, so this sum is constant for the lifetime of the topology.
-  return Energy::joules(uniform_sum(capacity_sum_, pdus_[0].ups().capacity().j()));
+  Energy total = Energy::zero();
+  for (const Group& g : groups_) {
+    total += g.pdu.ups().capacity() * static_cast<double>(g.count);
+  }
+  return total;
 }
 
 double PowerTopology::max_pdu_breaker_heat() const {
-  if (uniform_) return pdus_[0].breaker().thermal_state();
   double max_heat = 0.0;
-  for (const Pdu& p : pdus_) {
-    max_heat = std::max(max_heat, p.breaker().thermal_state());
+  for (const Group& g : groups_) {
+    max_heat = std::max(max_heat, g.pdu.breaker().thermal_state());
   }
   return max_heat;
 }
@@ -230,26 +107,15 @@ void PowerTopology::set_fault_all(double breaker_rating_factor,
                                   double breaker_trip_bias,
                                   double ups_availability,
                                   double ups_capacity_factor) {
-  if (uniform_) {
-    pdus_[0].breaker().set_fault(breaker_rating_factor, breaker_trip_bias);
-    pdus_[0].ups().set_fault(ups_availability, ups_capacity_factor);
-    materialized_ = false;
-    return;
-  }
-  for (Pdu& p : pdus_) {
-    p.breaker().set_fault(breaker_rating_factor, breaker_trip_bias);
-    p.ups().set_fault(ups_availability, ups_capacity_factor);
+  for (Group& g : groups_) {
+    g.pdu.breaker().set_fault(breaker_rating_factor, breaker_trip_bias);
+    g.pdu.ups().set_fault(ups_availability, ups_capacity_factor);
   }
 }
 
 void PowerTopology::reset_breakers() {
   dc_breaker_.reset();
-  if (uniform_) {
-    pdus_[0].breaker().reset();
-    materialized_ = false;
-    return;
-  }
-  for (Pdu& p : pdus_) p.breaker().reset();
+  for (Group& g : groups_) g.pdu.breaker().reset();
 }
 
 }  // namespace dcs::power

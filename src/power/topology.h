@@ -2,26 +2,21 @@
 // (DC level) feeding identical PDU groups, with the cooling plant hanging
 // off the DC level (paper Fig. 4).
 //
-// State layout: the mutable breaker/bank state of every PDU lives in two
-// contiguous structure-of-arrays pools owned by the topology; each Pdu's
-// CircuitBreaker/Battery is a thin view bound into its slot. On top of that
-// the topology exploits the paper's homogeneous fleet: the uniform kernels
-// (`step_uniform`, `recharge_uniform`) advance only PDU 0 — the
-// *representative* — and the remaining slots are materialized (bulk-copied
-// from the representative) only when a caller actually asks for per-PDU
-// state. The skewed-load path (`step` with per-PDU vectors, or mutation via
-// the non-const `pdus()` accessor) permanently drops the topology out of
-// uniform mode and every kernel then walks the full pools.
+// State layout: the PDUs are kept as weighted groups. A group is one Pdu —
+// the breaker and UPS-bank state every member shares — plus the number of
+// PDUs it stands for, and every fleet total is the sum over groups of
+// state x count. The paper's homogeneous fleet is a single group, so a
+// 909-PDU plant costs what a 2-PDU one does to build and to step. Zonal
+// runs use one group per zone; tests that skew individual PDUs use groups
+// of one.
 //
-// Bit-identity contract: every fast path reproduces the exact floating-point
-// results of the plain per-PDU walk (sums over n identical values are
-// memoized but recomputed with the same sequential loop whenever the value
-// changes), so a uniform run is byte-identical to a materialized one.
+// Scale: the per-PDU state is independent of the group sizes, and the
+// totals are products, so normalized results agree across PDU counts to
+// within floating-point rounding of those products (~1e-13 relative).
+// They are not bit-identical across counts.
 #pragma once
 
 #include <cstddef>
-#include <cstdint>
-#include <string>
 #include <vector>
 
 #include "power/circuit_breaker.h"
@@ -44,30 +39,34 @@ class PowerTopology {
  public:
   struct Params {
     std::size_t pdu_count = 909;
+    /// PDUs per group, in order; they must sum to `pdu_count`. Empty means
+    /// one group of `pdu_count` PDUs (the uniform fleet).
+    std::vector<std::size_t> group_sizes;
     Pdu::Params pdu;
     CircuitBreaker::Params dc_breaker;
   };
 
+  /// `count` identical PDUs, all in the state of `pdu`.
+  struct Group {
+    Pdu pdu;
+    std::size_t count;
+  };
+
   explicit PowerTopology(const Params& params);
 
-  PowerTopology(const PowerTopology& other);
-  PowerTopology& operator=(const PowerTopology& other);
-  PowerTopology(PowerTopology&& other) noexcept;
-  PowerTopology& operator=(PowerTopology&& other) noexcept;
-
-  /// Advances one step with *uniform* per-PDU server power and UPS request
-  /// (the paper's fleet is homogeneous and the workload is spread evenly).
-  /// `cooling_power` is applied at the DC level only.
+  /// Advances one step with the same per-PDU server power and UPS request
+  /// in every group (the paper's fleet is homogeneous and the workload is
+  /// spread evenly). `cooling_power` is applied at the DC level only.
   Flows step_uniform(Power server_power_per_pdu, Power ups_request_per_pdu,
                      Power cooling_power, Duration dt);
 
-  /// Advances one step with per-PDU values (tests exercise skewed loads).
-  /// Permanently leaves uniform mode.
+  /// Advances one step with one per-PDU server power and UPS request per
+  /// group (zonal runs, skewed-load tests).
   Flows step(const std::vector<Power>& server_power,
              const std::vector<Power>& ups_request, Power cooling_power,
              Duration dt);
 
-  /// Recharge variant of step_uniform: per-PDU banks absorb up to
+  /// Recharge variant of step_uniform: every bank absorbs up to
   /// `recharge_per_pdu` from the grid.
   Flows recharge_uniform(Power server_power_per_pdu, Power recharge_per_pdu,
                          Power cooling_power, Duration dt);
@@ -75,19 +74,10 @@ class PowerTopology {
   [[nodiscard]] CircuitBreaker& dc_breaker() noexcept { return dc_breaker_; }
   [[nodiscard]] const CircuitBreaker& dc_breaker() const noexcept { return dc_breaker_; }
 
-  /// Mutable per-PDU access: materializes and permanently leaves uniform
-  /// mode (callers may skew individual PDUs). Prefer `pdu(i)` for reads.
-  [[nodiscard]] std::vector<Pdu>& pdus() noexcept;
-  /// Read access to the full PDU list; materializes lazily but stays in
-  /// uniform mode.
-  [[nodiscard]] const std::vector<Pdu>& pdus() const;
-  /// Read access to one PDU. `pdu(0)` is always cheap (the representative);
-  /// other indices materialize first.
-  [[nodiscard]] const Pdu& pdu(std::size_t i) const;
-  /// True while all PDUs provably share the representative's state.
-  [[nodiscard]] bool uniform() const noexcept { return uniform_; }
+  [[nodiscard]] std::vector<Group>& groups() noexcept { return groups_; }
+  [[nodiscard]] const std::vector<Group>& groups() const noexcept { return groups_; }
 
-  [[nodiscard]] std::size_t pdu_count() const noexcept { return pdus_.size(); }
+  [[nodiscard]] std::size_t pdu_count() const noexcept { return pdu_count_; }
   [[nodiscard]] std::size_t server_count() const noexcept;
 
   /// Total UPS energy still available across all PDU banks.
@@ -99,40 +89,17 @@ class PowerTopology {
 
   /// Applies fault-injection factors to every PDU breaker and UPS bank
   /// (faults::FaultInjector pushes the merged fault state here each tick).
-  /// Uniform topologies fault only the representative.
   void set_fault_all(double breaker_rating_factor, double breaker_trip_bias,
                      double ups_availability, double ups_capacity_factor);
 
   void reset_breakers();
 
  private:
-  /// Memo for a sequential sum of `pdu_count` identical doubles: replays the
-  /// exact per-PDU accumulation loop when the summand changes and reuses the
-  /// result (bit-identical) while it doesn't.
-  struct SumMemo {
-    std::uint64_t value_bits = 0;
-    double sum = 0.0;
-    bool valid = false;
-  };
-
-  void rebind_states() noexcept;
-  void materialize() const;
-  [[nodiscard]] double uniform_sum(SumMemo& memo, double value) const;
   Flows finish_step(Power cooling_power, Duration dt);
-  Flows finish_step_uniform(Power cooling_power, Duration dt);
 
-  // The uniform kernels mutate only the representative, so const readers
-  // must be able to materialize the rest of the pools on demand.
-  mutable std::vector<Pdu> pdus_;
-  mutable std::vector<CircuitBreaker::State> breaker_states_;
-  mutable std::vector<Battery::State> battery_states_;
+  std::vector<Group> groups_;
+  std::size_t pdu_count_;
   CircuitBreaker dc_breaker_;
-  bool uniform_ = true;
-  mutable bool materialized_ = true;
-  mutable SumMemo grid_sum_;
-  mutable SumMemo ups_sum_;
-  mutable SumMemo avail_sum_;
-  mutable SumMemo capacity_sum_;
 };
 
 }  // namespace dcs::power

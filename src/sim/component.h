@@ -19,18 +19,6 @@ class Component {
   /// Advances the component from `now` to `now + dt`.
   virtual void tick(Duration now, Duration dt) = 0;
 
-  /// Earliest future time at which this component's *inputs* can change
-  /// discontinuously (next workload sample, supply excursion, fault edge,
-  /// ...). The engine uses the minimum across components to bound a
-  /// quiescent span it can replay in a tight leap loop without consulting
-  /// the event queue or tracer each tick. Returning a time <= `now` (the
-  /// default) declines to provide a hint and disables leaping while this
-  /// component is registered — always safe, since leaping never changes
-  /// results, only removes per-tick engine overhead.
-  [[nodiscard]] virtual Duration next_event_hint(Duration now) const {
-    return now;
-  }
-
   /// Stable identifier used in logs and recorder channels.
   [[nodiscard]] virtual std::string_view name() const noexcept = 0;
 };

@@ -37,23 +37,6 @@ void Engine::step_once() {
   now_ += step_;
 }
 
-Duration Engine::leap_limit(Duration end) const {
-  if (components_.empty()) return now_;
-  Duration limit = end;
-  if (!events_.empty()) {
-    const Duration next_event = events_.next_time();
-    // An already-due event must fire through step_once().
-    if (next_event <= now_) return now_;
-    limit = std::min(limit, next_event);
-  }
-  for (const Component* c : components_) {
-    const Duration hint = c->next_event_hint(now_);
-    if (hint <= now_) return now_;  // component declines span skipping
-    limit = std::min(limit, hint);
-  }
-  return limit;
-}
-
 std::size_t Engine::run_until(Duration end) {
   DCS_OBS_SCOPE("sim.run");
   if (tracer_ != nullptr) {
@@ -63,24 +46,6 @@ std::size_t Engine::run_until(Duration end) {
   }
   std::size_t ticks = 0;
   while (now_ < end && !stop_requested_) {
-    if (span_skip_) {
-      const Duration limit = leap_limit(end);
-      // Leap only when at least two ticks fit: a single tick gains nothing
-      // over step_once() and the guard keeps the loop structure simple.
-      if (limit >= now_ + step_ + step_) {
-        ++leap_count_;
-        // Replay of the exact per-tick walk: bit-identical to step_once()
-        // minus the event-queue poll (provably idle until `limit`) and the
-        // tracer check (the engine emits nothing on event-free ticks).
-        while (now_ < limit && !stop_requested_) {
-          for (Component* c : components_) c->tick(now_, step_);
-          now_ += step_;
-          ++ticks;
-          ++leaped_ticks_;
-        }
-        continue;
-      }
-    }
     step_once();
     ++ticks;
   }

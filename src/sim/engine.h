@@ -1,18 +1,12 @@
-// Hybrid fixed-step / span-skipping simulation engine.
+// Fixed-step simulation engine.
 //
 // The paper's controller operates on a 1-second control period against
-// second-granularity traces, so every component still advances on a fixed
-// tick grid — that is what the physics integrators and the recorder
-// channels are written against. On top of the grid the engine runs
-// event-driven span skipping: when every registered component publishes a
-// next_event_hint() strictly ahead of now and no one-shot event is due
-// before it, the engine *leaps* — it replays the per-tick component walk in
-// a tight loop up to the boundary, skipping the per-tick event-queue and
-// tracer checks. Because the leap replays the exact tick sequence (not a
-// closed form), a skipping run is bit-identical to a tick-by-tick run; the
-// hints only decide where the tight loop may run, never what it computes.
-// One-shot events must therefore sit on the tick grid (schedule() enforces
-// alignment), which also fixes their firing time exactly.
+// second-granularity traces, so every component advances on a fixed tick
+// grid — that is what the physics integrators and the recorder channels
+// are written against. Each tick first fires the one-shot events due at
+// that time, then ticks every component in registration order. One-shot
+// events must sit on the tick grid (schedule() enforces alignment), which
+// fixes their firing time exactly.
 #pragma once
 
 #include <functional>
@@ -53,17 +47,6 @@ class Engine {
   /// Clears a previous stop request so the engine can run again.
   void clear_stop() noexcept { stop_requested_ = false; }
 
-  /// Enables/disables span skipping (on by default). Results are identical
-  /// either way; turning it off forces the plain per-tick loop, which the
-  /// bit-identity tests use as the reference.
-  void set_span_skip(bool enabled) noexcept { span_skip_ = enabled; }
-  [[nodiscard]] bool span_skip() const noexcept { return span_skip_; }
-
-  /// Number of leaps taken and ticks executed inside leaps (observability
-  /// for tests and perf work).
-  [[nodiscard]] std::size_t leap_count() const noexcept { return leap_count_; }
-  [[nodiscard]] std::size_t leaped_ticks() const noexcept { return leaped_ticks_; }
-
   /// Optional structured-trace sink (must outlive the engine use; nullptr
   /// disables tracing). The engine emits run-start / run-end instants and
   /// one event per fired one-shot callback — it never prints, same
@@ -75,16 +58,9 @@ class Engine {
   [[nodiscard]] Duration step() const noexcept { return step_; }
 
  private:
-  /// Largest grid time <= min(component hints, next event, end) that a leap
-  /// may run to, or `now_` when leaping is not possible.
-  [[nodiscard]] Duration leap_limit(Duration end) const;
-
   Duration step_;
   Duration now_ = Duration::zero();
   bool stop_requested_ = false;
-  bool span_skip_ = true;
-  std::size_t leap_count_ = 0;
-  std::size_t leaped_ticks_ = 0;
   obs::Tracer* tracer_ = nullptr;
   std::vector<Component*> components_;
   EventQueue events_;

@@ -63,17 +63,6 @@ double TimeSeries::at(Duration t, Cursor& cursor, Interpolation mode) const {
   return lo.value + frac * (hi.value - lo.value);
 }
 
-Duration TimeSeries::next_time_after(Duration t, Cursor& cursor) const {
-  DCS_REQUIRE(!samples_.empty(), "cannot sample an empty series");
-  if (t < samples_.front().time) return samples_.front().time;
-  if (t >= samples_.back().time) return Duration::infinity();
-  std::size_t i = std::min(cursor.hint_, samples_.size() - 2);
-  while (samples_[i].time > t) --i;
-  while (samples_[i + 1].time <= t) ++i;
-  cursor.hint_ = i;
-  return samples_[i + 1].time;
-}
-
 TimeSeries TimeSeries::slice(Duration from, Duration to, Interpolation mode) const {
   DCS_REQUIRE(from < to, "slice requires from < to");
   TimeSeries out;

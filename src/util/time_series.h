@@ -68,11 +68,6 @@ class TimeSeries {
   [[nodiscard]] double at(Duration t, Cursor& cursor,
                           Interpolation mode = Interpolation::kStep) const;
 
-  /// Time of the first sample strictly after `t`, or Duration::infinity()
-  /// when no sample lies after it. The engine's span-skipping uses this as
-  /// the next boundary where a step-interpolated series can change value.
-  [[nodiscard]] Duration next_time_after(Duration t, Cursor& cursor) const;
-
   /// Sub-series covering [from, to] (endpoints sampled via `mode` so the
   /// slice is well-defined even when they fall between samples), shifted so
   /// the slice starts at t = 0.

@@ -126,7 +126,7 @@ TEST(Controller, ControlledSprintNeverTrips) {
     ASSERT_FALSE(r.tripped);
   }
   EXPECT_FALSE(rig.topology.dc_breaker().tripped());
-  EXPECT_FALSE(rig.topology.pdus().front().breaker().tripped());
+  EXPECT_FALSE(rig.topology.groups().front().pdu.breaker().tripped());
   EXPECT_LT(rig.topology.dc_breaker().thermal_state(), 1.0);
 }
 

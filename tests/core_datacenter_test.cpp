@@ -2,8 +2,14 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cmath>
+#include <memory>
 #include <stdexcept>
+#include <string>
+#include <vector>
 
+#include "faults/schedule.h"
 #include "workload/ms_trace.h"
 #include "workload/yahoo_trace.h"
 
@@ -58,6 +64,68 @@ TEST(DataCenter, ResultsInvariantToPduCount) {
   const RunResult b = DataCenter(c16).run(trace, &greedy);
   EXPECT_NEAR(a.performance_factor, b.performance_factor, 1e-6);
   EXPECT_NEAR(a.sprint_time.sec(), b.sprint_time.sec(), 1.5);
+}
+
+TEST(DataCenter, NormalizedResultsAgreeAcrossPduCounts) {
+  // The plant is one weighted PDU group, so the PDU count enters a run only
+  // through totals (state x count): every normalized result agrees across
+  // counts to rounding. Three MS and three Yahoo seeds, Greedy and three
+  // constant bounds, each with and without a random fault schedule.
+  std::vector<TimeSeries> traces;
+  for (const std::uint64_t seed : {11u, 12u, 13u}) {
+    workload::MsTraceParams ms;
+    ms.seed = seed;
+    traces.push_back(workload::generate_ms_trace(ms));
+    workload::YahooTraceParams yahoo;
+    yahoo.seed = seed;
+    traces.push_back(workload::generate_yahoo_trace(yahoo));
+  }
+  const auto make_strategy = [](int s) -> std::unique_ptr<Strategy> {
+    if (s == 0) return std::make_unique<GreedyStrategy>();
+    return std::make_unique<ConstantBoundStrategy>(1.0 + s);
+  };
+  const auto agree = [](double a, double b) {
+    return std::abs(a - b) <= 1e-9 * std::max(std::abs(a), std::abs(b));
+  };
+  for (std::size_t t = 0; t < traces.size(); ++t) {
+    const faults::FaultSchedule schedule =
+        faults::FaultSchedule::random(100 + t, traces[t].end_time(), 0.5);
+    for (int s = 0; s < 4; ++s) {
+      for (const bool faulted : {false, true}) {
+        RunOptions options;
+        if (faulted) options.faults = &schedule;
+        std::vector<RunResult> results;
+        for (const std::size_t pdus : {2u, 8u, 909u, 4096u}) {
+          DataCenterConfig config;
+          config.fleet.pdu_count = pdus;
+          const auto strategy = make_strategy(s);
+          results.push_back(
+              DataCenter(config).run(traces[t], strategy.get(), options));
+        }
+        const RunResult& ref = results.front();
+        for (std::size_t i = 1; i < results.size(); ++i) {
+          const RunResult& r = results[i];
+          SCOPED_TRACE("trace " + std::to_string(t) + " strategy " +
+                       std::to_string(s) + (faulted ? " faulted" : "") +
+                       " run " + std::to_string(i));
+          EXPECT_PRED2(agree, r.performance_factor, ref.performance_factor);
+          EXPECT_PRED2(agree, r.avg_achieved, ref.avg_achieved);
+          EXPECT_PRED2(agree, r.drop_fraction, ref.drop_fraction);
+          EXPECT_PRED2(agree, r.avg_sprint_degree, ref.avg_sprint_degree);
+          EXPECT_PRED2(agree, r.min_ups_soc, ref.min_ups_soc);
+          EXPECT_PRED2(agree, r.min_tes_soc, ref.min_tes_soc);
+          EXPECT_PRED2(agree, r.peak_room_temperature.c(),
+                       ref.peak_room_temperature.c());
+          for (std::size_t p = 0; p < r.phase_time.size(); ++p) {
+            EXPECT_PRED2(agree, r.phase_time[p].sec(), ref.phase_time[p].sec());
+          }
+          EXPECT_EQ(r.tripped, ref.tripped);
+          EXPECT_EQ(r.trip_time.sec(), ref.trip_time.sec());
+          EXPECT_EQ(r.watchdog.violations, ref.watchdog.violations);
+        }
+      }
+    }
+  }
 }
 
 TEST(DataCenter, RecorderChannelsPresent) {

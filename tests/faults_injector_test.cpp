@@ -181,17 +181,17 @@ TEST(FaultInjector, PushesFaultsIntoComponentsAndRevertsToNeutral) {
   inj.apply(Duration::seconds(5));
   EXPECT_EQ(inj.state().active_count, 0u);
   EXPECT_FALSE(inj.ever_active());
-  const Power rated = p.topology.pdus().front().breaker().rated();
-  const Power max_dis = p.topology.pdus().front().ups().max_discharge();
+  const Power rated = p.topology.groups().front().pdu.breaker().rated();
+  const Power max_dis = p.topology.groups().front().pdu.ups().max_discharge();
   const Power cap = p.cooling.thermal_capacity();
 
   inj.apply(Duration::seconds(15));
   EXPECT_EQ(inj.state().active_count, 4u);
   EXPECT_TRUE(inj.ever_active());
   EXPECT_DOUBLE_EQ(
-      p.topology.pdus().front().breaker().effective_rated().w(),
+      p.topology.groups().front().pdu.breaker().effective_rated().w(),
       rated.w() * 0.9);
-  EXPECT_DOUBLE_EQ(p.topology.pdus().front().ups().max_discharge().w(),
+  EXPECT_DOUBLE_EQ(p.topology.groups().front().pdu.ups().max_discharge().w(),
                    max_dis.w() * 0.6);
   EXPECT_DOUBLE_EQ(p.cooling.thermal_capacity().w(), cap.w() * 0.5);
   EXPECT_DOUBLE_EQ(p.tes.max_discharge_rate().w(), 0.0);
@@ -200,8 +200,8 @@ TEST(FaultInjector, PushesFaultsIntoComponentsAndRevertsToNeutral) {
   EXPECT_EQ(inj.state().active_count, 0u);
   EXPECT_TRUE(inj.ever_active());
   EXPECT_DOUBLE_EQ(
-      p.topology.pdus().front().breaker().effective_rated().w(), rated.w());
-  EXPECT_DOUBLE_EQ(p.topology.pdus().front().ups().max_discharge().w(),
+      p.topology.groups().front().pdu.breaker().effective_rated().w(), rated.w());
+  EXPECT_DOUBLE_EQ(p.topology.groups().front().pdu.ups().max_discharge().w(),
                    max_dis.w());
   EXPECT_DOUBLE_EQ(p.cooling.thermal_capacity().w(), cap.w());
   EXPECT_GT(p.tes.max_discharge_rate().w(), 0.0);
@@ -295,8 +295,8 @@ TEST(Watchdog, CleanPlantPasses) {
 
 TEST(Watchdog, FlagsTrippedBreakerAndOverheatedRoom) {
   PlantFixture p;
-  // Overload a PDU breaker hard enough to trip it.
-  auto& cb = p.topology.pdus().front().breaker();
+  // Overload the fleet's PDU breakers (one group) hard enough to trip them.
+  auto& cb = p.topology.groups().front().pdu.breaker();
   for (int i = 0; i < 600 && !cb.tripped(); ++i) {
     cb.apply_load(cb.rated() * 2.0, Duration::seconds(1));
   }
@@ -313,7 +313,8 @@ TEST(Watchdog, FlagsTrippedBreakerAndOverheatedRoom) {
   Watchdog dog({.ups_floor = 0.0});
   dog.check(Duration::seconds(7), p.topology, room, &p.tes);
   EXPECT_FALSE(dog.report().ok());
-  // One tripped breaker + one overheated room = two violations this tick.
+  // One tripped PDU group + one overheated room = two violations this
+  // tick: a group counts once however many PDUs it stands for.
   EXPECT_EQ(dog.report().violations, 2u);
   EXPECT_EQ(dog.report().first_time.sec(), 7.0);
   EXPECT_NE(dog.report().first_message.find("breaker"), std::string::npos);
@@ -327,7 +328,7 @@ TEST(Watchdog, FlagsTrippedBreakerAndOverheatedRoom) {
 TEST(Watchdog, FlagsUpsBelowReserveFloor) {
   PlantFixture p;
   const thermal::RoomModel room(p.config.room_params());
-  auto& bank = p.topology.pdus().front().ups();
+  auto& bank = p.topology.groups().front().pdu.ups();
   // Drain the bank fully (the default reserve floor is 0, so discharge all
   // the way down), then demand a 0.5 floor.
   for (int i = 0; i < 10000 && bank.soc() > 0.4; ++i) {

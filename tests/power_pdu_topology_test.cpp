@@ -1,5 +1,7 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cmath>
 #include <cstdint>
 #include <cstring>
 #include <stdexcept>
@@ -74,10 +76,25 @@ PowerTopology::Params topo_params(std::size_t pdus = 4) {
   return p;
 }
 
+/// `pdus` PDUs as `pdus` groups of one.
+PowerTopology::Params singleton_params(std::size_t pdus) {
+  PowerTopology::Params p = topo_params(pdus);
+  p.group_sizes.assign(pdus, 1);
+  return p;
+}
+
 TEST(PowerTopology, CountsServers) {
   const PowerTopology topo(topo_params(4));
   EXPECT_EQ(topo.pdu_count(), 4u);
   EXPECT_EQ(topo.server_count(), 800u);
+  ASSERT_EQ(topo.groups().size(), 1u);
+  EXPECT_EQ(topo.groups().front().count, 4u);
+  PowerTopology::Params zoned = topo_params(4);
+  zoned.group_sizes = {1, 3};
+  const PowerTopology zones(zoned);
+  EXPECT_EQ(zones.pdu_count(), 4u);
+  EXPECT_EQ(zones.server_count(), 800u);
+  EXPECT_EQ(zones.groups()[1].count, 3u);
 }
 
 TEST(PowerTopology, UniformStepAggregatesFlows) {
@@ -92,21 +109,30 @@ TEST(PowerTopology, UniformStepAggregatesFlows) {
 }
 
 TEST(PowerTopology, PerPduStepValidatesSizes) {
-  PowerTopology topo(topo_params(2));
+  // step() takes one value per PDU group.
+  PowerTopology topo(singleton_params(2));
   EXPECT_THROW((void)topo.step({Power::kilowatts(1)}, {Power::zero(), Power::zero()},
                          Power::zero(), Duration::seconds(1)),
                std::invalid_argument);
+  // Group sizes must tile the PDU count, with no empty group.
+  PowerTopology::Params short_groups = topo_params(4);
+  short_groups.group_sizes = {1, 2};
+  EXPECT_THROW((void)PowerTopology{short_groups}, std::invalid_argument);
+  PowerTopology::Params empty_group = topo_params(4);
+  empty_group.group_sizes = {4, 0};
+  EXPECT_THROW((void)PowerTopology{empty_group}, std::invalid_argument);
 }
 
 TEST(PowerTopology, SkewedLoadTripsOnlyThatPdu) {
-  PowerTopology topo(topo_params(2));
+  PowerTopology topo(singleton_params(2));
   // PDU 0 at 60 % overload trips after ~60 s; PDU 1 stays at rated.
   for (int i = 0; i < 70; ++i) {
     topo.step({Power::kilowatts(22), Power::kilowatts(10)},
               {Power::zero(), Power::zero()}, Power::zero(), Duration::seconds(1));
   }
-  EXPECT_TRUE(topo.pdus()[0].breaker().tripped());
-  EXPECT_FALSE(topo.pdus()[1].breaker().tripped());
+  EXPECT_TRUE(topo.groups()[0].pdu.breaker().tripped());
+  EXPECT_FALSE(topo.groups()[1].pdu.breaker().tripped());
+  EXPECT_DOUBLE_EQ(topo.max_pdu_breaker_heat(), 1.0);
 }
 
 TEST(PowerTopology, UpsDischargeRelievesDcBreaker) {
@@ -145,9 +171,9 @@ TEST(PowerTopology, ResetBreakersRestoresAll) {
     topo.step_uniform(Power::kilowatts(22), Power::zero(), Power::zero(),
                       Duration::seconds(1));
   }
-  EXPECT_TRUE(topo.pdus()[0].breaker().tripped());
+  EXPECT_TRUE(topo.groups().front().pdu.breaker().tripped());
   topo.reset_breakers();
-  EXPECT_FALSE(topo.pdus()[0].breaker().tripped());
+  EXPECT_FALSE(topo.groups().front().pdu.breaker().tripped());
   EXPECT_FALSE(topo.dc_breaker().tripped());
 }
 
@@ -157,60 +183,85 @@ std::uint64_t bits(double v) {
   return out;
 }
 
-TEST(PowerTopology, UniformRepresentativeMatchesMaterializedWalk) {
-  // The uniform fast path updates only the representative PDU; reading any
-  // other slot must materialize state that is bit-identical to stepping a
-  // de-uniformed topology through the same loads.
-  PowerTopology fast(topo_params(4));
-  PowerTopology slow(topo_params(4));
-  (void)slow.pdus();  // non-const access permanently leaves uniform mode
-  EXPECT_TRUE(fast.uniform());
-  EXPECT_FALSE(slow.uniform());
+void expect_same_pdu_state(const Pdu& a, const Pdu& b) {
+  EXPECT_EQ(bits(a.breaker().thermal_state()), bits(b.breaker().thermal_state()));
+  EXPECT_EQ(a.breaker().tripped(), b.breaker().tripped());
+  EXPECT_EQ(bits(a.breaker().effective_rated().w()),
+            bits(b.breaker().effective_rated().w()));
+  EXPECT_EQ(bits(a.ups().stored().j()), bits(b.ups().stored().j()));
+  EXPECT_EQ(bits(a.ups().total_discharged().j()),
+            bits(b.ups().total_discharged().j()));
+  EXPECT_EQ(a.ups().discharge_events(), b.ups().discharge_events());
+  EXPECT_EQ(bits(a.ups().max_discharge().w()), bits(b.ups().max_discharge().w()));
+  EXPECT_EQ(bits(a.ups().effective_capacity().j()),
+            bits(b.ups().effective_capacity().j()));
+  EXPECT_EQ(bits(a.last_grid_load().w()), bits(b.last_grid_load().w()));
+  EXPECT_EQ(bits(a.last_ups_power().w()), bits(b.last_ups_power().w()));
+}
+
+void expect_close(double a, double b) {
+  EXPECT_LE(std::abs(a - b), 1e-12 * std::max(std::abs(a), std::abs(b)))
+      << a << " vs " << b;
+}
+
+TEST(PowerTopology, GroupOfNMatchesNGroupsOfOne) {
+  // The group contract: one group of n PDUs evolves every per-PDU state
+  // bit-identically to n groups of one driven through the same loads,
+  // and its totals (state x n) match the n-term sums to rounding.
+  constexpr std::size_t kPdus = 5;
+  PowerTopology grouped(topo_params(kPdus));
+  PowerTopology singles(singleton_params(kPdus));
+  ASSERT_EQ(grouped.groups().size(), 1u);
+  ASSERT_EQ(singles.groups().size(), kPdus);
   const Power loads[] = {Power::kilowatts(10), Power::kilowatts(18),
                          Power::kilowatts(21), Power::kilowatts(9)};
-  for (int round = 0; round < 25; ++round) {
+  for (int round = 0; round < 40; ++round) {
     const Power server = loads[round % 4];
     const Power ups = round % 3 == 0 ? Power::kilowatts(4) : Power::zero();
-    const Flows a = fast.step_uniform(server, ups, Power::kilowatts(3),
-                                      Duration::seconds(1));
-    const Flows b = slow.step_uniform(server, ups, Power::kilowatts(3),
-                                      Duration::seconds(1));
-    EXPECT_EQ(bits(a.pdu_grid_total.w()), bits(b.pdu_grid_total.w()));
-    EXPECT_EQ(bits(a.ups_total.w()), bits(b.ups_total.w()));
-    EXPECT_EQ(bits(a.dc_load.w()), bits(b.dc_load.w()));
+    if (round == 20) {
+      grouped.set_fault_all(0.9, 0.05, 0.5, 0.8);
+      singles.set_fault_all(0.9, 0.05, 0.5, 0.8);
+    }
+    const bool recharge = round % 5 == 4;
+    const Flows a =
+        recharge ? grouped.recharge_uniform(server, Power::kilowatts(0.5),
+                                            Power::kilowatts(3), Duration::seconds(1))
+                 : grouped.step_uniform(server, ups, Power::kilowatts(3),
+                                        Duration::seconds(1));
+    const Flows b =
+        recharge ? singles.recharge_uniform(server, Power::kilowatts(0.5),
+                                            Power::kilowatts(3), Duration::seconds(1))
+                 : singles.step_uniform(server, ups, Power::kilowatts(3),
+                                        Duration::seconds(1));
+    expect_close(a.pdu_grid_total.w(), b.pdu_grid_total.w());
+    expect_close(a.ups_total.w(), b.ups_total.w());
+    expect_close(a.dc_load.w(), b.dc_load.w());
     EXPECT_EQ(a.any_pdu_tripped, b.any_pdu_tripped);
     EXPECT_EQ(a.dc_tripped, b.dc_tripped);
   }
-  EXPECT_TRUE(fast.uniform());
-  // Const per-PDU reads materialize without leaving uniform mode, and every
-  // slot matches the de-uniformed topology bit for bit.
-  for (std::size_t i = 0; i < fast.pdu_count(); ++i) {
-    EXPECT_EQ(bits(fast.pdu(i).breaker().thermal_state()),
-              bits(slow.pdu(i).breaker().thermal_state()));
-    EXPECT_EQ(bits(fast.pdu(i).ups().soc()), bits(slow.pdu(i).ups().soc()));
-    EXPECT_EQ(bits(fast.pdu(i).last_grid_load().w()),
-              bits(slow.pdu(i).last_grid_load().w()));
+  for (const PowerTopology::Group& single : singles.groups()) {
+    expect_same_pdu_state(grouped.groups().front().pdu, single.pdu);
   }
-  EXPECT_TRUE(fast.uniform());
-  EXPECT_EQ(bits(fast.ups_available().j()), bits(slow.ups_available().j()));
-  EXPECT_EQ(bits(fast.max_pdu_breaker_heat()),
-            bits(slow.max_pdu_breaker_heat()));
+  expect_close(grouped.ups_available().j(), singles.ups_available().j());
+  expect_close(grouped.ups_capacity().j(), singles.ups_capacity().j());
+  EXPECT_EQ(bits(grouped.max_pdu_breaker_heat()),
+            bits(singles.max_pdu_breaker_heat()));
+  EXPECT_EQ(bits(grouped.dc_breaker().thermal_state()),
+            bits(singles.dc_breaker().thermal_state()));
 }
 
 TEST(PowerTopology, SetFaultAllAppliesToEverySlot) {
-  PowerTopology topo(topo_params(3));
+  PowerTopology topo(singleton_params(3));
   topo.step_uniform(Power::kilowatts(20), Power::kilowatts(5), Power::zero(),
                     Duration::seconds(30));
   topo.set_fault_all(0.8, 0.1, 0.5, 0.9);
-  EXPECT_TRUE(topo.uniform());
-  for (std::size_t i = 0; i < topo.pdu_count(); ++i) {
-    EXPECT_DOUBLE_EQ(topo.pdu(i).breaker().effective_rated().kw(),
-                     13.75 * 0.8);
+  for (const PowerTopology::Group& g : topo.groups()) {
+    EXPECT_DOUBLE_EQ(g.pdu.breaker().effective_rated().kw(), 13.75 * 0.8);
   }
   // Clearing restores the nameplate rating everywhere.
   topo.set_fault_all(1.0, 0.0, 1.0, 1.0);
-  for (std::size_t i = 0; i < topo.pdu_count(); ++i) {
-    EXPECT_DOUBLE_EQ(topo.pdu(i).breaker().effective_rated().kw(), 13.75);
+  for (const PowerTopology::Group& g : topo.groups()) {
+    EXPECT_DOUBLE_EQ(g.pdu.breaker().effective_rated().kw(), 13.75);
   }
 }
 
@@ -218,18 +269,16 @@ TEST(PowerTopology, CopyPreservesStateAndIndependence) {
   PowerTopology topo(topo_params(2));
   topo.step_uniform(Power::kilowatts(20), Power::kilowatts(8), Power::zero(),
                     Duration::seconds(60));
-  PowerTopology copy = topo;  // copy while still uniform/unmaterialized
+  PowerTopology copy = topo;
   EXPECT_EQ(bits(copy.ups_available().j()), bits(topo.ups_available().j()));
-  EXPECT_EQ(bits(copy.pdu(1).breaker().thermal_state()),
-            bits(topo.pdu(1).breaker().thermal_state()));
+  expect_same_pdu_state(copy.groups().front().pdu, topo.groups().front().pdu);
   // Further steps on the copy must not alias the original's state.
   copy.step_uniform(Power::kilowatts(22), Power::zero(), Power::zero(),
                     Duration::seconds(60));
-  EXPECT_NE(bits(copy.pdu(0).breaker().thermal_state()),
-            bits(topo.pdu(0).breaker().thermal_state()));
-  // Move keeps the views bound to live state.
+  EXPECT_NE(bits(copy.groups().front().pdu.breaker().thermal_state()),
+            bits(topo.groups().front().pdu.breaker().thermal_state()));
   PowerTopology moved = std::move(copy);
-  EXPECT_GT(moved.pdu(0).breaker().thermal_state(), 0.0);
+  EXPECT_GT(moved.groups().front().pdu.breaker().thermal_state(), 0.0);
   moved.step_uniform(Power::kilowatts(10), Power::zero(), Power::zero(),
                      Duration::seconds(1));
 }

@@ -128,95 +128,6 @@ TEST(Engine, PreRunStopRequestHonored) {
   EXPECT_EQ(c.ticks.size(), 10u);
 }
 
-/// Counter that also publishes a span-skip hint.
-class HintedCounter final : public Component {
- public:
-  explicit HintedCounter(Duration hint) : hint_(hint) {}
-  void tick(Duration now, Duration) override { ticks.push_back(now); }
-  [[nodiscard]] Duration next_event_hint(Duration) const override {
-    return hint_;
-  }
-  [[nodiscard]] std::string_view name() const noexcept override {
-    return "hinted";
-  }
-  std::vector<Duration> ticks;
-
- private:
-  Duration hint_;
-};
-
-TEST(Engine, SpanSkipLeapsAndTicksEveryStep) {
-  // A component hinting "nothing until the end" lets the engine leap, but
-  // every tick still runs: the leap replays the per-tick walk verbatim.
-  Engine engine(Duration::seconds(1));
-  HintedCounter c(Duration::infinity());
-  engine.add(&c);
-  EXPECT_EQ(engine.run_until(Duration::seconds(50)), 50u);
-  EXPECT_EQ(c.ticks.size(), 50u);
-  for (std::size_t i = 0; i < c.ticks.size(); ++i) {
-    EXPECT_DOUBLE_EQ(c.ticks[i].sec(), static_cast<double>(i));
-  }
-  EXPECT_GE(engine.leap_count(), 1u);
-  EXPECT_EQ(engine.leaped_ticks(), 50u);
-}
-
-TEST(Engine, DefaultHintDisablesSkipping) {
-  // Components that do not override next_event_hint decline span skipping
-  // (the conservative default), so the engine never leaps.
-  Engine engine(Duration::seconds(1));
-  Counter c;
-  engine.add(&c);
-  EXPECT_EQ(engine.run_until(Duration::seconds(20)), 20u);
-  EXPECT_EQ(engine.leap_count(), 0u);
-  EXPECT_EQ(engine.leaped_ticks(), 0u);
-}
-
-TEST(Engine, SetSpanSkipOffForcesPlainLoop) {
-  Engine engine(Duration::seconds(1));
-  engine.set_span_skip(false);
-  HintedCounter c(Duration::infinity());
-  engine.add(&c);
-  EXPECT_EQ(engine.run_until(Duration::seconds(20)), 20u);
-  EXPECT_EQ(c.ticks.size(), 20u);
-  EXPECT_EQ(engine.leap_count(), 0u);
-}
-
-TEST(Engine, ScheduledEventBoundsLeapAndFires) {
-  // An event inside an otherwise-quiescent span still fires on its exact
-  // tick: the leap is bounded by the event queue.
-  Engine engine(Duration::seconds(1));
-  HintedCounter c(Duration::infinity());
-  engine.add(&c);
-  Duration fired_at = Duration::infinity();
-  engine.schedule(Duration::seconds(7), [&] { fired_at = engine.now(); });
-  EXPECT_EQ(engine.run_until(Duration::seconds(30)), 30u);
-  EXPECT_DOUBLE_EQ(fired_at.sec(), 7.0);
-  EXPECT_EQ(c.ticks.size(), 30u);
-}
-
-TEST(Engine, StopRequestInsideLeapExitsPromptly) {
-  Engine engine(Duration::seconds(1));
-  class Stopper final : public Component {
-   public:
-    explicit Stopper(Engine* e) : engine_(e) {}
-    void tick(Duration now, Duration) override {
-      if (now >= Duration::seconds(3)) engine_->request_stop();
-    }
-    [[nodiscard]] Duration next_event_hint(Duration) const override {
-      return Duration::infinity();
-    }
-    [[nodiscard]] std::string_view name() const noexcept override {
-      return "stopper";
-    }
-   private:
-    Engine* engine_;
-  };
-  Stopper s(&engine);
-  engine.add(&s);
-  EXPECT_EQ(engine.run_until(Duration::seconds(100)), 4u);
-  EXPECT_DOUBLE_EQ(engine.now().sec(), 4.0);
-}
-
 TEST(EventQueue, FiresInTimeOrderWithFifoTieBreak) {
   EventQueue q;
   std::vector<int> order;

@@ -149,21 +149,6 @@ TEST(TimeSeries, CursorOnSingleSampleSeries) {
   EXPECT_DOUBLE_EQ(ts.at(Duration::seconds(0), cursor), 7.0);
   EXPECT_DOUBLE_EQ(ts.at(Duration::seconds(3), cursor), 7.0);
   EXPECT_DOUBLE_EQ(ts.at(Duration::seconds(9), cursor), 7.0);
-  EXPECT_DOUBLE_EQ(ts.next_time_after(Duration::seconds(0), cursor).sec(), 3.0);
-  EXPECT_TRUE(ts.next_time_after(Duration::seconds(3), cursor).is_infinite());
-}
-
-TEST(TimeSeries, NextTimeAfterWalksSampleBoundaries) {
-  const TimeSeries ts = ramp();
-  TimeSeries::Cursor cursor;
-  EXPECT_DOUBLE_EQ(ts.next_time_after(Duration::seconds(-5), cursor).sec(), 0.0);
-  EXPECT_DOUBLE_EQ(ts.next_time_after(Duration::seconds(0), cursor).sec(), 10.0);
-  EXPECT_DOUBLE_EQ(ts.next_time_after(Duration::seconds(9.5), cursor).sec(), 10.0);
-  EXPECT_DOUBLE_EQ(ts.next_time_after(Duration::seconds(10), cursor).sec(), 20.0);
-  EXPECT_TRUE(ts.next_time_after(Duration::seconds(20), cursor).is_infinite());
-  EXPECT_TRUE(ts.next_time_after(Duration::seconds(99), cursor).is_infinite());
-  // Backward probe after a forward walk still lands exactly.
-  EXPECT_DOUBLE_EQ(ts.next_time_after(Duration::seconds(2), cursor).sec(), 10.0);
 }
 
 TEST(TimeSeries, SpanOfSingleSampleIsZero) {
