@@ -4,13 +4,14 @@
 // concentrated burst (idle neighbours' substation budget flows to it).
 #include <cstdint>
 #include <iostream>
+#include <optional>
 #include <string>
 #include <vector>
 
 #include "bench_util.h"
-#include "core/zonal_controller.h"
+#include "core/datacenter.h"
 #include "obs/counters.h"
-#include "sim/recorder.h"
+#include "obs/decision.h"
 #include "util/table.h"
 #include "workload/yahoo_trace.h"
 
@@ -21,24 +22,37 @@ int main(int argc, char** argv) {
   DataCenterConfig config = bench::bench_config(args);
   const bool tracing = !args.get_string("trace", "").empty();
 
-  // Per-scenario counter lanes: each zonal run records its per-zone
-  // channels into its own recorder, exported as one named lane so Perfetto
-  // shows every zone's breaker margin / degree / UPS state side by side.
+  // Per-scenario lanes: each zonal run traces its controller instants and
+  // decisions into its own named lane, then exports its per-zone channels
+  // there as counter tracks, so Perfetto shows every zone's breaker margin
+  // / degree / UPS state side by side.
   bench::StreamTraceSinks stream =
       bench::maybe_stream_sinks(args, "ablation_zonal");
   obs::Tracer tracer =
       stream.active() ? obs::Tracer(stream.sink()) : obs::Tracer();
   std::uint32_t next_lane = 0;
-  const auto export_zonal = [&](const sim::Recorder& recorder,
-                                std::size_t zones, const std::string& label) {
-    if (!tracing) return;
-    tracer.set_lane(next_lane);
-    tracer.name_lane(obs::Domain::kSim, next_lane, label);
-    obs::export_counters(
-        recorder, tracer,
-        {.channels = obs::with_zonal_channels({"dc_load_mw", "cooling_mw"},
-                                              zones)});
-    ++next_lane;
+  const auto run_zones = [&](const std::vector<Zone>& zones,
+                             const std::string& label) {
+    GreedyStrategy greedy;
+    RunOptions options;
+    std::optional<obs::DecisionLog> decisions;
+    if (tracing) {
+      tracer.set_lane(next_lane);
+      tracer.name_lane(obs::Domain::kSim, next_lane, label);
+      ++next_lane;
+      options.record = true;
+      options.tracer = &tracer;
+      decisions.emplace(&tracer);
+      options.decisions = &*decisions;
+    }
+    RunResult r = DataCenter(config).run(zones, &greedy, options);
+    if (tracing) {
+      obs::export_counters(
+          r.recorder, tracer,
+          {.channels = obs::with_zonal_channels({"dc_load_mw", "cooling_mw"},
+                                                zones.size())});
+    }
+    return r;
   };
 
   std::cout << "=== Zonal sprinting (Section V-B CB coordination) ===\n";
@@ -54,22 +68,19 @@ int main(int argc, char** argv) {
   std::cout << "\n--- one hot zone (4.0x/10min), neighbours idle ---\n";
   TablePrinter t1({"hot-zone PDUs / total", "hot perf", "idle perf",
                    "total perf", "sprint min"});
+  config.fleet.pdu_count = 8;
   for (std::size_t hot_pdus : {1u, 2u, 4u}) {
-    config.fleet.pdu_count = 8;
-    ZonalController ctl(config, {{hot_pdus, &hot}, {8 - hot_pdus, &idle}});
-    sim::Recorder recorder;
-    if (tracing) ctl.set_recorder(&recorder);
-    const ZonalRunResult r = ctl.run();
-    export_zonal(recorder, 2, "hot=" + std::to_string(hot_pdus) + "/8");
+    const RunResult r =
+        run_zones({{hot_pdus, &hot}, {8 - hot_pdus, &idle}},
+                  "hot=" + std::to_string(hot_pdus) + "/8");
     t1.add_row(std::to_string(hot_pdus) + "/8",
-               {r.performance_factor[0], r.performance_factor[1],
-                r.total_performance_factor, r.sprint_time.min()});
+               {r.zone_performance_factor[0], r.zone_performance_factor[1],
+                r.performance_factor, r.sprint_time.min()});
   }
   t1.print(std::cout);
 
   std::cout << "\n--- two zones competing (heavy 3.6x vs light 2.0x,"
                " 15 min, zero headroom) ---\n";
-  config.fleet.pdu_count = 8;
   config.dc_headroom = 0.0;
   workload::YahooTraceParams heavy_p, light_p;
   heavy_p.burst_degree = 3.6;
@@ -79,18 +90,19 @@ int main(int argc, char** argv) {
   light_p.seed = 0x777;
   const TimeSeries heavy = workload::generate_yahoo_trace(heavy_p);
   const TimeSeries light = workload::generate_yahoo_trace(light_p);
-  ZonalController competing(config, {{4, &heavy}, {4, &light}});
-  sim::Recorder competing_recorder;
-  if (tracing) competing.set_recorder(&competing_recorder);
-  const ZonalRunResult r = competing.run();
-  export_zonal(competing_recorder, 2, "competing heavy-vs-light");
+  const RunResult r =
+      run_zones({{4, &heavy}, {4, &light}}, "competing heavy-vs-light");
   TablePrinter t2({"zone", "burst", "perf"});
-  t2.add_row({"heavy", "3.6x / 15 min", format_double(r.performance_factor[0], 3)});
-  t2.add_row({"light", "2.0x / 15 min", format_double(r.performance_factor[1], 3)});
+  t2.add_row({"heavy", "3.6x / 15 min",
+              format_double(r.zone_performance_factor[0], 3)});
+  t2.add_row({"light", "2.0x / 15 min",
+              format_double(r.zone_performance_factor[1], 3)});
   t2.print(std::cout);
-  std::cout << "\nMax-min fairness: the light zone is served in full before"
-               " the heavy zone's excess\nis granted; no breaker trips even"
-               " at zero headroom.\n";
+  std::cout << "\nMax-min fairness per server: for as long as the sprint"
+               " lasts (" << format_double(r.sprint_time.min(), 1)
+            << " of the 15 burst\nminutes, until the stored energy runs"
+               " out) the light zone is served in full and the\nheavy zone"
+               " takes the rest; no breaker trips even at zero headroom.\n";
   bench::maybe_export_obs(args, "ablation_zonal", tracing ? &tracer : nullptr,
                           nullptr, &stream);
   return 0;

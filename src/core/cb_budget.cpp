@@ -6,42 +6,48 @@
 
 namespace dcs::core {
 
-std::vector<Power> allocate_cb_budget(
-    Power parent_allow, const std::vector<CbBudgetRequest>& children) {
+bool allocate_cb_budget(Power parent_allow,
+                        std::span<const CbBudgetRequest> children,
+                        std::span<Power> grants) {
   DCS_REQUIRE(parent_allow >= Power::zero(), "parent bound must be non-negative");
-  std::vector<Power> wants;
-  wants.reserve(children.size());
-  Power total = Power::zero();
-  for (const CbBudgetRequest& c : children) {
-    DCS_REQUIRE(c.demand >= Power::zero(), "demand must be non-negative");
-    DCS_REQUIRE(c.child_allow >= Power::zero(), "child bound must be non-negative");
-    wants.push_back(std::min(c.demand, c.child_allow));
-    total += wants.back();
-  }
-  if (total <= parent_allow) return wants;  // everyone fits
+  DCS_REQUIRE(grants.size() == children.size(), "one grant per child");
+  const auto want = [](const CbBudgetRequest& c) {
+    return std::min(c.demand, c.child_allow);
+  };
 
-  // Max-min fairness: find the water level L such that
-  // sum(min(want_i, L)) == parent_allow, by sweeping the sorted wants.
-  std::vector<Power> sorted = wants;
-  std::sort(sorted.begin(), sorted.end());
-  Power granted_below = Power::zero();
+  // Raise the per-PDU water level until a pass fills no more children:
+  // each pass fills every child whose want is at or below the level and
+  // shares what is left of the parent equally among the PDUs still open.
+  // The level never falls, so the open set only shrinks and this takes at
+  // most one pass per child.
   Power level = Power::zero();
-  std::size_t remaining = sorted.size();
-  for (std::size_t i = 0; i < sorted.size(); ++i, --remaining) {
-    // Everyone still above the level shares what is left equally.
-    const Power candidate =
-        (parent_allow - granted_below) / static_cast<double>(remaining);
-    if (candidate <= sorted[i]) {
-      level = candidate;
+  double was_open = -1.0;
+  bool binds = true;
+  for (;;) {
+    Power filled = Power::zero();
+    double open = 0.0;
+    for (const CbBudgetRequest& c : children) {
+      DCS_REQUIRE(c.demand >= Power::zero() && c.child_allow >= Power::zero(),
+                  "demand and child bound must be non-negative");
+      const auto n = static_cast<double>(c.count);
+      if (want(c) <= level) {
+        filled += want(c) * n;
+      } else {
+        open += n;
+      }
+    }
+    if (open == was_open) break;  // the level filled no one new: it binds
+    if (open == 0.0) {            // every child fits under the level
+      binds = false;
       break;
     }
-    granted_below += sorted[i];
-    level = sorted[i];
+    level = std::max(level, (parent_allow - filled) / open);
+    was_open = open;
   }
-  std::vector<Power> grants;
-  grants.reserve(wants.size());
-  for (const Power w : wants) grants.push_back(std::min(w, level));
-  return grants;
+  for (std::size_t i = 0; i < children.size(); ++i) {
+    grants[i] = binds ? std::min(want(children[i]), level) : want(children[i]);
+  }
+  return binds;
 }
 
 }  // namespace dcs::core

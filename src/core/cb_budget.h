@@ -6,28 +6,37 @@
 // CBs at the PDU level."
 //
 // allocate_cb_budget() grants each child the most it asked for, subject to
-// its own breaker bound and to the parent's aggregate bound, using max-min
-// fairness (a water level) so no child is starved in favour of a hungrier
-// sibling. The uniform-fleet controller gets this for free (all children
-// identical); this module is for heterogeneous / skewed deployments.
+// its own bound and to the parent's aggregate bound, using max-min fairness
+// (a water level) so no child is starved in favour of a hungrier sibling.
+// A child stands for `count` identical PDUs (one weighted group of the
+// power topology) and the water level is per PDU, so splitting a group in
+// two never changes what its PDUs receive. The controller spreads the
+// DC-tier shortfall over the groups' UPS headroom with it.
 #pragma once
 
-#include <vector>
+#include <cstddef>
+#include <span>
 
 #include "util/units.h"
 
 namespace dcs::core {
 
 struct CbBudgetRequest {
-  Power demand;       ///< power the child's servers want to draw
-  Power child_allow;  ///< the child breaker governor's current bound
+  Power demand;           ///< power each of the child's PDUs wants
+  Power child_allow;      ///< each PDU's own bound
+  std::size_t count = 1;  ///< PDUs the child stands for
 };
 
-/// Grants per child. Invariants (verified by tests):
+/// Writes each child's per-PDU grant into `grants` (one per child).
+/// Invariants (verified by tests):
 ///  * grant_i <= min(demand_i, child_allow_i)
-///  * sum(grants) <= parent_allow
-///  * max-min fair: a child below the water level receives its full demand.
-[[nodiscard]] std::vector<Power> allocate_cb_budget(
-    Power parent_allow, const std::vector<CbBudgetRequest>& children);
+///  * sum(grant_i * count_i) <= parent_allow
+///  * max-min fair per PDU: a child below the water level receives its
+///    full demand.
+/// Returns true when the parent binds (some child is held below its want),
+/// false when every child receives its full want.
+bool allocate_cb_budget(Power parent_allow,
+                        std::span<const CbBudgetRequest> children,
+                        std::span<Power> grants);
 
 }  // namespace dcs::core

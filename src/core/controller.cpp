@@ -13,6 +13,9 @@ namespace {
 constexpr double kDegreeEps = 1e-9;
 const Power kPowerEps = Power::watts(1e-6);
 
+/// Normalized demand above 1 is a burst (Section IV-A).
+bool burst_active(double demand) noexcept { return demand > 1.0 + kDegreeEps; }
+
 /// Active-fault severity at or above which an ongoing sprint ends outright
 /// (the ladder's kSprintEnded rung); milder faults shed degree instead.
 constexpr double kSevereFaultSeverity = 0.5;
@@ -62,12 +65,24 @@ SprintingController::SprintingController(const DataCenterConfig& config,
     : config_(config), deps_(deps), strategy_(strategy), mode_(mode) {
   DCS_REQUIRE(deps_.fleet != nullptr, "controller needs a fleet");
   DCS_REQUIRE(deps_.topology != nullptr, "controller needs a power topology");
-  DCS_REQUIRE(deps_.topology->groups().size() == 1,
-              "the controller steps a uniform fleet: one PDU group");
   DCS_REQUIRE(deps_.cooling != nullptr, "controller needs a cooling plant");
   DCS_REQUIRE(deps_.room != nullptr, "controller needs a room model");
   DCS_REQUIRE(mode_ != Mode::kControlled || strategy_ != nullptr,
               "controlled mode needs a strategy");
+  const std::size_t k = deps_.topology->groups().size();
+  DCS_REQUIRE(k == 1 || (mode_ != Mode::kPowerCapped && mode_ != Mode::kDvfsCapped),
+              "the capped baselines step one PDU group");
+  const auto pdus = static_cast<double>(deps_.topology->pdu_count());
+  groups_.resize(k);
+  for (std::size_t g = 0; g < k; ++g) {
+    groups_[g].count = static_cast<double>(deps_.topology->groups()[g].count);
+    groups_[g].weight = groups_[g].count / pdus;
+  }
+  ops_.resize(k);
+  load_.resize(k);
+  ups_.resize(k);
+  requests_.resize(k);
+  grants_.resize(k);
   dc_rated_ = config_.dc_rated();
   pdu_rated_ = config_.pdu_rated();
   fleet_peak_sprint_ = config_.fleet_peak_sprint();
@@ -159,22 +174,81 @@ bool SprintingController::should_activate_tes() const {
          burst_elapsed_ >= tes_activation_time_;
 }
 
-bool SprintingController::check_cores(std::size_t cores, double demand,
-                                      bool tes_active, Duration dt,
-                                      Power* ups_per_pdu,
-                                      Power* tes_relief) const {
-  const auto op = deps_.fleet->operate_with_cores(demand, cores);
-  const auto& topo = *deps_.topology;
-  const power::Pdu& pdu = topo.groups().front().pdu;
+Power SprintingController::discharge_limit(Group& group,
+                                           const power::Pdu& pdu,
+                                           Duration dt) const {
+  if (!group.ups_limit) {
+    group.ups_limit =
+        std::min(pdu.ups().max_discharge(), pdu.ups().available() / dt);
+  }
+  return *group.ups_limit;
+}
 
-  if (pdu.breaker().tripped() || topo.dc_breaker().tripped()) return false;
+bool SprintingController::pdu_tier_ok(Group& group, const power::Pdu& pdu,
+                                      Duration dt) const {
+  // The breaker may carry up to the governor's bound; the UPS bank covers
+  // the rest, limited by inverter power and stored energy. Screen:
+  // max_load_for() never returns less than the effective rating of an
+  // untripped breaker (the curve's no-trip ratio exceeds 1), so a load at
+  // or below rating needs no UPS assist — skip the curve inversion.
+  const Power load = group.load;
+  group.ups = Power::zero();
+  if (load.w() > pdu.breaker().effective_rated().w()) {
+    if (!group.pdu_allow) {
+      group.pdu_allow = pdu.breaker().max_load_for(config_.cb_reserve);
+    }
+    const Power pdu_allow = *group.pdu_allow;
+    group.ups = load > pdu_allow ? load - pdu_allow : Power::zero();
+    if (group.ups > discharge_limit(group, pdu, dt) + kPowerEps) return false;
+  }
+  return true;
+}
+
+std::size_t SprintingController::pdu_tier_cap(std::size_t g, Duration dt) {
+  Group& group = groups_[g];
+  const power::Pdu& pdu = deps_.topology->groups()[g].pdu;
+  const auto ok = [&](std::size_t cores) {
+    group.load = deps_.fleet->operate_with_cores(group.measured, cores).per_pdu;
+    return pdu_tier_ok(group, pdu, dt);
+  };
+  std::size_t lo = deps_.fleet->server().chip().params().normal_cores;
+  std::size_t hi = group.desired;
+  if (ok(hi)) return hi;
+  // Monotone in the core count; normal cores stand even if they fail (the
+  // shared search then sheds every group to normal).
+  while (hi - lo > 1) {
+    const std::size_t mid = lo + (hi - lo) / 2;
+    (ok(mid) ? lo : hi) = mid;
+  }
+  return lo;
+}
+
+bool SprintingController::check_cores(std::size_t cap, bool tes_active,
+                                      Duration dt, Power* tes_relief) {
+  const auto& topo = *deps_.topology;
+  if (topo.dc_breaker().tripped()) return false;
+  // Each group's operating point under the cap, through its PDU tier.
+  Power fleet_total = Power::zero();
+  Power pdu_grid = Power::zero();  // grid-side PDU flows
+  for (std::size_t g = 0; g < groups_.size(); ++g) {
+    Group& group = groups_[g];
+    const power::Pdu& pdu = topo.groups()[g].pdu;
+    if (pdu.breaker().tripped()) return false;
+    group.load = deps_.fleet
+                     ->operate_with_cores(group.measured,
+                                          std::min(cap, group.hold))
+                     .per_pdu;
+    if (!pdu_tier_ok(group, pdu, dt)) return false;
+    fleet_total += group.load * group.count;
+    pdu_grid += (group.load - group.ups) * group.count;
+  }
 
   // Thermal tier: once phase 3 is due, the additional heat (beyond the
   // chiller's capacity) must fit in the tank for this step; otherwise the
   // room heats toward the threshold and the sprint would terminate.
   const Power excess_heat =
-      op.fleet_total > deps_.cooling->thermal_capacity()
-          ? op.fleet_total - deps_.cooling->thermal_capacity()
+      fleet_total > deps_.cooling->thermal_capacity()
+          ? fleet_total - deps_.cooling->thermal_capacity()
           : Power::zero();
   Power tes_rate_left = Power::zero();
   if (tes_active && deps_.tes != nullptr) {
@@ -182,25 +256,6 @@ bool SprintingController::check_cores(std::size_t cores, double demand,
         std::min(deps_.tes->stored() / dt, deps_.tes->max_discharge_rate());
     if (excess_heat > tes_rate_left + kPowerEps) return false;
     tes_rate_left -= excess_heat;
-  }
-
-  // PDU tier: the breaker may carry up to the governor's bound; the UPS
-  // bank covers the rest, limited by inverter power and stored energy.
-  // Screen: max_load_for() never returns less than the effective rating of
-  // an untripped breaker (the curve's no-trip ratio exceeds 1), so a load
-  // at or below rating needs no UPS assist — skip the curve inversion.
-  const auto ups_limit = [&] {
-    return std::min(pdu.ups().max_discharge(), pdu.ups().available() / dt);
-  };
-  Power ups = Power::zero();
-  Power ups_max = Power::zero();
-  bool ups_max_known = false;
-  if (op.per_pdu.w() > pdu.breaker().effective_rated().w()) {
-    const Power pdu_allow = pdu.breaker().max_load_for(config_.cb_reserve);
-    ups_max = ups_limit();
-    ups_max_known = true;
-    ups = op.per_pdu > pdu_allow ? op.per_pdu - pdu_allow : Power::zero();
-    if (ups > ups_max + kPowerEps) return false;
   }
 
   // DC tier: grid-side PDU flows plus cooling must fit the substation
@@ -211,65 +266,96 @@ bool SprintingController::check_cores(std::size_t cores, double demand,
   // limited and the DC load sits at or below the substation rating, the
   // overload branches cannot engage.
   const Power cooling = deps_.cooling->electrical_projection(
-      op.fleet_total, tes_active, Power::zero());
-  const double n = static_cast<double>(topo.pdu_count());
-  Power dc_load = (op.per_pdu - ups) * n + cooling;
+      fleet_total, tes_active, Power::zero());
+  Power dc_load = pdu_grid + cooling;
   Power relief = Power::zero();
   if (grid_limited_ || dc_load.w() > topo.dc_breaker().effective_rated().w()) {
-    Power dc_allow = topo.dc_breaker().max_load_for(config_.cb_reserve);
-    if (grid_limited_) dc_allow = std::min(dc_allow, grid_cap_);
+    if (!dc_allow_) {
+      dc_allow_ = topo.dc_breaker().max_load_for(config_.cb_reserve);
+      if (grid_limited_) dc_allow_ = std::min(*dc_allow_, grid_cap_);
+    }
+    const Power dc_allow = *dc_allow_;
     if (dc_load > dc_allow + kPowerEps && tes_active && deps_.tes != nullptr) {
       const Power chiller_now = deps_.cooling->chiller_electrical(
-          std::min(op.fleet_total, deps_.cooling->thermal_capacity()));
+          std::min(fleet_total, deps_.cooling->thermal_capacity()));
       const Power relief_max = std::min(
           chiller_now, tes_rate_left * deps_.cooling->chiller_elec_per_heat());
       relief = std::min(dc_load - dc_allow, relief_max);
       dc_load -= relief;
     }
     if (dc_load > dc_allow + kPowerEps) {
-      const Power extra_per_pdu = (dc_load - dc_allow) / n;
-      ups += extra_per_pdu;
-      if (!ups_max_known) ups_max = ups_limit();
-      if (ups > ups_max + kPowerEps) return false;
-      if (ups > op.per_pdu) return false;  // cannot discharge more than the load
+      // The shortfall moves onto the UPS banks, max-min per PDU over each
+      // group's headroom: no bank discharges past its limit or its load.
+      for (std::size_t g = 0; g < groups_.size(); ++g) {
+        Group& group = groups_[g];
+        const Power limit = discharge_limit(group, topo.groups()[g].pdu, dt);
+        requests_[g] = CbBudgetRequest{
+            std::max(group.load - group.ups, Power::zero()),
+            std::max(limit + kPowerEps - group.ups, Power::zero()),
+            topo.groups()[g].count};
+      }
+      if (!allocate_cb_budget(dc_load - dc_allow, requests_, grants_)) {
+        return false;  // every bank at its limit and still short
+      }
+      for (std::size_t g = 0; g < groups_.size(); ++g) {
+        Group& group = groups_[g];
+        group.ups += grants_[g];
+        if (group.ups > *group.ups_limit + kPowerEps) return false;
+        if (group.ups > group.load) return false;
+      }
     }
   }
-  if (ups_per_pdu != nullptr) *ups_per_pdu = ups;
   if (tes_relief != nullptr) *tes_relief = relief;
   return true;
 }
 
-SprintingController::Feasible SprintingController::find_feasible(
-    double demand, double bound, Duration dt) const {
+SprintingController::Feasible SprintingController::find_feasible(double bound,
+                                                                 Duration dt) {
   const bool tes_active = should_activate_tes();
+  dc_allow_.reset();
   const std::size_t normal =
       deps_.fleet->server().chip().params().normal_cores;
-  const std::size_t desired =
-      deps_.fleet->operate(demand, std::max(1.0, bound)).active_cores;
-
-  Feasible best{normal, Power::zero(), Power::zero(), tes_active, desired};
-  // check_cores() is monotone in the core count (power grows with cores),
-  // so binary-search the largest feasible count in [normal, desired].
-  Power ups = Power::zero();
-  Power relief = Power::zero();
-  if (check_cores(desired, demand, tes_active, dt, &ups, &relief)) {
-    return Feasible{desired, ups, relief, tes_active, desired};
+  std::size_t top = normal;
+  for (std::size_t g = 0; g < groups_.size(); ++g) {
+    Group& group = groups_[g];
+    group.ups_limit.reset();
+    group.pdu_allow.reset();
+    group.desired =
+        deps_.fleet->operate(group.measured, std::max(1.0, bound)).active_cores;
+    // One group's own PDU tier must not hold back the cap every group
+    // shares, so with several groups each is first capped by its own; with
+    // one group the shared search below applies that tier itself.
+    group.hold = groups_.size() > 1 ? pdu_tier_cap(g, dt) : group.desired;
+    top = std::max(top, group.hold);
   }
-  std::size_t lo = normal, hi = desired;
+  const auto keep_ups = [&] {
+    for (std::size_t g = 0; g < groups_.size(); ++g) ups_[g] = groups_[g].ups;
+  };
+
+  Feasible best{normal, Power::zero(), tes_active};
+  // check_cores() is monotone in the cap (power grows with cores), so
+  // binary-search the largest feasible cap in [normal, top].
+  Power relief = Power::zero();
+  if (check_cores(top, tes_active, dt, &relief)) {
+    keep_ups();
+    return Feasible{top, relief, tes_active};
+  }
+  std::size_t lo = normal, hi = top;
   // Invariant: lo feasible (rated load always is), hi infeasible.
-  if (!check_cores(lo, demand, tes_active, dt, &ups, &relief)) {
+  if (!check_cores(lo, tes_active, dt, &relief)) {
     // Breakers too hot even for normal load (possible right after heavy
     // overload): shed to normal cores anyway — rated load cannot trip.
+    std::fill(ups_.begin(), ups_.end(), Power::zero());
     return best;
   }
-  best.ups_per_pdu = ups;
+  keep_ups();
   best.tes_relief = relief;
   while (hi - lo > 1) {
     const std::size_t mid = lo + (hi - lo) / 2;
-    if (check_cores(mid, demand, tes_active, dt, &ups, &relief)) {
+    if (check_cores(mid, tes_active, dt, &relief)) {
       lo = mid;
-      best.cores = mid;
-      best.ups_per_pdu = ups;
+      best.cap = mid;
+      keep_ups();
       best.tes_relief = relief;
     } else {
       hi = mid;
@@ -278,14 +364,41 @@ SprintingController::Feasible SprintingController::find_feasible(
   return best;
 }
 
-StepResult SprintingController::step(Duration now, double demand, Duration dt) {
+Power SprintingController::commit_ops(StepResult& result) {
+  Power total = Power::zero();
+  result.achieved = 0.0;
+  result.degree = 0.0;
+  result.active_cores = 0;
+  for (std::size_t g = 0; g < groups_.size(); ++g) {
+    const compute::Fleet::Operation& op = ops_[g];
+    load_[g] = op.per_pdu;
+    total += op.per_pdu * groups_[g].count;
+    result.achieved += op.achieved * groups_[g].weight;
+    result.degree += op.degree * groups_[g].weight;
+    result.active_cores = std::max(result.active_cores, op.active_cores);
+  }
+  result.server_power = total;
+  return total;
+}
+
+StepResult SprintingController::step(Duration now,
+                                     std::span<const double> demands,
+                                     Duration dt) {
   DCS_OBS_SCOPE("controller.step");
-  DCS_REQUIRE(demand >= 0.0, "demand must be non-negative");
+  DCS_REQUIRE(demands.size() == groups_.size(), "one demand per PDU group");
   DCS_REQUIRE(dt > Duration::zero(), "dt must be positive");
+  double demand = 0.0;  // PDU-weighted facility demand
+  double peak = 0.0;    // the largest group demand: the burst signal
+  for (std::size_t g = 0; g < groups_.size(); ++g) {
+    DCS_REQUIRE(demands[g] >= 0.0, "demand must be non-negative");
+    groups_[g].demand = demands[g];
+    demand += demands[g] * groups_[g].weight;
+    peak = std::max(peak, demands[g]);
+  }
   StepResult result;
   switch (mode_) {
     case Mode::kControlled:
-      result = step_controlled(now, demand, dt);
+      result = step_controlled(now, demand, peak, dt);
       break;
     case Mode::kUncontrolled:
       result = step_uncontrolled(demand, dt);
@@ -298,7 +411,7 @@ StepResult SprintingController::step(Duration now, double demand, Duration dt) {
       result = step_dvfs(demand, dt);
       break;
   }
-  if (mode_ != Mode::kControlled) result.measured_demand = demand;
+  if (mode_ != Mode::kControlled) result.measured_demand = peak;
   if (result.tripped && trip_time_.is_infinite()) trip_time_ = now;
   trace_transitions(now, result);
   account(result, dt);
@@ -306,16 +419,17 @@ StepResult SprintingController::step(Duration now, double demand, Duration dt) {
 }
 
 StepResult SprintingController::step_controlled(Duration now, double demand,
-                                                Duration dt) {
+                                                double peak, Duration dt) {
   if (shutdown_) {
     // A fault-induced trip earlier in the run: the data center is dark
     // (mirrors the uncontrolled baseline's post-trip behaviour).
     StepResult result;
     result.demand = demand;
-    result.measured_demand = demand;
+    result.measured_demand = peak;
     result.phase = SprintPhase::kShutdown;
     result.tripped = true;
     result.degradation = DegradationLevel::kPowerCapFallback;
+    std::fill(ops_.begin(), ops_.end(), compute::Fleet::Operation{});
     deps_.room->step(Power::zero(), Power::zero(), dt);
     result.room = deps_.room->temperature();
     return result;
@@ -338,18 +452,26 @@ StepResult SprintingController::step_controlled(Duration now, double demand,
 
   // The controller plans on *measured* values; the plant commits the true
   // ones. Without an injector the two are the same doubles, bit for bit.
-  double measured = demand;
+  // The demand sensor reads the largest group demand; the other groups'
+  // readings carry the same relative error.
+  double measured = peak;
   double measured_rise_c = deps_.room->rise().c();
   double energy_fraction = remaining_energy_fraction();
   if (injector_ != nullptr) {
-    measured = injector_->measure(faults::SensorChannel::kDemand, now, demand);
+    measured = injector_->measure(faults::SensorChannel::kDemand, now, peak);
     measured_rise_c = injector_->measure(faults::SensorChannel::kTemperature,
                                          now, measured_rise_c);
     energy_fraction = std::clamp(
         injector_->measure(faults::SensorChannel::kPower, now, energy_fraction),
         0.0, 1.0);
   }
-
+  for (Group& group : groups_) {
+    group.measured = group.demand;
+    if (measured != peak) {
+      group.measured =
+          group.demand == peak ? measured : group.demand * (measured / peak);
+    }
+  }
   const bool active = burst_active(measured);
   if (active && !in_burst_) {
     in_burst_ = true;
@@ -443,49 +565,68 @@ StepResult SprintingController::step_controlled(Duration now, double demand,
   const bool recharging = !grid_limited_ && !active &&
                           measured <= config_.recharge_demand_threshold;
 
-  const Feasible f = find_feasible(measured, bound, dt);
-  if (injector_ != nullptr && injector_->state().active_count > 0 &&
-      f.cores < f.desired) {
+  const Feasible f = find_feasible(bound, dt);
+  // Commit with the chosen cap against the *true* demand: under a
+  // demand-sensor fault the plan and reality can differ, which is exactly
+  // the hazard the ladder and the watchdog guard against. The hottest
+  // group drives the chip-level and exhaustion rules below.
+  bool shed = false;
+  double peak_degree = 1.0;
+  Power peak_server = Power::zero();
+  for (std::size_t g = 0; g < groups_.size(); ++g) {
+    const Group& group = groups_[g];
+    const std::size_t cores = std::min(f.cap, group.hold);
+    shed = shed || cores < group.desired;
+    ops_[g] = deps_.fleet->operate_with_cores(group.demand, cores);
+    peak_degree = std::max(peak_degree, ops_[g].degree);
+    peak_server = std::max(peak_server, ops_[g].per_server);
+  }
+  if (injector_ != nullptr && injector_->state().active_count > 0 && shed) {
     level = std::max(level, DegradationLevel::kShedding);
   }
-  // Commit with the chosen core count against the *true* demand: under a
-  // demand-sensor fault the plan and reality can differ, which is exactly
-  // the hazard the ladder and the watchdog guard against.
-  const auto op = deps_.fleet->operate_with_cores(demand, f.cores);
+  const Power fleet_total = commit_ops(result);
 
   thermal::CoolingStep cooling{};
   power::Flows flows{};
   if (recharging) {
     // Idle headroom recharges the ESDs: UPS banks first, then the TES, all
-    // while every breaker stays at or below its rating.
+    // while every breaker stays at or below its rating. Every PDU may take
+    // an equal share of the DC room.
     const double n = static_cast<double>(deps_.topology->pdu_count());
     const Power nominal_cooling = deps_.cooling->electrical_projection(
-        op.fleet_total, false, Power::zero());
-    const Power dc_used = op.per_pdu * n + nominal_cooling;
+        fleet_total, false, Power::zero());
+    const Power dc_used = fleet_total + nominal_cooling;
     Power dc_room =
         dc_rated_ > dc_used ? dc_rated_ - dc_used : Power::zero();
-    const Power pdu_room = pdu_rated_ > op.per_pdu
-                               ? pdu_rated_ - op.per_pdu
-                               : Power::zero();
-    const Power ups_recharge = std::min(pdu_room, dc_room / n);
-    // ups_recharge * n can round one ulp above dc_room when the min picked
-    // dc_room / n (seen at the paper's n = 909); clamp so the leftover room
-    // — and the TES rate derived from it — cannot go negative.
-    dc_room = std::max(dc_room - ups_recharge * n, Power::zero());
+    const Power share = dc_room / n;
+    Power recharged = Power::zero();
+    for (std::size_t g = 0; g < groups_.size(); ++g) {
+      const Power pdu_room =
+          pdu_rated_ > load_[g] ? pdu_rated_ - load_[g] : Power::zero();
+      ups_[g] = std::min(pdu_room, share);
+      recharged += ups_[g] * groups_[g].count;
+    }
+    // The recharge total can round one ulp above dc_room when every PDU
+    // took the full share (seen at the paper's n = 909); clamp so the
+    // leftover room — and the TES rate derived from it — cannot go
+    // negative.
+    dc_room = std::max(dc_room - recharged, Power::zero());
     Power tes_rate = Power::zero();
     if (deps_.tes != nullptr) {
       // Convert the remaining electrical room into a thermal recharge rate.
       tes_rate = dc_room / deps_.cooling->chiller_elec_per_heat();
     }
-    cooling = deps_.cooling->recharge_tes_step(op.fleet_total, tes_rate, dt);
-    flows = deps_.topology->recharge_uniform(op.per_pdu, ups_recharge,
-                                             cooling.electrical, dt);
+    cooling = deps_.cooling->recharge_tes_step(fleet_total, tes_rate, dt);
+    flows = deps_.topology->recharge(load_, ups_, cooling.electrical, dt);
   } else {
-    cooling = deps_.cooling->step(op.fleet_total, f.tes_active, f.tes_relief, dt);
-    flows = deps_.topology->step_uniform(op.per_pdu, f.ups_per_pdu,
-                                         cooling.electrical, dt);
+    cooling = deps_.cooling->step(fleet_total, f.tes_active, f.tes_relief, dt);
+    flows = deps_.topology->step(load_, ups_, cooling.electrical, dt);
   }
-  deps_.room->step(op.fleet_total, cooling.heat_absorbed, dt);
+  deps_.room->step(fleet_total, cooling.heat_absorbed, dt);
+  result.cooling_power = cooling.electrical;
+  result.ups_power = flows.ups_total;
+  result.dc_load = flows.dc_load;
+  result.room = deps_.room->temperature();
 
   if (flows.dc_tripped || flows.any_pdu_tripped) {
     // Without injected faults this is unreachable — keep the hard contract.
@@ -497,13 +638,6 @@ StepResult SprintingController::step_controlled(Duration now, double demand,
     shutdown_ = true;
     sprint_terminated_ = true;
     result.achieved = 0.0;
-    result.degree = op.degree;
-    result.active_cores = op.active_cores;
-    result.server_power = op.fleet_total;
-    result.cooling_power = cooling.electrical;
-    result.ups_power = flows.ups_total;
-    result.dc_load = flows.dc_load;
-    result.room = deps_.room->temperature();
     result.tripped = true;
     result.phase = SprintPhase::kShutdown;
     result.degradation = DegradationLevel::kPowerCapFallback;
@@ -515,9 +649,9 @@ StepResult SprintingController::step_controlled(Duration now, double demand,
   // chip-level sprinting can be no longer sustained, we also finish Data
   // Center Sprinting", Section IV).
   if (deps_.pcm != nullptr) {
-    const Power chip = op.per_server - deps_.fleet->server().non_cpu();
+    const Power chip = peak_server - deps_.fleet->server().non_cpu();
     deps_.pcm->step(chip, dt);
-    if (deps_.pcm->exhausted() && op.degree > 1.0 + kDegreeEps) {
+    if (deps_.pcm->exhausted() && peak_degree > 1.0 + kDegreeEps) {
       sprint_terminated_ = true;
     }
   }
@@ -530,7 +664,7 @@ StepResult SprintingController::step_controlled(Duration now, double demand,
   if (in_burst_ && f.tes_active && deps_.tes != nullptr && deps_.tes->empty()) {
     sprint_terminated_ = true;
   }
-  if (active && op.degree > 1.0 + kDegreeEps) {
+  if (active && peak_degree > 1.0 + kDegreeEps) {
     // "The additional power or cooling can no longer be provided": the UPS
     // running dry ends phase 2, the TES running dry ends phase 3 — either
     // way the sprint is over (Section IV-A).
@@ -548,7 +682,7 @@ StepResult SprintingController::step_controlled(Duration now, double demand,
   if (active) {
     burst_elapsed_ += dt;
     max_demand_in_burst_ = std::max(max_demand_in_burst_, measured);
-    degree_time_integral_ += op.degree * dt.sec();
+    degree_time_integral_ += peak_degree * dt.sec();
   }
 
   // Ladder: a sprint ended by a fault or feed disturbance (not by the
@@ -560,17 +694,9 @@ StepResult SprintingController::step_controlled(Duration now, double demand,
   }
   result.degradation = level;
 
-  result.achieved = op.achieved;
-  result.degree = op.degree;
-  result.active_cores = op.active_cores;
-  result.server_power = op.fleet_total;
-  result.cooling_power = cooling.electrical;
-  result.ups_power = flows.ups_total;
-  result.dc_load = flows.dc_load;
   result.tes_heat = cooling.tes_heat;
   result.tes_relief = cooling.relief;
-  result.room = deps_.room->temperature();
-  if (op.degree <= 1.0 + kDegreeEps) {
+  if (peak_degree <= 1.0 + kDegreeEps) {
     result.phase = SprintPhase::kNormal;
   } else if (cooling.tes_active) {
     result.phase = SprintPhase::kTesCooling;
@@ -590,29 +716,30 @@ StepResult SprintingController::step_uncontrolled(double demand, Duration dt) {
     result.phase = SprintPhase::kShutdown;
     result.tripped = true;
     result.room = deps_.room->temperature();
+    std::fill(ops_.begin(), ops_.end(), compute::Fleet::Operation{});
     deps_.room->step(Power::zero(), Power::zero(), dt);
     return result;
   }
   // Chip-level sprinting with no data-center-level coordination: every chip
   // turns on whatever the demand asks for.
   const double max_degree = deps_.fleet->server().chip().max_sprint_degree();
-  const auto op = deps_.fleet->operate(demand, max_degree);
+  for (std::size_t g = 0; g < groups_.size(); ++g) {
+    ops_[g] = deps_.fleet->operate(groups_[g].demand, max_degree);
+  }
+  const Power fleet_total = commit_ops(result);
+  std::fill(ups_.begin(), ups_.end(), Power::zero());
   const auto cooling =
-      deps_.cooling->step(op.fleet_total, false, Power::zero(), dt);
-  const auto flows = deps_.topology->step_uniform(op.per_pdu, Power::zero(),
-                                                  cooling.electrical, dt);
-  deps_.room->step(op.fleet_total, cooling.heat_absorbed, dt);
+      deps_.cooling->step(fleet_total, false, Power::zero(), dt);
+  const auto flows =
+      deps_.topology->step(load_, ups_, cooling.electrical, dt);
+  deps_.room->step(fleet_total, cooling.heat_absorbed, dt);
 
-  result.achieved = op.achieved;
-  result.degree = op.degree;
-  result.active_cores = op.active_cores;
   result.upper_bound = max_degree;
-  result.server_power = op.fleet_total;
   result.cooling_power = cooling.electrical;
   result.dc_load = flows.dc_load;
   result.room = deps_.room->temperature();
-  result.phase = op.degree > 1.0 + kDegreeEps ? SprintPhase::kCbOverload
-                                              : SprintPhase::kNormal;
+  result.phase = result.degree > 1.0 + kDegreeEps ? SprintPhase::kCbOverload
+                                                  : SprintPhase::kNormal;
   if (flows.dc_tripped || flows.any_pdu_tripped) {
     shutdown_ = true;
     result.tripped = true;
@@ -629,9 +756,10 @@ StepResult SprintingController::step_capped(double demand, Duration dt,
   const std::size_t normal = deps_.fleet->server().chip().params().normal_cores;
   std::size_t cores = normal;
   if (allow_extra_cores) {
-    // Conventional power capping: activate extra cores only while every
-    // rating is respected — no overload, no stored energy. The *effective*
-    // ratings equal the nameplate ones unless a fault derated a breaker.
+    // Conventional power capping (one PDU group): activate extra cores only
+    // while every rating is respected — no overload, no stored energy. The
+    // *effective* ratings equal the nameplate ones unless a fault derated a
+    // breaker.
     const std::size_t total = deps_.fleet->server().chip().params().total_cores;
     const double max_degree = deps_.fleet->server().chip().max_sprint_degree();
     const std::size_t desired =
@@ -653,22 +781,22 @@ StepResult SprintingController::step_capped(double demand, Duration dt,
     }
     DCS_ENSURE(cores <= total, "core search overflow");
   }
-  const auto op = deps_.fleet->operate_with_cores(demand, cores);
+  for (std::size_t g = 0; g < groups_.size(); ++g) {
+    ops_[g] = deps_.fleet->operate_with_cores(groups_[g].demand, cores);
+  }
+  const Power fleet_total = commit_ops(result);
+  std::fill(ups_.begin(), ups_.end(), Power::zero());
   const auto cooling =
-      deps_.cooling->step(op.fleet_total, false, Power::zero(), dt);
-  const auto flows = deps_.topology->step_uniform(op.per_pdu, Power::zero(),
-                                                  cooling.electrical, dt);
-  deps_.room->step(op.fleet_total, cooling.heat_absorbed, dt);
-  result.achieved = op.achieved;
-  result.degree = op.degree;
-  result.active_cores = op.active_cores;
-  result.upper_bound = op.degree;
-  result.server_power = op.fleet_total;
+      deps_.cooling->step(fleet_total, false, Power::zero(), dt);
+  const auto flows =
+      deps_.topology->step(load_, ups_, cooling.electrical, dt);
+  deps_.room->step(fleet_total, cooling.heat_absorbed, dt);
+  result.upper_bound = result.degree;
   result.cooling_power = cooling.electrical;
   result.dc_load = flows.dc_load;
   result.room = deps_.room->temperature();
-  result.phase = op.degree > 1.0 + kDegreeEps ? SprintPhase::kCbOverload
-                                              : SprintPhase::kNormal;
+  result.phase = result.degree > 1.0 + kDegreeEps ? SprintPhase::kCbOverload
+                                                  : SprintPhase::kNormal;
   return result;
 }
 
@@ -717,8 +845,10 @@ StepResult SprintingController::step_dvfs(double demand, Duration dt) {
   const Power per_server = server_power(f);
   const auto cooling = deps_.cooling->step(per_server * servers * n_pdus,
                                            false, Power::zero(), dt);
-  const auto flows = deps_.topology->step_uniform(
-      per_server * servers, Power::zero(), cooling.electrical, dt);
+  load_.front() = per_server * servers;
+  ups_.front() = Power::zero();
+  const auto flows =
+      deps_.topology->step(load_, ups_, cooling.electrical, dt);
   deps_.room->step(per_server * servers * n_pdus, cooling.heat_absorbed, dt);
 
   result.achieved = std::min(demand, dvfs_.performance(f));

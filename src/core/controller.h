@@ -15,6 +15,16 @@
 //     rules: room over threshold or TES exhausted in phase 3 ends the
 //     sprint (Section V-C).
 //
+// PDU groups: the topology is a list of weighted PDU groups (one for the
+// uniform fleet, one per zone for non-uniform bursts), each with its own
+// demand. The feasibility search finds one core cap per server shared by
+// every group; each group is also held to the cores its own demand asks
+// for and to its own PDU tier, so a zone whose desired point fits under the
+// cap is served in full (max-min fair per server). A DC-tier shortfall is
+// spread over the groups' UPS headroom per PDU (core/cb_budget.h) —
+// Section V-B's "a power increase on any of its child CBs demands a power
+// decrease on some other child CBs".
+//
 // Modes: the same stepping core also implements the paper's baselines —
 // uncontrolled chip-level sprinting (no governor, no ESDs; breakers trip
 // and the data center goes dark, Fig. 8a), no-sprint, and a conventional
@@ -22,10 +32,14 @@
 #pragma once
 
 #include <cstddef>
+#include <optional>
+#include <span>
 #include <string_view>
+#include <vector>
 
 #include "compute/dvfs.h"
 #include "compute/fleet.h"
+#include "core/cb_budget.h"
 #include "core/config.h"
 #include "core/strategy.h"
 #include "faults/injector.h"
@@ -74,7 +88,9 @@ enum class DegradationLevel {
 
 [[nodiscard]] std::string_view to_string(DegradationLevel level) noexcept;
 
-/// Everything one control step produced (for recording and tests).
+/// Everything one control step produced (for recording and tests). With
+/// several PDU groups, `demand`, `achieved` and `degree` are PDU-weighted
+/// means over the groups and `active_cores` is the largest group's.
 struct StepResult {
   double demand = 0.0;
   double achieved = 0.0;        ///< normalized throughput delivered
@@ -91,8 +107,9 @@ struct StepResult {
   Power tes_relief;             ///< chiller electrical displaced by the TES
   Temperature room;
   bool tripped = false;
-  /// Demand as the controller saw it (differs from `demand` only under an
-  /// injected sensor fault).
+  /// The burst signal as the controller saw it: the largest group demand,
+  /// through the demand sensor. With one group it differs from `demand`
+  /// only under an injected sensor fault.
   double measured_demand = 0.0;
   /// Faults active this step (0 without a fault injector).
   std::size_t faults_active = 0;
@@ -107,16 +124,27 @@ class SprintingController {
     thermal::CoolingPlant* cooling = nullptr;
     thermal::TesTank* tes = nullptr;  // may be null (no-TES ablation)
     thermal::RoomModel* room = nullptr;
-    /// Representative chip PCM heat sink (uniform fleet); may be null to
-    /// skip chip-level thermal limits.
+    /// Representative chip PCM heat sink, stepped at the hottest group's
+    /// chip power; may be null to skip chip-level thermal limits.
     compute::PcmHeatSink* pcm = nullptr;
   };
 
+  /// kPowerCapped and kDvfsCapped step one PDU group only.
   SprintingController(const DataCenterConfig& config, const Deps& deps,
                       Strategy* strategy, Mode mode);
 
-  /// Advances one control period.
-  StepResult step(Duration now, double demand, Duration dt);
+  /// Advances one control period with one normalized demand per PDU group.
+  StepResult step(Duration now, std::span<const double> demands, Duration dt);
+  /// One-group plants.
+  StepResult step(Duration now, double demand, Duration dt) {
+    return step(now, std::span<const double>(&demand, 1), dt);
+  }
+
+  /// Each group's operating point committed by the last step.
+  [[nodiscard]] std::span<const compute::Fleet::Operation> group_ops()
+      const noexcept {
+    return ops_;
+  }
 
   /// Utility-feed health over time as a fraction of the DC rating in [0, 1]
   /// (1 = healthy; below 1 models the paper's "unexpected power spikes in
@@ -157,7 +185,7 @@ class SprintingController {
   [[nodiscard]] Energy pdu_overload_energy() const noexcept { return pdu_overload_; }
   /// Above-rating energy carried by the DC breaker.
   [[nodiscard]] Energy dc_overload_energy() const noexcept { return dc_overload_; }
-  /// Aggregated time spent sprinting (degree > 1).
+  /// Aggregated time during which any group sprinted (degree > 1).
   [[nodiscard]] Duration sprint_time() const noexcept { return sprint_time_; }
   /// Aggregated time spent in each phase (indexed by SprintPhase) — the
   /// T1..T4 structure of the paper's Fig. 4.
@@ -182,25 +210,46 @@ class SprintingController {
   }
 
  private:
-  struct Feasible {
-    std::size_t cores;
-    Power ups_per_pdu;
-    Power tes_relief;  ///< chiller electrical displaced to relieve the DC CB
-    bool tes_active;
-    std::size_t desired = 0;  ///< cores the bound asked for (pre-shedding)
+  /// Per-PDU-group working state, sized at construction.
+  struct Group {
+    double count = 0.0;       ///< PDUs in the group
+    double weight = 0.0;      ///< count / PDUs in the fleet
+    double demand = 0.0;      ///< true demand this step
+    double measured = 0.0;    ///< demand as the controller saw it
+    std::size_t desired = 0;  ///< cores the bound asks for (pre-shedding)
+    std::size_t hold = 0;     ///< desired, capped by the group's PDU tier
+    /// This step's bank discharge limit and breaker governor bound, worked
+    /// out on first need (the plant does not change while the search runs).
+    std::optional<Power> ups_limit;
+    std::optional<Power> pdu_allow;
+    Power load;               ///< the candidate's server power per PDU
+    Power ups;                ///< the candidate's UPS discharge per PDU
   };
 
-  [[nodiscard]] bool burst_active(double demand) const noexcept {
-    return demand > 1.0 + 1e-9;
-  }
+  struct Feasible {
+    std::size_t cap;   ///< cores per server, shared by every group
+    Power tes_relief;  ///< chiller electrical displaced to relieve the DC CB
+    bool tes_active;
+  };
+
   [[nodiscard]] SprintContext make_context(double demand,
                                            double energy_fraction) const;
   [[nodiscard]] bool should_activate_tes() const;
-  [[nodiscard]] Feasible find_feasible(double demand, double bound, Duration dt) const;
-  [[nodiscard]] bool check_cores(std::size_t cores, double demand, bool tes_active,
-                                 Duration dt, Power* ups_per_pdu,
-                                 Power* tes_relief) const;
-  StepResult step_controlled(Duration now, double demand, Duration dt);
+  /// Leaves each group's UPS discharge per PDU in ups_.
+  [[nodiscard]] Feasible find_feasible(double bound, Duration dt);
+  [[nodiscard]] bool check_cores(std::size_t cap, bool tes_active, Duration dt,
+                                 Power* tes_relief);
+  /// The bank's discharge limit: inverter power and stored energy.
+  [[nodiscard]] Power discharge_limit(Group& group, const power::Pdu& pdu,
+                                      Duration dt) const;
+  [[nodiscard]] bool pdu_tier_ok(Group& group, const power::Pdu& pdu,
+                                 Duration dt) const;
+  [[nodiscard]] std::size_t pdu_tier_cap(std::size_t g, Duration dt);
+  /// Loads ops_ into the plant inputs (load_) and the result's facility
+  /// fields; returns the fleet's server power.
+  Power commit_ops(StepResult& result);
+  StepResult step_controlled(Duration now, double demand, double peak,
+                             Duration dt);
   StepResult step_uncontrolled(double demand, Duration dt);
   StepResult step_capped(double demand, Duration dt, bool allow_extra_cores);
   StepResult step_dvfs(double demand, Duration dt);
@@ -233,6 +282,17 @@ class SprintingController {
   /// consumed by check_cores).
   Power grid_cap_;
   bool grid_limited_ = false;
+  /// The substation governor's bound (and the feed's) for this step's
+  /// search, worked out on first need.
+  std::optional<Power> dc_allow_;
+
+  // per-group scratch: a step allocates nothing
+  std::vector<Group> groups_;
+  std::vector<compute::Fleet::Operation> ops_;  ///< committed per group
+  std::vector<Power> load_;  ///< per-PDU server power, the plant's input
+  std::vector<Power> ups_;   ///< per-PDU UPS discharge (or recharge)
+  std::vector<CbBudgetRequest> requests_;
+  std::vector<Power> grants_;
 
   // burst / sprint state
   bool in_burst_ = false;

@@ -3,8 +3,10 @@
 #include <algorithm>
 #include <functional>
 #include <memory>
+#include <string>
 
 #include "faults/injector.h"
+#include "obs/counters.h"
 #include "sim/engine.h"
 #include "util/check.h"
 #include "workload/admission.h"
@@ -12,9 +14,17 @@
 namespace dcs::core {
 namespace {
 
-/// Cap for the recorded cb_trip_margin_s channel: an infinite time-to-trip
-/// (load below the breaker threshold) records as one hour.
+/// Cap for the recorded cb_trip_margin_s channels: an infinite time-to-trip
+/// (load below the breaker threshold) records as one hour, so the channel
+/// stays finite (infinity has no JSON literal for trace export); an hour of
+/// margin is indistinguishable from "safe" on every figure.
 constexpr double kTripMarginCapSec = 3600.0;
+
+double capped_margin_s(const power::CircuitBreaker& breaker, Power load) {
+  const Duration margin = breaker.time_to_trip_at(load);
+  return margin.is_infinite() ? kTripMarginCapSec
+                              : std::min(margin.sec(), kTripMarginCapSec);
+}
 
 /// Adapts the per-tick run body to the simulation engine's Component
 /// interface, so experiment runs share the engine's clock/event machinery.
@@ -38,10 +48,14 @@ struct DataCenter::Plant {
   std::unique_ptr<thermal::TesTank> tes;  // null when has_tes is false
   thermal::CoolingPlant cooling;
   thermal::RoomModel room;
-  compute::PcmHeatSink pcm;  // representative chip package (uniform fleet)
+  compute::PcmHeatSink pcm;  // representative chip package, hottest zone
 
-  Plant(const DataCenterConfig& config)
-      : topology(config.topology_params()),
+  Plant(const DataCenterConfig& config, std::vector<std::size_t> group_sizes)
+      : topology([&] {
+          power::PowerTopology::Params params = config.topology_params();
+          params.group_sizes = std::move(group_sizes);
+          return params;
+        }()),
         tes(config.has_tes
                 ? std::make_unique<thermal::TesTank>("dc/tes", config.tes_params())
                 : nullptr),
@@ -55,8 +69,9 @@ DataCenter::DataCenter(DataCenterConfig config)
   config_.validate();
 }
 
-std::unique_ptr<DataCenter::Plant> DataCenter::make_plant() const {
-  return std::make_unique<Plant>(config_);
+std::unique_ptr<DataCenter::Plant> DataCenter::make_plant(
+    std::vector<std::size_t> group_sizes) const {
+  return std::make_unique<Plant>(config_, std::move(group_sizes));
 }
 
 double DataCenter::budget_degree_seconds() const {
@@ -70,8 +85,23 @@ double DataCenter::budget_degree_seconds() const {
 
 RunResult DataCenter::run(const TimeSeries& demand, Strategy* strategy,
                           const RunOptions& options) {
-  DCS_REQUIRE(!demand.empty(), "demand trace is empty");
-  auto plant = make_plant();
+  return run(std::vector<Zone>{{config_.fleet.pdu_count, &demand}}, strategy,
+             options);
+}
+
+RunResult DataCenter::run(const std::vector<Zone>& zones, Strategy* strategy,
+                          const RunOptions& options) {
+  DCS_REQUIRE(!zones.empty(), "need at least one zone");
+  std::vector<std::size_t> sizes;
+  for (const Zone& zone : zones) {
+    DCS_REQUIRE(zone.demand != nullptr && !zone.demand->empty(),
+                "demand trace is empty");
+    DCS_REQUIRE(zone.demand->end_time() == zones.front().demand->end_time(),
+                "all zones must share the trace horizon");
+    sizes.push_back(zone.pdu_count);
+  }
+  // The topology rejects zones that do not tile the fleet.
+  auto plant = make_plant(std::move(sizes));
   SprintingController::Deps deps{&fleet_, &plant->topology, &plant->cooling,
                                  plant->tes.get(), &plant->room, &plant->pcm};
   SprintingController controller(config_, deps, strategy, options.mode);
@@ -103,18 +133,33 @@ RunResult DataCenter::run(const TimeSeries& demand, Strategy* strategy,
   watchdog.set_tracer(options.tracer);
   watchdog.set_decision_log(options.decisions);
 
-  // The plant is the uniform fleet: one PDU group whose state every PDU
-  // shares.
-  const power::Pdu& pdu = plant->topology.groups().front().pdu;
+  // One PDU group per zone; every PDU in a group shares its state. The
+  // facility channels report the worst bank and the hottest breaker.
+  const std::vector<power::PowerTopology::Group>& groups =
+      plant->topology.groups();
+  const auto worst_ups_soc = [&] {
+    double soc = groups.front().pdu.ups().soc();
+    for (std::size_t i = 1; i < groups.size(); ++i) {
+      soc = std::min(soc, groups[i].pdu.ups().soc());
+    }
+    return soc;
+  };
+  const std::size_t k = zones.size();
+  std::vector<double> weights;
+  for (const Zone& zone : zones) {
+    weights.push_back(static_cast<double>(zone.pdu_count) /
+                      static_cast<double>(config_.fleet.pdu_count));
+  }
 
   RunResult result;
   workload::AdmissionController sprint_admission;
-  workload::AdmissionController baseline_admission;
   const Duration dt = config_.control_period;
-  const Duration end = demand.end_time();
+  const Duration end = zones.front().demand->end_time();
 
   double achieved_integral = 0.0;
   double baseline_integral = 0.0;
+  std::vector<double> zone_achieved(k > 1 ? k : 0, 0.0);
+  std::vector<double> zone_baseline(k > 1 ? k : 0, 0.0);
   double burst_degree_integral = 0.0;
   double burst_seconds = 0.0;
   SprintPhase prev_phase = SprintPhase::kNormal;
@@ -130,20 +175,30 @@ RunResult DataCenter::run(const TimeSeries& demand, Strategy* strategy,
         cores, phase, server_mw, cooling_mw, ups_mw, dc_load_mw, room_c,
         ups_soc, tes_soc, dc_cb_heat, pdu_cb_heat, cb_trip_margin_s, supply,
         degradation, faults_active, measured_demand;
+    /// Multi-zone runs: obs::with_zonal_channels order, zone by zone.
+    std::vector<sim::Recorder::Handle> zones;
   } rh;
 
   // Cursor-based trace reads: the run visits times monotonically, so every
   // sample lookup is O(1) amortized instead of a binary search per tick.
-  TimeSeries::Cursor demand_cursor;
+  std::vector<TimeSeries::Cursor> cursors(k);
+  std::vector<double> demands(k);
 
   RunDriver driver([&](Duration now, Duration tick_dt) {
     // One time stamp per control period: everything that emits decisions
     // this tick (injector, controller, watchdog, and the serving
     // components ticking after the driver) shares it.
     if (options.decisions != nullptr) options.decisions->set_now(now);
-    const double d = demand.at(now, demand_cursor);
+    double peak = 0.0;      // the largest zone demand: the burst signal
+    double baseline = 0.0;  // PDU-weighted min(demand, 1)
+    for (std::size_t z = 0; z < k; ++z) {
+      demands[z] = zones[z].demand->at(now, cursors[z]);
+      peak = std::max(peak, demands[z]);
+      baseline += std::min(demands[z], 1.0) * weights[z];
+    }
     if (injector != nullptr) injector->apply(now);
-    const StepResult step = controller.step(now, d, tick_dt);
+    const StepResult step = controller.step(now, demands, tick_dt);
+    const double d = step.demand;  // PDU-weighted facility demand
     watchdog.check(now, plant->topology, plant->room, plant->tes.get());
 
     if (options.metrics != nullptr) {
@@ -151,8 +206,8 @@ RunResult DataCenter::run(const TimeSeries& demand, Strategy* strategy,
       m.counter("ticks_total").inc();
       m.histogram("sprint_degree", {1.0, 1.5, 2.0, 2.5, 3.0, 3.5, 4.0})
           .observe(step.degree);
-      m.gauge("ups_soc").set(pdu.ups().soc());
-      m.gauge("ups_soc_min").set_min(pdu.ups().soc());
+      m.gauge("ups_soc").set(worst_ups_soc());
+      m.gauge("ups_soc_min").set_min(worst_ups_soc());
       if (plant->tes != nullptr) {
         m.gauge("tes_soc").set(plant->tes->state_of_charge());
         m.gauge("tes_soc_min").set_min(plant->tes->state_of_charge());
@@ -176,16 +231,18 @@ RunResult DataCenter::run(const TimeSeries& demand, Strategy* strategy,
     }
 
     achieved_integral += step.achieved * dt.sec();
-    baseline_integral += std::min(d, 1.0) * dt.sec();
-    if (d > 1.0) {
+    baseline_integral += baseline * dt.sec();
+    for (std::size_t z = 0; z < zone_achieved.size(); ++z) {
+      zone_achieved[z] += controller.group_ops()[z].achieved * dt.sec();
+      zone_baseline[z] += std::min(demands[z], 1.0) * dt.sec();
+    }
+    if (peak > 1.0) {
       burst_degree_integral += step.degree * dt.sec();
       burst_seconds += dt.sec();
     }
     sprint_admission.admit(d, step.achieved, dt);
-    baseline_admission.admit(d, 1.0, dt);
 
-    result.min_ups_soc =
-        std::min(result.min_ups_soc, pdu.ups().soc());
+    result.min_ups_soc = std::min(result.min_ups_soc, worst_ups_soc());
     if (plant->tes != nullptr) {
       result.min_tes_soc =
           std::min(result.min_tes_soc, plant->tes->state_of_charge());
@@ -217,11 +274,16 @@ RunResult DataCenter::run(const TimeSeries& demand, Strategy* strategy,
           rh.faults_active = rec.handle("faults_active");
           rh.measured_demand = rec.handle("measured_demand");
         }
+        if (k > 1) {
+          for (const std::string& name : obs::with_zonal_channels({}, k)) {
+            rh.zones.push_back(rec.handle(name));
+          }
+        }
         rh.ready = true;
       }
       rec.record(rh.demand, now, d);
       rec.record(rh.achieved, now, step.achieved);
-      rec.record(rh.achieved_nosprint, now, std::min(d, 1.0));
+      rec.record(rh.achieved_nosprint, now, baseline);
       rec.record(rh.degree, now, step.degree);
       rec.record(rh.bound, now, step.upper_bound);
       rec.record(rh.cores, now, static_cast<double>(step.active_cores));
@@ -231,28 +293,32 @@ RunResult DataCenter::run(const TimeSeries& demand, Strategy* strategy,
       rec.record(rh.ups_mw, now, step.ups_power.mw());
       rec.record(rh.dc_load_mw, now, step.dc_load.mw());
       rec.record(rh.room_c, now, step.room.c());
-      rec.record(rh.ups_soc, now, pdu.ups().soc());
+      rec.record(rh.ups_soc, now, worst_ups_soc());
       rec.record(rh.tes_soc, now,
                  plant->tes != nullptr ? plant->tes->state_of_charge() : 0.0);
       rec.record(rh.dc_cb_heat, now,
                  plant->topology.dc_breaker().thermal_state());
-      rec.record(rh.pdu_cb_heat, now,
-                 pdu.breaker().thermal_state());
-      // Time-to-trip margin at the current load, clamped so the channel
-      // stays finite (infinity has no JSON literal for trace export); an
-      // hour of margin is indistinguishable from "safe" on every figure.
-      const Duration trip_margin =
-          plant->topology.dc_breaker().time_to_trip_at(step.dc_load);
+      rec.record(rh.pdu_cb_heat, now, plant->topology.max_pdu_breaker_heat());
       rec.record(rh.cb_trip_margin_s, now,
-                 trip_margin.is_infinite()
-                     ? kTripMarginCapSec
-                     : std::min(trip_margin.sec(), kTripMarginCapSec));
+                 capped_margin_s(plant->topology.dc_breaker(), step.dc_load));
       rec.record(rh.supply, now, step.supply_fraction);
       rec.record(rh.degradation, now, static_cast<double>(step.degradation));
       if (injector != nullptr) {
         rec.record(rh.faults_active, now,
                    static_cast<double>(step.faults_active));
         rec.record(rh.measured_demand, now, step.measured_demand);
+      }
+      auto handle = rh.zones.begin();
+      for (std::size_t z = 0; handle != rh.zones.end(); ++z) {
+        const power::Pdu& pdu = groups[z].pdu;
+        const Power grid = pdu.last_grid_load();
+        // In obs::kZonalChannelSuffixes order.
+        for (const double value :
+             {demands[z], controller.group_ops()[z].degree,
+              (grid * static_cast<double>(groups[z].count)).mw(),
+              pdu.ups().soc(), capped_margin_s(pdu.breaker(), grid)}) {
+          rec.record(*handle++, now, value);
+        }
       }
     }
 
@@ -297,10 +363,18 @@ RunResult DataCenter::run(const TimeSeries& demand, Strategy* strategy,
     options.metrics->counter("watchdog_violations_total")
         .inc(static_cast<double>(watchdog.report().violations));
   }
-  const power::Battery& bank = pdu.ups();
-  result.ups_discharge_events = bank.discharge_events();
-  result.ups_equivalent_cycles = bank.equivalent_full_cycles();
+  for (const auto& g : groups) {
+    const power::Battery& bank = g.pdu.ups();
+    result.ups_discharge_events =
+        std::max(result.ups_discharge_events, bank.discharge_events());
+    result.ups_equivalent_cycles =
+        std::max(result.ups_equivalent_cycles, bank.equivalent_full_cycles());
+  }
   result.ups_max_depth = 1.0 - result.min_ups_soc;
+  for (std::size_t z = 0; z < zone_achieved.size(); ++z) {
+    result.zone_performance_factor.push_back(
+        zone_baseline[z] > 0.0 ? zone_achieved[z] / zone_baseline[z] : 0.0);
+  }
   return result;
 }
 

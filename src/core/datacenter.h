@@ -1,14 +1,17 @@
 // The DataCenter facade: wires every substrate from a DataCenterConfig and
-// runs a demand trace through the sprinting controller, producing the
+// runs demand traces through the sprinting controller, producing the
 // metrics the paper's figures report.
 //
 // Each run() builds fresh subsystem state (breakers cold, batteries and TES
 // full, room at setpoint), so a DataCenter is a reusable experiment factory.
 //
-// Scale note: the fleet is homogeneous and the workload uniform, so the
-// plant is one weighted PDU group (power/topology.h) and a run costs the
-// same at any `fleet.pdu_count`. Normalized results agree across PDU
-// counts to within floating-point rounding (~1e-13 relative; asserted by
+// Zones: a run takes one demand trace per zone, each zone a contiguous run
+// of PDUs that becomes one weighted PDU group of the plant
+// (power/topology.h). The paper's uniform workload is the one-zone run, so
+// its plant is a single group and a run costs the same at any
+// `fleet.pdu_count`. Normalized results agree across PDU counts, and
+// across splits of one demand into zones, to within floating-point
+// rounding (~1e-13 relative; asserted by
 // `DataCenter.NormalizedResultsAgreeAcrossPduCounts`), while absolute
 // powers and energies scale with the count. The default stays at the
 // paper's 909.
@@ -81,6 +84,13 @@ struct RunOptions {
       on_step;
 };
 
+/// One zone of a run: `pdu_count` contiguous PDUs serving `demand`,
+/// normalized to the zone's own sprint-free capacity.
+struct Zone {
+  std::size_t pdu_count = 0;
+  const TimeSeries* demand = nullptr;
+};
+
 struct RunResult {
   /// Time-weighted mean achieved (normalized) throughput.
   double avg_achieved = 0.0;
@@ -95,6 +105,7 @@ struct RunResult {
   /// time — the Oracle run's value is the Heuristic's "real best average
   /// sprinting degree". 1 when the trace has no burst.
   double avg_sprint_degree = 1.0;
+  /// Time during which any zone sprinted.
   Duration sprint_time = Duration::zero();
   /// Time spent in each SprintPhase (normal, cb-overload, ups-assist,
   /// tes-cooling, shutdown) — the paper's Fig. 4 T1..T4 structure.
@@ -106,9 +117,10 @@ struct RunResult {
   Energy pdu_overload_energy;
   Energy dc_overload_energy;
   Temperature peak_room_temperature;
+  /// Lowest state of charge of any zone's UPS banks.
   double min_ups_soc = 1.0;
   double min_tes_soc = 1.0;
-  /// Battery wear counters of a representative per-PDU bank (uniform fleet):
+  /// Battery wear counters of the most worn zone's per-PDU bank:
   /// discharge events, equivalent full cycles, and the deepest
   /// depth-of-discharge reached — inputs to power::BatteryLifetimeModel.
   std::size_t ups_discharge_events = 0;
@@ -122,12 +134,19 @@ struct RunResult {
   /// Invariant-watchdog diagnostics: DESIGN.md Section 6 invariants checked
   /// every tick against the *true* plant state.
   faults::WatchdogReport watchdog;
+  /// Multi-zone runs only: each zone's time-weighted mean achieved over its
+  /// no-sprint baseline min(demand, 1), in zone order.
+  std::vector<double> zone_performance_factor;
   /// Per-tick channels (only when RunOptions::record): demand, achieved,
   /// achieved_nosprint, degree, bound, cores, phase, server_mw, cooling_mw,
   /// ups_mw, dc_load_mw, room_c, ups_soc, tes_soc, dc_cb_heat, pdu_cb_heat,
   /// cb_trip_margin_s (time-to-trip at the tick's load, capped at 3600 s so
   /// the channel stays finite), supply, degradation; plus faults_active and
-  /// measured_demand when a fault schedule is attached.
+  /// measured_demand when a fault schedule is attached. With several zones
+  /// demand, achieved, achieved_nosprint and degree are PDU-weighted means,
+  /// ups_soc and pdu_cb_heat the worst zone's, and each zone k adds the
+  /// obs::kZonalChannelSuffixes channels under `zone<k>/` (its PDU breaker's
+  /// margin capped like cb_trip_margin_s).
   sim::Recorder recorder;
 };
 
@@ -135,9 +154,16 @@ class DataCenter {
  public:
   explicit DataCenter(DataCenterConfig config);
 
-  /// Runs `demand` (normalized trace) under `strategy`. The strategy may be
-  /// null for the baseline modes.
+  /// Runs `demand` (normalized trace) on the whole fleet under `strategy`
+  /// — the one-zone run. The strategy may be null for the baseline modes.
   [[nodiscard]] RunResult run(const TimeSeries& demand, Strategy* strategy,
+                              const RunOptions& options = {});
+
+  /// Runs one demand per zone. The zones tile the fleet in order (their PDU
+  /// counts sum to `fleet.pdu_count`) and their traces share one horizon.
+  /// The burst signal and the strategy see the largest zone demand.
+  [[nodiscard]] RunResult run(const std::vector<Zone>& zones,
+                              Strategy* strategy,
                               const RunOptions& options = {});
 
   /// EB_tot in degree-seconds with fresh subsystems — the Heuristic
@@ -148,7 +174,9 @@ class DataCenter {
 
  private:
   struct Plant;  // fresh-per-run subsystem bundle
-  [[nodiscard]] std::unique_ptr<Plant> make_plant() const;
+  /// Empty `group_sizes` is one PDU group.
+  [[nodiscard]] std::unique_ptr<Plant> make_plant(
+      std::vector<std::size_t> group_sizes = {}) const;
 
   DataCenterConfig config_;
   compute::Fleet fleet_;

@@ -44,9 +44,9 @@ struct CounterExportOptions {
 void export_counter_track(Tracer& tracer, std::string_view cat,
                           std::string_view name, const TimeSeries& series);
 
-/// Per-zone channel suffixes recorded by core::ZonalController (under a
-/// `zone<k>/` prefix) — kept here so exporters and the controller agree on
-/// one spelling.
+/// Per-zone channel suffixes a multi-zone core::DataCenter::run records
+/// (under a `zone<k>/` prefix) — kept here so exporters and the run agree
+/// on one spelling.
 inline const std::vector<std::string> kZonalChannelSuffixes = {
     "demand", "degree", "grid_mw", "ups_soc", "cb_trip_margin_s"};
 

@@ -32,17 +32,8 @@ std::size_t PowerTopology::server_count() const noexcept {
   return n;
 }
 
-Flows PowerTopology::step_uniform(Power server_power_per_pdu,
-                                  Power ups_request_per_pdu,
-                                  Power cooling_power, Duration dt) {
-  for (Group& g : groups_) {
-    g.pdu.step(server_power_per_pdu, ups_request_per_pdu, dt);
-  }
-  return finish_step(cooling_power, dt);
-}
-
-Flows PowerTopology::step(const std::vector<Power>& server_power,
-                          const std::vector<Power>& ups_request,
+Flows PowerTopology::step(std::span<const Power> server_power,
+                          std::span<const Power> ups_request,
                           Power cooling_power, Duration dt) {
   DCS_REQUIRE(server_power.size() == groups_.size(),
               "one server power per PDU group");
@@ -54,11 +45,15 @@ Flows PowerTopology::step(const std::vector<Power>& server_power,
   return finish_step(cooling_power, dt);
 }
 
-Flows PowerTopology::recharge_uniform(Power server_power_per_pdu,
-                                      Power recharge_per_pdu,
-                                      Power cooling_power, Duration dt) {
-  for (Group& g : groups_) {
-    g.pdu.recharge_step(server_power_per_pdu, recharge_per_pdu, dt);
+Flows PowerTopology::recharge(std::span<const Power> server_power,
+                              std::span<const Power> recharge,
+                              Power cooling_power, Duration dt) {
+  DCS_REQUIRE(server_power.size() == groups_.size(),
+              "one server power per PDU group");
+  DCS_REQUIRE(recharge.size() == groups_.size(),
+              "one recharge power per PDU group");
+  for (std::size_t i = 0; i < groups_.size(); ++i) {
+    groups_[i].pdu.recharge_step(server_power[i], recharge[i], dt);
   }
   return finish_step(cooling_power, dt);
 }

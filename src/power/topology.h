@@ -17,6 +17,7 @@
 #pragma once
 
 #include <cstddef>
+#include <span>
 #include <vector>
 
 #include "power/circuit_breaker.h"
@@ -54,22 +55,17 @@ class PowerTopology {
 
   explicit PowerTopology(const Params& params);
 
-  /// Advances one step with the same per-PDU server power and UPS request
-  /// in every group (the paper's fleet is homogeneous and the workload is
-  /// spread evenly). `cooling_power` is applied at the DC level only.
-  Flows step_uniform(Power server_power_per_pdu, Power ups_request_per_pdu,
-                     Power cooling_power, Duration dt);
-
   /// Advances one step with one per-PDU server power and UPS request per
-  /// group (zonal runs, skewed-load tests).
-  Flows step(const std::vector<Power>& server_power,
-             const std::vector<Power>& ups_request, Power cooling_power,
+  /// group. `cooling_power` is applied at the DC level only.
+  Flows step(std::span<const Power> server_power,
+             std::span<const Power> ups_request, Power cooling_power,
              Duration dt);
 
-  /// Recharge variant of step_uniform: every bank absorbs up to
-  /// `recharge_per_pdu` from the grid.
-  Flows recharge_uniform(Power server_power_per_pdu, Power recharge_per_pdu,
-                         Power cooling_power, Duration dt);
+  /// Recharge variant of step: each group's banks absorb up to their
+  /// per-PDU `recharge` from the grid.
+  Flows recharge(std::span<const Power> server_power,
+                 std::span<const Power> recharge, Power cooling_power,
+                 Duration dt);
 
   [[nodiscard]] CircuitBreaker& dc_breaker() noexcept { return dc_breaker_; }
   [[nodiscard]] const CircuitBreaker& dc_breaker() const noexcept { return dc_breaker_; }

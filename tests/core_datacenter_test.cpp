@@ -69,8 +69,10 @@ TEST(DataCenter, ResultsInvariantToPduCount) {
 TEST(DataCenter, NormalizedResultsAgreeAcrossPduCounts) {
   // The plant is one weighted PDU group, so the PDU count enters a run only
   // through totals (state x count): every normalized result agrees across
-  // counts to rounding. Three MS and three Yahoo seeds, Greedy and three
-  // constant bounds, each with and without a random fault schedule.
+  // counts to rounding, and so does the paper's 909 PDUs split into zones
+  // {300, 609} that carry the same trace. Three MS and three Yahoo seeds,
+  // Greedy and three constant bounds, each with and without a random fault
+  // schedule.
   std::vector<TimeSeries> traces;
   for (const std::uint64_t seed : {11u, 12u, 13u}) {
     workload::MsTraceParams ms;
@@ -101,6 +103,16 @@ TEST(DataCenter, NormalizedResultsAgreeAcrossPduCounts) {
           const auto strategy = make_strategy(s);
           results.push_back(
               DataCenter(config).run(traces[t], strategy.get(), options));
+        }
+        {
+          DataCenterConfig config;
+          config.fleet.pdu_count = 909;
+          const auto strategy = make_strategy(s);
+          results.push_back(DataCenter(config).run(
+              {{300, &traces[t]}, {609, &traces[t]}}, strategy.get(), options));
+          for (const double zone_factor : results.back().zone_performance_factor) {
+            EXPECT_PRED2(agree, zone_factor, results.back().performance_factor);
+          }
         }
         const RunResult& ref = results.front();
         for (std::size_t i = 1; i < results.size(); ++i) {

@@ -316,12 +316,20 @@ TEST(SupplyDisturbance, HealthySupplySeriesIsNoOp) {
 // CB budget allocation (Section V-B parent/child rule)
 // ---------------------------------------------------------------------------
 
+std::vector<Power> allocate(Power parent,
+                            const std::vector<CbBudgetRequest>& children) {
+  std::vector<Power> grants(children.size());
+  (void)allocate_cb_budget(parent, children, grants);
+  return grants;
+}
+
 TEST(CbBudget, EveryoneFitsGetsTheirAsk) {
   const std::vector<CbBudgetRequest> kids = {
       {Power::kilowatts(10), Power::kilowatts(15)},
       {Power::kilowatts(20), Power::kilowatts(15)},
   };
-  const auto grants = allocate_cb_budget(Power::kilowatts(100), kids);
+  std::vector<Power> grants(kids.size());
+  EXPECT_FALSE(allocate_cb_budget(Power::kilowatts(100), kids, grants));
   EXPECT_DOUBLE_EQ(grants[0].kw(), 10.0);
   EXPECT_DOUBLE_EQ(grants[1].kw(), 15.0);  // capped by its own breaker
 }
@@ -332,7 +340,8 @@ TEST(CbBudget, ParentBoundSharedMaxMinFairly) {
       {Power::kilowatts(20), Power::kilowatts(30)},
       {Power::kilowatts(30), Power::kilowatts(30)},
   };
-  const auto grants = allocate_cb_budget(Power::kilowatts(35), kids);
+  std::vector<Power> grants(kids.size());
+  EXPECT_TRUE(allocate_cb_budget(Power::kilowatts(35), kids, grants));
   // Child 0 is below the water level and gets its full ask; the other two
   // split the remaining 30 kW equally.
   EXPECT_DOUBLE_EQ(grants[0].kw(), 5.0);
@@ -340,18 +349,40 @@ TEST(CbBudget, ParentBoundSharedMaxMinFairly) {
   EXPECT_DOUBLE_EQ(grants[2].kw(), 15.0);
 }
 
+TEST(CbBudget, WaterLevelIsPerPdu) {
+  // A child standing for three PDUs shares the level per PDU, so a uniform
+  // demand gets the same per-PDU grant however its PDUs are grouped.
+  const std::vector<CbBudgetRequest> grouped = {
+      {Power::kilowatts(20), Power::kilowatts(30), 1},
+      {Power::kilowatts(20), Power::kilowatts(30), 3},
+  };
+  const std::vector<Power> grants = allocate(Power::kilowatts(40), grouped);
+  EXPECT_DOUBLE_EQ(grants[0].kw(), 10.0);
+  EXPECT_DOUBLE_EQ(grants[1].kw(), 10.0);
+  const std::vector<Power> one =
+      allocate(Power::kilowatts(40), {{Power::kilowatts(20), Power::kilowatts(30), 4}});
+  EXPECT_DOUBLE_EQ(one[0].kw(), 10.0);
+  // A small child below the level is served in full; the big one takes the
+  // rest per PDU.
+  const std::vector<Power> skewed = allocate(
+      Power::kilowatts(40), {{Power::kilowatts(4), Power::kilowatts(30), 1},
+                             {Power::kilowatts(20), Power::kilowatts(30), 3}});
+  EXPECT_DOUBLE_EQ(skewed[0].kw(), 4.0);
+  EXPECT_DOUBLE_EQ(skewed[1].kw(), 12.0);
+}
+
 TEST(CbBudget, SumNeverExceedsParent) {
   const std::vector<CbBudgetRequest> kids = {
       {Power::kilowatts(12), Power::kilowatts(14)},
-      {Power::kilowatts(9), Power::kilowatts(10)},
+      {Power::kilowatts(9), Power::kilowatts(10), 3},
       {Power::kilowatts(25), Power::kilowatts(18)},
-      {Power::kilowatts(2), Power::kilowatts(20)},
+      {Power::kilowatts(2), Power::kilowatts(20), 2},
   };
   for (double parent_kw : {5.0, 20.0, 33.0, 100.0}) {
-    const auto grants = allocate_cb_budget(Power::kilowatts(parent_kw), kids);
+    const auto grants = allocate(Power::kilowatts(parent_kw), kids);
     Power total = Power::zero();
     for (std::size_t i = 0; i < grants.size(); ++i) {
-      total += grants[i];
+      total += grants[i] * static_cast<double>(kids[i].count);
       EXPECT_LE(grants[i],
                 std::min(kids[i].demand, kids[i].child_allow) + Power::watts(1));
     }
@@ -360,14 +391,13 @@ TEST(CbBudget, SumNeverExceedsParent) {
 }
 
 TEST(CbBudget, ZeroParentGrantsNothing) {
-  const std::vector<CbBudgetRequest> kids = {
-      {Power::kilowatts(10), Power::kilowatts(10)}};
-  const auto grants = allocate_cb_budget(Power::zero(), kids);
+  const auto grants =
+      allocate(Power::zero(), {{Power::kilowatts(10), Power::kilowatts(10)}});
   EXPECT_DOUBLE_EQ(grants[0].w(), 0.0);
 }
 
 TEST(CbBudget, EmptyChildrenOk) {
-  EXPECT_TRUE(allocate_cb_budget(Power::kilowatts(1), {}).empty());
+  EXPECT_TRUE(allocate(Power::kilowatts(1), {}).empty());
 }
 
 // ---------------------------------------------------------------------------

@@ -6,6 +6,7 @@
 #include <cstring>
 #include <stdexcept>
 #include <utility>
+#include <vector>
 
 #include "power/pdu.h"
 #include "power/topology.h"
@@ -19,6 +20,22 @@ Pdu::Params pdu_params() {
   // Paper: 55 W x 200 x 1.25 = 13.75 kW rated.
   p.breaker.rated = Power::kilowatts(13.75);
   return p;
+}
+
+/// Steps every group with the same per-PDU server power and UPS request.
+Flows step_all(PowerTopology& topo, Power server, Power ups, Power cooling,
+               Duration dt) {
+  const std::vector<Power> load(topo.groups().size(), server);
+  const std::vector<Power> request(topo.groups().size(), ups);
+  return topo.step(load, request, cooling, dt);
+}
+
+/// Recharges every group's banks with the same per-PDU power.
+Flows recharge_all(PowerTopology& topo, Power server, Power recharge,
+                   Power cooling, Duration dt) {
+  const std::vector<Power> load(topo.groups().size(), server);
+  const std::vector<Power> charge(topo.groups().size(), recharge);
+  return topo.recharge(load, charge, cooling, dt);
 }
 
 TEST(Pdu, AggregatesBatteryBank) {
@@ -99,7 +116,7 @@ TEST(PowerTopology, CountsServers) {
 
 TEST(PowerTopology, UniformStepAggregatesFlows) {
   PowerTopology topo(topo_params(4));
-  const Flows flows = topo.step_uniform(Power::kilowatts(10), Power::zero(),
+  const Flows flows = step_all(topo, Power::kilowatts(10), Power::zero(),
                                         Power::kilowatts(5), Duration::seconds(1));
   EXPECT_NEAR(flows.pdu_grid_total.kw(), 40.0, 1e-9);
   EXPECT_NEAR(flows.dc_load.kw(), 45.0, 1e-9);
@@ -111,8 +128,11 @@ TEST(PowerTopology, UniformStepAggregatesFlows) {
 TEST(PowerTopology, PerPduStepValidatesSizes) {
   // step() takes one value per PDU group.
   PowerTopology topo(singleton_params(2));
-  EXPECT_THROW((void)topo.step({Power::kilowatts(1)}, {Power::zero(), Power::zero()},
-                         Power::zero(), Duration::seconds(1)),
+  const std::vector<Power> one = {Power::kilowatts(1)};
+  const std::vector<Power> two = {Power::zero(), Power::zero()};
+  EXPECT_THROW((void)topo.step(one, two, Power::zero(), Duration::seconds(1)),
+               std::invalid_argument);
+  EXPECT_THROW((void)topo.recharge(two, one, Power::zero(), Duration::seconds(1)),
                std::invalid_argument);
   // Group sizes must tile the PDU count, with no empty group.
   PowerTopology::Params short_groups = topo_params(4);
@@ -126,9 +146,10 @@ TEST(PowerTopology, PerPduStepValidatesSizes) {
 TEST(PowerTopology, SkewedLoadTripsOnlyThatPdu) {
   PowerTopology topo(singleton_params(2));
   // PDU 0 at 60 % overload trips after ~60 s; PDU 1 stays at rated.
+  const std::vector<Power> load = {Power::kilowatts(22), Power::kilowatts(10)};
+  const std::vector<Power> no_ups = {Power::zero(), Power::zero()};
   for (int i = 0; i < 70; ++i) {
-    topo.step({Power::kilowatts(22), Power::kilowatts(10)},
-              {Power::zero(), Power::zero()}, Power::zero(), Duration::seconds(1));
+    topo.step(load, no_ups, Power::zero(), Duration::seconds(1));
   }
   EXPECT_TRUE(topo.groups()[0].pdu.breaker().tripped());
   EXPECT_FALSE(topo.groups()[1].pdu.breaker().tripped());
@@ -137,10 +158,10 @@ TEST(PowerTopology, SkewedLoadTripsOnlyThatPdu) {
 
 TEST(PowerTopology, UpsDischargeRelievesDcBreaker) {
   PowerTopology topo(topo_params(2));
-  const Flows without = topo.step_uniform(Power::kilowatts(20), Power::zero(),
+  const Flows without = step_all(topo, Power::kilowatts(20), Power::zero(),
                                           Power::zero(), Duration::seconds(1));
   PowerTopology topo2(topo_params(2));
-  const Flows with = topo2.step_uniform(Power::kilowatts(20), Power::kilowatts(8),
+  const Flows with = step_all(topo2, Power::kilowatts(20), Power::kilowatts(8),
                                         Power::zero(), Duration::seconds(1));
   EXPECT_GT(without.dc_load, with.dc_load);
   EXPECT_NEAR((without.dc_load - with.dc_load).kw(), 16.0, 1e-9);
@@ -150,16 +171,16 @@ TEST(PowerTopology, UpsEnergyAccounting) {
   PowerTopology topo(topo_params(2));
   const Energy cap = topo.ups_capacity();
   EXPECT_NEAR(cap.kwh(), 2.2, 1e-9);
-  topo.step_uniform(Power::kilowatts(20), Power::kilowatts(10), Power::zero(),
+  step_all(topo, Power::kilowatts(20), Power::kilowatts(10), Power::zero(),
                     Duration::seconds(60));
   EXPECT_NEAR((cap - topo.ups_available()).kwh(), 2.0 * 10.0 * 60.0 / 3600.0, 1e-6);
 }
 
 TEST(PowerTopology, RechargeUniformDrawsThroughBreakers) {
   PowerTopology topo(topo_params(2));
-  topo.step_uniform(Power::kilowatts(20), Power::kilowatts(10), Power::zero(),
+  step_all(topo, Power::kilowatts(20), Power::kilowatts(10), Power::zero(),
                     Duration::seconds(60));
-  const Flows flows = topo.recharge_uniform(Power::kilowatts(5), Power::kilowatts(0.5),
+  const Flows flows = recharge_all(topo, Power::kilowatts(5), Power::kilowatts(0.5),
                                             Power::kilowatts(2), Duration::seconds(1));
   EXPECT_GT(flows.pdu_grid_total.kw(), 10.0);
   EXPECT_GT(flows.dc_load.kw(), 12.0);
@@ -168,7 +189,7 @@ TEST(PowerTopology, RechargeUniformDrawsThroughBreakers) {
 TEST(PowerTopology, ResetBreakersRestoresAll) {
   PowerTopology topo(topo_params(2));
   for (int i = 0; i < 70; ++i) {
-    topo.step_uniform(Power::kilowatts(22), Power::zero(), Power::zero(),
+    step_all(topo, Power::kilowatts(22), Power::zero(), Power::zero(),
                       Duration::seconds(1));
   }
   EXPECT_TRUE(topo.groups().front().pdu.breaker().tripped());
@@ -224,14 +245,14 @@ TEST(PowerTopology, GroupOfNMatchesNGroupsOfOne) {
     }
     const bool recharge = round % 5 == 4;
     const Flows a =
-        recharge ? grouped.recharge_uniform(server, Power::kilowatts(0.5),
+        recharge ? recharge_all(grouped, server, Power::kilowatts(0.5),
                                             Power::kilowatts(3), Duration::seconds(1))
-                 : grouped.step_uniform(server, ups, Power::kilowatts(3),
+                 : step_all(grouped, server, ups, Power::kilowatts(3),
                                         Duration::seconds(1));
     const Flows b =
-        recharge ? singles.recharge_uniform(server, Power::kilowatts(0.5),
+        recharge ? recharge_all(singles, server, Power::kilowatts(0.5),
                                             Power::kilowatts(3), Duration::seconds(1))
-                 : singles.step_uniform(server, ups, Power::kilowatts(3),
+                 : step_all(singles, server, ups, Power::kilowatts(3),
                                         Duration::seconds(1));
     expect_close(a.pdu_grid_total.w(), b.pdu_grid_total.w());
     expect_close(a.ups_total.w(), b.ups_total.w());
@@ -252,7 +273,7 @@ TEST(PowerTopology, GroupOfNMatchesNGroupsOfOne) {
 
 TEST(PowerTopology, SetFaultAllAppliesToEverySlot) {
   PowerTopology topo(singleton_params(3));
-  topo.step_uniform(Power::kilowatts(20), Power::kilowatts(5), Power::zero(),
+  step_all(topo, Power::kilowatts(20), Power::kilowatts(5), Power::zero(),
                     Duration::seconds(30));
   topo.set_fault_all(0.8, 0.1, 0.5, 0.9);
   for (const PowerTopology::Group& g : topo.groups()) {
@@ -267,19 +288,19 @@ TEST(PowerTopology, SetFaultAllAppliesToEverySlot) {
 
 TEST(PowerTopology, CopyPreservesStateAndIndependence) {
   PowerTopology topo(topo_params(2));
-  topo.step_uniform(Power::kilowatts(20), Power::kilowatts(8), Power::zero(),
+  step_all(topo, Power::kilowatts(20), Power::kilowatts(8), Power::zero(),
                     Duration::seconds(60));
   PowerTopology copy = topo;
   EXPECT_EQ(bits(copy.ups_available().j()), bits(topo.ups_available().j()));
   expect_same_pdu_state(copy.groups().front().pdu, topo.groups().front().pdu);
   // Further steps on the copy must not alias the original's state.
-  copy.step_uniform(Power::kilowatts(22), Power::zero(), Power::zero(),
+  step_all(copy, Power::kilowatts(22), Power::zero(), Power::zero(),
                     Duration::seconds(60));
   EXPECT_NE(bits(copy.groups().front().pdu.breaker().thermal_state()),
             bits(topo.groups().front().pdu.breaker().thermal_state()));
   PowerTopology moved = std::move(copy);
   EXPECT_GT(moved.groups().front().pdu.breaker().thermal_state(), 0.0);
-  moved.step_uniform(Power::kilowatts(10), Power::zero(), Power::zero(),
+  step_all(moved, Power::kilowatts(10), Power::zero(), Power::zero(),
                      Duration::seconds(1));
 }
 

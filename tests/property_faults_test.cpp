@@ -6,6 +6,8 @@
 #include <gtest/gtest.h>
 
 #include <cstdint>
+#include <string>
+#include <vector>
 
 #include "core/datacenter.h"
 #include "faults/schedule.h"
@@ -30,25 +32,44 @@ TimeSeries property_trace() {
   return workload::generate_yahoo_trace(p);
 }
 
+RunResult run_scenario(DataCenter& dc, const std::vector<Zone>& zones,
+                       std::uint64_t seed, double severity) {
+  const faults::FaultSchedule schedule = faults::FaultSchedule::random(
+      seed, zones.front().demand->end_time(), severity);
+  ConstantBoundStrategy bound(2.4);
+  return dc.run(zones, &bound, {.faults = &schedule});
+}
+
 RunResult run_scenario(DataCenter& dc, const TimeSeries& trace,
                        std::uint64_t seed, double severity) {
-  const faults::FaultSchedule schedule =
-      faults::FaultSchedule::random(seed, trace.end_time(), severity);
-  ConstantBoundStrategy bound(2.4);
-  return dc.run(trace, &bound, {.faults = &schedule});
+  return run_scenario(dc, {{dc.config().fleet.pdu_count, &trace}}, seed,
+                      severity);
 }
 
 TEST(FaultProperty, ControlledRunSurvivesEveryRandomScenario) {
+  // The uniform fleet, and the same two PDUs split into zones: the burst in
+  // zone 0, a flat 0.4 in zone 1.
   DataCenter dc(small_config());
   const TimeSeries trace = property_trace();
-  for (std::uint64_t seed = 1; seed <= kSeeds; ++seed) {
-    const RunResult r = run_scenario(dc, trace, seed, 1.0);
-    ASSERT_FALSE(r.tripped) << "seed " << seed;
-    ASSERT_TRUE(r.watchdog.ok())
-        << "seed " << seed << ": " << r.watchdog.first_message;
-    // Degradation may cost the whole sprint (factor exactly 1) but the
-    // baseline service level is never sacrificed.
-    ASSERT_GE(r.performance_factor, 1.0 - 1e-9) << "seed " << seed;
+  TimeSeries quiet;
+  quiet.push_back(Duration::zero(), 0.4);
+  quiet.push_back(trace.end_time(), 0.4);
+  const std::vector<Zone> inputs[] = {{{2, &trace}},
+                                      {{1, &trace}, {1, &quiet}}};
+  for (const std::vector<Zone>& zones : inputs) {
+    for (std::uint64_t seed = 1; seed <= kSeeds; ++seed) {
+      const RunResult r = run_scenario(dc, zones, seed, 1.0);
+      SCOPED_TRACE(std::to_string(zones.size()) + " zone(s), seed " +
+                   std::to_string(seed));
+      ASSERT_FALSE(r.tripped);
+      ASSERT_TRUE(r.watchdog.ok()) << r.watchdog.first_message;
+      // Degradation may cost the whole sprint (factor exactly 1) but the
+      // baseline service level is never sacrificed, in any zone.
+      ASSERT_GE(r.performance_factor, 1.0 - 1e-9);
+      for (const double zone_factor : r.zone_performance_factor) {
+        ASSERT_GE(zone_factor, 1.0 - 1e-9);
+      }
+    }
   }
 }
 
