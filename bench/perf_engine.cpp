@@ -2,9 +2,10 @@
 // inner loops — breaker thermal stepping, fleet operating-point solving,
 // one controller step on the MS trace's noisy demand, the fixed cost of a
 // run (plant build, controller construction, one step), a full 30-minute
-// experiment run, and the serial vs parallel oracle search on the src/exp
-// runner. The PDU-count arguments show what the paper's 909-PDU facility
-// costs next to a small one.
+// experiment run, the serial vs parallel oracle search on the src/exp
+// runner, and the request-level serving layer's ticks over fig12's burst.
+// The PDU-count arguments show what the paper's 909-PDU facility costs
+// next to a small one.
 //
 // Unless --benchmark_out is given, results are also written as a
 // machine-readable BENCH_perf_engine.json perf record (wall times, items/s)
@@ -12,6 +13,7 @@
 #include <benchmark/benchmark.h>
 
 #include <algorithm>
+#include <cstdint>
 #include <cstring>
 #include <string>
 #include <vector>
@@ -22,7 +24,9 @@
 #include "obs/decision.h"
 #include "obs/trace.h"
 #include "power/circuit_breaker.h"
+#include "serving/serving_layer.h"
 #include "workload/ms_trace.h"
+#include "workload/yahoo_trace.h"
 
 namespace {
 
@@ -148,6 +152,85 @@ BENCHMARK(BM_OracleSearch)
     ->Unit(benchmark::kMillisecond)
     ->UseRealTime();
 
+/// fig12's Yahoo 3.2x / 15-min burst and the capacity degree a Greedy run
+/// realizes on it, one per control period. Against that degree the burst
+/// overloads the servers and the quiet hours do not, so a pass meets both
+/// stationary and fluid-overload ticks.
+struct ServingInputs {
+  TimeSeries trace;
+  std::vector<double> degrees;
+  Duration period;
+};
+
+const ServingInputs& serving_inputs() {
+  static const ServingInputs inputs = [] {
+    ServingInputs in;
+    workload::YahooTraceParams params;
+    params.burst_degree = 3.2;
+    params.burst_duration = Duration::minutes(15);
+    in.trace = workload::generate_yahoo_trace(params);
+    const core::DataCenterConfig config;
+    in.period = config.control_period;
+    core::DataCenter dc(config);
+    core::GreedyStrategy greedy;
+    core::RunOptions opts;
+    opts.on_step = [&in](Duration, Duration, const core::StepResult& step) {
+      in.degrees.push_back(step.degree);
+    };
+    (void)dc.run(in.trace, &greedy, opts);
+    return in;
+  }();
+  return inputs;
+}
+
+void BM_ServingTick(benchmark::State& state, double rps, std::size_t servers,
+                    const char* placement) {
+  // An iteration ticks a fresh layer through the whole trace, so every
+  // iteration weighs quiet, burst and drain ticks alike; the `tick`
+  // counter is the time per control period. Items are offered requests.
+  const ServingInputs& in = serving_inputs();
+  serving::ServingParams params;
+  params.peak_rps = rps;
+  params.servers = servers;
+  params.placement = placement;
+  params.demand = &in.trace;
+  std::size_t offered = 0;
+  for (auto _ : state) {
+    serving::ServingLayer layer(params);
+    Duration now = Duration::zero();
+    for (const double degree : in.degrees) {
+      layer.set_capacity_degree(degree);
+      layer.tick(now, in.period);
+      now += in.period;
+    }
+    offered += layer.offered_total();
+    benchmark::DoNotOptimize(layer.latency().p99());
+  }
+  state.SetItemsProcessed(static_cast<std::int64_t>(offered));
+  state.counters["tick"] = benchmark::Counter(
+      static_cast<double>(in.degrees.size()),
+      benchmark::Counter::kIsIterationInvariantRate |
+          benchmark::Counter::kInvert);
+}
+
+/// BM_ServingTick/{rps}x{servers}x{placement} over fig12's default rate and
+/// ten times it, its default 8 servers and 512, and every placement.
+void register_serving_ticks() {
+  for (const int rps : {400, 4000}) {
+    for (const std::size_t servers : {8, 512}) {
+      for (const char* placement : {"round_robin", "jsq", "thermal"}) {
+        const std::string name = "BM_ServingTick/" + std::to_string(rps) +
+                                 "x" + std::to_string(servers) + "x" +
+                                 placement;
+        benchmark::RegisterBenchmark(name.c_str(), BM_ServingTick,
+                                     static_cast<double>(rps), servers,
+                                     placement)
+            ->Unit(benchmark::kMillisecond);
+      }
+    }
+  }
+}
+
 }  // namespace
 
 int main(int argc, char** argv) {
@@ -186,6 +269,7 @@ int main(int argc, char** argv) {
     args.push_back(out_flag.data());
     args.push_back(format_flag.data());
   }
+  register_serving_ticks();
   int count = static_cast<int>(args.size());
   benchmark::Initialize(&count, args.data());
   if (benchmark::ReportUnrecognizedArguments(count, args.data())) return 1;

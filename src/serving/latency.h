@@ -2,15 +2,20 @@
 //
 // LatencyHistogram is a fixed-bucket log histogram (16 buckets per decade
 // over [100 us, 1000 s], plus underflow/overflow) so p50/p95/p99/p999 are
-// O(buckets) to read at any point in a run without storing samples.
-// Observing is pure integer bucketing over deterministic inputs, and
-// merging adds bucket counts, so histograms built from the same sample
-// stream are bit-identical regardless of which thread ran the task — the
-// same contract as every sweep-runner row.
+// O(buckets) to read at any point in a run without storing samples. A
+// sample's slot is defined by the log10 formula floor(16 log10(s / 100 us));
+// slot() reads it from a table of bucket edges instead, and defers to the
+// formula itself only within 1e-9 (relative) of an edge, where the
+// formula's rounding could tip a sample across it. Counts are integers over
+// deterministic inputs, and merging adds them, so histograms built from the
+// same sample stream are bit-identical regardless of which thread ran the
+// task — the same contract as every sweep-runner row. add() takes a run of
+// samples known to share a slot in one step (the queue models' fluid runs).
 //
 // LatencyTracker wraps two histograms: the run-total distribution (the
 // figure metric) and a short sliding window whose p99 is the controller's
-// SLO-violation signal (core::SloSprintStrategy::observe_latency).
+// SLO-violation signal (core::SloSprintStrategy::observe_latency). Each
+// sample's slot is computed once for both.
 #pragma once
 
 #include <array>
@@ -32,8 +37,20 @@ class LatencyHistogram {
   static constexpr std::size_t kPerDecade = 16;
   static constexpr std::size_t kBuckets = kDecades * kPerDecade;
   static constexpr double kMaxSeconds = 1e3;
+  /// Slots in bucket_counts() order: underflow, the log buckets, overflow.
+  static constexpr std::size_t kSlots = kBuckets + 2;
 
+  /// The slot `seconds` lands in: 0 below kMinSeconds (NaN and negative
+  /// samples too), 1 + the log bucket, or kSlots - 1 at kMaxSeconds and up.
+  [[nodiscard]] static std::size_t slot(double seconds) noexcept;
+
+  /// One sample; NaN and negative samples count as 0 s.
   void observe(double seconds) noexcept;
+
+  /// `n` samples that all land in `slot`, summing to `sum` seconds, the
+  /// largest `max`: n observe() calls in one step, bar the rounding of the
+  /// sum.
+  void add(std::size_t slot, std::size_t n, double sum, double max) noexcept;
 
   /// Quantile in seconds, q in [0, 1]; geometric interpolation inside the
   /// winning bucket. Underflow resolves to kMinSeconds, overflow to
@@ -67,9 +84,7 @@ class LatencyHistogram {
   [[nodiscard]] std::vector<std::size_t> bucket_counts() const;
 
  private:
-  std::array<std::size_t, kBuckets> buckets_{};
-  std::size_t underflow_ = 0;
-  std::size_t overflow_ = 0;
+  std::array<std::size_t, kSlots> counts_{};
   std::size_t count_ = 0;
   double sum_ = 0.0;
   double max_ = 0.0;
@@ -84,6 +99,9 @@ class LatencyTracker {
   /// Records one request's response time into the run-total and window
   /// histograms.
   void observe(double seconds) noexcept;
+
+  /// LatencyHistogram::add into both histograms.
+  void add(std::size_t slot, std::size_t n, double sum, double max) noexcept;
 
   /// Advances the window clock; call once per control period.
   void end_tick() noexcept;

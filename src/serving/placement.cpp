@@ -1,48 +1,175 @@
 #include "serving/placement.h"
 
+#include <algorithm>
+#include <cmath>
+#include <functional>
+#include <limits>
+
 #include "util/check.h"
 
 namespace dcs::serving {
 namespace {
 
-double queue_length(const ServerLoad& server) noexcept {
-  return server.backlog + static_cast<double>(server.assigned);
+/// The queue length a server shows once `placed` requests have joined it
+/// this period: the value the request-by-request rule compares.
+double queue_length(double backlog, std::size_t placed) noexcept {
+  return backlog + static_cast<double>(placed);
+}
+
+/// The number of a >= 0 with queue_length(backlog, a) < level (a prefix,
+/// since the length grows with a), capped at `cap`.
+std::size_t picks_below(double backlog, double level,
+                        std::size_t cap) noexcept {
+  const auto below = [&](std::size_t a) {
+    return queue_length(backlog, a) < level;
+  };
+  // Real arithmetic puts the count at ceil(level - backlog). Rounding can
+  // move it, so the guess is checked against the exact predicate, and
+  // bisection takes over only when it misses.
+  const double guess = std::ceil(level - backlog);
+  const std::size_t g = guess <= 0.0 ? 0
+                        : guess >= static_cast<double>(cap)
+                            ? cap
+                            : static_cast<std::size_t>(guess);
+  if ((g == 0 || below(g - 1)) && (g == cap || !below(g))) return g;
+  std::size_t lo = 0;
+  std::size_t hi = cap;
+  while (lo < hi) {
+    const std::size_t mid = lo + (hi - lo) / 2;
+    if (below(mid)) {
+      lo = mid + 1;
+    } else {
+      hi = mid;
+    }
+  }
+  return lo;
 }
 
 }  // namespace
 
-std::size_t RoundRobinPlacement::pick(const std::vector<ServerLoad>& servers) {
-  const std::size_t index = cursor_ % servers.size();
-  cursor_ = (cursor_ + 1) % servers.size();
-  return index;
-}
-
-std::size_t JoinShortestQueuePlacement::pick(
-    const std::vector<ServerLoad>& servers) {
-  std::size_t best = 0;
-  for (std::size_t i = 1; i < servers.size(); ++i) {
-    if (queue_length(servers[i]) < queue_length(servers[best])) best = i;
+void RoundRobinPlacement::place(std::span<const ServerLoad> servers,
+                                std::size_t admitted,
+                                std::span<std::size_t> counts) {
+  const std::size_t n = servers.size();
+  const std::size_t start = cursor_ % n;
+  const std::size_t extra = admitted % n;
+  // Every full turn gives each server one request; the last, partial turn
+  // runs from the cursor.
+  for (std::size_t i = 0; i < n; ++i) {
+    counts[i] = admitted / n + ((i + n - start) % n < extra ? 1 : 0);
   }
-  return best;
+  cursor_ = (start + extra) % n;
 }
 
-std::size_t ThermalAwarePlacement::pick(
-    const std::vector<ServerLoad>& servers) {
-  std::size_t best = 0;
-  for (std::size_t i = 1; i < servers.size(); ++i) {
-    if (servers[i].heat < servers[best].heat ||
-        (servers[i].heat == servers[best].heat &&
-         queue_length(servers[i]) < queue_length(servers[best]))) {
-      best = i;
+ShortestQueuePlacement::ShortestQueuePlacement(std::size_t servers) {
+  candidates_.reserve(servers);
+  sorted_backlogs_.reserve(servers);
+  heads_.reserve(servers);
+}
+
+void ShortestQueuePlacement::place(std::span<const ServerLoad> servers,
+                                   std::size_t admitted,
+                                   std::span<std::size_t> counts) {
+  std::fill(counts.begin(), counts.end(), std::size_t{0});
+  candidates_.clear();
+  select(servers, candidates_);
+  if (admitted == 0) return;
+  // A NaN queue length compares false both ways and +inf loses to every
+  // finite one: a NaN first candidate, or one without a finite rival,
+  // keeps every request, and otherwise only finite backlogs win picks.
+  const std::size_t first = candidates_.front();
+  std::erase_if(candidates_, [&](std::size_t i) {
+    return !std::isfinite(servers[i].backlog);
+  });
+  if (std::isnan(servers[first].backlog) || candidates_.empty()) {
+    counts[first] = admitted;
+    return;
+  }
+
+  const std::size_t m = candidates_.size();
+  std::size_t placed = 0;
+  if (admitted > 2 * m) {
+    // Water-fill to the level where the candidates below it would hold
+    // admitted - 2m requests in real arithmetic. Every pair strictly below
+    // the level precedes every other pair in the pick order, so taking
+    // them in bulk leaves the state the rule reaches after that many
+    // picks. Rounding each share up adds under one request per server, so
+    // the bulk stays within `admitted` while the level's own rounding costs
+    // less than that: at 512 servers, while backlogs stay below about 2^48.
+    // Past that the bulk may overshoot, and the rule places every request.
+    sorted_backlogs_.clear();
+    for (const std::size_t i : candidates_) {
+      sorted_backlogs_.push_back(servers[i].backlog);
+    }
+    std::sort(sorted_backlogs_.begin(), sorted_backlogs_.end());
+    const auto target = static_cast<double>(admitted - 2 * m);
+    double prefix = 0.0;
+    double level = 0.0;
+    for (std::size_t j = 0; j < m; ++j) {
+      prefix += sorted_backlogs_[j];
+      level = (target + prefix) / static_cast<double>(j + 1);
+      if (j + 1 == m || level <= sorted_backlogs_[j + 1]) break;
+    }
+    for (const std::size_t i : candidates_) {
+      counts[i] = picks_below(servers[i].backlog, level, admitted + 1);
+      placed += counts[i];
+      if (placed > admitted) break;
+    }
+    if (placed > admitted) {
+      std::fill(counts.begin(), counts.end(), std::size_t{0});
+      placed = 0;
     }
   }
-  return best;
+
+  // The last picks by the rule itself: shortest queue, ties to the lowest
+  // index.
+  heads_.clear();
+  for (const std::size_t i : candidates_) {
+    heads_.emplace_back(queue_length(servers[i].backlog, counts[i]), i);
+  }
+  const std::greater<> later;
+  std::make_heap(heads_.begin(), heads_.end(), later);
+  for (; placed < admitted; ++placed) {
+    std::pop_heap(heads_.begin(), heads_.end(), later);
+    auto& [length, server] = heads_.back();
+    length = queue_length(servers[server].backlog, ++counts[server]);
+    std::push_heap(heads_.begin(), heads_.end(), later);
+  }
 }
 
-std::unique_ptr<PlacementPolicy> make_placement(std::string_view name) {
+void JoinShortestQueuePlacement::select(
+    std::span<const ServerLoad> servers,
+    std::vector<std::size_t>& candidates) const {
+  for (std::size_t i = 0; i < servers.size(); ++i) candidates.push_back(i);
+}
+
+void ThermalAwarePlacement::select(std::span<const ServerLoad> servers,
+                                   std::vector<std::size_t>& candidates) const {
+  // Heat holds for the whole period, so every pick goes to a server at the
+  // minimum heat. A NaN heat compares false both ways: on server 0 it keeps
+  // every pick there, elsewhere it never wins one.
+  if (std::isnan(servers[0].heat)) {
+    candidates.push_back(0);
+    return;
+  }
+  double coolest = std::numeric_limits<double>::infinity();
+  for (const ServerLoad& server : servers) {
+    coolest = std::min(coolest, server.heat);
+  }
+  for (std::size_t i = 0; i < servers.size(); ++i) {
+    if (servers[i].heat == coolest) candidates.push_back(i);
+  }
+}
+
+std::unique_ptr<PlacementPolicy> make_placement(std::string_view name,
+                                                std::size_t servers) {
   if (name == "round_robin") return std::make_unique<RoundRobinPlacement>();
-  if (name == "jsq") return std::make_unique<JoinShortestQueuePlacement>();
-  if (name == "thermal") return std::make_unique<ThermalAwarePlacement>();
+  if (name == "jsq") {
+    return std::make_unique<JoinShortestQueuePlacement>(servers);
+  }
+  if (name == "thermal") {
+    return std::make_unique<ThermalAwarePlacement>(servers);
+  }
   DCS_REQUIRE(false, "unknown placement (want round_robin, jsq or thermal)");
   return nullptr;
 }

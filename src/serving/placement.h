@@ -1,15 +1,25 @@
 // Pluggable request-placement policies over the serving layer's servers.
 //
 // Mirrors the job-queue + pluggable-scheduler shape of geedo0's
-// miniproject3 (ROADMAP exemplar): the serving layer asks the policy which
-// server receives each admitted request, given every server's queue backlog
-// and a thermal proxy. Three policies:
+// miniproject3 (ROADMAP exemplar): each control period the serving layer
+// asks the policy how many of the period's admitted requests each server
+// receives, given every server's queue backlog and a thermal proxy. The
+// counts are those of a request-by-request placement, where each request
+// goes to the server the policy's rule picks at that moment:
 //   round_robin - rotate through the servers;
 //   jsq         - join the shortest queue (backlog + requests already
 //                 placed this period), ties to the lowest index;
 //   thermal     - coolest server first (the exemplar's
 //                 LowTemperatureFirstSchedulingAlgorithm, reproduced as a
 //                 sprint-placement strategy), queue length as tiebreak.
+//
+// A period is placed in closed form. Round-robin is an even split with the
+// remainder placed from the cursor. JSQ fills a water level over the
+// backlogs: every (queue length, server) pair below the level is a prefix
+// of the request-by-request pick order, so it is taken in bulk, and the
+// last few picks follow the rule itself. Heat holds for the whole period,
+// so thermal is JSQ among the servers tied at the minimum heat. A period
+// costs O(servers log servers), whatever the number of requests.
 //
 // Policies are deterministic pure functions of the server view plus their
 // own cursor state, so placement never perturbs the sweep bit-identity
@@ -18,29 +28,29 @@
 
 #include <cstddef>
 #include <memory>
+#include <span>
 #include <string_view>
+#include <utility>
 #include <vector>
 
 namespace dcs::serving {
 
-/// What a policy may observe about one server when placing a request.
+/// What a policy may observe about one server when placing requests.
 struct ServerLoad {
   /// Requests queued at the server (fluid backlog), in requests.
   double backlog = 0.0;
   /// Thermal proxy in [0, ~2]: utilization smoothed over heat_tau_s.
   double heat = 0.0;
-  /// Requests already placed on this server during the current period.
-  std::size_t assigned = 0;
 };
 
 class PlacementPolicy {
  public:
   virtual ~PlacementPolicy() = default;
 
-  /// Index of the server that receives the next request. `servers` is
-  /// never empty.
-  [[nodiscard]] virtual std::size_t pick(
-      const std::vector<ServerLoad>& servers) = 0;
+  /// Places `admitted` requests: writes each server's count into `counts`
+  /// (one entry per server). `servers` is never empty.
+  virtual void place(std::span<const ServerLoad> servers,
+                     std::size_t admitted, std::span<std::size_t> counts) = 0;
 
   virtual void reset() {}
 
@@ -49,38 +59,69 @@ class PlacementPolicy {
 
 class RoundRobinPlacement final : public PlacementPolicy {
  public:
-  [[nodiscard]] std::size_t pick(
-      const std::vector<ServerLoad>& servers) override;
+  void place(std::span<const ServerLoad> servers, std::size_t admitted,
+             std::span<std::size_t> counts) override;
   void reset() override { cursor_ = 0; }
   [[nodiscard]] std::string_view name() const noexcept override {
     return "round_robin";
   }
 
  private:
+  /// The server the next request goes to.
   std::size_t cursor_ = 0;
 };
 
-class JoinShortestQueuePlacement final : public PlacementPolicy {
+/// Join the shortest queue among the candidate servers a subclass selects.
+/// Scratch is sized for `servers` at construction, so placing allocates
+/// nothing.
+class ShortestQueuePlacement : public PlacementPolicy {
  public:
-  [[nodiscard]] std::size_t pick(
-      const std::vector<ServerLoad>& servers) override;
+  explicit ShortestQueuePlacement(std::size_t servers);
+
+  void place(std::span<const ServerLoad> servers, std::size_t admitted,
+             std::span<std::size_t> counts) final;
+
+ protected:
+  /// Fills `candidates` (cleared, capacity for every server) with the
+  /// servers that may receive requests this period, in index order.
+  virtual void select(std::span<const ServerLoad> servers,
+                      std::vector<std::size_t>& candidates) const = 0;
+
+ private:
+  std::vector<std::size_t> candidates_;
+  std::vector<double> sorted_backlogs_;
+  /// Min-heap of (queue length, server) for the picks after the bulk.
+  std::vector<std::pair<double, std::size_t>> heads_;
+};
+
+class JoinShortestQueuePlacement final : public ShortestQueuePlacement {
+ public:
+  using ShortestQueuePlacement::ShortestQueuePlacement;
   [[nodiscard]] std::string_view name() const noexcept override {
     return "jsq";
   }
+
+ protected:
+  void select(std::span<const ServerLoad> servers,
+              std::vector<std::size_t>& candidates) const override;
 };
 
-class ThermalAwarePlacement final : public PlacementPolicy {
+class ThermalAwarePlacement final : public ShortestQueuePlacement {
  public:
-  [[nodiscard]] std::size_t pick(
-      const std::vector<ServerLoad>& servers) override;
+  using ShortestQueuePlacement::ShortestQueuePlacement;
   [[nodiscard]] std::string_view name() const noexcept override {
     return "thermal";
   }
+
+ protected:
+  void select(std::span<const ServerLoad> servers,
+              std::vector<std::size_t>& candidates) const override;
 };
 
 /// Factory over the bench `placement=` knob: "round_robin" | "jsq" |
-/// "thermal". Aborts on an unknown name.
+/// "thermal", with scratch for `servers` servers. Aborts on an unknown
+/// name.
 [[nodiscard]] std::unique_ptr<PlacementPolicy> make_placement(
-    std::string_view name);
+    std::string_view name, std::size_t servers);
 
 }  // namespace dcs::serving

@@ -14,11 +14,18 @@
 //    cv^2 = 1). Processor sharing samples a job size S ~ Exp(mu) and
 //    stretches it to T = S / (1 - rho) — PS is insensitive to the size
 //    distribution beyond its mean, so its mean response matches M/M/1.
+//    The mean (M/G/1) or stretch (PS) is worked out once per step; each
+//    request then costs one exponential draw and one histogram slot.
 //  - Fluid overload (backlog pending or rho >= rho_max): deterministic
 //    FIFO fluid dynamics — request i waits for the backlog plus the i
 //    requests ahead of it at rate mu, and the backlog integrates
 //    max(B + arrivals - mu dt, 0). Responses are monotone decreasing in
 //    mu, which is what makes the p99-vs-sprint-budget curves monotone.
+//    The run (B + i + 1) / mu increases with i, so step() adds it to the
+//    histograms a bucket at a time: bisection on that exact expression
+//    finds where each bucket's share ends, and the share enters with its
+//    count, its largest value and a closed-form sum. A run costs
+//    O(log arrivals) per bucket it spans.
 //
 // Sampling consumes a caller-provided Rng (the serving layer forks one per
 // (tick, server)), so a server's latency stream is a pure function of its
@@ -73,7 +80,7 @@ class QueueModel {
 };
 
 /// Shared two-regime skeleton; subclasses provide the stationary response
-/// sampler.
+/// draws.
 class AnalyticQueue : public QueueModel {
  public:
   explicit AnalyticQueue(QueueModelParams params) : params_(params) {}
@@ -84,10 +91,11 @@ class AnalyticQueue : public QueueModel {
   void reset() final { backlog_ = 0.0; }
 
  protected:
-  /// One response-time sample under stationary load (lambda < mu).
-  [[nodiscard]] virtual double stationary_response(double lambda_rps,
-                                                   double mu_rps,
-                                                   Rng& rng) = 0;
+  /// Records `arrivals` response times drawn under stationary load
+  /// (lambda < mu).
+  virtual void observe_stationary(std::size_t arrivals, double lambda_rps,
+                                  double mu_rps, Rng& rng,
+                                  LatencyTracker& latencies) const = 0;
   [[nodiscard]] const QueueModelParams& params() const noexcept {
     return params_;
   }
@@ -106,8 +114,9 @@ class Mg1Queue final : public AnalyticQueue {
   }
 
  protected:
-  [[nodiscard]] double stationary_response(double lambda_rps, double mu_rps,
-                                           Rng& rng) override;
+  void observe_stationary(std::size_t arrivals, double lambda_rps,
+                          double mu_rps, Rng& rng,
+                          LatencyTracker& latencies) const override;
 };
 
 /// Egalitarian processor sharing over the active core set.
@@ -120,8 +129,9 @@ class ProcessorSharingQueue final : public AnalyticQueue {
   }
 
  protected:
-  [[nodiscard]] double stationary_response(double lambda_rps, double mu_rps,
-                                           Rng& rng) override;
+  void observe_stationary(std::size_t arrivals, double lambda_rps,
+                          double mu_rps, Rng& rng,
+                          LatencyTracker& latencies) const override;
 };
 
 /// Factory over the bench `queue_model=` knob: "mg1" | "ps". Aborts on an

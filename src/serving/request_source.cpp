@@ -12,9 +12,9 @@ namespace {
 /// representable; 16 keeps exp(-16) ~ 1.1e-7, far from double underflow.
 constexpr double kChunkMean = 16.0;
 
-std::size_t poisson_chunk(Rng& rng, double mean) noexcept {
-  if (mean <= 0.0) return 0;
-  const double limit = std::exp(-mean);
+/// Knuth's method: the number of uniforms whose running product stays
+/// above `limit` = exp(-mean).
+std::size_t poisson_chunk(Rng& rng, double limit) noexcept {
   std::size_t k = 0;
   double product = 1.0;
   do {
@@ -27,12 +27,14 @@ std::size_t poisson_chunk(Rng& rng, double mean) noexcept {
 }  // namespace
 
 std::size_t poisson_sample(Rng& rng, double mean) noexcept {
+  static const double kChunkLimit = std::exp(-kChunkMean);
   std::size_t total = 0;
   while (mean > kChunkMean) {
-    total += poisson_chunk(rng, kChunkMean);
+    total += poisson_chunk(rng, kChunkLimit);
     mean -= kChunkMean;
   }
-  return total + poisson_chunk(rng, mean);
+  if (mean <= 0.0) return total;
+  return total + poisson_chunk(rng, std::exp(-mean));
 }
 
 RequestSource::RequestSource(RequestSourceParams params)

@@ -10,7 +10,7 @@ namespace dcs::serving {
 ServingLayer::ServingLayer(ServingParams params)
     : params_(std::move(params)),
       source_(RequestSourceParams{params_.peak_rps, params_.seed}),
-      placement_(make_placement(params_.placement)),
+      placement_(make_placement(params_.placement, params_.servers)),
       tracker_(params_.window_ticks),
       base_(Rng(params_.seed).fork(0x5e72f1ceULL)) {
   DCS_REQUIRE(params_.servers > 0, "need at least one server");
@@ -71,13 +71,8 @@ void ServingLayer::tick(Duration now, Duration dt) {
   offered_total_ += offered;
   dropped_total_ += offered - admitted;
 
-  // Placement: policy picks a server per request against the live view.
-  std::fill(per_server_.begin(), per_server_.end(), std::size_t{0});
-  for (std::size_t i = 0; i < admitted; ++i) {
-    const std::size_t server = placement_->pick(loads_);
-    ++loads_[server].assigned;
-    ++per_server_[server];
-  }
+  // Placement: the policy's per-server counts against the live view.
+  placement_->place(loads_, admitted, per_server_);
 
   // Service over the currently active core set, one Rng stream per
   // (tick, server) so the latency sample sequence is reproducible.
@@ -87,7 +82,6 @@ void ServingLayer::tick(Duration now, Duration dt) {
     Rng server_rng = tick_rng.fork(s);
     queues_[s]->step(per_server_[s], mu, dt, server_rng, tracker_);
     loads_[s].backlog = queues_[s]->backlog();
-    loads_[s].assigned = 0;
     // Thermal proxy: utilization (arrival pressure against the server's
     // share of capacity) smoothed over heat_tau_s; saturates during
     // overload so thermal-aware placement steers around hot servers.

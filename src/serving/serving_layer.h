@@ -4,14 +4,19 @@
 // Each control period it (1) draws discrete Poisson arrivals from the
 // demand trace via RequestSource, (2) applies request admission control —
 // arrivals beyond admit_factor x current capacity are dropped, the
-// request-level face of workload/admission — (3) places each admitted
-// request on a server through the PlacementPolicy, (4) advances every
-// server's QueueModel at the service rate implied by the *currently active
-// core set* (capacity degree published by the controller through
-// set_capacity_degree), and (5) folds the sampled response times into a
-// LatencyTracker whose sliding-window p99 feeds the SLO callback (wired to
-// core::SloSprintStrategy::observe_latency by the bench/test layer — core
-// never links against serving).
+// request-level face of workload/admission — (3) splits the admitted
+// requests over the servers through the PlacementPolicy, in one call per
+// period, (4) advances every server's QueueModel at the service rate
+// implied by the *currently active core set* (capacity degree published by
+// the controller through set_capacity_degree), and (5) folds the response
+// times into a LatencyTracker whose sliding-window p99 feeds the SLO
+// callback (wired to core::SloSprintStrategy::observe_latency by the
+// bench/test layer — core never links against serving). Placement costs
+// O(servers log servers) a period and a fluid-overload run O(log arrivals)
+// per latency bucket; only the Poisson arrival draw and stationary
+// response draws grow with the request rate. Scratch is sized at
+// construction, so tick() allocates nothing (bar a recorder's or decision
+// log's own storage).
 //
 // Determinism: arrivals are a pure function of (seed, tick); response
 // sampling uses Rng forks keyed by (tick, server); placement is
@@ -89,8 +94,9 @@ class ServingLayer final : public sim::Component {
   void set_slo_callback(std::function<void(const ServingStats&)> callback);
 
   /// Optional per-tick channels: serving_p50_ms, serving_p99_ms,
-  /// serving_p999_ms, serving_backlog, serving_dropped, serving_admitted.
-  /// Must outlive the run.
+  /// serving_p999_ms, serving_window_p99_ms, serving_backlog,
+  /// serving_dropped, serving_admitted, plus the four error-budget channels
+  /// (see enable_error_budget) when the budget is on. Must outlive the run.
   void set_recorder(sim::Recorder* recorder) noexcept;
 
   /// Optional decision-provenance log: tick() emits admission-clamp /
@@ -115,9 +121,6 @@ class ServingLayer final : public sim::Component {
 
   [[nodiscard]] const LatencyTracker& latency() const noexcept {
     return tracker_;
-  }
-  [[nodiscard]] const std::vector<ServerLoad>& server_loads() const noexcept {
-    return loads_;
   }
   [[nodiscard]] std::size_t offered_total() const noexcept {
     return offered_total_;

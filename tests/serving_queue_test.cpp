@@ -1,14 +1,22 @@
 // Request-level serving layer: Poisson arrival sampling, the log latency
 // histogram, the M/G/1 and processor-sharing queue models against their
-// closed forms, placement policies, admission drops, and the bit-identity
+// closed forms, placement policies, admission drops, the bit-identity
 // contract (same inputs -> same histograms and sweep rows, regardless of
-// thread count).
+// thread count), and the per-tick placement, queue steps and histogram
+// slots against request-by-request oracles.
 #include "serving/serving_layer.h"
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <atomic>
 #include <cmath>
 #include <cstddef>
+#include <cstdint>
+#include <cstdlib>
+#include <limits>
+#include <new>
+#include <numeric>
 #include <stdexcept>
 #include <string>
 #include <vector>
@@ -22,6 +30,24 @@
 #include "serving/request_source.h"
 #include "util/rng.h"
 #include "util/time_series.h"
+
+// Every heap allocation in this test binary is counted, so a test can
+// assert that a stretch of code makes none.
+namespace {
+std::atomic<std::size_t> g_allocations{0};
+}  // namespace
+
+void* operator new(std::size_t size) {
+  g_allocations.fetch_add(1, std::memory_order_relaxed);
+  if (void* p = std::malloc(size == 0 ? 1 : size)) return p;
+  throw std::bad_alloc();
+}
+// Out of line, so the compiler does not pair the inlined free() with a
+// new-expression and warn of a mismatch.
+[[gnu::noinline]] void operator delete(void* p) noexcept { std::free(p); }
+[[gnu::noinline]] void operator delete(void* p, std::size_t) noexcept {
+  std::free(p);
+}
 
 namespace dcs::serving {
 namespace {
@@ -46,6 +72,31 @@ TEST(ServingPoisson, SamplerMatchesMeanAndVariance) {
     // Poisson: mean == variance == lambda. 5 sigma-ish tolerances.
     EXPECT_NEAR(sample_mean, mean, 5.0 * std::sqrt(mean / n)) << mean;
     EXPECT_NEAR(sample_var, mean, 0.1 * mean + 1.0) << mean;
+  }
+}
+
+TEST(ServingPoisson, DrawsArePinned) {
+  // Golden draws: 10^4 samples at each mean from a fixed seed, summed and
+  // FNV-1a hashed in draw order. Any change to the sampler's arithmetic
+  // (chunking, the exp(-mean) limits, the uniform stream) moves them.
+  struct Golden {
+    double mean;
+    std::uint64_t sum;
+    std::uint64_t hash;
+  };
+  for (const Golden& g : {Golden{3.0, 30341, 0x8fcdf9c0275bda22ULL},
+                          Golden{40.0, 400949, 0x27465b51cc9298a2ULL},
+                          Golden{400.0, 4002685, 0xac9ccd8d0ade55c6ULL}}) {
+    Rng rng(20151);
+    std::uint64_t sum = 0;
+    std::uint64_t hash = 0xcbf29ce484222325ULL;
+    for (int i = 0; i < 10000; ++i) {
+      const std::uint64_t k = poisson_sample(rng, g.mean);
+      sum += k;
+      hash = (hash ^ k) * 0x100000001b3ULL;
+    }
+    EXPECT_EQ(sum, g.sum) << g.mean;
+    EXPECT_EQ(hash, g.hash) << g.mean;
   }
 }
 
@@ -219,32 +270,321 @@ TEST(ServingQueue, FactoryValidatesNamesAndParams) {
 }
 
 TEST(ServingPlacement, PoliciesPickDeterministically) {
-  const auto loads = [](std::initializer_list<ServerLoad> l) {
-    return std::vector<ServerLoad>(l);
+  // Placing one request names the server the policy picks.
+  const auto pick = [](PlacementPolicy& policy,
+                       std::vector<ServerLoad> loads) {
+    std::vector<std::size_t> counts(loads.size());
+    policy.place(loads, 1, counts);
+    EXPECT_EQ(std::accumulate(counts.begin(), counts.end(), std::size_t{0}),
+              1u);
+    return static_cast<std::size_t>(
+        std::max_element(counts.begin(), counts.end()) - counts.begin());
   };
 
   RoundRobinPlacement rr;
-  const auto three = loads({{0, 0, 0}, {0, 0, 0}, {0, 0, 0}});
-  EXPECT_EQ(rr.pick(three), 0u);
-  EXPECT_EQ(rr.pick(three), 1u);
-  EXPECT_EQ(rr.pick(three), 2u);
-  EXPECT_EQ(rr.pick(three), 0u);
+  const std::vector<ServerLoad> three(3);
+  EXPECT_EQ(pick(rr, three), 0u);
+  EXPECT_EQ(pick(rr, three), 1u);
+  EXPECT_EQ(pick(rr, three), 2u);
+  EXPECT_EQ(pick(rr, three), 0u);
   rr.reset();
-  EXPECT_EQ(rr.pick(three), 0u);
+  EXPECT_EQ(pick(rr, three), 0u);
 
-  JoinShortestQueuePlacement jsq;
-  EXPECT_EQ(jsq.pick(loads({{2.0, 0, 0}, {0.0, 0, 0}, {1.0, 0, 0}})), 1u);
-  // Requests already assigned this period count toward the queue.
-  EXPECT_EQ(jsq.pick(loads({{0.0, 0, 1}, {0.0, 0, 0}})), 1u);
-  EXPECT_EQ(jsq.pick(loads({{1.0, 0, 0}, {1.0, 0, 0}})), 0u);  // tie: lowest
+  JoinShortestQueuePlacement jsq(3);
+  EXPECT_EQ(pick(jsq, {{2.0, 0}, {0.0, 0}, {1.0, 0}}), 1u);
+  EXPECT_EQ(pick(jsq, {{1.0, 0}, {1.0, 0}}), 0u);  // tie: lowest
+  // Requests placed earlier in the period count toward the queue: the
+  // second request sees 1 at server 0 against 0.5 at server 1.
+  std::vector<std::size_t> counts(2);
+  jsq.place(std::vector<ServerLoad>{{0.0, 0}, {0.5, 0}}, 2, counts);
+  EXPECT_EQ(counts, (std::vector<std::size_t>{1, 1}));
 
-  ThermalAwarePlacement thermal;
-  EXPECT_EQ(thermal.pick(loads({{0.0, 0.5, 0}, {9.0, 0.1, 0}})), 1u);
+  ThermalAwarePlacement thermal(2);
+  EXPECT_EQ(pick(thermal, {{0.0, 0.5}, {9.0, 0.1}}), 1u);
   // Equal heat: fall back to the shorter queue.
-  EXPECT_EQ(thermal.pick(loads({{5.0, 0.1, 0}, {1.0, 0.1, 0}})), 1u);
+  EXPECT_EQ(pick(thermal, {{5.0, 0.1}, {1.0, 0.1}}), 1u);
 
-  EXPECT_THROW((void)make_placement("random"), std::invalid_argument);
-  EXPECT_EQ(make_placement("thermal")->name(), "thermal");
+  EXPECT_THROW((void)make_placement("random", 1), std::invalid_argument);
+  EXPECT_EQ(make_placement("thermal", 1)->name(), "thermal");
+}
+
+// ---------------------------------------------------------------------------
+// Per-request oracles. The serving layer places, draws and buckets a whole
+// period at once; these request-by-request loops define what it must
+// reproduce: the same counts, backlogs, bucket counts and maxima, and sums
+// within rounding.
+
+/// A sample's histogram slot by the defining log10 formula.
+std::size_t formula_slot(double seconds) {
+  using H = LatencyHistogram;
+  if (!(seconds >= 0.0)) seconds = 0.0;
+  if (seconds < H::kMinSeconds) return 0;
+  if (seconds >= H::kMaxSeconds) return H::kSlots - 1;
+  const double pos = std::log10(seconds / H::kMinSeconds) *
+                     static_cast<double>(H::kPerDecade);
+  const auto index = static_cast<std::size_t>(std::max(pos, 0.0));
+  return 1 + std::min(index, H::kBuckets - 1);
+}
+
+/// A histogram filled one formula_slot() per sample.
+struct OracleHistogram {
+  std::vector<std::size_t> counts =
+      std::vector<std::size_t>(LatencyHistogram::kSlots);
+  std::size_t count = 0;
+  double sum = 0.0;
+  double max = 0.0;
+
+  void observe(double seconds) {
+    if (!(seconds >= 0.0)) seconds = 0.0;
+    ++counts[formula_slot(seconds)];
+    ++count;
+    sum += seconds;
+    max = std::max(max, seconds);
+  }
+};
+
+void expect_histogram_matches(const LatencyHistogram& got,
+                              const OracleHistogram& want,
+                              const std::string& where) {
+  EXPECT_EQ(got.bucket_counts(), want.counts) << where;
+  EXPECT_EQ(got.count(), want.count) << where;
+  EXPECT_EQ(got.max_seconds(), want.max) << where;
+  EXPECT_NEAR(got.sum_seconds(), want.sum, 1e-12 * want.sum) << where;
+}
+
+/// One queue step, one response time per request.
+struct OracleQueue {
+  bool processor_sharing = false;
+  QueueModelParams params;
+  double backlog = 0.0;
+
+  void step(std::size_t arrivals, double mu, Duration dt, Rng& rng,
+            OracleHistogram& latencies) {
+    if (mu <= 0.0) {
+      backlog += static_cast<double>(arrivals);
+      for (std::size_t i = 0; i < arrivals; ++i) {
+        latencies.observe(LatencyHistogram::kMaxSeconds);
+      }
+      return;
+    }
+    const double lambda = static_cast<double>(arrivals) / dt.sec();
+    const double rho = lambda / mu;
+    if (backlog <= 0.0 && rho < params.rho_max) {
+      for (std::size_t i = 0; i < arrivals; ++i) {
+        latencies.observe(
+            processor_sharing
+                ? rng.exponential(mu) / (1.0 - lambda / mu)
+                : rng.exponential(
+                      1.0 / mg1_mean_response_s(lambda, mu, params.cv2)));
+      }
+      return;
+    }
+    for (std::size_t i = 0; i < arrivals; ++i) {
+      latencies.observe((backlog + static_cast<double>(i) + 1.0) / mu);
+    }
+    backlog = std::max(backlog + static_cast<double>(arrivals) - mu * dt.sec(),
+                       0.0);
+  }
+};
+
+bool same_double(double a, double b) {
+  return a == b || (std::isnan(a) && std::isnan(b));
+}
+
+/// Steps `model` and the oracle through the same (arrivals, mu) periods;
+/// the backlogs must agree after every period.
+void expect_queue_matches_oracle(
+    const std::string& model, QueueModelParams params,
+    const std::vector<std::pair<std::size_t, double>>& periods,
+    const std::string& where) {
+  const auto queue = make_queue_model(model, params);
+  OracleQueue oracle{model == "ps", params};
+  LatencyTracker tracker;
+  OracleHistogram want;
+  const Rng base(0x0dac1e);
+  const Duration dt = Duration::seconds(1);
+  for (std::size_t k = 0; k < periods.size(); ++k) {
+    const auto [arrivals, mu] = periods[k];
+    Rng a = base.fork(k);
+    Rng b = base.fork(k);
+    queue->step(arrivals, mu, dt, a, tracker);
+    oracle.step(arrivals, mu, dt, b, want);
+    ASSERT_TRUE(same_double(queue->backlog(), oracle.backlog))
+        << where << " period " << k << ": " << queue->backlog() << " vs "
+        << oracle.backlog;
+    tracker.end_tick();
+  }
+  expect_histogram_matches(tracker.total(), want, where);
+}
+
+TEST(ServingOracle, QueueStepsMatchPerRequestLoop) {
+  for (const char* model : {"mg1", "ps"}) {
+    for (const double cv2 : {1.0, 0.0, 4.0}) {
+      const QueueModelParams params{cv2, 0.95};
+      const std::string where = std::string(model) + " cv2 " +
+                                std::to_string(cv2);
+      // Stationary: light load, every response a draw.
+      expect_queue_matches_oracle(
+          model, params,
+          std::vector<std::pair<std::size_t, double>>(200, {50, 100.0}),
+          where + " stationary");
+      // mu = 0 pends everything at the top bucket; the backlog then drains.
+      expect_queue_matches_oracle(
+          model, params, {{5, 0.0}, {0, 0.0}, {7, 0.0}, {3, 4.0}, {0, 4.0},
+                          {2, 100.0}},
+          where + " mu = 0");
+      // A NaN rate makes every fluid value NaN, which reads as 0 s.
+      expect_queue_matches_oracle(model, params, {{40, std::nan("")}},
+                                  where + " NaN mu");
+    }
+    // One fluid run from underflow ((0 + 1) / mu < 100 us) through every
+    // bucket into overflow (n / mu > 1000 s).
+    expect_queue_matches_oracle(model, {}, {{12'500'000, 12'000.0}},
+                                std::string(model) +
+                                    " underflow-to-overflow run");
+    // A random walk through both regimes: light and heavy load, rates from
+    // 0.01 to 1e5 requests/s, shed servers and idle periods.
+    Rng rng(71);
+    std::vector<std::pair<std::size_t, double>> periods;
+    for (int k = 0; k < 400; ++k) {
+      const double mu = rng.uniform() < 0.05
+                            ? 0.0
+                            : std::pow(10.0, rng.uniform(-2.0, 5.0));
+      const double load = rng.uniform() < 0.1 ? 0.0 : rng.uniform(0.0, 3.0);
+      periods.emplace_back(
+          static_cast<std::size_t>(std::min(load * mu, 50'000.0)), mu);
+    }
+    expect_queue_matches_oracle(model, {1.0, 0.95}, periods,
+                                std::string(model) + " random walk");
+  }
+}
+
+/// One pick per request against the live queue lengths (backlog plus the
+/// requests already placed this period).
+struct OraclePlacement {
+  std::string policy;
+  std::size_t cursor = 0;
+
+  std::vector<std::size_t> place(const std::vector<ServerLoad>& servers,
+                                 std::size_t admitted) {
+    std::vector<std::size_t> counts(servers.size());
+    const auto length = [&](std::size_t i) {
+      return servers[i].backlog + static_cast<double>(counts[i]);
+    };
+    for (std::size_t r = 0; r < admitted; ++r) {
+      std::size_t best = 0;
+      if (policy == "round_robin") {
+        best = cursor % servers.size();
+        cursor = (cursor + 1) % servers.size();
+      } else {
+        const bool thermal = policy == "thermal";
+        for (std::size_t i = 1; i < servers.size(); ++i) {
+          const bool cooler = thermal && servers[i].heat < servers[best].heat;
+          const bool as_cool =
+              !thermal || servers[i].heat == servers[best].heat;
+          if (cooler || (as_cool && length(i) < length(best))) best = i;
+        }
+      }
+      ++counts[best];
+    }
+    return counts;
+  }
+};
+
+/// Seeded server views: `kind` picks the backlog and heat pattern.
+std::vector<ServerLoad> random_loads(const std::string& kind,
+                                     std::size_t servers, Rng& rng) {
+  const double inf = std::numeric_limits<double>::infinity();
+  std::vector<ServerLoad> loads(servers);
+  for (ServerLoad& load : loads) {
+    const auto pick = [&rng](std::initializer_list<double> values) {
+      return values.begin()[rng.uniform_index(values.size())];
+    };
+    if (kind == "zero") continue;
+    if (kind == "tied") {
+      load = {pick({0.0, 1.0, 2.0, 2.5}), pick({0.5, 1.0})};
+    } else if (kind == "fractional") {
+      load = {rng.uniform() < 0.25 ? 0.0 : rng.uniform(0.0, 40.0),
+              pick({0.5, 1.0, 1.5})};
+    } else if (kind == "spread") {
+      load = {std::exp(rng.uniform(0.0, 14.0)) - 1.0, rng.uniform(0.0, 2.0)};
+    } else if (kind == "huge") {
+      const double base = std::ldexp(1.0, 40);
+      load = {pick({base, base + rng.uniform(0.0, 64.0),
+                    std::ldexp(1.0, 41) - 0.5, std::ldexp(1.0, 47) + 0.25}),
+              rng.uniform(0.0, 2.0)};
+    } else if (kind == "level") {
+      // Servers a few requests apart at 2^49: at 512 servers the water
+      // level's rounding costs more than a request per server, the bulk
+      // would overshoot and the rule places every request.
+      const double quarters = std::floor(rng.uniform(0.0, 128.0));
+      load = {std::ldexp(1.0, 49) + quarters / 4.0, 1.0};
+    } else if (kind == "enormous") {
+      // From 2^53 up, adding a request can round the queue length back
+      // down: lengths plateau and ties pile up.
+      load = {pick({std::ldexp(1.0, 53) + 2.0, std::ldexp(1.0, 60),
+                    std::ldexp(1.0, 60) + 256.0, std::ldexp(1.0, 61)}),
+              pick({0.5, 1.0})};
+    } else if (kind == "nonfinite") {
+      load = {pick({std::nan(""), inf, 0.0, 3.5, rng.uniform(0.0, 10.0)}),
+              rng.uniform() < 0.1 ? std::nan("") : pick({0.5, 1.0})};
+    }
+  }
+  return loads;
+}
+
+TEST(ServingOracle, PlacementMatchesPerRequestPicks) {
+  for (const char* policy : {"round_robin", "jsq", "thermal"}) {
+    for (const std::size_t servers : {1u, 3u, 8u, 512u}) {
+      for (const char* kind : {"zero", "tied", "fractional", "spread", "huge",
+                               "level", "enormous", "nonfinite"}) {
+        const auto placement = make_placement(policy, servers);
+        OraclePlacement oracle{policy};
+        Rng rng(servers * 1009 + std::string_view(kind).size());
+        std::vector<std::size_t> counts(servers);
+        // Consecutive periods share the round-robin cursor.
+        for (const std::size_t admitted :
+             {std::size_t{0}, std::size_t{1}, servers - 1, servers,
+              10 * servers + 3, std::size_t{5000}, std::size_t{1}}) {
+          const std::vector<ServerLoad> loads =
+              random_loads(kind, servers, rng);
+          placement->place(loads, admitted, counts);
+          EXPECT_EQ(counts, oracle.place(loads, admitted))
+              << policy << " " << servers << " servers, " << kind << ", "
+              << admitted << " admitted";
+        }
+      }
+    }
+  }
+}
+
+TEST(ServingOracle, TableSlotsMatchLog10Formula) {
+  using H = LatencyHistogram;
+  const double inf = std::numeric_limits<double>::infinity();
+  // Every bucket edge, 4 ulps either side.
+  for (std::size_t k = 0; k <= H::kBuckets; ++k) {
+    double x = H::kMinSeconds *
+               std::pow(10.0, static_cast<double>(k) /
+                                  static_cast<double>(H::kPerDecade));
+    for (int i = 0; i < 4; ++i) x = std::nextafter(x, 0.0);
+    for (int i = 0; i <= 8; ++i, x = std::nextafter(x, inf)) {
+      EXPECT_EQ(H::slot(x), formula_slot(x)) << "edge " << k << " step " << i;
+    }
+  }
+  // 10^6 log-uniform samples from underflow to overflow.
+  Rng rng(1406);
+  std::size_t mismatches = 0;
+  for (int i = 0; i < 1'000'000; ++i) {
+    const double x = std::pow(10.0, rng.uniform(-5.0, 4.0));
+    mismatches += H::slot(x) != formula_slot(x) ? 1 : 0;
+  }
+  EXPECT_EQ(mismatches, 0u);
+  for (const double x : {std::nan(""), -1.0, -0.0, 0.0, 5e-324,
+                         H::kMinSeconds, H::kMaxSeconds, inf, -inf}) {
+    EXPECT_EQ(H::slot(x), formula_slot(x)) << x;
+  }
+  EXPECT_EQ(H::slot(H::kMinSeconds), 1u);
+  EXPECT_EQ(H::slot(H::kMaxSeconds), H::kSlots - 1);
 }
 
 /// A short overloaded demand trace for the layer-level tests.
@@ -318,6 +658,36 @@ TEST(ServingLayer, HistogramsAreBitIdenticalAcrossRuns) {
           << model << "/" << placement;
       EXPECT_EQ(a.offered_total(), b.offered_total());
       EXPECT_EQ(a.dropped_total(), b.dropped_total());
+    }
+  }
+}
+
+TEST(ServingLayer, TickAllocatesNothing) {
+  // Scratch is sized at construction: ticking through stationary, fluid
+  // and shed (degree 0) periods allocates nothing, whatever the policy.
+  const TimeSeries trace = burst_trace();
+  for (const char* model : {"mg1", "ps"}) {
+    for (const char* placement : {"round_robin", "jsq", "thermal"}) {
+      for (const std::size_t servers : {1u, 8u, 512u}) {
+        ServingParams params;
+        params.demand = &trace;
+        params.queue_model = model;
+        params.placement = placement;
+        params.servers = servers;
+        params.peak_rps = 4000.0;
+        ServingLayer layer(params);
+        const Duration dt = Duration::seconds(1);
+        const std::size_t before = g_allocations.load();
+        int tick = 0;
+        for (Duration now = Duration::zero(); now < trace.end_time();
+             now += dt, ++tick) {
+          layer.set_capacity_degree(tick % 50 < 5 ? 0.0 : 1.2);
+          layer.tick(now, dt);
+        }
+        EXPECT_EQ(g_allocations.load() - before, 0u)
+            << model << "/" << placement << " x" << servers;
+        EXPECT_GT(layer.backlog_total(), 0.0);
+      }
     }
   }
 }
