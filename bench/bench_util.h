@@ -37,8 +37,8 @@ namespace dcs::bench {
 /// Keys every bench understands: the shared data-center knobs plus the
 /// sweep-runner knobs (threads=<n>, csv=<dir>, perf=<dir>, checkpoint=<dir>
 /// for crash-safe resume files, shard=<i>/<N> to run one contiguous slice
-/// of every grid) and the observability knobs (trace=<dir> for Chrome
-/// trace JSON + JSONL, sink=buffer|stream to pick the in-memory Tracer or
+/// of every grid) and the observability knobs (trace=<dir> for the JSONL
+/// and Perfetto traces, sink=buffer|stream to pick the in-memory Tracer or
 /// the bounded-memory streaming sinks, metrics=<dir> for CSV/JSON/
 /// Prometheus snapshots, telemetry=<path> for the worker telemetry stream
 /// a supervising dispatcher tails and merges — see obs/telemetry.h).
@@ -166,8 +166,8 @@ inline std::atomic<int>& shutdown_signal() {
 namespace detail {
 inline void drain_signal_handler(int sig) {
   // Async-signal-safe: lock-free atomic stores only. The actual flushing
-  // already happened — checkpoint rows and JSONL trace lines are flushed as
-  // written, and the Chrome stream sink keeps its file complete per batch.
+  // already happened — checkpoint rows are flushed as written, and the
+  // stream sinks only ever write whole lines and packets.
   if (shutdown_requested().exchange(true)) ::_exit(128 + sig);
   shutdown_signal().store(sig);
 }
@@ -298,13 +298,12 @@ inline void obs_setup(const Config& args) {
 }
 
 /// Streaming trace sinks for one bench (sink=stream under trace=<dir>):
-/// the merged event stream tees into `<dir>/<name>_trace.json` (Chrome,
-/// crash-safe), `<dir>/<name>_trace.jsonl` and the Perfetto protobuf
-/// stream `<dir>/<name>_trace.perfetto` (trace_processor-queryable) with
-/// bounded memory; an open telemetry stream joins the tee so its events
-/// flow live. Default (sink=buffer) keeps the in-memory Tracer path.
+/// the merged event stream tees into `<dir>/<name>_trace.jsonl` and the
+/// Perfetto protobuf stream `<dir>/<name>_trace.perfetto` with bounded
+/// memory; an open telemetry stream joins the tee so its events flow live.
+/// Default (sink=buffer) keeps the in-memory Tracer path, whose
+/// maybe_export_obs writes the same two files.
 struct StreamTraceSinks {
-  std::unique_ptr<obs::ChromeStreamSink> chrome;
   std::unique_ptr<obs::JsonlStreamSink> jsonl;
   std::unique_ptr<obs::PerfettoStreamSink> perfetto;
   std::unique_ptr<obs::TeeSink> tee;
@@ -317,8 +316,7 @@ struct StreamTraceSinks {
     tee->finalize();
     if (diag != nullptr) {
       for (const obs::FileStreamSink* s :
-           {static_cast<const obs::FileStreamSink*>(chrome.get()),
-            static_cast<const obs::FileStreamSink*>(jsonl.get()),
+           {static_cast<const obs::FileStreamSink*>(jsonl.get()),
             static_cast<const obs::FileStreamSink*>(perfetto.get())}) {
         if (s->ok()) {
           *diag << "[obs] streamed " << s->events_written() << " events to "
@@ -344,13 +342,11 @@ inline StreamTraceSinks maybe_stream_sinks(const Config& args,
   }
   const std::string trace_dir = args.get_string("trace", "");
   if (mode != "stream" || trace_dir.empty()) return sinks;
-  sinks.chrome = std::make_unique<obs::ChromeStreamSink>(
-      trace_dir + "/" + name + "_trace.json");
   sinks.jsonl = std::make_unique<obs::JsonlStreamSink>(
       trace_dir + "/" + name + "_trace.jsonl");
   sinks.perfetto = std::make_unique<obs::PerfettoStreamSink>(
       trace_dir + "/" + name + "_trace.perfetto");
-  std::vector<obs::TraceSink*> children{sinks.chrome.get(), sinks.jsonl.get(),
+  std::vector<obs::TraceSink*> children{sinks.jsonl.get(),
                                         sinks.perfetto.get()};
   if (obs::TelemetrySink* telemetry = telemetry_sink();
       telemetry != nullptr) {
@@ -361,9 +357,9 @@ inline StreamTraceSinks maybe_stream_sinks(const Config& args,
 }
 
 /// Observability export glue: under trace=<dir>, folds the profiler's
-/// wall-clock scopes into `tracer` and writes `<name>_trace.json` (Chrome
-/// trace-event format, Perfetto-loadable) plus `<name>_trace.jsonl`; under
-/// metrics=<dir>, writes `<name>_metrics.{csv,json,prom}`. Null arguments
+/// wall-clock scopes into `tracer` and writes `<name>_trace.jsonl` plus
+/// `<name>_trace.perfetto` (obs::export_trace); under metrics=<dir>,
+/// writes `<name>_metrics.{csv,json,prom}`. Null arguments
 /// skip the matching export. For a streaming Tracer (attached sink) the
 /// wall spans are forwarded to the sink and `stream` is finalized instead
 /// of rewriting the files from memory.
@@ -401,12 +397,7 @@ inline void telemetry_finish(const Config& args, obs::Tracer* tracer = nullptr,
       // telemetry= without trace=: nothing collected the profiler yet.
       obs::export_to(*tracer, obs::Profiler::instance().collect());
     }
-    for (const auto& [key, name] : tracer->lane_names()) {
-      telemetry->write_lane_name(key.first, key.second, name);
-    }
-    for (const obs::TraceEvent& event : tracer->events()) {
-      telemetry->write(event);
-    }
+    tracer->replay(*telemetry);
   }
   if (metrics != nullptr) telemetry->write_metrics(*metrics);
   const obs::FoldedStacks folded = obs::Sampler::instance().folded();

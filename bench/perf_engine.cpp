@@ -2,8 +2,9 @@
 // inner loops — breaker thermal stepping, fleet operating-point solving,
 // one controller step on the MS trace's noisy demand, the fixed cost of a
 // run (plant build, controller construction, one step), a full 30-minute
-// experiment run, the serial vs parallel oracle search on the src/exp
-// runner, and the request-level serving layer's ticks over fig12's burst.
+// experiment run, the same run with every observability layer on, the
+// serial vs parallel oracle search on the src/exp runner, and the
+// request-level serving layer's ticks over fig12's burst.
 // The PDU-count arguments show what the paper's 909-PDU facility costs
 // next to a small one.
 //
@@ -12,12 +13,16 @@
 // so the repo accumulates a perf trajectory across commits.
 #include <benchmark/benchmark.h>
 
+#include <unistd.h>
+
 #include <algorithm>
 #include <cstdint>
 #include <cstring>
+#include <filesystem>
 #include <string>
 #include <vector>
 
+#include "bench_util.h"
 #include "compute/fleet.h"
 #include "core/datacenter.h"
 #include "core/oracle.h"
@@ -130,6 +135,47 @@ void BM_FullMsRun(benchmark::State& state) {
 // 909-PDU run should cost about what a 2-PDU run does; this arg locks that
 // into the baseline.
 BENCHMARK(BM_FullMsRun)->Arg(2)->Arg(8)->Arg(909)->Unit(benchmark::kMillisecond);
+
+void BM_TracedRun(benchmark::State& state) {
+  // BM_FullMsRun as a traced bench runs it: the recorder, a tracer and the
+  // decision log on, the default counter channels exported as change-only
+  // tracks after the run, and the stream sinks (JSONL + Perfetto) writing
+  // into a scratch directory that each iteration removes. Items are trace
+  // events.
+  core::DataCenterConfig config;
+  config.fleet.pdu_count = static_cast<std::size_t>(state.range(0));
+  core::DataCenter dc(config);
+  const TimeSeries trace = workload::generate_ms_trace();
+  core::GreedyStrategy greedy;
+  const std::filesystem::path dir =
+      std::filesystem::temp_directory_path() /
+      ("perf_engine_traced_run-" + std::to_string(::getpid()));
+  Config args;
+  args.set("trace", dir.string());
+  args.set("sink", "stream");
+  obs::CounterExportOptions counters;
+  counters.channels = bench::kDefaultCounterChannels;
+  std::int64_t events = 0;
+  for (auto _ : state) {
+    std::filesystem::create_directories(dir);
+    bench::StreamTraceSinks stream = bench::maybe_stream_sinks(args, "run");
+    obs::Tracer tracer(stream.sink());
+    tracer.name_lane(obs::Domain::kSim, 0, "greedy/ms");
+    obs::DecisionLog decisions(&tracer);
+    core::RunOptions opts;
+    opts.record = true;
+    opts.tracer = &tracer;
+    opts.decisions = &decisions;
+    const core::RunResult run = dc.run(trace, &greedy, opts);
+    benchmark::DoNotOptimize(run.performance_factor);
+    obs::export_counters(run.recorder, tracer, counters);
+    stream.finalize();
+    events += static_cast<std::int64_t>(tracer.count(obs::Domain::kSim));
+    std::filesystem::remove_all(dir);
+  }
+  state.SetItemsProcessed(events);
+}
+BENCHMARK(BM_TracedRun)->Arg(909)->Unit(benchmark::kMillisecond);
 
 void BM_OracleSearch(benchmark::State& state) {
   // Args = {worker threads for the candidate sweep, PDUs}: the serial vs

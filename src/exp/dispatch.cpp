@@ -730,7 +730,6 @@ std::string dispatch_report_json(const DispatchReport& report) {
         << ", \"events\": " << t.events << ", \"stacks\": " << t.stacks
         << ", \"base_epoch_unix_us\": " << t.base_epoch_unix_us
         << ", \"jsonl\": " << json_escape(t.jsonl_path)
-        << ", \"chrome\": " << json_escape(t.chrome_path)
         << ", \"perfetto\": " << json_escape(t.perfetto_path)
         << ", \"stacks_path\": " << json_escape(t.stacks_path);
     if (!t.error.empty()) out << ", \"error\": " << json_escape(t.error);

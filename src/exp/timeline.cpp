@@ -114,56 +114,30 @@ std::string render_args(const json::Value& args) {
   return out;
 }
 
-/// Streaming Chrome trace-event document with per-source pids (the shared
-/// detail::write_event_json hardcodes the single-process pid scheme).
-class ChromeDoc {
- public:
-  explicit ChromeDoc(const std::string& path) : out_(path, std::ios::trunc) {
-    out_ << "{\"displayTimeUnit\": \"ms\", \"traceEvents\": [\n";
-  }
-
-  [[nodiscard]] bool ok() const { return static_cast<bool>(out_); }
-
-  std::ostream& element() {
-    out_ << (first_ ? "  " : ",\n  ");
-    first_ = false;
-    return out_;
-  }
-
-  void finish() {
-    out_ << "\n]}\n";
-    out_.flush();
-  }
-
-  std::ofstream out_;
-
- private:
-  bool first_ = true;
-};
-
 constexpr std::uint64_t to_ns(double ts_us) {
   return ts_us <= 0.0 ? 0 : static_cast<std::uint64_t>(ts_us * 1e3);
 }
 
-/// The merge driver: owns the three output writers and the per-source
-/// track bookkeeping.
+/// Perfetto packets accumulate in a buffer that is written out in chunks
+/// of this size.
+constexpr std::size_t kPerfettoChunkBytes = std::size_t{1} << 20;
+
+/// The merge itself: owns the two output writers and the per-source track
+/// bookkeeping.
 class Merger {
  public:
   Merger(const std::string& out_dir, TimelineSummary* summary)
       : summary_(summary),
         jsonl_(out_dir + "/timeline.jsonl", std::ios::trunc),
-        chrome_(out_dir + "/timeline_trace.json"),
         perfetto_stream_(out_dir + "/timeline.perfetto",
                          std::ios::trunc | std::ios::binary),
-        perfetto_(perfetto_stream_) {
+        perfetto_(perfetto_buf_) {
     summary->jsonl_path = out_dir + "/timeline.jsonl";
-    summary->chrome_path = out_dir + "/timeline_trace.json";
     summary->perfetto_path = out_dir + "/timeline.perfetto";
   }
 
   [[nodiscard]] bool ok() const {
-    return static_cast<bool>(jsonl_) && chrome_.ok() &&
-           static_cast<bool>(perfetto_stream_);
+    return static_cast<bool>(jsonl_) && static_cast<bool>(perfetto_stream_);
   }
 
   void begin(std::size_t sources, std::int64_t base_epoch) {
@@ -188,6 +162,7 @@ class Merger {
   }
 
   void consume_line(std::string_view line) {
+    if (perfetto_buf_.size() >= kPerfettoChunkBytes) write_perfetto();
     json::Value v;
     try {
       v = json::parse(line);
@@ -216,34 +191,28 @@ class Merger {
   }
 
   void finish() {
-    chrome_.finish();
+    write_perfetto();
     perfetto_stream_.flush();
     jsonl_.flush();
   }
 
   [[nodiscard]] bool outputs_ok() const {
-    return static_cast<bool>(jsonl_) && chrome_.ok() &&
-           static_cast<bool>(perfetto_stream_);
+    return static_cast<bool>(jsonl_) && static_cast<bool>(perfetto_stream_);
   }
 
  private:
-  // Chrome pid per (source, domain): sources land at 10, 12, 14, ... (sim)
-  // and 11, 13, 15, ... (wall) — disjoint from the single-process 1/2
-  // scheme so nothing collides when traces are concatenated by hand.
-  [[nodiscard]] int chrome_pid(obs::Domain domain) const {
-    return 10 + 2 * static_cast<int>(sidx_) +
-           (domain == obs::Domain::kWall ? 1 : 0);
+  void write_perfetto() {
+    perfetto_stream_.write(perfetto_buf_.data(),
+                           static_cast<std::streamsize>(perfetto_buf_.size()));
+    perfetto_buf_.clear();
   }
 
-  void ensure_chrome_process(obs::Domain domain) {
-    const auto key = std::make_pair(sidx_, domain);
-    if (!chrome_procs_.insert(std::make_pair(key, true)).second) return;
-    chrome_.element() << "{\"ph\": \"M\", \"pid\": " << chrome_pid(domain)
-                      << ", \"name\": \"process_name\", \"args\": {\"name\": "
-                      << obs::detail::render_string(
-                             src_ + "/" +
-                             std::string(obs::to_string(domain)))
-                      << "}}";
+  // Perfetto pid per (source, domain): sources land at 10, 12, 14, ...
+  // (sim) and 11, 13, 15, ... (wall) — disjoint from the single-process 1/2
+  // scheme of the bench traces.
+  [[nodiscard]] int source_pid(obs::Domain domain) const {
+    return 10 + 2 * static_cast<int>(sidx_) +
+           (domain == obs::Domain::kWall ? 1 : 0);
   }
 
   std::uint64_t perfetto_process(obs::Domain domain) {
@@ -251,7 +220,7 @@ class Merger {
     const auto it = perfetto_procs_.find(key);
     if (it != perfetto_procs_.end()) return it->second;
     const std::uint64_t uuid = perfetto_.add_process(
-        chrome_pid(domain), src_ + "/" + std::string(obs::to_string(domain)));
+        source_pid(domain), src_ + "/" + std::string(obs::to_string(domain)));
     perfetto_procs_.emplace(key, uuid);
     return uuid;
   }
@@ -266,7 +235,7 @@ class Merger {
                                  ? named->second
                                  : "lane-" + std::to_string(lane);
     const std::uint64_t uuid = perfetto_.add_thread(
-        chrome_pid(domain), static_cast<std::int32_t>(lane), name);
+        source_pid(domain), static_cast<std::int32_t>(lane), name);
     perfetto_lanes_.emplace(key, uuid);
     return uuid;
   }
@@ -291,15 +260,10 @@ class Merger {
            << ",\"domain\":\"" << obs::to_string(domain)
            << "\",\"lane\":" << lane
            << ",\"name\":" << obs::detail::render_string(name) << "}\n";
-    ensure_chrome_process(domain);
-    chrome_.element() << "{\"ph\": \"M\", \"pid\": " << chrome_pid(domain)
-                      << ", \"tid\": " << lane
-                      << ", \"name\": \"thread_name\", \"args\": {\"name\": "
-                      << obs::detail::render_string(name) << "}}";
     const auto key = std::make_tuple(sidx_, domain, lane);
     const auto it = perfetto_lanes_.find(key);
     if (it != perfetto_lanes_.end()) {
-      perfetto_.redeclare_thread(it->second, chrome_pid(domain),
+      perfetto_.redeclare_thread(it->second, source_pid(domain),
                                  static_cast<std::int32_t>(lane), name);
     }
     lane_names_.insert_or_assign(key, name);
@@ -336,20 +300,6 @@ class Merger {
       jsonl_ << ",\"args\":" << render_args(*args);
     }
     jsonl_ << "}\n";
-
-    ensure_chrome_process(domain);
-    std::ostream& out = chrome_.element();
-    out << "{\"ph\": \"" << phase
-        << "\", \"ts\": " << json::number_to_string(ts);
-    if (phase == 'X') out << ", \"dur\": " << json::number_to_string(dur);
-    out << ", \"pid\": " << chrome_pid(domain) << ", \"tid\": " << lane
-        << ", \"cat\": " << obs::detail::render_string(cat)
-        << ", \"name\": " << obs::detail::render_string(name);
-    if (phase == 'i') out << ", \"s\": \"t\"";
-    if (args != nullptr && args->is_object()) {
-      out << ", \"args\": " << render_args(*args);
-    }
-    out << "}";
 
     switch (phase) {
       case 'C': {
@@ -397,14 +347,13 @@ class Merger {
 
   TimelineSummary* summary_;
   std::ofstream jsonl_;
-  ChromeDoc chrome_;
   std::ofstream perfetto_stream_;
+  std::string perfetto_buf_;
   obs::PerfettoWriter perfetto_;
   std::int64_t base_epoch_ = 0;
   std::size_t sidx_ = 0;
   std::string src_;
   double offset_us_ = 0.0;
-  std::map<std::pair<std::size_t, obs::Domain>, bool> chrome_procs_;
   std::map<std::pair<std::size_t, obs::Domain>, std::uint64_t> perfetto_procs_;
   std::map<std::tuple<std::size_t, obs::Domain, std::uint32_t>, std::uint64_t>
       perfetto_lanes_;

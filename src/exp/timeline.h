@@ -15,11 +15,11 @@
 // Outputs (under `<work_dir>/merged/`):
 //   timeline.jsonl          "ev" lines tagged with `src` ("dispatcher",
 //                           "shard0", "shard0#2" for restart attempts) and
-//                           aligned timestamps, plus proc/lane metadata
-//   timeline_trace.json     Chrome trace-event JSON: one pid per
-//                           (source, domain), process names "src/domain",
-//                           loadable in Perfetto / chrome://tracing
-//   timeline.perfetto       protobuf TrackEvent stream (obs/perfetto.h),
+//                           aligned timestamps, plus proc/lane metadata;
+//                           tools/trace_query reads it
+//   timeline.perfetto       protobuf TrackEvent stream (obs/perfetto.h):
+//                           one pid per (source, domain), process names
+//                           "src/domain"; loads in the Perfetto UI and is
 //                           SQL-queryable in trace_processor
 //   dispatch_stacks.folded  every stream's sampler stacks, prefixed with
 //                           its src, so distributed runs produce one flame
@@ -57,7 +57,6 @@ struct TimelineSummary {
   /// Earliest header epoch — the merged timeline's wall t=0.
   std::int64_t base_epoch_unix_us = 0;
   std::string jsonl_path;
-  std::string chrome_path;
   std::string perfetto_path;
   /// Empty when no stream carried sampler stacks.
   std::string stacks_path;

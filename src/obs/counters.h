@@ -1,8 +1,14 @@
 // Counter-track export: bridges recorded per-tick channels (UPS/TES state
 // of charge, breaker trip margin, room temperature, sprint degree, chiller
-// power, ...) into Chrome trace-event `"ph": "C"` counter events, so
-// Perfetto plots the physical trajectories in lanes next to the
-// controller's phase-transition instants.
+// power, ...) into 'C' counter events, so Perfetto plots the physical
+// trajectories in lanes next to the controller's phase-transition
+// instants.
+//
+// A track holds only the samples that change it: counters are step
+// functions (in Perfetto and in trace_query's windows alike), so a sample
+// equal to the one before adds nothing. Over a day most channels sit flat
+// for long stretches; exporting every tick would cost about ten times the
+// run itself.
 //
 // Layering: dcs_obs sits below dcs_sim, so `export_counters` is a template
 // over any Recorder-shaped type (channels() / has() / series()) instead of
@@ -31,16 +37,21 @@ struct CounterExportOptions {
   /// Channels the recorder does not have are skipped (e.g. `tes_soc` on a
   /// TES-less configuration), so one list serves every configuration.
   std::vector<std::string> channels;
-  /// Chrome category stamped on the counter events.
+  /// Category stamped on the counter events.
   std::string cat = "recorder";
   /// Prepended to every track name (e.g. "prediction/" when one task runs
   /// several strategies into the same lane).
   std::string name_prefix;
 };
 
-/// Emits one 'C' event per sample of `series`, named `name`, carrying the
-/// sample value under the "value" arg (Perfetto renders one counter track
-/// per name). Non-finite samples have no JSON literal and are skipped.
+/// Emits the samples of `series` as 'C' events named `name`, carrying the
+/// value under the "value" arg (Perfetto renders one counter track per
+/// name): the first finite sample, every finite sample whose bit pattern
+/// differs from the last one emitted (so -0.0 after 0.0 counts), and the
+/// last finite sample, so the track ends where the series does. Expanding
+/// the track as a step function over the series' times gives back every
+/// finite sample bit for bit. Non-finite samples have no JSON literal and
+/// are skipped; a NaN gap holds the value before it.
 void export_counter_track(Tracer& tracer, std::string_view cat,
                           std::string_view name, const TimeSeries& series);
 

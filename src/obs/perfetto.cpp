@@ -1,6 +1,7 @@
 #include "obs/perfetto.h"
 
-#include <cstdlib>
+#include <charconv>
+#include <system_error>
 #include <utility>
 
 #include "util/proto.h"
@@ -49,23 +50,36 @@ constexpr std::uint64_t kTypeCounter = 4;
 /// intern state.
 constexpr std::uint64_t kSequenceId = 1;
 
-proto::ProtoWriter track_event(std::uint64_t type, std::uint64_t track_uuid) {
-  proto::ProtoWriter event;
-  event.varint(kEventType, type);
-  event.varint(kEventTrackUuid, track_uuid);
-  return event;
-}
-
 }  // namespace
 
-void PerfettoWriter::packet(const std::string& payload) {
-  std::string framed;
-  framed.reserve(payload.size() + 4);
-  proto::append_varint(framed, (kTracePacketField << 3) | 2u);
-  proto::append_varint(framed, payload.size());
-  out_->write(framed.data(), static_cast<std::streamsize>(framed.size()));
-  out_->write(payload.data(), static_cast<std::streamsize>(payload.size()));
+void PerfettoWriter::packet(const proto::ProtoWriter& payload) {
+  proto::append_varint(*out_, (kTracePacketField << 3) | 2u);
+  proto::append_varint(*out_, payload.bytes().size());
+  out_->append(payload.bytes());
   ++packets_;
+}
+
+void PerfettoWriter::descriptor_packet(const proto::ProtoWriter& track) {
+  packet_.clear();
+  packet_.varint(kPacketSequenceId, kSequenceId);
+  packet_.message(kPacketTrackDescriptor, track);
+  packet(packet_);
+}
+
+proto::ProtoWriter& PerfettoWriter::event(std::uint64_t type,
+                                          std::uint64_t track_uuid) {
+  event_.clear();
+  event_.varint(kEventType, type);
+  event_.varint(kEventTrackUuid, track_uuid);
+  return event_;
+}
+
+void PerfettoWriter::event_packet(std::uint64_t ts_ns) {
+  packet_.clear();
+  packet_.varint(kPacketTimestamp, ts_ns);
+  packet_.varint(kPacketSequenceId, kSequenceId);
+  packet_.message(kPacketTrackEvent, event_);
+  packet(packet_);
 }
 
 std::uint64_t PerfettoWriter::add_process(std::int32_t pid,
@@ -77,10 +91,7 @@ std::uint64_t PerfettoWriter::add_process(std::int32_t pid,
   proto::ProtoWriter track;
   track.varint(kTrackUuid, uuid);
   track.message(kTrackProcess, process);
-  proto::ProtoWriter pkt;
-  pkt.varint(kPacketSequenceId, kSequenceId);
-  pkt.message(kPacketTrackDescriptor, track);
-  packet(pkt.bytes());
+  descriptor_packet(track);
   return uuid;
 }
 
@@ -101,10 +112,7 @@ void PerfettoWriter::redeclare_thread(std::uint64_t uuid, std::int32_t pid,
   proto::ProtoWriter track;
   track.varint(kTrackUuid, uuid);
   track.message(kTrackThread, thread);
-  proto::ProtoWriter pkt;
-  pkt.varint(kPacketSequenceId, kSequenceId);
-  pkt.message(kPacketTrackDescriptor, track);
-  packet(pkt.bytes());
+  descriptor_packet(track);
 }
 
 std::uint64_t PerfettoWriter::add_counter(std::uint64_t parent_uuid,
@@ -118,61 +126,40 @@ std::uint64_t PerfettoWriter::add_counter(std::uint64_t parent_uuid,
   track.string(kTrackName, name);
   track.varint(kTrackParentUuid, parent_uuid);
   track.message(kTrackCounter, counter);
-  proto::ProtoWriter pkt;
-  pkt.varint(kPacketSequenceId, kSequenceId);
-  pkt.message(kPacketTrackDescriptor, track);
-  packet(pkt.bytes());
+  descriptor_packet(track);
   return uuid;
 }
 
 void PerfettoWriter::slice_begin(std::uint64_t track_uuid, std::uint64_t ts_ns,
                                  const std::string& name,
                                  const std::string& category) {
-  proto::ProtoWriter event = track_event(kTypeSliceBegin, track_uuid);
-  event.string(kEventName, name);
-  if (!category.empty()) event.string(kEventCategories, category);
-  proto::ProtoWriter pkt;
-  pkt.varint(kPacketTimestamp, ts_ns);
-  pkt.varint(kPacketSequenceId, kSequenceId);
-  pkt.message(kPacketTrackEvent, event);
-  packet(pkt.bytes());
+  proto::ProtoWriter& e = event(kTypeSliceBegin, track_uuid);
+  e.string(kEventName, name);
+  if (!category.empty()) e.string(kEventCategories, category);
+  event_packet(ts_ns);
 }
 
 void PerfettoWriter::slice_end(std::uint64_t track_uuid, std::uint64_t ts_ns) {
-  const proto::ProtoWriter event = track_event(kTypeSliceEnd, track_uuid);
-  proto::ProtoWriter pkt;
-  pkt.varint(kPacketTimestamp, ts_ns);
-  pkt.varint(kPacketSequenceId, kSequenceId);
-  pkt.message(kPacketTrackEvent, event);
-  packet(pkt.bytes());
+  event(kTypeSliceEnd, track_uuid);
+  event_packet(ts_ns);
 }
 
 void PerfettoWriter::instant(std::uint64_t track_uuid, std::uint64_t ts_ns,
                              const std::string& name,
                              const std::string& category,
                              const std::vector<std::uint64_t>& flow_ids) {
-  proto::ProtoWriter event = track_event(kTypeInstant, track_uuid);
-  event.string(kEventName, name);
-  if (!category.empty()) event.string(kEventCategories, category);
-  for (const std::uint64_t flow : flow_ids) {
-    event.fixed64(kEventFlowIds, flow);
-  }
-  proto::ProtoWriter pkt;
-  pkt.varint(kPacketTimestamp, ts_ns);
-  pkt.varint(kPacketSequenceId, kSequenceId);
-  pkt.message(kPacketTrackEvent, event);
-  packet(pkt.bytes());
+  proto::ProtoWriter& e = event(kTypeInstant, track_uuid);
+  e.string(kEventName, name);
+  if (!category.empty()) e.string(kEventCategories, category);
+  for (const std::uint64_t flow : flow_ids) e.fixed64(kEventFlowIds, flow);
+  event_packet(ts_ns);
 }
 
 void PerfettoWriter::counter(std::uint64_t track_uuid, std::uint64_t ts_ns,
                              double value) {
-  proto::ProtoWriter event = track_event(kTypeCounter, track_uuid);
-  event.fixed64_double(kEventDoubleCounterValue, value);
-  proto::ProtoWriter pkt;
-  pkt.varint(kPacketTimestamp, ts_ns);
-  pkt.varint(kPacketSequenceId, kSequenceId);
-  pkt.message(kPacketTrackEvent, event);
-  packet(pkt.bytes());
+  event(kTypeCounter, track_uuid)
+      .fixed64_double(kEventDoubleCounterValue, value);
+  event_packet(ts_ns);
 }
 
 namespace detail {
@@ -188,11 +175,11 @@ bool counter_value(const TraceEvent& event, double* value) {
   }
   if (fallback == nullptr) return false;
   // Args hold pre-rendered JSON literals; only numeric ones qualify.
-  char* end = nullptr;
-  const double parsed = std::strtod(fallback->value.c_str(), &end);
-  if (end == fallback->value.c_str() || end == nullptr || *end != '\0') {
-    return false;
-  }
+  const std::string& literal = fallback->value;
+  const char* end = literal.data() + literal.size();
+  double parsed = 0.0;
+  const auto [ptr, ec] = std::from_chars(literal.data(), end, parsed);
+  if (ec != std::errc() || ptr != end) return false;
   *value = parsed;
   return true;
 }
@@ -245,11 +232,7 @@ std::uint64_t to_ns(double ts_us) {
 
 PerfettoStreamSink::PerfettoStreamSink(std::string path,
                                        StreamSinkOptions options)
-    : FileStreamSink(std::move(path), options), writer_(out_) {}
-
-PerfettoStreamSink::~PerfettoStreamSink() { finalize(); }
-
-void PerfettoStreamSink::begin() {}
+    : FileStreamSink(std::move(path), options), writer_(buf_) {}
 
 std::uint64_t PerfettoStreamSink::process_uuid(Domain domain) {
   std::uint64_t& uuid = process_uuids_[static_cast<int>(domain)];
@@ -265,10 +248,9 @@ std::uint64_t PerfettoStreamSink::lane_uuid(Domain domain, std::uint32_t lane) {
   const auto it = lane_uuids_.find(key);
   if (it != lane_uuids_.end()) return it->second;
   process_uuid(domain);  // declare the process before its first thread
-  const auto named = lane_names_.find(key);
-  const std::string name = named != lane_names_.end()
-                               ? named->second
-                               : "lane-" + std::to_string(lane);
+  const std::string* named = lane_name(domain, lane);
+  const std::string name =
+      named != nullptr ? *named : "lane-" + std::to_string(lane);
   const std::uint64_t uuid = writer_.add_thread(
       obs::detail::pid_of(domain), static_cast<std::int32_t>(lane), name);
   lane_uuids_.emplace(key, uuid);
@@ -287,60 +269,42 @@ std::uint64_t PerfettoStreamSink::counter_uuid(Domain domain,
 
 void PerfettoStreamSink::write_lane_name(Domain domain, std::uint32_t lane,
                                          const std::string& name) {
-  // Queue through the event buffer as a synthetic 'M' event, matching
-  // ChromeStreamSink, so descriptor order follows append order.
-  const auto key = std::make_pair(domain, lane);
-  const auto it = lane_names_.find(key);
-  if (it != lane_names_.end() && it->second == name) return;
-  lane_names_.insert_or_assign(key, name);
-  TraceEvent meta;
-  meta.domain = domain;
-  meta.phase = 'M';
-  meta.lane = lane;
-  meta.name = name;
-  write(meta);
+  if (!accepting() || !rename_lane(domain, lane, name)) return;
+  // A track that already exists is re-declared under its uuid
+  // (trace_processor keeps the latest name); otherwise the name waits for
+  // the lane's first event.
+  const auto track = lane_uuids_.find({domain, lane});
+  if (track != lane_uuids_.end()) {
+    writer_.redeclare_thread(track->second, obs::detail::pid_of(domain),
+                             static_cast<std::int32_t>(lane), name);
+  }
+  commit(0);
 }
 
-void PerfettoStreamSink::render(const TraceEvent& event) {
+void PerfettoStreamSink::write(const TraceEvent& event) {
+  if (!accepting()) return;
   switch (event.phase) {
-    case 'M': {
-      // Lane renamed: re-emit the thread descriptor under the same uuid
-      // (trace_processor keeps the latest name) or just record the name for
-      // the lazily created track.
-      const auto key = std::make_pair(event.domain, event.lane);
-      const auto it = lane_uuids_.find(key);
-      if (it != lane_uuids_.end()) {
-        writer_.redeclare_thread(it->second,
-                                 obs::detail::pid_of(event.domain),
-                                 static_cast<std::int32_t>(event.lane),
-                                 event.name);
-      }
-      return;
-    }
     case 'C': {
       double value = 0.0;
-      if (!detail::counter_value(event, &value)) return;
+      if (!detail::counter_value(event, &value)) break;
       writer_.counter(counter_uuid(event.domain, event.name),
                       to_ns(event.ts_us), value);
-      return;
+      break;
     }
     case 'X': {
       const std::uint64_t track = lane_uuid(event.domain, event.lane);
       writer_.slice_begin(track, to_ns(event.ts_us), event.name, event.cat);
       writer_.slice_end(track, to_ns(event.ts_us + event.dur_us));
-      return;
+      break;
     }
     default:
-      if (event.cat == "decision") {
-        writer_.instant(lane_uuid(event.domain, event.lane),
-                        to_ns(event.ts_us), event.name, event.cat,
-                        detail::decision_flow_ids(event));
-        return;
-      }
       writer_.instant(lane_uuid(event.domain, event.lane), to_ns(event.ts_us),
-                      event.name, event.cat);
-      return;
+                      event.name, event.cat,
+                      event.cat == "decision" ? detail::decision_flow_ids(event)
+                                              : std::vector<std::uint64_t>{});
+      break;
   }
+  commit(1);
 }
 
 }  // namespace dcs::obs

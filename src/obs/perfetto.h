@@ -1,7 +1,6 @@
 // Perfetto protobuf trace output: hand-rolled TracePacket/TrackEvent
-// encoding (util/proto.h — no protobuf dependency) so traces are
-// SQL-queryable in Perfetto's trace_processor, not just viewable via the
-// Chrome-JSON path.
+// encoding (util/proto.h — no protobuf dependency). The files load in the
+// Perfetto UI and are SQL-queryable in Perfetto's trace_processor.
 //
 // A Perfetto trace file is a sequence of length-delimited TracePacket
 // records (field 1 of the Trace message). We emit:
@@ -16,13 +15,12 @@
 // PerfettoWriter is the low-level encoder (exp/timeline.h drives it
 // directly to lay many processes on one timeline); PerfettoStreamSink
 // adapts it to the TraceSink interface with the repo's sim/wall process
-// convention, so benches stream `<name>_trace.perfetto` next to the Chrome
-// and JSONL files.
+// convention, so benches stream `<name>_trace.perfetto` next to the JSONL
+// file.
 #pragma once
 
 #include <cstdint>
 #include <map>
-#include <ostream>
 #include <string>
 #include <string_view>
 #include <utility>
@@ -30,15 +28,17 @@
 
 #include "obs/sink.h"
 #include "obs/trace.h"
+#include "util/proto.h"
 
 namespace dcs::obs {
 
-/// Emits Perfetto TracePacket records to a stream. Track uuids are handed
-/// out sequentially, so an identical call sequence produces identical
-/// bytes (timeline merges rely on this for byte-stable re-merges).
+/// Appends Perfetto TracePacket records to a byte buffer the caller
+/// writes out. Track uuids are handed out sequentially, so an identical
+/// call sequence produces identical bytes (timeline merges rely on this for
+/// byte-stable re-merges).
 class PerfettoWriter {
  public:
-  explicit PerfettoWriter(std::ostream& out) : out_(&out) {}
+  explicit PerfettoWriter(std::string& out) : out_(&out) {}
 
   /// Declares a process track; returns its uuid (parent for thread tracks).
   std::uint64_t add_process(std::int32_t pid, const std::string& name);
@@ -69,30 +69,37 @@ class PerfettoWriter {
   }
 
  private:
-  void packet(const std::string& payload);
+  /// Starts a TrackEvent of `type` on `track_uuid` in the reused scratch.
+  proto::ProtoWriter& event(std::uint64_t type, std::uint64_t track_uuid);
+  /// Frames the scratch TrackEvent into a timestamped packet.
+  void event_packet(std::uint64_t ts_ns);
+  void descriptor_packet(const proto::ProtoWriter& track);
+  void packet(const proto::ProtoWriter& payload);
 
-  std::ostream* out_;
+  std::string* out_;
   std::uint64_t next_uuid_ = 1;
   std::size_t packets_ = 0;
+  // Scratch messages reused across packets: no allocation per event once
+  // they have grown.
+  proto::ProtoWriter event_;
+  proto::ProtoWriter packet_;
 };
 
 /// TraceSink that writes a Perfetto protobuf trace with the repo's process
 /// convention (pid 1 = "sim", pid 2 = "wall"; one thread track per lane;
 /// 'C' events become one counter track per (domain, name), valued from
-/// their "value" arg). Rides FileStreamSink for bounded buffering, crash
-/// awareness (ok()) and the synthetic-'M' lane-name path.
+/// their "value" arg). Each event is encoded into FileStreamSink's bounded
+/// buffer as it arrives; a lane name either names the lane's track when it
+/// is first used or re-declares a track that already exists.
 class PerfettoStreamSink final : public FileStreamSink {
  public:
   explicit PerfettoStreamSink(std::string path, StreamSinkOptions options = {});
-  ~PerfettoStreamSink() override;
 
+  void write(const TraceEvent& event) override;
   void write_lane_name(Domain domain, std::uint32_t lane,
                        const std::string& name) override;
 
  private:
-  void render(const TraceEvent& event) override;
-  void begin() override;
-
   std::uint64_t process_uuid(Domain domain);
   std::uint64_t lane_uuid(Domain domain, std::uint32_t lane);
   std::uint64_t counter_uuid(Domain domain, const std::string& name);
@@ -100,7 +107,6 @@ class PerfettoStreamSink final : public FileStreamSink {
   PerfettoWriter writer_;
   std::uint64_t process_uuids_[2] = {0, 0};
   std::map<std::pair<Domain, std::uint32_t>, std::uint64_t> lane_uuids_;
-  std::map<std::pair<Domain, std::uint32_t>, std::string> lane_names_;
   std::map<std::pair<Domain, std::string>, std::uint64_t> counter_uuids_;
 };
 

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cstring>
+#include <set>
 
 namespace dcs::obs {
 namespace {
@@ -123,7 +124,15 @@ ProfileSummary summarize(const std::vector<ProfileEvent>& events) {
 }
 
 void export_to(Tracer& tracer, const std::vector<ProfileEvent>& events) {
+  std::set<std::uint32_t> named;
   for (const ProfileEvent& e : events) {
+    // Name each lane once, ahead of its first span: a streaming tracer
+    // writes every name_lane call through to its sinks.
+    if (named.insert(e.lane).second) {
+      tracer.name_lane(
+          Domain::kWall, e.lane,
+          e.lane == 0 ? "main" : "worker-" + std::to_string(e.lane));
+    }
     TraceEvent t;
     t.domain = Domain::kWall;
     t.phase = 'X';
@@ -133,8 +142,6 @@ void export_to(Tracer& tracer, const std::vector<ProfileEvent>& events) {
     t.cat = "profile";
     t.name = e.name;
     tracer.append(std::move(t));
-    tracer.name_lane(Domain::kWall, e.lane,
-                     e.lane == 0 ? "main" : "worker-" + std::to_string(e.lane));
   }
 }
 

@@ -4,7 +4,7 @@
 // buffer owned by the calling thread — no cross-thread contention on the
 // hot path beyond one uncontended mutex per record. Threads identify
 // themselves with a *lane* (main thread 0; exp::ThreadPool workers register
-// lane 1..N), so a sweep's Chrome trace shows one row per worker and pool
+// lane 1..N), so a sweep's Perfetto trace shows one row per worker and pool
 // utilization is visible at a glance.
 //
 // collect() merges the buffers deterministically — sorted by (lane, start,
@@ -199,8 +199,8 @@ using ProfileSummary = std::map<std::string, ScopeStats>;
 
 [[nodiscard]] ProfileSummary summarize(const std::vector<ProfileEvent>& events);
 
-/// Appends the spans to `tracer` as wall-domain 'X' events (one Chrome
-/// lane per worker) and names the lanes "worker-<lane>" / "main".
+/// Appends the spans to `tracer` as wall-domain 'X' events (one lane per
+/// worker) and names the lanes "worker-<lane>" / "main".
 void export_to(Tracer& tracer, const std::vector<ProfileEvent>& events);
 
 }  // namespace dcs::obs

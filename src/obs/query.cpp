@@ -1,6 +1,7 @@
 #include "obs/query.h"
 
 #include <algorithm>
+#include <cmath>
 #include <cstdlib>
 #include <fstream>
 #include <map>
@@ -55,77 +56,22 @@ void capture_args(const json::Value& args, QueryEvent* q) {
   }
 }
 
-void load_chrome(const json::Value& doc, TraceData* trace) {
-  const json::Value* events = doc.find("traceEvents");
-  DCS_REQUIRE(events != nullptr && events->is_array(),
-              "chrome trace has no traceEvents array");
-  // First pass: process names, so merged timelines ("shard0/sim") resolve
-  // to (src, domain) while single-process traces ("sim") keep src empty.
-  std::map<int, std::string> process_names;
-  for (std::size_t i = 0; i < events->size(); ++i) {
-    const json::Value& e = (*events)[i];
-    const json::Value* ph = e.find("ph");
-    if (ph == nullptr || !ph->is_string() || ph->as_string() != "M") continue;
-    const json::Value* name = e.find("name");
-    if (name == nullptr || name->as_string() != "process_name") continue;
-    process_names[static_cast<int>(e.at("pid").as_number())] =
-        e.at("args").at("name").as_string();
-  }
-  for (std::size_t i = 0; i < events->size(); ++i) {
-    const json::Value& e = (*events)[i];
-    const std::string& ph = e.at("ph").as_string();
-    if (ph.empty() || ph == "M") continue;
-    QueryEvent q;
-    q.ph = ph[0];
-    q.ts_us = e.at("ts").as_number();
-    const json::Value* dur = e.find("dur");
-    if (dur != nullptr) q.dur_us = dur->as_number();
-    const json::Value* tid = e.find("tid");
-    if (tid != nullptr) q.lane = static_cast<std::uint32_t>(tid->as_number());
-    const json::Value* cat = e.find("cat");
-    if (cat != nullptr && cat->is_string()) q.cat = cat->as_string();
-    const json::Value* name = e.find("name");
-    if (name != nullptr && name->is_string()) q.name = name->as_string();
-    const auto it =
-        process_names.find(static_cast<int>(e.at("pid").as_number()));
-    const std::string process = it != process_names.end() ? it->second : "";
-    const std::size_t slash = process.find('/');
-    if (slash == std::string::npos) {
-      q.domain = process;
-    } else {
-      q.src = process.substr(0, slash);
-      q.domain = process.substr(slash + 1);
-    }
-    const json::Value* args = e.find("args");
-    if (q.ph == 'C' && args != nullptr) {
-      q.has_value = args_value(*args, &q.value);
-    } else if (q.ph == 'i' && args != nullptr) {
-      capture_args(*args, &q);
-    }
-    trace->events.push_back(std::move(q));
-  }
-}
-
-/// One JSONL line: a plain trace event ({"domain": ..., "ph": ...}) or a
-/// telemetry/timeline line ({"t": "ev", ...}); anything else is skipped.
+/// One complete JSONL line: an object with a string "t". "ev" lines become
+/// events; every other type (header, lane, heartbeat, ...) is skipped.
+/// Throws on anything else.
 void load_jsonl_line(std::string_view line, TraceData* trace) {
   const json::Value e = json::parse(line);
-  if (!e.is_object()) return;
-  const json::Value* type = e.find("t");
-  if (type != nullptr && (!type->is_string() || type->as_string() != "ev")) {
-    return;  // header/hb/metric/stack/end lines carry no events
-  }
-  const json::Value* domain = e.find("domain");
-  const json::Value* ph = e.find("ph");
-  if (domain == nullptr || ph == nullptr || !ph->is_string() ||
-      ph->as_string().empty()) {
-    return;
-  }
+  const json::Value* type = e.is_object() ? e.find("t") : nullptr;
+  DCS_REQUIRE(type != nullptr && type->is_string(),
+              "not a JSON object with a string \"t\"");
+  if (type->as_string() != "ev") return;
+  const std::string& ph = e.at("ph").as_string();
+  DCS_REQUIRE(!ph.empty(), "empty \"ph\"");
   QueryEvent q;
   const json::Value* src = e.find("src");
   if (src != nullptr && src->is_string()) q.src = src->as_string();
-  q.domain = domain->as_string();
-  q.ph = ph->as_string()[0];
+  q.domain = e.at("domain").as_string();
+  q.ph = ph[0];
   q.ts_us = e.at("ts").as_number();
   const json::Value* dur = e.find("dur");
   if (dur != nullptr) q.dur_us = dur->as_number();
@@ -144,6 +90,23 @@ void load_jsonl_line(std::string_view line, TraceData* trace) {
   trace->events.push_back(std::move(q));
 }
 
+/// Neumaier-compensated sum: counter integrals add thousands of
+/// value x duration terms, and a per-tick trace must agree with the
+/// change-only trace of the same run to far below the last printed digit.
+class CompensatedSum {
+ public:
+  void add(double x) {
+    const double t = sum_ + x;
+    carry_ += std::abs(sum_) >= std::abs(x) ? (sum_ - t) + x : (x - t) + sum_;
+    sum_ = t;
+  }
+  [[nodiscard]] double value() const { return sum_ + carry_; }
+
+ private:
+  double sum_ = 0.0;
+  double carry_ = 0.0;
+};
+
 }  // namespace
 
 TraceData load_trace(const std::string& path) {
@@ -154,34 +117,23 @@ TraceData load_trace(const std::string& path) {
   const std::string text = buf.str();
 
   TraceData trace;
-  const std::size_t first = text.find_first_not_of(" \t\r\n");
-  if (first == std::string::npos) return trace;
-
-  // A Chrome trace is one document whose first line has no newline-bounded
-  // object-per-line shape; detect it by the traceEvents key up front.
-  const std::size_t first_nl = text.find('\n', first);
-  const std::string_view head(text.data() + first,
-                              (first_nl == std::string::npos ? text.size()
-                                                             : first_nl) -
-                                  first);
-  if (head.find("\"traceEvents\"") != std::string_view::npos) {
-    load_chrome(json::parse(text), &trace);
-    return trace;
-  }
-  std::size_t begin = first;
+  std::size_t begin = 0;
+  std::size_t number = 0;
   while (begin < text.size()) {
-    std::size_t nl = text.find('\n', begin);
-    if (nl == std::string::npos) nl = text.size();
+    const std::size_t nl = text.find('\n', begin);
+    // A final line without its newline is a torn write (a worker killed
+    // mid-line), never a record: skip it, as TelemetryTail does.
+    if (nl == std::string::npos) break;
+    ++number;
     const std::string_view line(text.data() + begin, nl - begin);
-    if (!line.empty() && line.find_first_not_of(" \t\r") != std::string_view::npos) {
-      try {
-        load_jsonl_line(line, &trace);
-      } catch (const std::exception&) {
-        // Torn trailing line of a crashed worker's stream: skip, the rest
-        // of the file is still a valid trace.
-      }
-    }
     begin = nl + 1;
+    if (line.find_first_not_of(" \t\r") == std::string_view::npos) continue;
+    try {
+      load_jsonl_line(line, &trace);
+    } catch (const std::exception& e) {
+      throw std::invalid_argument(path + ":" + std::to_string(number) + ": " +
+                                  e.what());
+    }
   }
   return trace;
 }
@@ -209,31 +161,51 @@ std::vector<ScopeStat> scope_stats(const TraceData& trace) {
 }
 
 std::vector<CounterStat> counter_stats(const TraceData& trace) {
-  struct Acc {
+  struct Group {
     CounterStat stat;
-    double sum = 0.0;
+    /// (ts, value) samples per lane: each lane is its own step function.
+    std::map<std::uint32_t, std::vector<std::pair<double, double>>> lanes;
   };
-  std::map<std::pair<std::string, std::string>, Acc> groups;
+  std::map<std::pair<std::string, std::string>, Group> groups;
   for (const QueryEvent& e : trace.events) {
     if (e.ph != 'C' || !e.has_value) continue;
-    Acc& a = groups[{e.src, e.name}];
-    if (a.stat.points == 0) {
-      a.stat.src = e.src;
-      a.stat.name = e.name;
-      a.stat.min = e.value;
-      a.stat.max = e.value;
+    Group& g = groups[{e.src, e.name}];
+    CounterStat& s = g.stat;
+    if (s.points == 0) {
+      s.src = e.src;
+      s.name = e.name;
+      s.min = e.value;
+      s.max = e.value;
     }
-    ++a.stat.points;
-    a.sum += e.value;
-    a.stat.min = std::min(a.stat.min, e.value);
-    a.stat.max = std::max(a.stat.max, e.value);
-    a.stat.last = e.value;
+    ++s.points;
+    s.min = std::min(s.min, e.value);
+    s.max = std::max(s.max, e.value);
+    s.last = e.value;
+    g.lanes[e.lane].emplace_back(e.ts_us, e.value);
   }
   std::vector<CounterStat> out;
   out.reserve(groups.size());
-  for (auto& [key, acc] : groups) {
-    acc.stat.mean = acc.sum / static_cast<double>(acc.stat.points);
-    out.push_back(std::move(acc.stat));
+  for (auto& [key, g] : groups) {
+    CompensatedSum integral;
+    CompensatedSum values;
+    double duration = 0.0;
+    for (auto& [lane, samples] : g.lanes) {
+      std::stable_sort(
+          samples.begin(), samples.end(),
+          [](const auto& a, const auto& b) { return a.first < b.first; });
+      for (std::size_t i = 0; i < samples.size(); ++i) {
+        values.add(samples[i].second);
+        if (i + 1 < samples.size()) {
+          integral.add(samples[i].second *
+                       (samples[i + 1].first - samples[i].first));
+        }
+      }
+      duration += samples.back().first - samples.front().first;
+    }
+    g.stat.mean = duration > 0.0
+                      ? integral.value() / duration
+                      : values.value() / static_cast<double>(g.stat.points);
+    out.push_back(std::move(g.stat));
   }
   return out;
 }

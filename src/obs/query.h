@@ -1,17 +1,22 @@
-// Offline trace analysis behind tools/trace_query: loads any of the repo's
-// trace encodings into one flat event list and computes per-scope duration
-// stats, counter-track statistics and threshold-crossing windows — the
-// questions every sprint trace gets asked ("how long were the sprints",
-// "when did cb_trip_margin_s dip below 0.5 s", "which intervals violated
-// the serving p99 SLO").
+// Offline trace analysis behind tools/trace_query: loads the repo's JSONL
+// traces into one flat event list and computes per-scope duration stats,
+// counter-track statistics and threshold-crossing windows — the questions
+// every sprint trace gets asked ("how long were the sprints", "when did
+// cb_trip_margin_s dip below 0.5 s", "which intervals violated the serving
+// p99 SLO").
 //
-// Accepted inputs (auto-detected):
-//   * Chrome trace-event JSON   (`*_trace.json`, Tracer/ChromeStreamSink)
-//   * trace JSONL               (`*_trace.jsonl`, one event object per line)
-//   * telemetry / timeline JSONL (obs/telemetry.h streams and the
-//     dispatcher's merged `timeline.jsonl` — "ev" lines carry the events,
-//     and the timeline's "src" tag survives into QueryEvent::src so stats
-//     can be grouped per shard process)
+// Accepted inputs: every JSONL file of the telemetry schema
+// (obs/telemetry.h) — a bench's `<name>_trace.jsonl`, a worker's telemetry
+// stream and the dispatcher's merged `timeline.jsonl`. "ev" lines carry the
+// events, and the timeline's "src" tag survives into QueryEvent::src so
+// stats can be grouped per shard process; lines of any other "t" type
+// (header, lane, heartbeat, ...) are skipped.
+//
+// Counter tracks are step functions: a sample holds until the next sample
+// on its (src, lane) track. Exporters write a track only where it changes
+// (obs/counters.h), and every statistic here reads the step function, so a
+// change-only trace and a per-tick trace of the same run give the same
+// answers.
 //
 // All results are deterministic: events keep file order, groups iterate in
 // sorted key order, so CSV output is byte-stable and diffable across runs
@@ -53,8 +58,12 @@ struct TraceData {
   std::vector<QueryEvent> events;
 };
 
-/// Loads a trace file, auto-detecting the encoding. Throws
-/// std::invalid_argument when the file cannot be read or parsed.
+/// Loads a JSONL trace. A final line without its newline is a torn write
+/// (a worker killed mid-line) and is skipped, as are blank lines and lines
+/// of a "t" type other than "ev". Throws std::invalid_argument, naming the
+/// file and line, when the file cannot be read or a complete line is not a
+/// JSON object with a string "t" (a Chrome trace-event document, a line of
+/// the old plain schema, a damaged line) or is a malformed "ev" line.
 [[nodiscard]] TraceData load_trace(const std::string& path);
 
 /// Duration statistics over 'X' span events, grouped by (src, name).
@@ -71,14 +80,21 @@ struct ScopeStat {
 };
 [[nodiscard]] std::vector<ScopeStat> scope_stats(const TraceData& trace);
 
-/// Value statistics over 'C' counter samples, grouped by (src, track name).
+/// Value statistics over 'C' counter samples, grouped by (src, track
+/// name) across lanes.
 struct CounterStat {
   std::string src;
   std::string name;
+  /// Emitted samples (a change-only track holds fewer than its run's ticks).
   std::size_t points = 0;
   double min = 0.0;
   double max = 0.0;
+  /// Time-weighted mean of the step function: each sample holds until the
+  /// next sample on its (src, lane) track, pooled over the group's lanes.
+  /// A group whose tracks span no time (one sample each) reads the plain
+  /// mean of its samples.
   double mean = 0.0;
+  /// The group's last sample in file order.
   double last = 0.0;
 };
 [[nodiscard]] std::vector<CounterStat> counter_stats(const TraceData& trace);

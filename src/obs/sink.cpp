@@ -2,145 +2,95 @@
 
 #include <utility>
 
+#include "obs/perfetto.h"
+
 namespace dcs::obs {
-namespace {
-
-// The Chrome sink's crash-safe trailer: written after every flush, then
-// seeked back over so the next batch overwrites it.
-constexpr const char kChromeTrailer[] = "\n]}\n";
-constexpr std::streamoff kChromeTrailerLen =
-    static_cast<std::streamoff>(sizeof(kChromeTrailer) - 1);
-
-}  // namespace
 
 FileStreamSink::FileStreamSink(std::string path, StreamSinkOptions options)
-    : path_(std::move(path)), options_(options) {
-  if (options_.buffer_events == 0) options_.buffer_events = 1;
-  out_.open(path_);
+    : path_(std::move(path)),
+      buffer_bytes_(options.buffer_bytes == 0 ? 1 : options.buffer_bytes) {
+  out_.open(path_, std::ios::trunc | std::ios::binary);
   ok_ = static_cast<bool>(out_);
-  buffer_.reserve(options_.buffer_events);
 }
 
-FileStreamSink::~FileStreamSink() {
-  // Derived destructors call finalize() while their vtable is still live;
-  // by the time the base destructor runs only closing can be left to do.
-  if (out_.is_open()) out_.close();
+FileStreamSink::~FileStreamSink() { finalize(); }
+
+void FileStreamSink::commit(std::size_t events) {
+  events_written_ += events;
+  if (buf_.size() > peak_buffered_) peak_buffered_ = buf_.size();
+  if (buf_.size() >= buffer_bytes_) flush();
 }
 
-void FileStreamSink::write(const TraceEvent& event) {
-  if (!ok_ || finalized_) return;
-  buffer_.push_back(event);
-  if (buffer_.size() > peak_buffered_) peak_buffered_ = buffer_.size();
-  if (buffer_.size() >= options_.buffer_events) flush_buffer(false);
+bool FileStreamSink::rename_lane(Domain domain, std::uint32_t lane,
+                                 const std::string& name) {
+  const auto [it, added] = lane_names_.try_emplace({domain, lane}, name);
+  if (added) return true;
+  if (it->second == name) return false;
+  it->second = name;
+  return true;
 }
 
-void FileStreamSink::flush_buffer(bool final_flush) {
-  if (!ok_) return;
-  if (!begun_) {
-    begin();
-    begun_ = true;
-  }
-  for (const TraceEvent& e : buffer_) render(e);
-  events_written_ += buffer_.size();
-  buffer_.clear();
+const std::string* FileStreamSink::lane_name(Domain domain,
+                                             std::uint32_t lane) const {
+  const auto it = lane_names_.find({domain, lane});
+  return it == lane_names_.end() ? nullptr : &it->second;
+}
+
+void FileStreamSink::flush() {
+  out_.write(buf_.data(), static_cast<std::streamsize>(buf_.size()));
+  out_.flush();
+  buf_.clear();
   ++flushes_;
-  if (!final_flush) {
-    after_flush();
-    out_.flush();
-  }
-  // Re-check the stream at every flush boundary: a failed write (disk
-  // full, unlinked directory) must drop the sink to the failed state now —
-  // otherwise it keeps buffering and rendering forever and ok() reports
-  // healthy until finalize().
+  // Re-check the stream at every flush: a failed write (disk full, unlinked
+  // directory) must drop the sink to the failed state now, not at
+  // finalize().
   if (!out_) ok_ = false;
 }
 
 void FileStreamSink::finalize() {
   if (finalized_) return;
-  if (!ok_) {
-    finalized_ = true;
-    return;
-  }
-  flush_buffer(true);
   finalized_ = true;
-  end();
-  out_.flush();
-  ok_ = static_cast<bool>(out_);
+  if (!ok_) return;
+  flush();
   out_.close();
+  if (!out_) ok_ = false;
 }
-
-ChromeStreamSink::ChromeStreamSink(std::string path, StreamSinkOptions options)
-    : FileStreamSink(std::move(path), options) {}
-
-ChromeStreamSink::~ChromeStreamSink() { finalize(); }
-
-void ChromeStreamSink::begin() {
-  out_ << "{\"displayTimeUnit\": \"ms\", \"traceEvents\": [\n";
-}
-
-std::ostream& ChromeStreamSink::element() {
-  out_ << (first_element_ ? "  " : ",\n  ");
-  first_element_ = false;
-  return out_;
-}
-
-void ChromeStreamSink::ensure_process_metadata(Domain domain) {
-  bool& have = have_process_[static_cast<int>(domain)];
-  if (have) return;
-  have = true;
-  detail::write_process_metadata_json(element(), domain);
-}
-
-void ChromeStreamSink::render(const TraceEvent& event) {
-  ensure_process_metadata(event.domain);
-  if (event.phase == 'M') {
-    // Synthetic lane-metadata event queued by write_lane_name: `name`
-    // carries the lane label.
-    detail::write_lane_metadata_json(element(), event.domain, event.lane,
-                                     event.name);
-    return;
-  }
-  detail::write_event_json(element(), event);
-}
-
-void ChromeStreamSink::write_lane_name(Domain domain, std::uint32_t lane,
-                                       const std::string& name) {
-  // Metadata events are valid anywhere in the trace-event array. Routing
-  // them through the normal buffer keeps append order, memory bounds and
-  // crash safety uniform; dedupe repeats so task-order merging can
-  // re-register lanes for free.
-  const auto key = std::make_pair(domain, lane);
-  const auto it = lanes_named_.find(key);
-  if (it != lanes_named_.end() && it->second == name) return;
-  lanes_named_.insert_or_assign(key, name);
-  TraceEvent meta;
-  meta.domain = domain;
-  meta.phase = 'M';
-  meta.lane = lane;
-  meta.name = name;
-  write(meta);
-}
-
-void ChromeStreamSink::after_flush() {
-  // Crash safety: the file is a complete JSON document between batches.
-  out_ << kChromeTrailer;
-  out_.flush();
-  out_.seekp(-kChromeTrailerLen, std::ios::cur);
-}
-
-void ChromeStreamSink::end() { out_ << kChromeTrailer; }
 
 JsonlStreamSink::JsonlStreamSink(std::string path, StreamSinkOptions options)
     : FileStreamSink(std::move(path), options) {}
 
-JsonlStreamSink::~JsonlStreamSink() { finalize(); }
-
-void JsonlStreamSink::render(const TraceEvent& event) {
-  if (event.phase == 'M') return;  // no JSONL representation of lane names
-  detail::write_jsonl_event(out_, event);
+void JsonlStreamSink::write(const TraceEvent& event) {
+  if (!accepting()) return;
+  detail::append_event_line(buf_, event);
+  buf_ += '\n';
+  commit(1);
 }
 
-void JsonlStreamSink::write_lane_name(Domain, std::uint32_t,
-                                      const std::string&) {}
+void JsonlStreamSink::write_lane_name(Domain domain, std::uint32_t lane,
+                                      const std::string& name) {
+  if (!accepting() || !rename_lane(domain, lane, name)) return;
+  detail::append_lane_line(buf_, domain, lane, name);
+  buf_ += '\n';
+  commit(0);
+}
+
+bool export_trace(const std::string& dir, const std::string& name,
+                  const Tracer& tracer, std::ostream* diag) {
+  JsonlStreamSink jsonl(dir + "/" + name + "_trace.jsonl");
+  PerfettoStreamSink perfetto(dir + "/" + name + "_trace.perfetto");
+  TeeSink tee({&jsonl, &perfetto});
+  tracer.replay(tee);
+  tee.finalize();
+  bool ok = true;
+  for (const FileStreamSink* s :
+       {static_cast<const FileStreamSink*>(&jsonl),
+        static_cast<const FileStreamSink*>(&perfetto)}) {
+    ok = ok && s->ok();
+    if (diag == nullptr) continue;
+    *diag << (s->ok() ? "[obs] wrote " : "cannot write ") << s->path()
+          << "\n";
+  }
+  return ok;
+}
 
 }  // namespace dcs::obs

@@ -9,32 +9,6 @@
 #include "util/json.h"
 
 namespace dcs::obs {
-namespace {
-
-/// Renders one trace event as a compact telemetry line (the "ev" analogue
-/// of detail::write_jsonl_event, plus the type discriminator).
-std::string render_event_line(const TraceEvent& e) {
-  std::ostringstream out;
-  out << "{\"t\":\"ev\",\"domain\":\"" << to_string(e.domain)
-      << "\",\"ph\":\"" << e.phase
-      << "\",\"ts\":" << detail::render_number(e.ts_us);
-  if (e.phase == 'X') out << ",\"dur\":" << detail::render_number(e.dur_us);
-  out << ",\"lane\":" << e.lane << ",\"cat\":" << detail::render_string(e.cat)
-      << ",\"name\":" << detail::render_string(e.name);
-  if (!e.args.empty()) {
-    out << ",\"args\":{";
-    for (std::size_t i = 0; i < e.args.size(); ++i) {
-      out << (i == 0 ? "" : ",") << detail::render_string(e.args[i].key)
-          << ":" << e.args[i].value;
-    }
-    out << "}";
-  }
-  out << "}";
-  return out.str();
-}
-
-}  // namespace
-
 TelemetrySink::TelemetrySink(const std::string& path, TelemetryOptions options)
     : path_(path), out_(path, std::ios::trunc) {
   ok_ = static_cast<bool>(out_);
@@ -55,19 +29,19 @@ TelemetrySink::~TelemetrySink() { close(); }
 void TelemetrySink::write(const TraceEvent& event) {
   const std::lock_guard<std::mutex> lock(mu_);
   if (closed_ || !ok_) return;
-  line_locked(render_event_line(event), /*flush=*/false);
+  scratch_.clear();
+  detail::append_event_line(scratch_, event);
+  line_locked(scratch_, /*flush=*/false);
   ++events_;
 }
 
 void TelemetrySink::write_lane_name(Domain domain, std::uint32_t lane,
                                     const std::string& name) {
-  std::ostringstream line;
-  line << "{\"t\":\"lane\",\"domain\":\"" << to_string(domain)
-       << "\",\"lane\":" << lane
-       << ",\"name\":" << detail::render_string(name) << "}";
   const std::lock_guard<std::mutex> lock(mu_);
   if (closed_ || !ok_) return;
-  line_locked(line.str(), /*flush=*/false);
+  scratch_.clear();
+  detail::append_lane_line(scratch_, domain, lane, name);
+  line_locked(scratch_, /*flush=*/false);
 }
 
 void TelemetrySink::finalize() {
@@ -166,8 +140,9 @@ std::size_t TelemetrySink::events_written() const {
   return events_;
 }
 
-void TelemetrySink::line_locked(const std::string& line, bool flush) {
-  out_ << line << '\n';
+void TelemetrySink::line_locked(std::string_view line, bool flush) {
+  out_.write(line.data(), static_cast<std::streamsize>(line.size()));
+  out_.put('\n');
   if (flush) out_.flush();
   if (!out_) ok_ = false;
 }

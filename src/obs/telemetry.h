@@ -16,6 +16,10 @@
 //   {"t":"stack","stack":"main;exp.task","count":...}
 //   {"t":"end","wall_us":...,"events":...}        clean-shutdown marker
 //
+// The "ev" and "lane" lines are the JSONL trace schema itself: a bench's
+// `<name>_trace.jsonl` is exactly those lines, rendered by the same
+// detail::append_event_line / append_lane_line (obs/trace.h).
+//
 // Crash safety is the JSONL property: the file is valid up to the last
 // complete line, and TelemetryTail never reads past the last '\n', so a
 // worker killed mid-write (the dispatcher's whole job is to kill workers)
@@ -33,6 +37,7 @@
 #include <fstream>
 #include <mutex>
 #include <string>
+#include <string_view>
 
 #include "obs/metrics.h"
 #include "obs/sampler.h"
@@ -82,9 +87,11 @@ class TelemetrySink final : public TraceSink {
   [[nodiscard]] std::size_t events_written() const;
 
  private:
-  void line_locked(const std::string& line, bool flush);
+  void line_locked(std::string_view line, bool flush);
 
   mutable std::mutex mu_;
+  /// Render buffer for "ev"/"lane" lines (detail::append_event_line).
+  std::string scratch_;
   std::string path_;
   std::ofstream out_;
   bool ok_ = false;

@@ -2,8 +2,6 @@
 
 #include <charconv>
 #include <cstdio>
-#include <fstream>
-#include <sstream>
 #include <system_error>
 #include <utility>
 
@@ -79,100 +77,49 @@ std::string render_string(std::string_view s) {
   return out;
 }
 
-namespace {
-
-constexpr int kSimPid = 1;
-constexpr int kWallPid = 2;
-
-void append_args(std::string& out, const std::vector<TraceArg>& args) {
-  out += '{';
-  for (std::size_t i = 0; i < args.size(); ++i) {
-    if (i != 0) out += ", ";
-    append_json_string(out, args[i].key);
-    out += ": ";
-    out += args[i].value;
-  }
-  out += '}';
-}
-
-}  // namespace
-
 int pid_of(Domain domain) noexcept {
-  return domain == Domain::kSim ? kSimPid : kWallPid;
+  return domain == Domain::kSim ? 1 : 2;
 }
 
-void append_event_json(std::string& out, const TraceEvent& e) {
-  out += "{\"ph\": \"";
+void append_event_line(std::string& out, const TraceEvent& e) {
+  out += "{\"t\":\"ev\",\"domain\":\"";
+  out += to_string(e.domain);
+  out += "\",\"ph\":\"";
   out += e.phase;
-  out += "\", \"ts\": ";
+  out += "\",\"ts\":";
   append_number(out, e.ts_us);
   if (e.phase == 'X') {
-    out += ", \"dur\": ";
+    out += ",\"dur\":";
     append_number(out, e.dur_us);
   }
-  out += ", \"pid\": ";
-  append_uint(out, static_cast<std::uint64_t>(pid_of(e.domain)));
-  out += ", \"tid\": ";
+  out += ",\"lane\":";
   append_uint(out, e.lane);
-  out += ", \"cat\": ";
+  out += ",\"cat\":";
   append_json_string(out, e.cat);
-  out += ", \"name\": ";
+  out += ",\"name\":";
   append_json_string(out, e.name);
-  if (e.phase == 'i') out += ", \"s\": \"t\"";
   if (!e.args.empty()) {
-    out += ", \"args\": ";
-    append_args(out, e.args);
+    out += ",\"args\":{";
+    for (std::size_t i = 0; i < e.args.size(); ++i) {
+      if (i != 0) out += ',';
+      append_json_string(out, e.args[i].key);
+      out += ':';
+      out += e.args[i].value;
+    }
+    out += '}';
   }
   out += '}';
 }
 
-void append_jsonl_event(std::string& out, const TraceEvent& e) {
-  out += "{\"domain\": \"";
-  out += to_string(e.domain);
-  out += "\", \"ph\": \"";
-  out += e.phase;
-  out += "\", \"ts\": ";
-  append_number(out, e.ts_us);
-  if (e.phase == 'X') {
-    out += ", \"dur\": ";
-    append_number(out, e.dur_us);
-  }
-  out += ", \"lane\": ";
-  append_uint(out, e.lane);
-  out += ", \"cat\": ";
-  append_json_string(out, e.cat);
-  out += ", \"name\": ";
-  append_json_string(out, e.name);
-  if (!e.args.empty()) {
-    out += ", \"args\": ";
-    append_args(out, e.args);
-  }
-  out += "}\n";
-}
-
-void write_event_json(std::ostream& out, const TraceEvent& e) {
-  std::string buf;
-  append_event_json(buf, e);
-  out << buf;
-}
-
-void write_jsonl_event(std::ostream& out, const TraceEvent& e) {
-  std::string buf;
-  append_jsonl_event(buf, e);
-  out << buf;
-}
-
-void write_lane_metadata_json(std::ostream& out, Domain domain,
-                              std::uint32_t lane, const std::string& name) {
-  out << "{\"ph\": \"M\", \"pid\": " << pid_of(domain) << ", \"tid\": " << lane
-      << ", \"name\": \"thread_name\", \"args\": {\"name\": "
-      << render_string(name) << "}}";
-}
-
-void write_process_metadata_json(std::ostream& out, Domain domain) {
-  out << "{\"ph\": \"M\", \"pid\": " << pid_of(domain)
-      << ", \"name\": \"process_name\", \"args\": {\"name\": "
-      << render_string(to_string(domain)) << "}}";
+void append_lane_line(std::string& out, Domain domain, std::uint32_t lane,
+                      std::string_view name) {
+  out += "{\"t\":\"lane\",\"domain\":\"";
+  out += to_string(domain);
+  out += "\",\"lane\":";
+  append_uint(out, lane);
+  out += ",\"name\":";
+  append_json_string(out, name);
+  out += '}';
 }
 
 }  // namespace detail
@@ -206,25 +153,21 @@ void Tracer::instant(Duration t, std::string_view cat, std::string_view name,
   append(std::move(e));
 }
 
-void Tracer::counter(Duration t, std::string_view cat, std::string_view name,
-                     std::vector<TraceArg> args) {
-  TraceEvent e;
-  e.domain = Domain::kSim;
-  e.phase = 'C';
-  e.ts_us = t.sec() * 1e6;
-  e.lane = lane_;
-  e.cat = cat;
-  e.name = name;
-  e.args = std::move(args);
-  append(std::move(e));
-}
-
-void Tracer::append(TraceEvent event) {
+void Tracer::append(const TraceEvent& event) {
   ++counts_[static_cast<int>(event.domain)];
   if (sink_ != nullptr) {
     sink_->write(event);
     return;
   }
+  events_.push_back(event);
+}
+
+void Tracer::append(TraceEvent&& event) {
+  if (sink_ != nullptr) {
+    append(static_cast<const TraceEvent&>(event));
+    return;
+  }
+  ++counts_[static_cast<int>(event.domain)];
   events_.push_back(std::move(event));
 }
 
@@ -256,81 +199,32 @@ void Tracer::clear() {
   counts_[0] = counts_[1] = 0;
 }
 
-namespace {
-
-/// Serialization chunk size: build events into a string and flush in large
-/// blocks — per-event ostream writes dominated the bulk exporters.
-constexpr std::size_t kFlushBytes = 1 << 20;
-
-}  // namespace
+void Tracer::replay(TraceSink& sink) const {
+  for (const auto& [key, name] : lane_names_) {
+    sink.write_lane_name(key.first, key.second, name);
+  }
+  for (const TraceEvent& e : events_) sink.write(e);
+}
 
 void Tracer::write_jsonl(std::ostream& out) const {
+  // Written out in 1 MiB chunks: a day-long trace is tens of MB.
+  constexpr std::size_t kChunkBytes = std::size_t{1} << 20;
   std::string buf;
-  buf.reserve(kFlushBytes + 512);
-  for (const TraceEvent& e : events_) {
-    detail::append_jsonl_event(buf, e);
-    if (buf.size() >= kFlushBytes) {
-      out.write(buf.data(), static_cast<std::streamsize>(buf.size()));
-      buf.clear();
-    }
-  }
-  out.write(buf.data(), static_cast<std::streamsize>(buf.size()));
-}
-
-void Tracer::write_chrome_trace(std::ostream& out) const {
-  std::string buf;
-  buf.reserve(kFlushBytes + 512);
-  buf += "{\"displayTimeUnit\": \"ms\", \"traceEvents\": [\n";
-  bool first = true;
-  const auto sep = [&]() -> std::string& {
-    buf += first ? "  " : ",\n  ";
-    first = false;
-    return buf;
+  const auto put = [&](bool last) {
+    if (!last && buf.size() < kChunkBytes) return;
+    out.write(buf.data(), static_cast<std::streamsize>(buf.size()));
+    buf.clear();
   };
-  for (const Domain domain : {Domain::kSim, Domain::kWall}) {
-    bool have = count(domain) > 0;
-    for (const auto& [key, name] : lane_names_) {
-      have = have || key.first == domain;
-    }
-    if (!have) continue;
-    std::ostringstream meta;
-    detail::write_process_metadata_json(meta, domain);
-    sep() += meta.str();
-  }
   for (const auto& [key, name] : lane_names_) {
-    std::ostringstream meta;
-    detail::write_lane_metadata_json(meta, key.first, key.second, name);
-    sep() += meta.str();
+    detail::append_lane_line(buf, key.first, key.second, name);
+    buf += '\n';
   }
   for (const TraceEvent& e : events_) {
-    detail::append_event_json(sep(), e);
-    if (buf.size() >= kFlushBytes) {
-      out.write(buf.data(), static_cast<std::streamsize>(buf.size()));
-      buf.clear();
-    }
+    detail::append_event_line(buf, e);
+    buf += '\n';
+    put(false);
   }
-  buf += "\n]}\n";
-  out.write(buf.data(), static_cast<std::streamsize>(buf.size()));
-}
-
-bool export_trace(const std::string& dir, const std::string& name,
-                  const Tracer& tracer, std::ostream* diag) {
-  bool ok = true;
-  const auto write = [&](const std::string& path, auto&& writer) {
-    std::ofstream out(path);
-    if (!out) {
-      if (diag != nullptr) *diag << "cannot write " << path << "\n";
-      ok = false;
-      return;
-    }
-    writer(out);
-    if (diag != nullptr) *diag << "[obs] wrote " << path << "\n";
-  };
-  write(dir + "/" + name + "_trace.json",
-        [&](std::ostream& o) { tracer.write_chrome_trace(o); });
-  write(dir + "/" + name + "_trace.jsonl",
-        [&](std::ostream& o) { tracer.write_jsonl(o); });
-  return ok;
+  put(true);
 }
 
 }  // namespace dcs::obs

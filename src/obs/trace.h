@@ -1,5 +1,6 @@
-// Structured trace events for the sprinting stack, exportable as JSONL and
-// as Chrome trace-event JSON (loadable in Perfetto / chrome://tracing).
+// Structured trace events for the sprinting stack, written as JSONL lines
+// of the telemetry schema (obs/telemetry.h: `{"t":"ev",...}` events and
+// `{"t":"lane",...}` lane names) and as Perfetto protobuf (obs/perfetto.h).
 //
 // Two clock domains share one Tracer:
 //  * kSim — events stamped with *simulated* time (controller phase
@@ -49,14 +50,14 @@ struct TraceArg {
 
 struct TraceEvent {
   Domain domain = Domain::kSim;
-  /// Chrome trace-event phase: 'i' instant, 'X' complete span, 'C' counter.
+  /// Trace-event phase: 'i' instant, 'X' complete span, 'C' counter.
   char phase = 'i';
   /// Microseconds: simulated time (kSim) or wall time since the profiler
   /// epoch (kWall).
   double ts_us = 0.0;
   /// Span length ('X' events only).
   double dur_us = 0.0;
-  /// Lane ("tid" in the Chrome format): sweep task index for sim events,
+  /// Lane (a thread track in Perfetto): sweep task index for sim events,
   /// worker lane for wall events.
   std::uint32_t lane = 0;
   std::string cat;
@@ -103,11 +104,11 @@ class Tracer {
   /// Appends a sim-domain instant event at simulated time `t`.
   void instant(Duration t, std::string_view cat, std::string_view name,
                std::vector<TraceArg> args = {});
-  /// Appends a sim-domain counter event ('C') at simulated time `t`.
-  void counter(Duration t, std::string_view cat, std::string_view name,
-               std::vector<TraceArg> args);
-  /// Appends a fully-specified event (profiling export, tests).
-  void append(TraceEvent event);
+  /// Appends a fully-specified event (profiling export, counter tracks,
+  /// tests). A streaming tracer hands the event to its sink as is, so a
+  /// caller that reuses one event pays no copy.
+  void append(const TraceEvent& event);
+  void append(TraceEvent&& event);
 
   /// Appends every event of `other` in order (task-order sweep merging).
   /// Lane names are merged too; `other` is left empty, so a second merge
@@ -115,18 +116,13 @@ class Tracer {
   /// Self-merge is a precondition violation.
   void merge_from(Tracer&& other);
 
-  /// Names a lane in the Chrome export ("thread_name" metadata).
+  /// Names a lane: a "lane" line in JSONL, the thread track's name in
+  /// Perfetto.
   void name_lane(Domain domain, std::uint32_t lane, std::string name);
 
   /// Buffered events (empty in streaming mode — the sink consumed them).
   [[nodiscard]] const std::vector<TraceEvent>& events() const noexcept {
     return events_;
-  }
-  /// Lane metadata registered via name_lane, keyed by (domain, lane) —
-  /// lets a late-attached sink (telemetry forwarding) replay the names.
-  [[nodiscard]] const std::map<std::pair<Domain, std::uint32_t>, std::string>&
-  lane_names() const noexcept {
-    return lane_names_;
   }
   [[nodiscard]] bool empty() const noexcept {
     return counts_[0] + counts_[1] == 0;
@@ -138,11 +134,12 @@ class Tracer {
   }
   void clear();
 
-  /// One JSON object per line, every event in append order.
+  /// Hands the buffered lane names (in (domain, lane) order), then every
+  /// buffered event in append order, to `sink`; does not finalize it.
+  void replay(TraceSink& sink) const;
+  /// The JSONL trace: one "lane" line per named lane, then one "ev" line
+  /// per event in append order (what a JSONL sink fed by replay() holds).
   void write_jsonl(std::ostream& out) const;
-  /// Chrome trace-event JSON: {"traceEvents": [...]} with process/thread
-  /// metadata (pid 1 = "sim", pid 2 = "wall"); loads in Perfetto.
-  void write_chrome_trace(std::ostream& out) const;
 
  private:
   std::uint32_t lane_ = 0;
@@ -152,29 +149,24 @@ class Tracer {
   std::map<std::pair<Domain, std::uint32_t>, std::string> lane_names_;
 };
 
-/// Writes `<dir>/<name>_trace.json` (Chrome) and `<dir>/<name>_trace.jsonl`.
-/// Returns false (after a diagnostic on `diag`) when a file cannot open.
-bool export_trace(const std::string& dir, const std::string& name,
-                  const Tracer& tracer, std::ostream* diag = nullptr);
-
 namespace detail {
-// Shared JSON rendering between the buffered writers above and the
-// streaming sinks in obs/sink.h. The append_* forms build into a caller
-// buffer with std::to_chars — the bulk exporters serialize hundreds of
-// thousands of events, where per-event ostream formatting dominated the
-// day-long fig01 wall time. The ostream forms delegate to them.
+// The one JSONL renderer: Tracer::write_jsonl, the JSONL stream sink and
+// the telemetry stream all write their "ev" and "lane" lines through it.
+// It appends to a caller buffer with std::to_chars, so a sink renders an
+// event where it arrives with no stream formatting and no allocation once
+// the buffer has grown.
 [[nodiscard]] std::string render_number(double v);
 [[nodiscard]] std::string render_string(std::string_view s);
+/// Perfetto process id of a domain: 1 = "sim", 2 = "wall".
 [[nodiscard]] int pid_of(Domain domain) noexcept;
 void append_number(std::string& out, double v);
 void append_json_string(std::string& out, std::string_view s);
-void append_event_json(std::string& out, const TraceEvent& e);
-void append_jsonl_event(std::string& out, const TraceEvent& e);
-void write_event_json(std::ostream& out, const TraceEvent& e);
-void write_jsonl_event(std::ostream& out, const TraceEvent& e);
-void write_lane_metadata_json(std::ostream& out, Domain domain,
-                              std::uint32_t lane, const std::string& name);
-void write_process_metadata_json(std::ostream& out, Domain domain);
+/// `{"t":"ev","domain":...,"ph":...,"ts":...[,"dur":...],"lane":...,
+/// "cat":...,"name":...[,"args":{...}]}` without the trailing newline.
+void append_event_line(std::string& out, const TraceEvent& e);
+/// `{"t":"lane","domain":...,"lane":...,"name":...}`, no trailing newline.
+void append_lane_line(std::string& out, Domain domain, std::uint32_t lane,
+                      std::string_view name);
 }  // namespace detail
 
 }  // namespace dcs::obs

@@ -383,11 +383,10 @@ TEST(ExpDispatch, TelemetryDispatchMergesAlignedTimelineAcrossRestarts) {
   }
   EXPECT_NE(log.str().find("status:"), std::string::npos);
 
-  // All three timeline encodings landed, plus the folded stacks. Crashed
+  // Both timeline encodings landed, plus the folded stacks. Crashed
   // first attempts die before writing their stack line, so the keys carry
   // the completing attempts' src tags.
   EXPECT_TRUE(fs::is_regular_file(report.timeline.jsonl_path));
-  EXPECT_TRUE(fs::is_regular_file(report.timeline.chrome_path));
   EXPECT_TRUE(fs::is_regular_file(report.timeline.perfetto_path));
   ASSERT_TRUE(fs::is_regular_file(report.timeline.stacks_path));
   const std::string stacks = slurp(report.timeline.stacks_path);

@@ -1,7 +1,7 @@
 // Cross-process timeline merge (exp/timeline.h): source discovery and
-// ordering, wall-clock alignment onto the shared epoch, per-source Chrome
-// pids, folded-stack aggregation, headerless-stream degradation, and the
-// byte-identical re-merge the dispatcher's restart story depends on.
+// ordering, wall-clock alignment onto the shared epoch, per-source Perfetto
+// processes, folded-stack aggregation, headerless-stream degradation, and
+// the byte-identical re-merge the dispatcher's restart story depends on.
 #include "exp/timeline.h"
 
 #include <gtest/gtest.h>
@@ -151,21 +151,28 @@ TEST(ExpTimeline, MergesSourcesInDeterministicOrderWithEpochAlignment) {
   fs::remove_all(dir);
 }
 
-TEST(ExpTimeline, ChromeOutputSeparatesSourcesByPid) {
-  const std::string dir = build_work_dir("chrome");
+TEST(ExpTimeline, PerfettoOutputSeparatesSourcesByProcess) {
+  const std::string dir = build_work_dir("perfetto");
   const TimelineSummary summary = merge_timeline(options_for(dir));
   ASSERT_TRUE(summary.ok()) << summary.error;
+  // One process track per (source, domain) that carried events, named
+  // "src/domain" (the descriptor strings sit verbatim in the protobuf).
+  const std::string perfetto = slurp(summary.perfetto_path);
+  for (const char* process : {"dispatcher/wall", "shard0/sim", "shard0/wall",
+                              "shard1/wall", "shard1#2/wall"}) {
+    EXPECT_NE(perfetto.find(process), std::string::npos) << process;
+  }
+  EXPECT_EQ(perfetto.find("dispatcher/sim"), std::string::npos);
+  // The JSONL keeps the same split as (src, domain) on every event.
   const obs::query::TraceData trace =
-      obs::query::load_trace(summary.chrome_path);
+      obs::query::load_trace(summary.jsonl_path);
   ASSERT_EQ(trace.events.size(), 5u);
-  // src/domain resolve from the per-source process names.
   EXPECT_EQ(trace.events[0].src, "dispatcher");
   EXPECT_EQ(trace.events[0].domain, "wall");
   EXPECT_EQ(trace.events[1].src, "shard0");
   EXPECT_EQ(trace.events[1].domain, "sim");
   EXPECT_EQ(trace.events[3].src, "shard1");
   EXPECT_EQ(trace.events[4].src, "shard1#2");
-  // Aligned wall timestamps survive the Chrome path too.
   EXPECT_EQ(trace.events[3].ts_us, 3002.0);
   fs::remove_all(dir);
 }
@@ -183,7 +190,6 @@ TEST(ExpTimeline, RemergeIsByteIdenticalAcrossAllOutputs) {
   // A dispatcher that restarts re-merges the same telemetry streams; the
   // rebuilt timeline must be the same bytes, not just the same shape.
   EXPECT_EQ(slurp(a.jsonl_path), slurp(b.jsonl_path));
-  EXPECT_EQ(slurp(a.chrome_path), slurp(b.chrome_path));
   EXPECT_EQ(slurp(a.perfetto_path), slurp(b.perfetto_path));
   EXPECT_EQ(slurp(a.stacks_path), slurp(b.stacks_path));
   fs::remove_all(dir);

@@ -159,7 +159,7 @@ TEST(ObsDeterminism, DecisionStreamIsByteIdenticalAcrossThreadCounts) {
   EXPECT_EQ(serial, parallel);
 
   // The stream actually carries decision records with resolvable causes.
-  EXPECT_NE(serial.find("\"cat\": \"decision\""), std::string::npos);
+  EXPECT_NE(serial.find("\"cat\":\"decision\""), std::string::npos);
   EXPECT_NE(serial.find("\"sprint-onset\""), std::string::npos);
   EXPECT_NE(serial.find("\"fault-inject\""), std::string::npos);
   EXPECT_NE(serial.find("\"cause\""), std::string::npos);
@@ -174,8 +174,8 @@ TEST(ObsDeterminism, DecisionStreamIsByteIdenticalShardedVsUnsharded) {
 /// Builds a small recorder (with equal-time overwrites, which the recorder
 /// resolves to last-writer-wins), exports its channels as counter tracks
 /// through per-task tracers on `threads` workers, and returns the merged
-/// Chrome trace text.
-std::string counter_sweep_chrome(std::size_t threads) {
+/// JSONL trace.
+std::string counter_sweep_jsonl(std::size_t threads) {
   exp::SweepSpec spec("counter_determinism");
   spec.add_axis("run", {"a", "b", "c", "d"});
 
@@ -205,23 +205,24 @@ std::string counter_sweep_chrome(std::size_t threads) {
     merged.merge_from(std::move(task_tracers[task.index]));
   }
   std::ostringstream out;
-  merged.write_chrome_trace(out);
+  merged.write_jsonl(out);
   return out.str();
 }
 
 TEST(ObsDeterminism, CounterTracksAreByteIdenticalAcrossThreadCounts) {
-  const std::string serial = counter_sweep_chrome(1);
-  const std::string parallel = counter_sweep_chrome(8);
+  const std::string serial = counter_sweep_jsonl(1);
+  const std::string parallel = counter_sweep_jsonl(8);
   EXPECT_EQ(serial, parallel);
 
-  // Round trip: the export is valid Chrome JSON whose counter events carry
+  // Round trip: every line is a JSONL event whose counter samples carry
   // the overwritten (last-writer-wins) sample values.
-  const json::Value doc = json::parse(serial);
-  const json::Value& events = doc.at("traceEvents");
+  std::istringstream lines(serial);
+  std::string line;
   std::size_t counters = 0;
   bool found_overwritten = false;
-  for (std::size_t i = 0; i < events.size(); ++i) {
-    const json::Value& e = events[i];
+  while (std::getline(lines, line)) {
+    const json::Value e = json::parse(line);
+    EXPECT_EQ(e.at("t").as_string(), "ev");
     if (e.at("ph").as_string() != "C") continue;
     ++counters;
     EXPECT_EQ(e.at("cat").as_string(), "recorder");
@@ -231,7 +232,8 @@ TEST(ObsDeterminism, CounterTracksAreByteIdenticalAcrossThreadCounts) {
       found_overwritten = true;
     }
   }
-  // 4 tasks x 2 present channels x 50 samples; "absent" is skipped.
+  // 4 tasks x 2 present channels x 50 samples, every one a change;
+  // "absent" is skipped.
   EXPECT_EQ(counters, 4u * 2u * 50u);
   EXPECT_TRUE(found_overwritten);
 }

@@ -134,7 +134,7 @@ TEST(ObsPerfetto, VarintEncodingRoundTrips) {
 }
 
 TEST(ObsPerfetto, WriterEmitsDescriptorsAndEventsWithSequentialUuids) {
-  std::ostringstream out;
+  std::string out;
   PerfettoWriter writer(out);
   const std::uint64_t process = writer.add_process(42, "sim");
   const std::uint64_t thread = writer.add_thread(42, 3, "lane-three");
@@ -148,7 +148,7 @@ TEST(ObsPerfetto, WriterEmitsDescriptorsAndEventsWithSequentialUuids) {
   writer.counter(counter, 4000, 2.5);
   EXPECT_EQ(writer.packets_written(), 7u);
 
-  const std::vector<std::string> packets = split_packets(out.str());
+  const std::vector<std::string> packets = split_packets(out);
   ASSERT_EQ(packets.size(), 7u);
 
   // Packet 0: process descriptor with pid and name.
@@ -216,14 +216,14 @@ TEST(ObsPerfetto, WriterEmitsDescriptorsAndEventsWithSequentialUuids) {
 
 TEST(ObsPerfetto, IdenticalCallSequencesProduceIdenticalBytes) {
   const auto run = [] {
-    std::ostringstream out;
+    std::string out;
     PerfettoWriter writer(out);
     const std::uint64_t p = writer.add_process(1, "sim");
     const std::uint64_t t = writer.add_thread(1, 0, "lane");
     writer.slice_begin(t, 10, "a", "c");
     writer.slice_end(t, 20);
     writer.counter(writer.add_counter(p, "x"), 30, 1.5);
-    return out.str();
+    return out;
   };
   EXPECT_EQ(run(), run()) << "timeline re-merges rely on byte stability";
 }
@@ -244,7 +244,7 @@ TraceEvent event_with(Domain domain, char phase, double ts_us,
 TEST(ObsPerfetto, StreamSinkMapsDomainsLanesAndCountersToTracks) {
   const std::string path = temp_path("perfetto_sink.perfetto");
   {
-    PerfettoStreamSink sink(path, {.buffer_events = 4});
+    PerfettoStreamSink sink(path, {.buffer_bytes = 32});
     ASSERT_TRUE(sink.ok());
     sink.write_lane_name(Domain::kSim, 0, "named-early");
     sink.write(event_with(Domain::kSim, 'i', 1.0, "tick"));
@@ -255,7 +255,7 @@ TEST(ObsPerfetto, StreamSinkMapsDomainsLanesAndCountersToTracks) {
     sample.args = {arg("value", 2.75)};
     sink.write(sample);
     sink.finalize();
-    EXPECT_EQ(sink.events_written(), 4u);  // 3 + synthetic lane-name 'M'
+    EXPECT_EQ(sink.events_written(), 3u);  // lane names are not events
   }
   const std::vector<std::string> packets = split_packets(read_file(path));
   // sim process + sim thread + wall process + wall counter descriptors,
@@ -307,10 +307,9 @@ TEST(ObsPerfetto, StreamSinkMapsDomainsLanesAndCountersToTracks) {
 TEST(ObsPerfetto, LaneRenameRedeclaresTheSameTrackUuid) {
   const std::string path = temp_path("perfetto_rename.perfetto");
   {
-    PerfettoStreamSink sink(path, {.buffer_events = 1});
-    // buffer_events=1 renders the instant (minting the track) before the
-    // rename arrives, forcing the redeclare path rather than the eager-name
-    // one.
+    PerfettoStreamSink sink(path);
+    // The instant mints the track before the rename arrives, forcing the
+    // redeclare path rather than the eager-name one.
     sink.write(event_with(Domain::kSim, 'i', 1.0, "before"));
     sink.write_lane_name(Domain::kSim, 0, "renamed");
     sink.finalize();

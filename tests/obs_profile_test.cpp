@@ -92,8 +92,8 @@ TEST_F(ObsProfile, ExportToEmitsWallSpansAndNamesLanes) {
   EXPECT_DOUBLE_EQ(e.ts_us, 1.0);
   EXPECT_DOUBLE_EQ(e.dur_us, 2.0);
   std::ostringstream out;
-  tracer.write_chrome_trace(out);
-  EXPECT_NE(out.str().find("main"), std::string::npos);
+  tracer.write_jsonl(out);
+  EXPECT_NE(out.str().find("\"name\":\"main\""), std::string::npos);
 }
 
 TEST_F(ObsProfile, ResetDropsBufferedSpans) {

@@ -1,6 +1,7 @@
-// Offline trace analysis (obs/query.h): format auto-detection over the
-// repo's three trace encodings, scope/counter statistics, threshold-window
-// extraction with step-function semantics, and byte-stable CSV output.
+// Offline trace analysis (obs/query.h): loading the telemetry-schema JSONL
+// traces (torn last lines skipped, anything else malformed rejected),
+// scope/counter statistics, threshold-window extraction with step-function
+// semantics, and byte-stable CSV output.
 #include "obs/query.h"
 
 #include <gtest/gtest.h>
@@ -8,6 +9,7 @@
 #include <cstdio>
 #include <fstream>
 #include <sstream>
+#include <stdexcept>
 #include <string>
 #include <vector>
 
@@ -99,7 +101,41 @@ TEST(ObsQuery, CounterStatsAggregatePerTrack) {
   EXPECT_EQ(stats[0].min, 1.0);
   EXPECT_EQ(stats[0].max, 3.5);
   EXPECT_EQ(stats[0].last, 1.0);
-  EXPECT_NEAR(stats[0].mean, 13.5 / 8.0, 1e-12);
+  // Time-weighted: lane 0 holds 1, 3, 3.5, 1, 2 for 10 us each (its last
+  // sample spans no time) and lane 1 holds 1 for 20 us: 125 over 70 us.
+  EXPECT_NEAR(stats[0].mean, 125.0 / 70.0, 1e-12);
+  std::remove(path.c_str());
+}
+
+TEST(ObsQuery, CounterMeanWeighsEachSampleByTheTimeItHolds) {
+  const std::string path = temp_path("query_weighted.jsonl");
+  const auto sample = [](const char* name, int lane, double ts, double v) {
+    return "{\"t\":\"ev\",\"domain\":\"sim\",\"ph\":\"C\",\"ts\":" +
+           std::to_string(ts) + ",\"lane\":" + std::to_string(lane) +
+           ",\"name\":\"" + name + "\",\"args\":{\"value\":" +
+           std::to_string(v) + "}}\n";
+  };
+  // A change-only track (1 held for 90 us, then 10 for 10 us) and the same
+  // step function sampled every 10 us; a one-sample track on its own.
+  std::string text = sample("sparse", 0, 0, 1) + sample("sparse", 0, 90, 10) +
+                     sample("sparse", 0, 100, 10) + sample("single", 0, 5, 7);
+  for (int i = 0; i <= 10; ++i) {
+    text += sample("dense", 0, 10.0 * i, i < 9 ? 1.0 : 10.0);
+  }
+  write_file(path, text);
+  const std::vector<CounterStat> stats = counter_stats(load_trace(path));
+  ASSERT_EQ(stats.size(), 3u);
+  EXPECT_EQ(stats[0].name, "dense");
+  EXPECT_EQ(stats[0].points, 11u);
+  EXPECT_DOUBLE_EQ(stats[0].mean, 1.9);
+  EXPECT_EQ(stats[1].name, "single");
+  EXPECT_EQ(stats[1].mean, 7.0) << "a one-sample track counts its value";
+  EXPECT_EQ(stats[2].name, "sparse");
+  EXPECT_EQ(stats[2].points, 3u) << "points are the emitted samples";
+  EXPECT_DOUBLE_EQ(stats[2].mean, 1.9);
+  EXPECT_EQ(stats[2].min, stats[0].min);
+  EXPECT_EQ(stats[2].max, stats[0].max);
+  EXPECT_EQ(stats[2].last, stats[0].last);
   std::remove(path.c_str());
 }
 
@@ -157,39 +193,11 @@ TEST(ObsQuery, ThresholdWindowsFollowStepFunctionSemanticsPerLane) {
   std::remove(path.c_str());
 }
 
-TEST(ObsQuery, LoadsChromeTracesWithProcessNameResolution) {
-  const std::string path = temp_path("query_chrome.json");
-  write_file(
-      path,
-      "{\"displayTimeUnit\": \"ms\", \"traceEvents\": [\n"
-      "  {\"ph\": \"M\", \"pid\": 10, \"name\": \"process_name\","
-      " \"args\": {\"name\": \"shard0/sim\"}},\n"
-      "  {\"ph\": \"M\", \"pid\": 1, \"name\": \"process_name\","
-      " \"args\": {\"name\": \"sim\"}},\n"
-      "  {\"ph\": \"X\", \"ts\": 5, \"dur\": 10, \"pid\": 10, \"tid\": 2,"
-      " \"cat\": \"c\", \"name\": \"merged-span\"},\n"
-      "  {\"ph\": \"C\", \"ts\": 7, \"pid\": 1, \"tid\": 0,"
-      " \"name\": \"soc\", \"args\": {\"value\": 0.5}}\n"
-      "]}\n");
-  const TraceData trace = load_trace(path);
-  ASSERT_EQ(trace.events.size(), 2u);
-  // Merged-timeline process names split into (src, domain)...
-  EXPECT_EQ(trace.events[0].src, "shard0");
-  EXPECT_EQ(trace.events[0].domain, "sim");
-  EXPECT_EQ(trace.events[0].lane, 2u);
-  EXPECT_EQ(trace.events[0].name, "merged-span");
-  // ...single-process names stay src-less.
-  EXPECT_EQ(trace.events[1].src, "");
-  EXPECT_EQ(trace.events[1].domain, "sim");
-  ASSERT_TRUE(trace.events[1].has_value);
-  EXPECT_EQ(trace.events[1].value, 0.5);
-  std::remove(path.c_str());
-}
-
 TEST(ObsQuery, LoadsSinkWrittenJsonlAndSurvivesTornTrailingLine) {
   const std::string path = temp_path("query_sink.jsonl");
   {
-    JsonlStreamSink sink(path, {.buffer_events = 4});
+    JsonlStreamSink sink(path, {.buffer_bytes = 256});
+    sink.write_lane_name(Domain::kSim, 0, "margins");
     TraceEvent e;
     e.phase = 'C';
     e.name = "margin";
@@ -203,7 +211,7 @@ TEST(ObsQuery, LoadsSinkWrittenJsonlAndSurvivesTornTrailingLine) {
   {
     // A crashed worker's torn tail: half a JSON object, no newline.
     std::ofstream out(path, std::ios::binary | std::ios::app);
-    out << "{\"domain\":\"sim\",\"ph\":\"C\",\"ts\":99,\"na";
+    out << "{\"t\":\"ev\",\"domain\":\"sim\",\"ph\":\"C\",\"ts\":99,\"na";
   }
   const TraceData trace = load_trace(path);
   EXPECT_EQ(trace.events.size(), 6u) << "the torn line is skipped, not fatal";
@@ -265,12 +273,12 @@ TEST(ObsQuery, JsonlWritersAreByteStable) {
 TEST(ObsQuery, InstantEventsKeepTheirArgsInSortedOrder) {
   const std::string path = temp_path("query_instant_args.jsonl");
   write_file(path,
-             "{\"domain\":\"sim\",\"ph\":\"i\",\"ts\":5,\"lane\":0,"
-             "\"cat\":\"decision\",\"name\":\"burst-start\","
+             "{\"t\":\"ev\",\"domain\":\"sim\",\"ph\":\"i\",\"ts\":5,"
+             "\"lane\":0,\"cat\":\"decision\",\"name\":\"burst-start\","
              "\"args\":{\"id\":\"d0-1\",\"in_demand\":1.5,\"schema\":1,"
              "\"armed\":true}}\n"
-             "{\"domain\":\"sim\",\"ph\":\"C\",\"ts\":6,\"lane\":0,"
-             "\"name\":\"degree\",\"args\":{\"value\":2}}\n");
+             "{\"t\":\"ev\",\"domain\":\"sim\",\"ph\":\"C\",\"ts\":6,"
+             "\"lane\":0,\"name\":\"degree\",\"args\":{\"value\":2}}\n");
   const TraceData trace = load_trace(path);
   ASSERT_EQ(trace.events.size(), 2u);
   const QueryEvent& instant = trace.events[0];
@@ -285,6 +293,53 @@ TEST(ObsQuery, InstantEventsKeepTheirArgsInSortedOrder) {
   EXPECT_TRUE(trace.events[1].args.empty());
   EXPECT_TRUE(trace.events[1].has_value);
   std::remove(path.c_str());
+}
+
+/// load_trace's error for `text`, or "" when it loads.
+std::string load_error(const std::string& text) {
+  const std::string path = temp_path("query_reject.jsonl");
+  write_file(path, text);
+  std::string error;
+  try {
+    (void)load_trace(path);
+  } catch (const std::invalid_argument& e) {
+    error = e.what();
+  }
+  std::remove(path.c_str());
+  return error;
+}
+
+TEST(ObsQuery, RejectsLinesOutsideTheSchemaNamingFileAndLine) {
+  const std::string ev =
+      "{\"t\":\"ev\",\"domain\":\"sim\",\"ph\":\"i\",\"ts\":1,"
+      "\"lane\":0,\"cat\":\"c\",\"name\":\"n\"}\n";
+  // A multi-line JSON document such as a Chrome trace-event file: its
+  // first line is not JSON on its own.
+  std::string error = load_error(
+      "{\"displayTimeUnit\": \"ms\", \"events\": [\n"
+      "  {\"ph\": \"i\", \"ts\": 1, \"pid\": 1, \"tid\": 0, \"name\": \"n\"}\n"
+      "]}\n");
+  EXPECT_NE(error.find("query_reject.jsonl:1:"), std::string::npos) << error;
+  // A line of the old plain schema (no "t").
+  error = load_error(ev +
+                     "{\"domain\": \"sim\", \"ph\": \"i\", \"ts\": 2, "
+                     "\"lane\": 0, \"cat\": \"c\", \"name\": \"n\"}\n");
+  EXPECT_NE(error.find("query_reject.jsonl:2:"), std::string::npos) << error;
+  // A damaged middle line, a non-object, a non-string "t", and an "ev"
+  // line missing its timestamp.
+  EXPECT_NE(load_error(ev + "{\"t\":\"ev\",\"dom\n" + ev).find(":2:"),
+            std::string::npos);
+  EXPECT_NE(load_error("[1, 2]\n").find(":1:"), std::string::npos);
+  EXPECT_NE(load_error("{\"t\":3}\n").find(":1:"), std::string::npos);
+  EXPECT_NE(load_error(ev + ev +
+                       "{\"t\":\"ev\",\"domain\":\"sim\",\"ph\":\"i\"}\n")
+                .find(":3:"),
+            std::string::npos);
+  // Unknown "t" types stay skipped, and only an unterminated last line is
+  // forgiven.
+  EXPECT_EQ(load_error("{\"t\":\"future\",\"x\":1}\n" + ev), "");
+  EXPECT_EQ(load_error(ev + "{\"t\":\"ev\",\"dom"), "");
+  EXPECT_EQ(load_error(ev + "not json at all"), "");
 }
 
 TEST(ObsQuery, RejectsUnreadableAndHandlesEmptyInput) {

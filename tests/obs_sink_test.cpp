@@ -1,14 +1,17 @@
-// Streaming trace sinks: bounded memory, crash-safe Chrome output, and the
-// Tracer's streaming mode.
+// Streaming trace sinks: a byte-bounded render buffer, the JSONL line
+// schema, the tee's failure propagation, and the Tracer's streaming mode.
 #include "obs/sink.h"
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdio>
 #include <fstream>
 #include <sstream>
 #include <string>
+#include <vector>
 
+#include "obs/perfetto.h"
 #include "obs/trace.h"
 #include "util/json.h"
 
@@ -35,121 +38,129 @@ TraceEvent instant_at(double ts_us, const std::string& name) {
   return e;
 }
 
+std::vector<std::string> read_lines(const std::string& path) {
+  std::ifstream in(path);
+  std::vector<std::string> lines;
+  std::string line;
+  while (std::getline(in, line)) lines.push_back(line);
+  return lines;
+}
+
 TEST(ObsSink, StreamsManyEventsThroughSmallBufferWithBoundedMemory) {
-  const std::string path = temp_path("sink_bounded.json");
+  const std::string path = temp_path("sink_bounded.jsonl");
   const std::size_t kEvents = 120000;
-  const std::size_t kBuffer = 256;
+  const std::size_t kBuffer = 4096;
+  std::size_t longest = 0;
   {
-    ChromeStreamSink sink(path, {.buffer_events = kBuffer});
+    JsonlStreamSink sink(path, {.buffer_bytes = kBuffer});
     ASSERT_TRUE(sink.ok());
     for (std::size_t i = 0; i < kEvents; ++i) {
       sink.write(instant_at(static_cast<double>(i), "e"));
     }
     sink.finalize();
     EXPECT_EQ(sink.events_written(), kEvents);
-    // The whole point: peak memory is the buffer cap, not the trace length.
-    EXPECT_LE(sink.peak_buffered(), kBuffer);
-    EXPECT_GE(sink.flush_count(), kEvents / kBuffer);
+    for (const std::string& line : read_lines(path)) {
+      longest = std::max(longest, line.size() + 1);
+    }
+    // The whole point: peak memory is the byte bound plus one rendered
+    // line, not the trace length.
+    EXPECT_LT(sink.peak_buffered_bytes(), kBuffer + longest);
+    EXPECT_GE(sink.flush_count(), kEvents * 40 / kBuffer);
   }
-  const json::Value doc = json::parse_file(path);
-  // +2 process-metadata events for the sim domain... actually only events
-  // written through write() count; metadata is emitted inline.
-  EXPECT_GE(doc.at("traceEvents").size(), kEvents);
-  std::remove(path.c_str());
-}
-
-TEST(ObsSink, ChromeFileIsValidJsonMidStream) {
-  const std::string path = temp_path("sink_midstream.json");
-  ChromeStreamSink sink(path, {.buffer_events = 64});
-  for (std::size_t i = 0; i < 200; ++i) {
-    sink.write(instant_at(static_cast<double>(i), "mid"));
-  }
-  // No finalize: the crash-safe trailer written after each flush must leave
-  // a complete, loadable document on disk (only the tail of the last
-  // unflushed buffer is missing).
-  const json::Value doc = json::parse_file(path);
-  EXPECT_GE(doc.at("traceEvents").size(), 128u);
-  sink.finalize();
-  EXPECT_EQ(json::parse_file(path).at("traceEvents").size(),
-            200u + 1u);  // + sim process metadata
+  EXPECT_EQ(read_lines(path).size(), kEvents);
   std::remove(path.c_str());
 }
 
 TEST(ObsSink, FinalizeIsIdempotentAndDtorFinalizes) {
-  const std::string path = temp_path("sink_idempotent.json");
+  const std::string path = temp_path("sink_idempotent.jsonl");
   {
-    ChromeStreamSink sink(path);
+    JsonlStreamSink sink(path);
     sink.write(instant_at(1.0, "once"));
     sink.finalize();
     sink.finalize();
+    sink.write(instant_at(2.0, "after-finalize"));  // dropped
   }  // dtor calls finalize() again
-  const json::Value doc = json::parse_file(path);
-  EXPECT_GE(doc.at("traceEvents").size(), 1u);
+  ASSERT_EQ(read_lines(path).size(), 1u);
+  EXPECT_EQ(json::parse(read_lines(path)[0]).at("name").as_string(), "once");
+  {
+    JsonlStreamSink sink(path);
+    sink.write(instant_at(3.0, "dtor-only"));
+  }  // no finalize: the destructor writes the buffered line
+  ASSERT_EQ(read_lines(path).size(), 1u);
+  EXPECT_NE(read_lines(path)[0].find("dtor-only"), std::string::npos);
   std::remove(path.c_str());
 }
 
 TEST(ObsSink, LaneNamesRenderOnceAndInterleaveSafely) {
-  const std::string path = temp_path("sink_lanes.json");
+  const std::string path = temp_path("sink_lanes.jsonl");
   {
-    ChromeStreamSink sink(path, {.buffer_events = 4});
+    JsonlStreamSink sink(path, {.buffer_bytes = 64});
     sink.write_lane_name(Domain::kSim, 2, "task-2");
     sink.write(instant_at(1.0, "a"));
     sink.write_lane_name(Domain::kSim, 2, "task-2");  // duplicate: dropped
     sink.write(instant_at(2.0, "b"));
+    sink.write_lane_name(Domain::kSim, 2, "renamed");
     sink.finalize();
+    EXPECT_EQ(sink.events_written(), 2u) << "lane lines are not events";
   }
-  const std::string text = read_file(path);
-  const json::Value doc = json::parse(text);
-  std::size_t named = 0;
-  for (std::size_t i = 0; i < doc.at("traceEvents").size(); ++i) {
-    const json::Value& e = doc.at("traceEvents")[i];
-    if (e.at("ph").as_string() == "M" &&
-        e.at("name").as_string() == "thread_name" &&
-        e.at("args").at("name").as_string() == "task-2") {
-      ++named;
-    }
-  }
-  EXPECT_EQ(named, 1u);
+  const std::vector<std::string> lines = read_lines(path);
+  ASSERT_EQ(lines.size(), 4u);
+  const json::Value lane = json::parse(lines[0]);
+  EXPECT_EQ(lane.at("t").as_string(), "lane");
+  EXPECT_EQ(lane.at("domain").as_string(), "sim");
+  EXPECT_EQ(lane.at("lane").as_number(), 2.0);
+  EXPECT_EQ(lane.at("name").as_string(), "task-2");
+  EXPECT_EQ(json::parse(lines[1]).at("name").as_string(), "a");
+  EXPECT_EQ(json::parse(lines[2]).at("name").as_string(), "b");
+  EXPECT_EQ(json::parse(lines[3]).at("name").as_string(), "renamed");
   std::remove(path.c_str());
 }
 
 TEST(ObsSink, JsonlSinkWritesOneParsableObjectPerLine) {
   const std::string path = temp_path("sink_lines.jsonl");
   {
-    JsonlStreamSink sink(path, {.buffer_events = 8});
+    JsonlStreamSink sink(path, {.buffer_bytes = 256});
     for (std::size_t i = 0; i < 50; ++i) {
       sink.write(instant_at(static_cast<double>(i), "line"));
     }
-    sink.write_lane_name(Domain::kSim, 0, "dropped");  // no JSONL form
+    sink.write_lane_name(Domain::kSim, 0, "lane-zero");
     sink.finalize();
   }
-  std::ifstream in(path);
-  std::string line;
-  std::size_t lines = 0;
-  while (std::getline(in, line)) {
+  std::size_t events = 0;
+  std::size_t lanes = 0;
+  for (const std::string& line : read_lines(path)) {
     const json::Value v = json::parse(line);
-    EXPECT_EQ(v.at("name").as_string(), "line");
-    ++lines;
+    if (v.at("t").as_string() == "ev") {
+      EXPECT_EQ(v.at("name").as_string(), "line");
+      EXPECT_EQ(v.at("domain").as_string(), "sim");
+      EXPECT_EQ(v.at("ph").as_string(), "i");
+      EXPECT_EQ(v.at("ts").as_number(), static_cast<double>(events));
+      ++events;
+    } else {
+      EXPECT_EQ(v.at("t").as_string(), "lane");
+      ++lanes;
+    }
   }
-  EXPECT_EQ(lines, 50u);
+  EXPECT_EQ(events, 50u);
+  EXPECT_EQ(lanes, 1u);
   std::remove(path.c_str());
 }
 
 TEST(ObsSink, TeeFansOutToEverySink) {
-  const std::string chrome_path = temp_path("sink_tee.json");
+  const std::string perfetto_path = temp_path("sink_tee.perfetto");
   const std::string jsonl_path = temp_path("sink_tee.jsonl");
   {
-    ChromeStreamSink chrome(chrome_path);
+    PerfettoStreamSink perfetto(perfetto_path);
     JsonlStreamSink jsonl(jsonl_path);
-    TeeSink tee({&chrome, &jsonl});
+    TeeSink tee({&perfetto, &jsonl});
     tee.write(instant_at(1.0, "both"));
     tee.finalize();
-    EXPECT_EQ(chrome.events_written(), 1u);
+    EXPECT_EQ(perfetto.events_written(), 1u);
     EXPECT_EQ(jsonl.events_written(), 1u);
   }
-  EXPECT_NE(read_file(chrome_path).find("both"), std::string::npos);
+  EXPECT_NE(read_file(perfetto_path).find("both"), std::string::npos);
   EXPECT_NE(read_file(jsonl_path).find("both"), std::string::npos);
-  std::remove(chrome_path.c_str());
+  std::remove(perfetto_path.c_str());
   std::remove(jsonl_path.c_str());
 }
 
@@ -161,8 +172,8 @@ TEST(ObsSink, TeePropagatesPartialFailureAndKeepsHealthySinksWriting) {
     }
   }
   const std::string good_path = temp_path("sink_tee_partial.jsonl");
-  JsonlStreamSink good(good_path, {.buffer_events = 4});
-  JsonlStreamSink doomed("/dev/full", {.buffer_events = 4});
+  JsonlStreamSink good(good_path, {.buffer_bytes = 256});
+  JsonlStreamSink doomed("/dev/full", {.buffer_bytes = 256});
   TeeSink tee({&good, &doomed});
   ASSERT_TRUE(tee.healthy());
   for (std::size_t i = 0; i < 32; ++i) {
@@ -184,9 +195,9 @@ TEST(ObsSink, TeePropagatesPartialFailureAndKeepsHealthySinksWriting) {
 }
 
 TEST(ObsSink, StreamingTracerForwardsWithoutBuffering) {
-  const std::string path = temp_path("sink_tracer.json");
+  const std::string path = temp_path("sink_tracer.jsonl");
   {
-    ChromeStreamSink sink(path, {.buffer_events = 16});
+    JsonlStreamSink sink(path, {.buffer_bytes = 1024});
     Tracer tracer(&sink);
     EXPECT_EQ(tracer.sink(), &sink);
     tracer.set_lane(5);
@@ -199,18 +210,19 @@ TEST(ObsSink, StreamingTracerForwardsWithoutBuffering) {
     EXPECT_FALSE(tracer.empty());
     EXPECT_EQ(tracer.count(Domain::kSim), 100u);
     sink.finalize();
-    // 100 counters + the lane-name metadata event (queued through the same
-    // buffer so ordering and memory bounds stay uniform).
-    EXPECT_EQ(sink.events_written(), 101u);
+    EXPECT_EQ(sink.events_written(), 100u);
   }
-  EXPECT_NE(read_file(path).find("lane-five"), std::string::npos);
+  const std::vector<std::string> lines = read_lines(path);
+  ASSERT_EQ(lines.size(), 101u);
+  EXPECT_NE(lines.back().find("lane-five"), std::string::npos)
+      << "the lane line lands where it arrived";
   std::remove(path.c_str());
 }
 
 TEST(ObsSink, MergeIntoStreamingTracerDrainsBufferedSource) {
-  const std::string path = temp_path("sink_merge.json");
+  const std::string path = temp_path("sink_merge.jsonl");
   {
-    ChromeStreamSink sink(path);
+    JsonlStreamSink sink(path);
     Tracer merged(&sink);
     Tracer task;
     task.set_lane(1);
@@ -237,7 +249,9 @@ TEST(ObsSink, StreamFailureMidRunDropsSinkToNotOk) {
       GTEST_SKIP() << "/dev/full not available on this platform";
     }
   }
-  JsonlStreamSink sink("/dev/full", {.buffer_events = 8});
+  // About eight lines fill the buffer, so the first flush comes at the
+  // eighth or ninth event.
+  JsonlStreamSink sink("/dev/full", {.buffer_bytes = 8 * 80});
   ASSERT_TRUE(sink.ok());
   std::size_t i = 0;
   for (; i < 64 && sink.ok(); ++i) {
@@ -245,6 +259,7 @@ TEST(ObsSink, StreamFailureMidRunDropsSinkToNotOk) {
   }
   EXPECT_FALSE(sink.ok()) << "the failed flush must drop the sink state";
   EXPECT_LE(i, 16u) << "ok() must flip at the first failing flush boundary";
+  EXPECT_EQ(sink.flush_count(), 1u);
   const std::size_t written = sink.events_written();
   sink.write(instant_at(999.0, "after-failure"));  // dropped, no crash
   EXPECT_EQ(sink.events_written(), written);
@@ -253,7 +268,7 @@ TEST(ObsSink, StreamFailureMidRunDropsSinkToNotOk) {
 }
 
 TEST(ObsSink, UnwritablePathReportsNotOk) {
-  ChromeStreamSink sink("/nonexistent-dir/trace.json");
+  JsonlStreamSink sink("/nonexistent-dir/trace.jsonl");
   EXPECT_FALSE(sink.ok());
   sink.write(instant_at(1.0, "dropped"));
   sink.finalize();  // must not crash

@@ -36,36 +36,6 @@ TEST(ObsTrace, ArgRendersNumbersRoundTrippable) {
   EXPECT_EQ(arg("inf", std::string_view("inf")).value, "\"inf\"");
 }
 
-TEST(ObsTrace, ChromeTraceIsWellFormedJsonWithMetadata) {
-  Tracer tracer;
-  tracer.name_lane(Domain::kSim, 0, "greedy/nominal");
-  tracer.instant(Duration::seconds(1), "fault", "inject",
-                 {arg("magnitude", 0.4)});
-  TraceEvent span;
-  span.domain = Domain::kWall;
-  span.phase = 'X';
-  span.ts_us = 10.0;
-  span.dur_us = 5.0;
-  span.lane = 1;
-  span.cat = "profile";
-  span.name = "exp.task";
-  tracer.append(span);
-
-  std::ostringstream out;
-  tracer.write_chrome_trace(out);
-  const std::string json = out.str();
-  EXPECT_NE(json.find("\"traceEvents\""), std::string::npos);
-  EXPECT_NE(json.find("\"displayTimeUnit\""), std::string::npos);
-  EXPECT_NE(json.find("\"ph\": \"i\""), std::string::npos);
-  EXPECT_NE(json.find("\"ph\": \"X\""), std::string::npos);
-  EXPECT_NE(json.find("\"dur\": 5"), std::string::npos);
-  EXPECT_NE(json.find("greedy/nominal"), std::string::npos);
-  // Process metadata for both domains.
-  EXPECT_NE(json.find("\"process_name\""), std::string::npos);
-  EXPECT_NE(json.find("\"sim\""), std::string::npos);
-  EXPECT_NE(json.find("\"wall\""), std::string::npos);
-}
-
 TEST(ObsTrace, JsonlWritesOneObjectPerEventInAppendOrder) {
   Tracer tracer;
   tracer.instant(Duration::seconds(1), "a", "first");
@@ -99,9 +69,13 @@ TEST(ObsTrace, MergeFromAppendsInOrderAndTransfersLaneNames) {
   EXPECT_EQ(a.events()[1].name, "two");
   EXPECT_EQ(a.events()[1].lane, 7u);
 
+  // The lane name leads the JSONL export as a "lane" line.
   std::ostringstream out;
-  a.write_chrome_trace(out);
-  EXPECT_NE(out.str().find("task-7"), std::string::npos);
+  a.write_jsonl(out);
+  EXPECT_EQ(out.str().rfind("{\"t\":\"lane\",\"domain\":\"sim\",\"lane\":7,"
+                            "\"name\":\"task-7\"}\n",
+                            0),
+            0u);
 }
 
 TEST(ObsTrace, MergeClearsTheSourceSoDoubleMergeDoesNotDuplicate) {

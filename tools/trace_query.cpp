@@ -1,5 +1,6 @@
-// Offline trace analysis CLI over the repo's trace encodings (Chrome JSON,
-// trace/telemetry JSONL, merged timeline.jsonl). Usage:
+// Offline trace analysis CLI over the repo's JSONL traces (a bench's
+// `<name>_trace.jsonl`, a worker telemetry stream, the merged
+// timeline.jsonl; see obs/query.h). Usage:
 //
 //   trace_query scopes    <trace> [output] [--require-rows=N]
 //   trace_query counters  <trace> [output] [--require-rows=N]
@@ -18,12 +19,16 @@
 //   output: --csv[=path] | --jsonl[=path]   (default: readable table)
 //
 // `scopes` prints duration stats per (src, span name); `counters` prints
-// value stats per (src, counter track); `threshold` extracts the maximal
-// windows during which a counter track was below (default) or above a
-// threshold — e.g. `--track=cb_trip_margin_s --threshold=0.5 --below`
-// finds the intervals where the circuit-breaker margin ran thin. `slo` is
-// sugar for `threshold --track=serving_window_p99_ms --above`, extracting
-// SLO-violation intervals from the serving layer's windowed p99 track.
+// value stats per (src, counter track): `points` is the number of emitted
+// samples, and `mean` is time-weighted, each sample holding until the next
+// one on its lane (tracks are exported only where they change, so a plain
+// sample mean would over-weight the busy stretches); `threshold` extracts
+// the maximal windows during which a counter track was below (default) or
+// above a threshold — e.g. `--track=cb_trip_margin_s --threshold=0.5
+// --below` finds the intervals where the circuit-breaker margin ran thin.
+// `slo` is sugar for `threshold --track=serving_window_p99_ms --above`,
+// extracting SLO-violation intervals from the serving layer's windowed p99
+// track.
 //
 // The decision-provenance commands work on cat="decision" instant events
 // (obs/decision.h). `decisions` lists every DecisionRecord (optionally
