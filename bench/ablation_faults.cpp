@@ -95,7 +95,8 @@ struct Outcome {
 
 /// One isolated scenario run: fresh DataCenter, generator and supply trace
 /// per call, so tasks are safe to execute concurrently. `tracer` and
-/// `metrics` are per-task sinks (or null) — see RunOptions.
+/// `metrics` are per-task sinks (or null): the run is traced into `tracer`
+/// (see RunOptions), and recorded and exported into `metrics`.
 Outcome run_scenario(const DataCenterConfig& config, const TimeSeries& trace,
                      const Scenario& sc, Strategy* strategy, Mode mode,
                      obs::Tracer* tracer = nullptr,
@@ -104,7 +105,7 @@ Outcome run_scenario(const DataCenterConfig& config, const TimeSeries& trace,
   RunOptions opts;
   opts.mode = mode;
   opts.tracer = tracer;
-  opts.metrics = metrics;
+  opts.record = metrics != nullptr;
   TimeSeries supply;
   power::DieselGenerator generator(
       "gen", {.rated = config.dc_rated() * 0.5,
@@ -120,6 +121,7 @@ Outcome run_scenario(const DataCenterConfig& config, const TimeSeries& trace,
   if (!sc.schedule.empty()) opts.faults = &sc.schedule;
   Outcome o;
   o.result = dc.run(trace, strategy, opts);
+  if (metrics != nullptr) dc.export_metrics(o.result, *metrics);
   o.survived = !o.result.tripped && o.result.watchdog.ok();
   return o;
 }
@@ -290,10 +292,10 @@ int main(int argc, char** argv) {
 
   obs::MetricsRegistry metrics;
   if (!args.get_string("metrics", "").empty()) {
-    // Cell-level snapshot of both sweeps, plus the per-tick instruments
+    // Cell-level snapshot of both sweeps, plus the run instruments
     // (sprint_degree histogram, SoC/margin gauges, transition counters)
-    // from one representative faulted run. The registry is not thread-safe,
-    // so the per-tick run happens here, after the sweeps.
+    // from one recorded, representative faulted run. The registry is not
+    // thread-safe, so that run happens here, after the sweeps.
     exp::metrics_from_summary(metrics, grid_summary);
     exp::metrics_from_summary(metrics, surv_summary);
     GreedyStrategy greedy;

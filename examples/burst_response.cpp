@@ -110,7 +110,8 @@ int main(int argc, char** argv) {
       std::ofstream out(csv_dir + "/burst_" + ch + ".csv");
       CsvWriter csv(out);
       csv.write_row({"time_s", ch});
-      for (const Sample& s : rec.series(ch).samples()) {
+      const TimeSeries series = rec.series(ch);
+      for (const Sample& s : series.samples()) {
         csv.write_numeric_row({s.time.sec(), s.value});
       }
     }

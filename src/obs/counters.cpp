@@ -37,4 +37,15 @@ void export_counter_track(Tracer& tracer, std::string_view cat,
   }
 }
 
+void export_counters(const sim::Recorder& recorder, Tracer& tracer,
+                     const CounterExportOptions& options) {
+  const std::vector<std::string> selected =
+      options.channels.empty() ? recorder.channels() : options.channels;
+  for (const std::string& channel : selected) {
+    if (!recorder.has(channel)) continue;
+    export_counter_track(tracer, options.cat, options.name_prefix + channel,
+                         recorder.series(channel));
+  }
+}
+
 }  // namespace dcs::obs

@@ -10,10 +10,9 @@
 // for long stretches; exporting every tick would cost about ten times the
 // run itself.
 //
-// Layering: dcs_obs sits below dcs_sim, so `export_counters` is a template
-// over any Recorder-shaped type (channels() / has() / series()) instead of
-// naming sim::Recorder — callers in the sim/core/bench layers instantiate
-// it with the real recorder.
+// Layering: dcs_sim holds only the recorder and the Component interface
+// and needs nothing but dcs_util, so dcs_obs links it and exports a
+// sim::Recorder directly.
 //
 // Determinism: channels are exported in the (sorted) order the recorder
 // reports them and samples in time order, entirely from recorded sim-domain
@@ -28,6 +27,7 @@
 #include <vector>
 
 #include "obs/trace.h"
+#include "sim/recorder.h"
 #include "util/time_series.h"
 
 namespace dcs::obs {
@@ -79,19 +79,8 @@ inline const std::vector<std::string> kZonalChannelSuffixes = {
 }
 
 /// Bridges a recorder's channels into `tracer` as counter tracks; see the
-/// file comment for the determinism contract. `RecorderT` is any type with
-/// `channels() -> vector<string>`, `has(name) -> bool` and
-/// `series(name) -> const TimeSeries&` (i.e. `sim::Recorder`).
-template <class RecorderT>
-void export_counters(const RecorderT& recorder, Tracer& tracer,
-                     const CounterExportOptions& options = {}) {
-  const std::vector<std::string> selected =
-      options.channels.empty() ? recorder.channels() : options.channels;
-  for (const std::string& channel : selected) {
-    if (!recorder.has(channel)) continue;
-    export_counter_track(tracer, options.cat, options.name_prefix + channel,
-                         recorder.series(channel));
-  }
-}
+/// file comment for the determinism contract.
+void export_counters(const sim::Recorder& recorder, Tracer& tracer,
+                     const CounterExportOptions& options = {});
 
 }  // namespace dcs::obs

@@ -115,14 +115,6 @@ void Counter::inc(double amount) {
   value_ += amount;
 }
 
-void Gauge::set_min(double value) noexcept {
-  value_ = std::min(value_, value);
-}
-
-void Gauge::set_max(double value) noexcept {
-  value_ = std::max(value_, value);
-}
-
 Histogram::Histogram(std::vector<double> upper_bounds)
     : upper_bounds_(std::move(upper_bounds)),
       buckets_(upper_bounds_.size() + 1, 0) {

@@ -36,10 +36,6 @@ class Counter {
 class Gauge {
  public:
   void set(double value) noexcept { value_ = value; }
-  /// set(min(current, value)) — for "worst margin seen" style gauges.
-  void set_min(double value) noexcept;
-  /// set(max(current, value)).
-  void set_max(double value) noexcept;
   [[nodiscard]] double value() const noexcept { return value_; }
 
  private:

@@ -15,8 +15,9 @@
 // O(servers log servers) a period and a fluid-overload run O(log arrivals)
 // per latency bucket; only the Poisson arrival draw and stationary
 // response draws grow with the request rate. Scratch is sized at
-// construction, so tick() allocates nothing (bar a recorder's or decision
-// log's own storage).
+// construction, so tick() allocates nothing (bar the decision log's own
+// storage, and the recorder's columns, reserved once on the first recorded
+// tick).
 //
 // Determinism: arrivals are a pure function of (seed, tick); response
 // sampling uses Rng forks keyed by (tick, server); placement is
@@ -96,7 +97,10 @@ class ServingLayer final : public sim::Component {
   /// Optional per-tick channels: serving_p50_ms, serving_p99_ms,
   /// serving_p999_ms, serving_window_p99_ms, serving_backlog,
   /// serving_dropped, serving_admitted, plus the four error-budget channels
-  /// (see enable_error_budget) when the budget is on. Must outlive the run.
+  /// (see enable_error_budget) when the budget is on. The first tick starts
+  /// the recorder with these channels (dropping what it held), reserved for
+  /// the demand trace's horizon; every tick appends one row. Must outlive
+  /// the run.
   void set_recorder(sim::Recorder* recorder) noexcept;
 
   /// Optional decision-provenance log: tick() emits admission-clamp /
@@ -149,6 +153,7 @@ class ServingLayer final : public sim::Component {
   std::size_t dropped_total_ = 0;
   std::function<void(const ServingStats&)> slo_callback_;
   sim::Recorder* recorder_ = nullptr;
+  bool recording_ = false;  // recorder_ started with this layer's channels
   obs::DecisionLog* decisions_ = nullptr;
   std::optional<ErrorBudget> budget_;
   bool clamping_ = false;

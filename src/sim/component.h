@@ -1,9 +1,7 @@
-// Interface implemented by every simulated subsystem (breakers, batteries,
-// chillers, controllers, ...). The engine advances all registered components
-// with a fixed step, in registration order — the data-center wiring
-// registers producers (workload, compute) before the controller and the
-// controller before the physical plant, so each tick sees a consistent
-// dataflow.
+// Interface for a subsystem that advances with the run's control period
+// (e.g. serving::ServingLayer). core::DataCenter::run ticks the components
+// in RunOptions::components once per period, in vector order, after the
+// period's control step, so each sees that period's committed state.
 #pragma once
 
 #include <string_view>
@@ -19,7 +17,7 @@ class Component {
   /// Advances the component from `now` to `now + dt`.
   virtual void tick(Duration now, Duration dt) = 0;
 
-  /// Stable identifier used in logs and recorder channels.
+  /// Stable identifier used in logs.
   [[nodiscard]] virtual std::string_view name() const noexcept = 0;
 };
 

@@ -1,63 +1,62 @@
 #include "sim/recorder.h"
 
+#include <algorithm>
+
 #include "util/check.h"
 
 namespace dcs::sim {
 
-namespace {
-
-void append(TimeSeries& ts, Duration time, double value) {
-  if (!ts.empty() && ts.end_time() == time) {
-    // Same-tick overwrite: rebuild the last sample.
-    std::vector<Sample> samples = ts.samples();
-    samples.back().value = value;
-    ts = TimeSeries{std::move(samples)};
-    return;
-  }
-  ts.push_back(time, value);
+void Recorder::start(std::vector<std::string> channels, std::size_t rows) {
+  std::vector<std::string> sorted = channels;
+  std::sort(sorted.begin(), sorted.end());
+  DCS_REQUIRE(std::adjacent_find(sorted.begin(), sorted.end()) == sorted.end(),
+              "recorder channel names must be unique");
+  names_ = std::move(channels);
+  times_.clear();
+  times_.reserve(rows);
+  columns_.assign(names_.size(), {});
+  for (std::vector<double>& column : columns_) column.reserve(rows);
 }
 
-}  // namespace
-
-void Recorder::record(std::string_view channel, Duration time, double value) {
-  auto it = channels_.find(channel);
-  if (it == channels_.end()) {
-    it = channels_.emplace(std::string{channel}, Channel{}).first;
-  }
-  append(it->second.series, time, value);
+void Recorder::append(Duration time, std::span<const double> row) {
+  DCS_REQUIRE(row.size() == columns_.size(),
+              "recorder row width must match the channel count");
+  DCS_REQUIRE(times_.empty() || times_.back() < time,
+              "recorder times must strictly increase");
+  times_.push_back(time);
+  for (std::size_t c = 0; c < row.size(); ++c) columns_[c].push_back(row[c]);
 }
 
-Recorder::Handle Recorder::handle(std::string_view channel) {
-  auto it = channels_.find(channel);
-  if (it == channels_.end()) {
-    it = channels_.emplace(std::string{channel}, Channel{}).first;
-  }
-  return Handle{&it->second};
-}
-
-void Recorder::record(Handle h, Duration time, double value) {
-  DCS_REQUIRE(h.ch_ != nullptr, "recorder handle is not bound to a channel");
-  append(h.ch_->series, time, value);
+std::size_t Recorder::column_of(std::string_view channel) const {
+  return static_cast<std::size_t>(
+      std::find(names_.begin(), names_.end(), channel) - names_.begin());
 }
 
 bool Recorder::has(std::string_view channel) const {
-  return channels_.find(channel) != channels_.end();
+  return column_of(channel) < names_.size();
 }
 
-const TimeSeries& Recorder::series(std::string_view channel) const {
-  const auto it = channels_.find(channel);
-  DCS_REQUIRE(it != channels_.end(),
+TimeSeries Recorder::series(std::string_view channel) const {
+  const std::size_t c = column_of(channel);
+  DCS_REQUIRE(c < names_.size(),
               "unknown recorder channel: " + std::string{channel});
-  return it->second.series;
+  std::vector<Sample> samples(times_.size());
+  for (std::size_t i = 0; i < samples.size(); ++i) {
+    samples[i] = Sample{times_[i], columns_[c][i]};
+  }
+  return TimeSeries{std::move(samples)};
 }
 
 std::vector<std::string> Recorder::channels() const {
-  std::vector<std::string> names;
-  names.reserve(channels_.size());
-  for (const auto& [name, _] : channels_) names.push_back(name);
+  std::vector<std::string> names = names_;
+  std::sort(names.begin(), names.end());
   return names;
 }
 
-void Recorder::clear() { channels_.clear(); }
+void Recorder::clear() {
+  names_.clear();
+  times_.clear();
+  columns_.clear();
+}
 
 }  // namespace dcs::sim

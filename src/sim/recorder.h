@@ -1,8 +1,14 @@
-// Named metric channels captured during a run. Each channel becomes a
-// TimeSeries that benches print / export and tests assert on.
+// Named per-tick channels captured during a run, stored as columns: one
+// shared time column plus one value column per channel. Each channel reads
+// back as a TimeSeries that benches print / export and tests assert on.
+//
+// The channel set is fixed when recording starts, and every column is
+// reserved for the run's horizon, so appending a tick is one store per
+// channel and allocates nothing.
 #pragma once
 
-#include <map>
+#include <cstddef>
+#include <span>
 #include <string>
 #include <string_view>
 #include <vector>
@@ -13,45 +19,31 @@
 namespace dcs::sim {
 
 class Recorder {
-  struct Channel;
-
  public:
-  /// Stable handle to one channel: map nodes never move, so hot-path callers
-  /// resolve the name once and append per tick without a map lookup. A
-  /// default-constructed handle is unusable until assigned from handle().
-  class Handle {
-   public:
-    Handle() = default;
+  /// Starts recording `channels` (unique names; rows are appended in this
+  /// order), dropping anything recorded before, and reserves room for
+  /// `rows` rows.
+  void start(std::vector<std::string> channels, std::size_t rows);
 
-   private:
-    friend class Recorder;
-    explicit Handle(Channel* ch) noexcept : ch_(ch) {}
-    Channel* ch_ = nullptr;
-  };
-
-  /// Appends a sample to `channel` (created on first use). Times within a
-  /// channel must be non-decreasing; equal-time samples overwrite.
-  void record(std::string_view channel, Duration time, double value);
-
-  /// Resolves (creating on first use) a stable handle for `channel`.
-  [[nodiscard]] Handle handle(std::string_view channel);
-  /// Appends through a handle; identical semantics to the name overload.
-  void record(Handle h, Duration time, double value);
+  /// Appends one row: a value per channel, in start() order. Times must
+  /// strictly increase.
+  void append(Duration time, std::span<const double> row);
 
   [[nodiscard]] bool has(std::string_view channel) const;
-  /// Throws std::invalid_argument for unknown channels.
-  [[nodiscard]] const TimeSeries& series(std::string_view channel) const;
+  /// One channel's samples. Throws std::invalid_argument for unknown
+  /// channels.
+  [[nodiscard]] TimeSeries series(std::string_view channel) const;
+  /// Channel names, sorted.
   [[nodiscard]] std::vector<std::string> channels() const;
 
   void clear();
 
  private:
-  // Channels are appended strictly in time order during simulation, so store
-  // raw samples and expose them as TimeSeries (built lazily).
-  struct Channel {
-    TimeSeries series;
-  };
-  std::map<std::string, Channel, std::less<>> channels_;
+  [[nodiscard]] std::size_t column_of(std::string_view channel) const;
+
+  std::vector<std::string> names_;
+  std::vector<Duration> times_;
+  std::vector<std::vector<double>> columns_;  // one per name, same order
 };
 
 }  // namespace dcs::sim

@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <map>
 #include <stdexcept>
 #include <string>
 #include <tuple>
@@ -258,12 +259,15 @@ TEST(Zonal, FacilityFieldsAggregateTheZones) {
   const TimeSeries idle = flat(0.4, hot.end_time());
   const RunResult r =
       run_zones(small_config(4), {{3, &idle}, {1, &hot}}, {.record = true});
-  const sim::Recorder& rec = r.recorder;
+  std::map<std::string, TimeSeries> series;
+  for (const std::string& channel : r.recorder.channels()) {
+    series.emplace(channel, r.recorder.series(channel));
+  }
   double min_soc = 1.0;
   double max_heat = 0.0;
-  for (std::size_t i = 0; i < rec.series("demand").size(); ++i) {
+  for (std::size_t i = 0; i < series.at("demand").size(); ++i) {
     const auto at = [&](const std::string& channel) {
-      return rec.series(channel)[i].value;
+      return series.at(channel)[i].value;
     };
     EXPECT_NEAR(at("demand"), 0.75 * at("zone0/demand") + 0.25 * at("zone1/demand"),
                 1e-12);

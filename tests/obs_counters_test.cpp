@@ -95,7 +95,8 @@ const std::vector<std::string> kChannels = {
 void export_every_sample(const sim::Recorder& recorder, obs::Tracer& tracer) {
   for (const std::string& channel : kChannels) {
     if (!recorder.has(channel)) continue;
-    for (const Sample& s : recorder.series(channel).samples()) {
+    const TimeSeries series = recorder.series(channel);
+    for (const Sample& s : series.samples()) {
       if (!std::isfinite(s.value)) continue;
       obs::TraceEvent e;
       e.phase = 'C';

@@ -171,10 +171,9 @@ TEST(ObsDeterminism, DecisionStreamIsByteIdenticalShardedVsUnsharded) {
   EXPECT_EQ(unsharded, sharded);
 }
 
-/// Builds a small recorder (with equal-time overwrites, which the recorder
-/// resolves to last-writer-wins), exports its channels as counter tracks
-/// through per-task tracers on `threads` workers, and returns the merged
-/// JSONL trace.
+/// Builds a small recorder, exports its channels as counter tracks through
+/// per-task tracers on `threads` workers, and returns the merged JSONL
+/// trace.
 std::string counter_sweep_jsonl(std::size_t threads) {
   exp::SweepSpec spec("counter_determinism");
   spec.add_axis("run", {"a", "b", "c", "d"});
@@ -184,13 +183,12 @@ std::string counter_sweep_jsonl(std::size_t threads) {
       spec, {"ok"},
       [&](const exp::SweepSpec::Task& task) {
         sim::Recorder recorder;
+        recorder.start({"ups_soc", "room_c"}, 50);
         const double offset = static_cast<double>(task.index);
         for (int i = 0; i < 50; ++i) {
-          const Duration t = Duration::seconds(i);
-          recorder.record("ups_soc", t, 1.0 - 0.01 * i + offset);
-          recorder.record("room_c", t, 22.0 + 0.05 * i);
-          // Equal-time overwrite: the exported sample must be this value.
-          recorder.record("room_c", t, 23.0 + 0.05 * i);
+          recorder.append(Duration::seconds(i),
+                          std::vector<double>{1.0 - 0.01 * i + offset,
+                                              23.0 + 0.05 * i});
         }
         obs::Tracer& tracer = task_tracers[task.index];
         tracer.set_lane(static_cast<std::uint32_t>(task.index));
@@ -215,11 +213,11 @@ TEST(ObsDeterminism, CounterTracksAreByteIdenticalAcrossThreadCounts) {
   EXPECT_EQ(serial, parallel);
 
   // Round trip: every line is a JSONL event whose counter samples carry
-  // the overwritten (last-writer-wins) sample values.
+  // the recorded sample values.
   std::istringstream lines(serial);
   std::string line;
   std::size_t counters = 0;
-  bool found_overwritten = false;
+  bool found_first_room = false;
   while (std::getline(lines, line)) {
     const json::Value e = json::parse(line);
     EXPECT_EQ(e.at("t").as_string(), "ev");
@@ -229,13 +227,13 @@ TEST(ObsDeterminism, CounterTracksAreByteIdenticalAcrossThreadCounts) {
     if (e.at("name").as_string() == "room_c" &&
         e.at("ts").as_number() == 0.0) {
       EXPECT_DOUBLE_EQ(e.at("args").at("value").as_number(), 23.0);
-      found_overwritten = true;
+      found_first_room = true;
     }
   }
   // 4 tasks x 2 present channels x 50 samples, every one a change;
   // "absent" is skipped.
   EXPECT_EQ(counters, 4u * 2u * 50u);
-  EXPECT_TRUE(found_overwritten);
+  EXPECT_TRUE(found_first_room);
 }
 
 }  // namespace
