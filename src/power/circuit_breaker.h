@@ -106,8 +106,8 @@ class CircuitBreaker {
   double trip_bias_ = 0.0;      ///< injected trip-threshold bias (0 = nominal)
   bool tripped_ = false;
   // exp(-(dt / cooling_tau)) keyed on the dt it was computed for: dt is the
-  // fixed engine step within a run, so the cooling decay costs one exp per
-  // run instead of one per tick. Bit-identical to recomputing.
+  // fixed control period within a run, so the cooling decay costs one exp
+  // per run instead of one per tick. Bit-identical to recomputing.
   double decay_cache_dt_s_ = -1.0;
   double decay_cache_ = 1.0;
 };

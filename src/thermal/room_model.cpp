@@ -32,8 +32,8 @@ void RoomModel::step(Power generated, Power absorbed, Duration dt) {
   } else {
     // Overcooling: exponential recovery toward the setpoint. The surplus
     // absorption accelerates recovery but never undershoots the setpoint.
-    // The decay factor depends only on dt, which is the fixed engine step on
-    // the hot path — memoize the exp for the repeated-dt case.
+    // The decay factor depends only on dt, which is the fixed control period
+    // on the hot path — memoize the exp for the repeated-dt case.
     if (dt.sec() != decay_cache_dt_s_) {
       decay_cache_ = std::exp(-(dt / params_.recovery_tau));
       decay_cache_dt_s_ = dt.sec();

@@ -108,7 +108,7 @@ TEST(SloStrategy, EnergyReserveCedesToAdmissionControl) {
 }
 
 TEST(SloStrategy, ClosedLoopBeatsNoSprintOnServingP99) {
-  // End-to-end: serving layer rides the controller's engine, its window
+  // End-to-end: serving layer ticks after each control period, its window
   // p99 feeds the strategy, the strategy's bound reshapes the service
   // rates. The SLO run must beat the no-sprint run on the serving tail —
   // the mechanism fig12 sweeps.
