@@ -25,7 +25,6 @@
 #include "obs/metrics.h"
 #include "obs/perfetto.h"
 #include "obs/profile.h"
-#include "obs/sampler.h"
 #include "obs/sink.h"
 #include "obs/telemetry.h"
 #include "obs/trace.h"
@@ -88,8 +87,8 @@ inline obs::TelemetrySink* telemetry_sink() {
 
 /// Opens the worker telemetry stream under telemetry=<path> (appended by
 /// dispatch_sweep --telemetry) and turns the wall-clock profiler on so the
-/// stream carries wall spans for the cross-process timeline. Call once
-/// near the top of main(), right after obs_setup.
+/// stream carries wall spans and folded stacks for the cross-process
+/// timeline. Call once near the top of main(), right after obs_setup.
 inline void telemetry_setup(const Config& args, const std::string& name) {
   const std::string path = args.get_string("telemetry", "");
   if (path.empty()) return;
@@ -262,8 +261,10 @@ inline void maybe_export_csv(const Config& args, const std::string& name,
 
 /// Sweep reporting glue: rows/summary CSV + JSON under csv=<dir>, and a
 /// BENCH_<sweep>.json perf record (wall time, runs/sec, threads) under
-/// perf=<dir>. Perf records pick up the wall-clock profile scopes when the
-/// profiler is on (see obs_setup).
+/// perf=<dir>. When the profiler is on (see obs_setup), the perf record
+/// also carries its per-name scope totals and folded stacks, with
+/// `<sweep>_stacks.folded` next to it. The profiler's totals cover the
+/// whole process up to this export, not only this sweep.
 inline void maybe_export_sweep(const Config& args, const exp::SweepSpec& spec,
                                const exp::SweepRun& run,
                                const exp::SweepSummary& summary) {
@@ -271,20 +272,10 @@ inline void maybe_export_sweep(const Config& args, const exp::SweepSpec& spec,
   if (!csv_dir.empty()) exp::export_sweep(csv_dir, spec, run, summary, &std::cout);
   const std::string perf_dir = args.get_string("perf", "");
   if (!perf_dir.empty()) {
-    const std::vector<obs::ProfileEvent> events =
-        obs::Profiler::instance().collect();
-    // Sampling-profiler folded stacks (non-empty only when the sweep ran
-    // with DCS_OBS_SAMPLER set) ride along in the perf record.
-    const obs::FoldedStacks folded = obs::Sampler::instance().folded();
-    const obs::FoldedStacks* folded_ptr = folded.empty() ? nullptr : &folded;
-    if (events.empty()) {
-      exp::export_perf_record(perf_dir, summary, &std::cout, nullptr,
-                              folded_ptr);
-    } else {
-      const obs::ProfileSummary scopes = obs::summarize(events);
-      exp::export_perf_record(perf_dir, summary, &std::cout, &scopes,
-                              folded_ptr);
-    }
+    const obs::ScopePaths paths = obs::Profiler::instance().collect().paths;
+    const obs::ProfileSummary scopes = obs::summarize_names(paths);
+    const obs::FoldedStacks folded = obs::folded_stacks(paths);
+    exp::export_perf_record(perf_dir, summary, &std::cout, &scopes, &folded);
   }
 }
 
@@ -357,12 +348,13 @@ inline StreamTraceSinks maybe_stream_sinks(const Config& args,
 }
 
 /// Observability export glue: under trace=<dir>, folds the profiler's
-/// wall-clock scopes into `tracer` and writes `<name>_trace.jsonl` plus
-/// `<name>_trace.perfetto` (obs::export_trace); under metrics=<dir>,
-/// writes `<name>_metrics.{csv,json,prom}`. Null arguments
-/// skip the matching export. For a streaming Tracer (attached sink) the
-/// wall spans are forwarded to the sink and `stream` is finalized instead
-/// of rewriting the files from memory.
+/// wall-clock spans and scope path totals into `tracer` (obs::export_to)
+/// and writes `<name>_trace.jsonl` plus `<name>_trace.perfetto`
+/// (obs::export_trace); under metrics=<dir>, writes
+/// `<name>_metrics.{csv,json,prom}`. Null arguments skip the matching
+/// export. For a streaming Tracer (attached sink) the wall events are
+/// forwarded to the sink and `stream` is finalized instead of rewriting
+/// the files from memory.
 inline void maybe_export_obs(const Config& args, const std::string& name,
                              obs::Tracer* tracer,
                              const obs::MetricsRegistry* metrics,
@@ -385,8 +377,8 @@ inline void maybe_export_obs(const Config& args, const std::string& name,
 /// Seals the worker's telemetry stream; call after maybe_export_obs, as
 /// the bench's last observability step. For a buffered tracer, replays its
 /// lane names and events into the stream (a streaming tracer already teed
-/// them live); folds in wall spans that no trace= export collected, then
-/// appends the metric snapshot, the sampler's folded stacks and the end
+/// them live); folds in wall events that no trace= export collected, then
+/// appends the metric snapshot, the profiler's folded stacks and the end
 /// marker. No-op without telemetry=.
 inline void telemetry_finish(const Config& args, obs::Tracer* tracer = nullptr,
                              const obs::MetricsRegistry* metrics = nullptr) {
@@ -400,8 +392,8 @@ inline void telemetry_finish(const Config& args, obs::Tracer* tracer = nullptr,
     tracer->replay(*telemetry);
   }
   if (metrics != nullptr) telemetry->write_metrics(*metrics);
-  const obs::FoldedStacks folded = obs::Sampler::instance().folded();
-  if (!folded.empty()) telemetry->write_stacks(folded);
+  telemetry->write_stacks(
+      obs::folded_stacks(obs::Profiler::instance().collect().paths));
   telemetry->close();
 }
 

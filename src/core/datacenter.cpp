@@ -274,7 +274,7 @@ RunResult DataCenter::run(const std::vector<Zone>& zones, Strategy* strategy,
   Duration now = Duration::zero();
   std::size_t ticks = 0;
   {
-    DCS_OBS_SCOPE("sim.run");
+    DCS_OBS_SPAN("sim.run");
     while (now < end) {
       control_body(now);
       // Extra components (e.g. the request-level serving layer) tick after

@@ -26,7 +26,7 @@ OracleResult oracle_search(const DataCenter& dc, const TimeSeries& demand,
   OracleResult out;
   out.sweep.assign(bounds.size(), {});
   exp::parallel_for(bounds.size(), threads, [&](std::size_t i) {
-    DCS_OBS_SCOPE("oracle.candidate");
+    DCS_OBS_SPAN("oracle.candidate");
     DataCenter task_dc(dc.config());
     ConstantBoundStrategy strategy(bounds[i], "oracle");
     const RunResult run = task_dc.run(demand, &strategy);

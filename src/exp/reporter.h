@@ -13,7 +13,6 @@
 #include "exp/sweep.h"
 #include "obs/metrics.h"
 #include "obs/profile.h"
-#include "obs/sampler.h"
 #include "util/time_series.h"
 
 namespace dcs::exp {
@@ -36,7 +35,9 @@ void write_summary_json(std::ostream& out, const SweepSummary& summary);
 /// non-null a "scopes" object is appended with per-scope wall-clock
 /// aggregates (count, total_us, max_us, mean_us). When `folded` is non-null
 /// and non-empty a "folded_stacks" object is appended mapping
-/// "lane;outer;inner" stacks to sampling-profiler hit counts.
+/// "lane;outer;inner" scope paths to their self time in whole microseconds
+/// (obs/profile.h). Both come from the profiler's totals, which cover the
+/// whole process up to the export, not only this sweep.
 void write_perf_record_json(std::ostream& out, const SweepSummary& summary,
                             const obs::ProfileSummary* scopes = nullptr,
                             const obs::FoldedStacks* folded = nullptr);

@@ -9,7 +9,6 @@
 #include "exp/checkpoint.h"
 #include "exp/thread_pool.h"
 #include "obs/profile.h"
-#include "obs/sampler.h"
 #include "util/check.h"
 
 namespace dcs::exp {
@@ -68,8 +67,6 @@ SweepRun run_sweep(const SweepSpec& spec, std::vector<std::string> metrics,
       std::min(resolve_threads(options.threads),
                std::max<std::size_t>(pending.size(), 1));
 
-  // Wall-domain sampling profiler, active only while DCS_OBS_SAMPLER is set.
-  const obs::ScopedSamplerRun sampler;
   std::atomic<std::size_t> executed{0};
   // Progress heartbeats count against the shard's whole slice, with
   // checkpoint-resumed slots already done — a restarted worker reports
@@ -88,7 +85,7 @@ SweepRun run_sweep(const SweepSpec& spec, std::vector<std::string> metrics,
         options.stop->load(std::memory_order_relaxed)) {
       return;
     }
-    DCS_OBS_SCOPE("exp.task");
+    DCS_OBS_SPAN("exp.task");
     const std::size_t i = pending[p];
     std::vector<double> row = fn(tasks[i]);
     DCS_REQUIRE(row.size() == run.metrics.size(),

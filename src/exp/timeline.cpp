@@ -10,7 +10,7 @@
 #include <vector>
 
 #include "obs/perfetto.h"
-#include "obs/sampler.h"
+#include "obs/profile.h"
 #include "obs/trace.h"
 #include "util/json.h"
 

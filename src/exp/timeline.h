@@ -21,7 +21,8 @@
 //                           one pid per (source, domain), process names
 //                           "src/domain"; loads in the Perfetto UI and is
 //                           SQL-queryable in trace_processor
-//   dispatch_stacks.folded  every stream's sampler stacks, prefixed with
+//   dispatch_stacks.folded  every stream's folded scope stacks (self
+//                           microseconds per scope path), prefixed with
 //                           its src, so distributed runs produce one flame
 //                           graph like local ones do
 //
@@ -58,7 +59,7 @@ struct TimelineSummary {
   std::int64_t base_epoch_unix_us = 0;
   std::string jsonl_path;
   std::string perfetto_path;
-  /// Empty when no stream carried sampler stacks.
+  /// Empty when no stream carried folded stacks.
   std::string stacks_path;
   /// Non-empty when nothing could be merged or an output failed to write.
   std::string error;

@@ -90,6 +90,13 @@ void load_jsonl_line(std::string_view line, TraceData* trace) {
   trace->events.push_back(std::move(q));
 }
 
+const std::string* arg_of(const QueryEvent& e, std::string_view key) {
+  for (const auto& [k, v] : e.args) {
+    if (k == key) return &v;
+  }
+  return nullptr;
+}
+
 /// Neumaier-compensated sum: counter integrals add thousands of
 /// value x duration terms, and a per-tick trace must agree with the
 /// change-only trace of the same run to far below the last printed digit.
@@ -141,18 +148,32 @@ TraceData load_trace(const std::string& path) {
 std::vector<ScopeStat> scope_stats(const TraceData& trace) {
   std::map<std::pair<std::string, std::string>, ScopeStat> groups;
   for (const QueryEvent& e : trace.events) {
-    if (e.ph != 'X') continue;
-    ScopeStat& s = groups[{e.src, e.name}];
+    if (e.ph != 'i' || e.cat != "scope") continue;
+    const auto number = [&](std::string_view key) {
+      const std::string* value = arg_of(e, key);
+      DCS_REQUIRE(value != nullptr, "scope summary '" + e.name +
+                                        "' lacks \"" + std::string(key) +
+                                        "\"");
+      return std::strtod(value->c_str(), nullptr);
+    };
+    const double calls = number("count");
+    DCS_REQUIRE(calls >= 0.0 && calls <= 9.0e15,
+                "scope summary '" + e.name + "' has a bad count");
+    const auto count = static_cast<std::size_t>(calls);
+    const std::string leaf = e.name.substr(e.name.rfind(';') + 1);
+    const double min_us = number("min_us");
+    const double max_us = number("max_us");
+    ScopeStat& s = groups[{e.src, leaf}];
     if (s.count == 0) {
       s.src = e.src;
-      s.name = e.name;
-      s.min_us = e.dur_us;
-      s.max_us = e.dur_us;
+      s.name = leaf;
+      s.min_us = min_us;
+      s.max_us = max_us;
     }
-    ++s.count;
-    s.total_us += e.dur_us;
-    s.min_us = std::min(s.min_us, e.dur_us);
-    s.max_us = std::max(s.max_us, e.dur_us);
+    s.count += count;
+    s.total_us += number("total_us");
+    s.min_us = std::min(s.min_us, min_us);
+    s.max_us = std::max(s.max_us, max_us);
   }
   std::vector<ScopeStat> out;
   out.reserve(groups.size());
@@ -260,17 +281,6 @@ std::vector<ThresholdWindow> threshold_windows(const TraceData& trace,
   }
   return out;
 }
-
-namespace {
-
-const std::string* arg_of(const QueryEvent& e, std::string_view key) {
-  for (const auto& [k, v] : e.args) {
-    if (k == key) return &v;
-  }
-  return nullptr;
-}
-
-}  // namespace
 
 std::vector<DecisionRecord> decision_records(const TraceData& trace) {
   std::vector<DecisionRecord> out;

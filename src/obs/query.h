@@ -66,7 +66,10 @@ struct TraceData {
 /// the old plain schema, a damaged line) or is a malformed "ev" line.
 [[nodiscard]] TraceData load_trace(const std::string& path);
 
-/// Duration statistics over 'X' span events, grouped by (src, name).
+/// Duration statistics read from the profiler's scope summaries (instants
+/// of cat "scope", one per (lane, scope path): obs/profile.h), grouped by
+/// (src, scope name). Each name adds up its paths and lanes; spans are not
+/// counted again.
 struct ScopeStat {
   std::string src;
   std::string name;

@@ -28,20 +28,28 @@ void write_file(const std::string& path, const std::string& text) {
   out << text;
 }
 
-/// A merged-timeline-style JSONL fixture: two sources, spans, counters on
-/// two lanes, and non-event lines that loaders must skip.
+/// A merged-timeline-style JSONL fixture: two sources, a span, scope
+/// summaries on two lanes and paths, counters on two lanes, and non-event
+/// lines that loaders must skip.
 std::string timeline_fixture() {
   const std::string path = temp_path("query_timeline.jsonl");
   write_file(
       path,
       "{\"t\":\"timeline\",\"timeline\":1,\"sources\":2}\n"
       "{\"t\":\"proc\",\"src\":\"shard0\",\"pid\":10}\n"
-      "{\"t\":\"ev\",\"src\":\"shard0\",\"domain\":\"sim\",\"ph\":\"X\","
-      "\"ts\":0,\"dur\":100,\"lane\":0,\"cat\":\"c\",\"name\":\"work\"}\n"
-      "{\"t\":\"ev\",\"src\":\"shard0\",\"domain\":\"sim\",\"ph\":\"X\","
-      "\"ts\":200,\"dur\":300,\"lane\":0,\"cat\":\"c\",\"name\":\"work\"}\n"
-      "{\"t\":\"ev\",\"src\":\"shard1\",\"domain\":\"sim\",\"ph\":\"X\","
-      "\"ts\":0,\"dur\":50,\"lane\":0,\"cat\":\"c\",\"name\":\"work\"}\n"
+      // A span: its call is in the summaries already, so scopes skip it.
+      "{\"t\":\"ev\",\"src\":\"shard0\",\"domain\":\"wall\",\"ph\":\"X\","
+      "\"ts\":0,\"dur\":100,\"lane\":0,\"cat\":\"profile\",\"name\":\"work\"}\n"
+      // "work" on two paths and lanes of shard0, once on shard1.
+      "{\"t\":\"ev\",\"src\":\"shard0\",\"domain\":\"wall\",\"ph\":\"i\","
+      "\"ts\":900,\"lane\":0,\"cat\":\"scope\",\"name\":\"work\",\"args\":"
+      "{\"count\":1,\"total_us\":100,\"min_us\":100,\"max_us\":100}}\n"
+      "{\"t\":\"ev\",\"src\":\"shard0\",\"domain\":\"wall\",\"ph\":\"i\","
+      "\"ts\":900,\"lane\":1,\"cat\":\"scope\",\"name\":\"task;work\",\"args\":"
+      "{\"count\":1,\"total_us\":300,\"min_us\":300,\"max_us\":300}}\n"
+      "{\"t\":\"ev\",\"src\":\"shard1\",\"domain\":\"wall\",\"ph\":\"i\","
+      "\"ts\":900,\"lane\":0,\"cat\":\"scope\",\"name\":\"work\",\"args\":"
+      "{\"count\":1,\"total_us\":50,\"min_us\":50,\"max_us\":50}}\n"
       // Lane 0: degree steps 1 -> 3 -> 3.5 -> 1 -> 2 -> 1.
       "{\"t\":\"ev\",\"src\":\"shard0\",\"domain\":\"sim\",\"ph\":\"C\","
       "\"ts\":0,\"lane\":0,\"name\":\"degree\",\"args\":{\"value\":1}}\n"
@@ -68,10 +76,12 @@ std::string timeline_fixture() {
 TEST(ObsQuery, LoadsTimelineJsonlSkippingNonEventLines) {
   const std::string path = timeline_fixture();
   const TraceData trace = load_trace(path);
-  EXPECT_EQ(trace.events.size(), 11u);
+  EXPECT_EQ(trace.events.size(), 12u);
   EXPECT_EQ(trace.events[0].src, "shard0");
   EXPECT_EQ(trace.events[0].ph, 'X');
   EXPECT_EQ(trace.events[0].dur_us, 100.0);
+  EXPECT_EQ(trace.events[2].name, "task;work");
+  EXPECT_EQ(trace.events[2].args.size(), 4u);
   std::remove(path.c_str());
 }
 
@@ -88,6 +98,21 @@ TEST(ObsQuery, ScopeStatsGroupBySourceAndName) {
   EXPECT_EQ(stats[0].max_us, 300.0);
   EXPECT_EQ(stats[1].src, "shard1");
   EXPECT_EQ(stats[1].count, 1u);
+  std::remove(path.c_str());
+}
+
+TEST(ObsQuery, ScopeSummariesWithBadArgsAreRejected) {
+  const std::string path = temp_path("query_bad_scope.jsonl");
+  const auto summary = [](const std::string& args) {
+    return "{\"t\":\"ev\",\"domain\":\"wall\",\"ph\":\"i\",\"ts\":0,"
+           "\"lane\":0,\"cat\":\"scope\",\"name\":\"work\",\"args\":{" +
+           args + "}}\n";
+  };
+  write_file(path, summary("\"count\":1,\"total_us\":5,\"max_us\":5"));
+  EXPECT_THROW((void)scope_stats(load_trace(path)), std::invalid_argument);
+  write_file(path, summary("\"count\":-3,\"total_us\":5,\"min_us\":5,"
+                           "\"max_us\":5"));
+  EXPECT_THROW((void)scope_stats(load_trace(path)), std::invalid_argument);
   std::remove(path.c_str());
 }
 

@@ -27,7 +27,8 @@
 //                          per-shard progress/ETA lines, and everything
 //                          (dispatcher + all worker attempts) merges into
 //                          WORKDIR/merged/timeline.{jsonl,perfetto} +
-//                          dispatch_stacks.folded
+//                          dispatch_stacks.folded (every worker's scope
+//                          paths, valued at self microseconds)
 //   --status-interval=S    cadence of aggregated status lines (default 5)
 //   --report=PATH          report path (default WORKDIR/dispatch_report.json)
 //   --resume-report=PATH   resume a degraded run: seed the merged sweep

@@ -18,7 +18,8 @@
 //
 //   output: --csv[=path] | --jsonl[=path]   (default: readable table)
 //
-// `scopes` prints duration stats per (src, span name); `counters` prints
+// `scopes` prints duration stats per (src, scope name), summed over the
+// profiler's per-path summaries (obs/profile.h); `counters` prints
 // value stats per (src, counter track): `points` is the number of emitted
 // samples, and `mean` is time-weighted, each sample holding until the next
 // one on its lane (tracks are exported only where they change, so a plain
