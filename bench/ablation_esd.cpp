@@ -17,7 +17,7 @@ int main(int argc, char** argv) {
   using namespace dcs;
   using namespace dcs::core;
   const Config args = bench::parse_args(argc, argv);
-  bench::obs_setup(args);
+  bench::StreamTraceSinks stream = bench::obs_setup(args, "ablation_esd");
 
   workload::YahooTraceParams yp;
   yp.burst_degree = 3.2;
@@ -131,7 +131,7 @@ int main(int argc, char** argv) {
     tasks += run->rows.size();
     wall += run->wall_seconds;
   }
-  bench::maybe_export_obs(args, "ablation_esd", nullptr, &metrics);
+  bench::finish_obs(args, "ablation_esd", stream, &metrics);
   std::cerr << "[exp] " << tasks << " tasks in " << format_double(wall, 2)
             << " s on " << ups_run.threads_used << " thread(s)\n";
   bench::drain_exit_if_requested();

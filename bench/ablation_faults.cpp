@@ -130,8 +130,7 @@ Outcome run_scenario(const DataCenterConfig& config, const TimeSeries& trace,
 
 int main(int argc, char** argv) {
   const Config args = bench::parse_args(argc, argv, {"seeds"});
-  bench::obs_setup(args);
-  bench::telemetry_setup(args, "ablation_faults");
+  bench::StreamTraceSinks stream = bench::obs_setup(args, "ablation_faults");
   const bool tracing = bench::tracing_enabled(args);
 
   workload::YahooTraceParams yp;
@@ -179,7 +178,7 @@ int main(int argc, char** argv) {
       },
       bench::runner_options(args, grid));
 
-  obs::Tracer tracer;
+  obs::Tracer tracer(stream.sink());
   if (tracing) {
     for (const exp::SweepSpec::Task& task : grid.tasks()) {
       tracer.name_lane(obs::Domain::kSim,
@@ -302,8 +301,7 @@ int main(int argc, char** argv) {
     run_scenario(config, trace, scenarios[6], &greedy, Mode::kControlled,
                  nullptr, &metrics);
   }
-  bench::maybe_export_obs(args, "ablation_faults", &tracer, &metrics);
-  bench::telemetry_finish(args, tracing ? &tracer : nullptr, &metrics);
+  bench::finish_obs(args, "ablation_faults", stream, &metrics);
   std::cerr << "[exp] "
             << grid_run.rows.size() + unc_run.rows.size() +
                    surv_run.rows.size()

@@ -17,6 +17,8 @@ int main(int argc, char** argv) {
   using namespace dcs;
   using namespace dcs::core;
   const Config args = bench::parse_args(argc, argv);
+  bench::StreamTraceSinks stream =
+      bench::obs_setup(args, "ablation_headroom");
 
   std::cout << "=== Ablation: DC headroom sweep (0-20% of peak normal) ===\n";
   const TimeSeries ms = workload::generate_ms_trace();
@@ -61,6 +63,7 @@ int main(int argc, char** argv) {
 
   const exp::SweepSummary summary = exp::aggregate(spec, run);
   bench::maybe_export_sweep(args, spec, run, summary);
+  bench::finish_obs(args, "ablation_headroom", stream);
   std::cerr << "[exp] " << run.rows.size() << " tasks in "
             << format_double(run.wall_seconds, 2) << " s on "
             << run.threads_used << " thread(s)\n";

@@ -18,7 +18,8 @@ int main(int argc, char** argv) {
   using namespace dcs;
   using namespace dcs::core;
   const Config args = bench::parse_args(argc, argv);
-  bench::obs_setup(args);
+  bench::StreamTraceSinks stream =
+      bench::obs_setup(args, "ablation_powercap");
   const DataCenterConfig config = bench::bench_config(args);
 
   const std::vector<double> degrees = {1.5, 2.0, 2.6, 3.2, 3.6};
@@ -69,7 +70,7 @@ int main(int argc, char** argv) {
   if (!args.get_string("metrics", "").empty()) {
     exp::metrics_from_summary(metrics, summary);
   }
-  bench::maybe_export_obs(args, "ablation_powercap", nullptr, &metrics);
+  bench::finish_obs(args, "ablation_powercap", stream, &metrics);
   std::cerr << "[exp] " << run.rows.size() << " tasks in "
             << format_double(run.wall_seconds, 2) << " s on "
             << run.threads_used << " thread(s)\n";

@@ -28,8 +28,7 @@ int main(int argc, char** argv) {
   // / degree / UPS state side by side.
   bench::StreamTraceSinks stream =
       bench::maybe_stream_sinks(args, "ablation_zonal");
-  obs::Tracer tracer =
-      stream.active() ? obs::Tracer(stream.sink()) : obs::Tracer();
+  obs::Tracer tracer(stream.sink());
   std::uint32_t next_lane = 0;
   const auto run_zones = [&](const std::vector<Zone>& zones,
                              const std::string& label) {
@@ -103,7 +102,6 @@ int main(int argc, char** argv) {
             << " of the 15 burst\nminutes, until the stored energy runs"
                " out) the light zone is served in full and the\nheavy zone"
                " takes the rest; no breaker trips even at zero headroom.\n";
-  bench::maybe_export_obs(args, "ablation_zonal", tracing ? &tracer : nullptr,
-                          nullptr, &stream);
+  bench::finish_obs(args, "ablation_zonal", stream);
   return 0;
 }

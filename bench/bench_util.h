@@ -26,7 +26,6 @@
 #include "obs/perfetto.h"
 #include "obs/profile.h"
 #include "obs/sink.h"
-#include "obs/telemetry.h"
 #include "obs/trace.h"
 #include "util/config.h"
 #include "util/time_series.h"
@@ -37,13 +36,12 @@ namespace dcs::bench {
 /// sweep-runner knobs (threads=<n>, csv=<dir>, perf=<dir>, checkpoint=<dir>
 /// for crash-safe resume files, shard=<i>/<N> to run one contiguous slice
 /// of every grid) and the observability knobs (trace=<dir> for the JSONL
-/// and Perfetto traces, sink=buffer|stream to pick the in-memory Tracer or
-/// the bounded-memory streaming sinks, metrics=<dir> for CSV/JSON/
-/// Prometheus snapshots, telemetry=<path> for the worker telemetry stream
-/// a supervising dispatcher tails and merges — see obs/telemetry.h).
+/// and Perfetto traces, metrics=<dir> for CSV/JSON/Prometheus snapshots,
+/// telemetry=<path> for the worker telemetry stream a supervising
+/// dispatcher merges into its timeline — see obs/sink.h).
 inline constexpr std::string_view kCommonKeys[] = {
     "pdus", "dc_headroom", "pue", "csv", "perf", "threads", "trace",
-    "metrics", "sink", "checkpoint", "shard", "telemetry", "decisions"};
+    "metrics", "checkpoint", "shard", "telemetry", "decisions"};
 
 /// Default recorder channels bridged into Perfetto counter tracks by the
 /// traced benches: physical state (state of charge, breaker trip margin,
@@ -70,37 +68,6 @@ inline Config parse_args(int argc, char** argv,
               << "\nusage: " << argv[0] << " [key=value ...]\n";
     std::exit(2);
   }
-}
-
-namespace detail {
-inline std::unique_ptr<obs::TelemetrySink>& telemetry_slot() {
-  static std::unique_ptr<obs::TelemetrySink> slot;
-  return slot;
-}
-}  // namespace detail
-
-/// The process-global telemetry stream, or null when telemetry= was not
-/// given (telemetry_setup not called / no-op).
-inline obs::TelemetrySink* telemetry_sink() {
-  return detail::telemetry_slot().get();
-}
-
-/// Opens the worker telemetry stream under telemetry=<path> (appended by
-/// dispatch_sweep --telemetry) and turns the wall-clock profiler on so the
-/// stream carries wall spans and folded stacks for the cross-process
-/// timeline. Call once near the top of main(), right after obs_setup.
-inline void telemetry_setup(const Config& args, const std::string& name) {
-  const std::string path = args.get_string("telemetry", "");
-  if (path.empty()) return;
-  obs::TelemetryOptions options;
-  options.name = name;
-  options.shard = args.get_string("shard", "");
-  detail::telemetry_slot() =
-      std::make_unique<obs::TelemetrySink>(path, options);
-  if (!telemetry_sink()->ok()) {
-    std::cerr << "[obs] cannot write telemetry stream " << path << "\n";
-  }
-  obs::Profiler::instance().set_enabled(true);
 }
 
 /// Whether this run should record sim trace events: a trace= export wants
@@ -148,10 +115,10 @@ inline exp::Shard parse_shard(const std::string& text) {
 /// Worker-mode drain contract (dispatcher-initiated kills, Ctrl-C on a
 /// checkpointed run). SIGTERM/SIGINT set `shutdown_requested`; the sweep
 /// runner stops picking up new tasks and finishes (and checkpoints) the
-/// in-flight ones, the bench's normal tail then finalizes stream trace
-/// sinks, and `drain_exit_if_requested` — the last line of every sweep
-/// bench — exits 128+signal so a supervisor can never mistake the partial
-/// run for a complete shard. A second signal exits immediately.
+/// in-flight ones, the bench's normal tail then finalizes the stream
+/// sinks (finish_obs), and `drain_exit_if_requested` — the last line of
+/// every sweep bench — exits 128+signal so a supervisor can never mistake
+/// the partial run for a complete shard. A second signal exits immediately.
 inline std::atomic<bool>& shutdown_requested() {
   static std::atomic<bool> requested{false};
   return requested;
@@ -201,15 +168,6 @@ inline exp::RunnerOptions runner_options(const Config& args,
   options.stop = &shutdown_requested();
   const std::string shard = args.get_string("shard", "");
   if (!shard.empty()) options.shard = parse_shard(shard);
-  if (obs::TelemetrySink* telemetry = telemetry_sink();
-      telemetry != nullptr) {
-    // Heartbeats flow from the runner's worker threads into the telemetry
-    // stream, where a supervising dispatcher tails them for live progress.
-    options.on_progress = [telemetry, sweep = spec.name()](
-                              std::size_t done, std::size_t total) {
-      telemetry->heartbeat(sweep, done, total);
-    };
-  }
   return options;
 }
 
@@ -279,122 +237,110 @@ inline void maybe_export_sweep(const Config& args, const exp::SweepSpec& spec,
   }
 }
 
-/// Turns the wall-clock profiler on when either observability knob is set;
-/// call once near the top of main(), before any sweep runs.
-inline void obs_setup(const Config& args) {
-  if (!args.get_string("trace", "").empty() ||
-      !args.get_string("metrics", "").empty()) {
-    obs::Profiler::instance().set_enabled(true);
-  }
-}
-
-/// Streaming trace sinks for one bench (sink=stream under trace=<dir>):
-/// the merged event stream tees into `<dir>/<name>_trace.jsonl` and the
-/// Perfetto protobuf stream `<dir>/<name>_trace.perfetto` with bounded
-/// memory; an open telemetry stream joins the tee so its events flow live.
-/// Default (sink=buffer) keeps the in-memory Tracer path, whose
-/// maybe_export_obs writes the same two files.
+/// The streaming sinks of one bench run, fed through one tee: under
+/// trace=<dir>, the JSONL trace `<dir>/<name>_trace.jsonl` and the
+/// Perfetto stream `<dir>/<name>_trace.perfetto`; under telemetry=<path>
+/// (appended by dispatch_sweep --telemetry), the worker telemetry stream,
+/// whose header is on disk as soon as it opens. Memory stays bounded
+/// whatever the trace length. With neither key the struct is inactive and
+/// sink() is null, so `obs::Tracer tracer(stream.sink())` buffers nothing
+/// a bench does not trace.
 struct StreamTraceSinks {
   std::unique_ptr<obs::JsonlStreamSink> jsonl;
   std::unique_ptr<obs::PerfettoStreamSink> perfetto;
+  std::unique_ptr<obs::TelemetrySink> telemetry;
   std::unique_ptr<obs::TeeSink> tee;
 
   [[nodiscard]] bool active() const noexcept { return tee != nullptr; }
   [[nodiscard]] obs::TraceSink* sink() const noexcept { return tee.get(); }
 
+  /// Finalizes every sink, then reports one "[obs] streamed N events to
+  /// <path>" (or "[obs] cannot write <path>") line per trace file on
+  /// `diag`.
   void finalize(std::ostream* diag = nullptr) {
     if (!active()) return;
     tee->finalize();
-    if (diag != nullptr) {
-      for (const obs::FileStreamSink* s :
-           {static_cast<const obs::FileStreamSink*>(jsonl.get()),
-            static_cast<const obs::FileStreamSink*>(perfetto.get())}) {
-        if (s->ok()) {
-          *diag << "[obs] streamed " << s->events_written() << " events to "
-                << s->path() << "\n";
-        } else {
-          *diag << "[obs] cannot write " << s->path() << "\n";
-        }
+    if (diag == nullptr || jsonl == nullptr) return;
+    for (const obs::FileStreamSink* s :
+         {static_cast<const obs::FileStreamSink*>(jsonl.get()),
+          static_cast<const obs::FileStreamSink*>(perfetto.get())}) {
+      if (s->ok()) {
+        *diag << "[obs] streamed " << s->events_written() << " events to "
+              << s->path() << "\n";
+      } else {
+        *diag << "[obs] cannot write " << s->path() << "\n";
       }
     }
   }
 };
 
-/// Builds the streaming sinks when trace=<dir> and sink=stream are both
-/// given; inactive (null members) otherwise. Rejects unknown sink= values.
+/// Opens the sinks trace= and telemetry= ask for (see StreamTraceSinks).
 inline StreamTraceSinks maybe_stream_sinks(const Config& args,
                                            const std::string& name) {
   StreamTraceSinks sinks;
-  const std::string mode = args.get_string("sink", "buffer");
-  if (mode != "buffer" && mode != "stream") {
-    std::cerr << "error: sink must be 'buffer' or 'stream', got '" << mode
-              << "'\n";
-    std::exit(2);
-  }
+  std::vector<obs::TraceSink*> children;
   const std::string trace_dir = args.get_string("trace", "");
-  if (mode != "stream" || trace_dir.empty()) return sinks;
-  sinks.jsonl = std::make_unique<obs::JsonlStreamSink>(
-      trace_dir + "/" + name + "_trace.jsonl");
-  sinks.perfetto = std::make_unique<obs::PerfettoStreamSink>(
-      trace_dir + "/" + name + "_trace.perfetto");
-  std::vector<obs::TraceSink*> children{sinks.jsonl.get(),
-                                        sinks.perfetto.get()};
-  if (obs::TelemetrySink* telemetry = telemetry_sink();
-      telemetry != nullptr) {
-    children.push_back(telemetry);  // finalize() only flushes it
+  if (!trace_dir.empty()) {
+    sinks.jsonl = std::make_unique<obs::JsonlStreamSink>(
+        trace_dir + "/" + name + "_trace.jsonl");
+    sinks.perfetto = std::make_unique<obs::PerfettoStreamSink>(
+        trace_dir + "/" + name + "_trace.perfetto");
+    children = {sinks.jsonl.get(), sinks.perfetto.get()};
   }
-  sinks.tee = std::make_unique<obs::TeeSink>(std::move(children));
+  const std::string telemetry = args.get_string("telemetry", "");
+  if (!telemetry.empty()) {
+    sinks.telemetry = std::make_unique<obs::TelemetrySink>(
+        telemetry, obs::TelemetryOptions{
+                       .name = name, .shard = args.get_string("shard", "")});
+    if (!sinks.telemetry->ok()) {
+      std::cerr << "[obs] cannot write telemetry stream " << telemetry
+                << "\n";
+    }
+    children.push_back(sinks.telemetry.get());
+  }
+  if (!children.empty()) {
+    sinks.tee = std::make_unique<obs::TeeSink>(std::move(children));
+  }
   return sinks;
 }
 
-/// Observability export glue: under trace=<dir>, folds the profiler's
-/// wall-clock spans and scope path totals into `tracer` (obs::export_to)
-/// and writes `<name>_trace.jsonl` plus `<name>_trace.perfetto`
-/// (obs::export_trace); under metrics=<dir>, writes
-/// `<name>_metrics.{csv,json,prom}`. Null arguments skip the matching
-/// export. For a streaming Tracer (attached sink) the wall events are
-/// forwarded to the sink and `stream` is finalized instead of rewriting
-/// the files from memory.
-inline void maybe_export_obs(const Config& args, const std::string& name,
-                             obs::Tracer* tracer,
-                             const obs::MetricsRegistry* metrics,
-                             StreamTraceSinks* stream = nullptr) {
-  const std::string trace_dir = args.get_string("trace", "");
-  if (!trace_dir.empty() && tracer != nullptr) {
-    obs::export_to(*tracer, obs::Profiler::instance().collect());
-    if (tracer->sink() != nullptr) {
-      if (stream != nullptr) stream->finalize(&std::cout);
-    } else {
-      obs::export_trace(trace_dir, name, *tracer, &std::cout);
+/// The observability setup step, once near the top of main() before any
+/// run: turns the wall-clock profiler on when trace=, metrics= or
+/// telemetry= is given, and opens the run's streaming sinks. A traced
+/// bench then builds `obs::Tracer tracer(stream.sink())`; finish_obs is
+/// the matching last step.
+[[nodiscard]] inline StreamTraceSinks obs_setup(const Config& args,
+                                                const std::string& name) {
+  if (!args.get_string("trace", "").empty() ||
+      !args.get_string("metrics", "").empty() ||
+      !args.get_string("telemetry", "").empty()) {
+    obs::Profiler::instance().set_enabled(true);
+  }
+  return maybe_stream_sinks(args, name);
+}
+
+/// The observability finish step, after the bench's last run: appends the
+/// profiler's wall spans and scope path totals to the stream
+/// (obs::export_to, through a wall-only tracer over the tee), then the
+/// telemetry stream's folded stacks, then finalizes the sinks, reporting
+/// each trace file on stdout. Under metrics=<dir> it also writes
+/// `<name>_metrics.{csv,json,prom}` from `metrics` when given.
+inline void finish_obs(const Config& args, const std::string& name,
+                       StreamTraceSinks& stream,
+                       const obs::MetricsRegistry* metrics = nullptr) {
+  if (stream.active()) {
+    const obs::Profile profile = obs::Profiler::instance().collect();
+    obs::Tracer wall(stream.sink());
+    obs::export_to(wall, profile);
+    if (stream.telemetry != nullptr) {
+      stream.telemetry->write_stacks(obs::folded_stacks(profile.paths));
     }
+    stream.finalize(&std::cout);
   }
   const std::string metrics_dir = args.get_string("metrics", "");
   if (!metrics_dir.empty() && metrics != nullptr) {
     obs::export_metrics(metrics_dir, name, *metrics, &std::cout);
   }
-}
-
-/// Seals the worker's telemetry stream; call after maybe_export_obs, as
-/// the bench's last observability step. For a buffered tracer, replays its
-/// lane names and events into the stream (a streaming tracer already teed
-/// them live); folds in wall events that no trace= export collected, then
-/// appends the metric snapshot, the profiler's folded stacks and the end
-/// marker. No-op without telemetry=.
-inline void telemetry_finish(const Config& args, obs::Tracer* tracer = nullptr,
-                             const obs::MetricsRegistry* metrics = nullptr) {
-  obs::TelemetrySink* telemetry = telemetry_sink();
-  if (telemetry == nullptr) return;
-  if (tracer != nullptr && tracer->sink() == nullptr) {
-    if (args.get_string("trace", "").empty()) {
-      // telemetry= without trace=: nothing collected the profiler yet.
-      obs::export_to(*tracer, obs::Profiler::instance().collect());
-    }
-    tracer->replay(*telemetry);
-  }
-  if (metrics != nullptr) telemetry->write_metrics(*metrics);
-  telemetry->write_stacks(
-      obs::folded_stacks(obs::Profiler::instance().collect().paths));
-  telemetry->close();
 }
 
 }  // namespace dcs::bench

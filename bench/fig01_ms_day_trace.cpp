@@ -5,7 +5,7 @@
 //
 // Under trace=<dir> it additionally runs the controlled data center over
 // the full day and traces it — per-tick counter tracks for a 24 h run are
-// the motivating workload for sink=stream's bounded-memory file sinks.
+// the motivating workload for the bounded-memory streaming sinks.
 #include <iostream>
 
 #include "bench_util.h"
@@ -18,7 +18,7 @@
 int main(int argc, char** argv) {
   using namespace dcs;
   const Config args = bench::parse_args(argc, argv);
-  bench::obs_setup(args);
+  bench::StreamTraceSinks stream = bench::obs_setup(args, "fig01_ms_day_trace");
 
   std::cout << "=== Figure 1: MS-style day trace (synthetic stand-in) ===\n";
   const TimeSeries trace = workload::generate_ms_day_trace();
@@ -47,13 +47,10 @@ int main(int argc, char** argv) {
             << "  burst episodes     " << stats.burst_count
             << " per day (paper: ~200 bursts/month ~ 6-7/day)\n";
 
-  // Opt-in day-long controlled run with counter tracks (trace=<dir>;
-  // sink=stream keeps peak memory bounded regardless of trace length).
+  // Opt-in day-long controlled run with counter tracks (trace=<dir>; the
+  // streaming sinks keep peak memory bounded regardless of trace length).
   if (!args.get_string("trace", "").empty()) {
-    bench::StreamTraceSinks stream =
-        bench::maybe_stream_sinks(args, "fig01_ms_day_trace");
-    obs::Tracer tracer =
-        stream.active() ? obs::Tracer(stream.sink()) : obs::Tracer();
+    obs::Tracer tracer(stream.sink());
     tracer.name_lane(obs::Domain::kSim, 0, "greedy/day-trace");
 
     core::DataCenter dc(bench::bench_config(args));
@@ -68,8 +65,7 @@ int main(int argc, char** argv) {
     std::cout << "\nDay-long controlled run: performance factor "
               << format_double(day_run.performance_factor, 3) << ", "
               << tracer.count(obs::Domain::kSim) << " sim trace events\n";
-    bench::maybe_export_obs(args, "fig01_ms_day_trace", &tracer, nullptr,
-                            &stream);
   }
+  bench::finish_obs(args, "fig01_ms_day_trace", stream);
   return 0;
 }

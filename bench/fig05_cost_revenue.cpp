@@ -16,7 +16,8 @@
 int main(int argc, char** argv) {
   using namespace dcs;
   const Config args = bench::parse_args(argc, argv);
-  bench::obs_setup(args);
+  bench::StreamTraceSinks stream =
+      bench::obs_setup(args, "fig05_cost_revenue");
 
   const econ::ProfitabilityAnalysis analysis{econ::CostModel{},
                                              econ::RevenueModel{}};
@@ -83,7 +84,7 @@ int main(int argc, char** argv) {
   if (!args.get_string("metrics", "").empty()) {
     exp::metrics_from_summary(metrics, summary);
   }
-  bench::maybe_export_obs(args, "fig05_cost_revenue", nullptr, &metrics);
+  bench::finish_obs(args, "fig05_cost_revenue", stream, &metrics);
   std::cerr << "[exp] " << run.rows.size() << " tasks in "
             << format_double(run.wall_seconds, 2) << " s on "
             << run.threads_used << " thread(s)\n";

@@ -6,13 +6,13 @@
 // The error grid runs on the src/exp sweep runner (threads=<n> to pin the
 // worker count); results are bit-identical for any thread count.
 //
-// Observability: under trace=<dir> each grid task traces its Prediction run
-// (phase-transition instants plus recorder counter tracks: state of charge,
-// breaker trip margin, room temperature, degree, chiller draw) into its own
-// lane; sink=stream sends the merged stream through the bounded-memory
-// crash-safe file sinks. faults=1 injects a canonical mid-burst fault pair
-// (UPS bank outage + degraded chiller) so the traced trajectories show the
-// degradation ladder at work.
+// Observability: under trace=<dir> (or telemetry=<path>) each grid task
+// traces its Prediction run (phase-transition instants plus recorder
+// counter tracks: state of charge, breaker trip margin, room temperature,
+// degree, chiller draw) into its own lane, and the lanes merge in task
+// order into the bounded-memory streaming sinks. faults=1 injects a
+// canonical mid-burst fault pair (UPS bank outage + degraded chiller) so
+// the traced trajectories show the degradation ladder at work.
 #include <iostream>
 #include <optional>
 #include <vector>
@@ -32,8 +32,7 @@ int main(int argc, char** argv) {
   using namespace dcs::core;
   const Config args = bench::parse_args(argc, argv, {"faults"});
   const std::size_t threads = bench::bench_threads(args);
-  bench::obs_setup(args);
-  bench::telemetry_setup(args, "fig09_strategies");
+  bench::StreamTraceSinks stream = bench::obs_setup(args, "fig09_strategies");
   const bool tracing = bench::tracing_enabled(args);
   const bool decisions = bench::decisions_enabled(args);
   const bool faulted = args.get_int("faults", 0) != 0;
@@ -136,10 +135,7 @@ int main(int argc, char** argv) {
       },
       bench::runner_options(args, spec));
 
-  bench::StreamTraceSinks stream =
-      bench::maybe_stream_sinks(args, "fig09_strategies");
-  obs::Tracer tracer =
-      stream.active() ? obs::Tracer(stream.sink()) : obs::Tracer();
+  obs::Tracer tracer(stream.sink());
   if (tracing) {
     for (const exp::SweepSpec::Task& task : spec.tasks()) {
       tracer.name_lane(obs::Domain::kSim,
@@ -159,9 +155,7 @@ int main(int argc, char** argv) {
 
   const exp::SweepSummary summary = exp::aggregate(spec, run);
   bench::maybe_export_sweep(args, spec, run, summary);
-  bench::maybe_export_obs(args, "fig09_strategies", tracing ? &tracer : nullptr,
-                          nullptr, &stream);
-  bench::telemetry_finish(args, tracing ? &tracer : nullptr);
+  bench::finish_obs(args, "fig09_strategies", stream);
   std::cerr << "[exp] " << run.rows.size() << " tasks in "
             << format_double(run.wall_seconds, 2) << " s on "
             << run.threads_used << " thread(s)\n";

@@ -20,6 +20,8 @@ int main(int argc, char** argv) {
   using namespace dcs;
   using namespace dcs::core;
   const Config args = bench::parse_args(argc, argv);
+  bench::StreamTraceSinks stream =
+      bench::obs_setup(args, "fig10_burst_sweep");
   const std::size_t threads = bench::bench_threads(args);
   const DataCenter dc(bench::bench_config(args));
 
@@ -80,6 +82,7 @@ int main(int argc, char** argv) {
 
   const exp::SweepSummary summary = exp::aggregate(spec, run);
   bench::maybe_export_sweep(args, spec, run, summary);
+  bench::finish_obs(args, "fig10_burst_sweep", stream);
   std::cerr << "[exp] " << run.rows.size() << " tasks in "
             << format_double(run.wall_seconds, 2) << " s on "
             << run.threads_used << " thread(s)\n";

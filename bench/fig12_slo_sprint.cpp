@@ -62,8 +62,7 @@ int main(int argc, char** argv) {
   const Config args = bench::parse_args(
       argc, argv, {"slo", "queue_model", "placement", "rps", "servers",
                    "admit"});
-  bench::obs_setup(args);
-  bench::telemetry_setup(args, "fig12_slo_sprint");
+  bench::StreamTraceSinks stream = bench::obs_setup(args, "fig12_slo_sprint");
   const bool tracing = bench::tracing_enabled(args);
   const bool decisions = bench::decisions_enabled(args);
 
@@ -238,10 +237,7 @@ int main(int argc, char** argv) {
 
   // Observability tail: merge the per-task lanes in task order (the
   // bit-identity contract) and export.
-  bench::StreamTraceSinks stream =
-      bench::maybe_stream_sinks(args, "fig12_slo_sprint");
-  obs::Tracer tracer =
-      stream.active() ? obs::Tracer(stream.sink()) : obs::Tracer();
+  obs::Tracer tracer(stream.sink());
   obs::MetricsRegistry metrics;
   if (tracing) {
     for (const exp::SweepSpec::Task& task : budget_spec.tasks()) {
@@ -284,12 +280,7 @@ int main(int argc, char** argv) {
   const exp::SweepSummary admit_summary = exp::aggregate(admit_spec, admit_run);
   bench::maybe_export_sweep(args, budget_spec, budget_run, budget_summary);
   bench::maybe_export_sweep(args, admit_spec, admit_run, admit_summary);
-  bench::maybe_export_obs(args, "fig12_slo_sprint",
-                          tracing ? &tracer : nullptr,
-                          args.get_string("metrics", "").empty() ? nullptr
-                                                                 : &metrics,
-                          &stream);
-  bench::telemetry_finish(args, tracing ? &tracer : nullptr, &metrics);
+  bench::finish_obs(args, "fig12_slo_sprint", stream, &metrics);
   std::cerr << "[exp] " << budget_run.rows.size() + admit_run.rows.size()
             << " tasks in "
             << format_double(budget_run.wall_seconds + admit_run.wall_seconds,

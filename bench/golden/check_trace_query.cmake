@@ -6,10 +6,10 @@
 #         -DGOLDEN_DIR=<bench/golden/trace_query> -DWORKDIR=<dir> \
 #         -P bench/golden/check_trace_query.cmake
 #
-# The run is `fig09_strategies threads=3 faults=1 trace=trace sink=stream`
-# at its default 909 PDUs, inside WORKDIR (created if missing). Its
-# stdout lands in WORKDIR/stdout.txt and its trace under WORKDIR/trace,
-# where the trace budget check reads them. The threshold, audit and
+# The run is `fig09_strategies threads=3 faults=1 trace=trace` at its
+# default 909 PDUs, inside WORKDIR (created if missing). Its stdout lands
+# in WORKDIR/stdout.txt and its trace under WORKDIR/trace, where the trace
+# budget check reads them. The threshold, audit and
 # explain answers come from sim-domain events and are pinned whole.
 # Scope timings are wall clock, so only the src, name and count columns
 # of `scopes` are pinned. A deliberate change is re-baselined by copying
@@ -23,7 +23,7 @@ endforeach()
 file(REMOVE_RECURSE "${WORKDIR}/trace")
 file(MAKE_DIRECTORY "${WORKDIR}/trace")
 execute_process(
-  COMMAND "${BENCH}" threads=3 faults=1 trace=trace sink=stream
+  COMMAND "${BENCH}" threads=3 faults=1 trace=trace
   WORKING_DIRECTORY "${WORKDIR}"
   OUTPUT_FILE "${WORKDIR}/stdout.txt"
   RESULT_VARIABLE status)

@@ -152,7 +152,6 @@ void BM_TracedRun(benchmark::State& state) {
       ("perf_engine_traced_run-" + std::to_string(::getpid()));
   Config args;
   args.set("trace", dir.string());
-  args.set("sink", "stream");
   obs::CounterExportOptions counters;
   counters.channels = bench::kDefaultCounterChannels;
   std::int64_t events = 0;

@@ -15,28 +15,6 @@ namespace {
 
 constexpr int kVersion = 1;
 
-std::string json_escape(const std::string& s) {
-  std::string out = "\"";
-  for (const char c : s) {
-    switch (c) {
-      case '"': out += "\\\""; break;
-      case '\\': out += "\\\\"; break;
-      case '\n': out += "\\n"; break;
-      case '\t': out += "\\t"; break;
-      default:
-        if (static_cast<unsigned char>(c) < 0x20) {
-          char buf[8];
-          std::snprintf(buf, sizeof(buf), "\\u%04x", c);
-          out += buf;
-        } else {
-          out += c;
-        }
-    }
-  }
-  out += '"';
-  return out;
-}
-
 std::uint64_t parse_u64(const std::string& s, const char* what) {
   DCS_REQUIRE(!s.empty(), std::string("checkpoint: empty ") + what);
   std::uint64_t v = 0;
@@ -52,12 +30,12 @@ std::string header_line(const std::string& sweep, std::uint64_t base_seed,
                         std::size_t task_count,
                         const std::vector<std::string>& metrics) {
   std::ostringstream out;
-  out << "{\"checkpoint\": " << json_escape(sweep)
+  out << "{\"checkpoint\": " << json::quote(sweep)
       << ", \"version\": " << kVersion << ", \"base_seed\": \""
       << base_seed << "\", \"task_count\": " << task_count
       << ", \"metrics\": [";
   for (std::size_t m = 0; m < metrics.size(); ++m) {
-    out << (m == 0 ? "" : ", ") << json_escape(metrics[m]);
+    out << (m == 0 ? "" : ", ") << json::quote(metrics[m]);
   }
   out << "]}";
   return out.str();

@@ -12,6 +12,7 @@
 #include <cstdio>
 #include <filesystem>
 #include <fstream>
+#include <iterator>
 #include <map>
 #include <memory>
 #include <set>
@@ -23,7 +24,7 @@
 #include "exp/runner.h"
 #include "exp/timeline.h"
 #include "obs/profile.h"
-#include "obs/telemetry.h"
+#include "obs/sink.h"
 #include "util/check.h"
 #include "util/json.h"
 #include "util/rng.h"
@@ -38,34 +39,17 @@ double seconds_since(Clock::time_point t) {
   return std::chrono::duration<double>(Clock::now() - t).count();
 }
 
-std::string json_escape(const std::string& s) {
-  std::string out = "\"";
-  for (const char c : s) {
-    switch (c) {
-      case '"': out += "\\\""; break;
-      case '\\': out += "\\\\"; break;
-      case '\n': out += "\\n"; break;
-      case '\t': out += "\\t"; break;
-      default:
-        if (static_cast<unsigned char>(c) < 0x20) {
-          char buf[8];
-          std::snprintf(buf, sizeof(buf), "\\u%04x", c);
-          out += buf;
-        } else {
-          out += c;
-        }
-    }
-  }
-  out += '"';
-  return out;
-}
-
 std::string shard_dir(const std::string& work_dir, std::size_t shard) {
   return work_dir + "/shard_" + std::to_string(shard);
 }
 
-/// Total bytes of checkpoint files in a shard dir — the progress signal.
-/// Every completed row is one flushed JSONL line, so a live worker grows
+bool is_checkpoint_file(const std::string& name) {
+  return name.size() > 11 &&
+         name.compare(name.size() - 11, 11, ".ckpt.jsonl") == 0;
+}
+
+/// Total bytes of JSONL files in a shard dir — the liveness signal. Every
+/// completed row is one flushed checkpoint line, so a live worker grows
 /// this monotonically; a missing dir reads as zero.
 std::uint64_t checkpoint_bytes(const std::string& dir) {
   std::uint64_t total = 0;
@@ -76,6 +60,37 @@ std::uint64_t checkpoint_bytes(const std::string& dir) {
     total += static_cast<std::uint64_t>(entry.file_size(ec));
   }
   return total;
+}
+
+/// A shard's progress, read from the `*.ckpt.jsonl` files in its dir:
+/// `done` counts the rows inside the shard's slice (shard_range) of each
+/// sweep, `total` sums those slices over the sweep files present so far.
+/// The files are append-only, so both counts only grow, with or without a
+/// telemetry stream, and rows seeded from a resume count only inside the
+/// slice. A file that fails to load (say, a header mid-write) counts as no
+/// progress and never throws out of the poll loop.
+struct Progress {
+  std::size_t done = 0;
+  std::size_t total = 0;
+};
+
+Progress shard_progress(const std::string& dir, const Shard& shard) {
+  Progress progress;
+  std::error_code ec;
+  for (const fs::directory_entry& entry : fs::directory_iterator(dir, ec)) {
+    if (!is_checkpoint_file(entry.path().filename().string())) continue;
+    try {
+      const CheckpointData data = load_checkpoint(entry.path().string());
+      if (!data.present) continue;
+      const auto [first, last] = shard_range(data.task_count, shard);
+      progress.total += last - first;
+      progress.done += static_cast<std::size_t>(std::distance(
+          data.rows.lower_bound(first), data.rows.lower_bound(last)));
+    } catch (const std::exception&) {
+      continue;
+    }
+  }
+  return progress;
 }
 
 /// Per-attempt telemetry stream path; zero-padded so a lexical sort of the
@@ -133,11 +148,8 @@ struct Worker {
   /// Why the supervisor killed the current attempt ("" = it was not us).
   std::string kill_reason;
   std::vector<AttemptResult> attempts;
-  /// Telemetry mode: tail of the current attempt's stream.
-  std::unique_ptr<obs::TelemetryTail> tail;
-  /// Last heartbeat across attempts + the status tick's rate baseline.
-  std::size_t tasks_done = 0;
-  std::size_t tasks_total = 0;
+  /// Checkpoint progress (shard_progress) + the status tick's rate baseline.
+  Progress progress;
   std::size_t status_done = 0;
 
   [[nodiscard]] bool live() const noexcept {
@@ -212,20 +224,15 @@ class Dispatcher {
     }
   }
 
-  /// Drains a worker's telemetry stream and records its latest heartbeat.
-  void poll_tail(Worker& w) {
-    if (w.tail == nullptr || !w.tail->poll()) return;
-    if (w.tail->have_heartbeat()) {
-      w.tasks_done = w.tail->heartbeat().done;
-      w.tasks_total = w.tail->heartbeat().total;
-    }
+  void read_progress(Worker& w) {
+    w.progress = shard_progress(shard_dir(options_.work_dir, w.shard),
+                                Shard{w.shard, options_.shards});
   }
 
   /// Aggregated per-shard status line: done/total, throughput since the
   /// previous tick, ETA at that rate, restart counts.
   void status_tick() {
-    if (self_ == nullptr || options_.log == nullptr ||
-        options_.status_interval_s <= 0.0) {
+    if (options_.log == nullptr || options_.status_interval_s <= 0.0) {
       return;
     }
     const double elapsed = seconds_since(last_status_);
@@ -237,14 +244,14 @@ class Dispatcher {
       line << " shard" << w.shard << "=";
       switch (w.state) {
         case Worker::State::kRunning: {
+          const Progress& p = w.progress;
           const double rate =
-              static_cast<double>(w.tasks_done - w.status_done) / elapsed;
-          line << w.tasks_done << "/" << w.tasks_total;
-          if (rate > 0.0 && w.tasks_total >= w.tasks_done) {
+              static_cast<double>(p.done - w.status_done) / elapsed;
+          line << p.done << "/" << p.total;
+          if (rate > 0.0) {
             char buf[48];
             std::snprintf(buf, sizeof(buf), " (%.1f/s, eta %.0fs)", rate,
-                          static_cast<double>(w.tasks_total - w.tasks_done) /
-                              rate);
+                          static_cast<double>(p.total - p.done) / rate);
             line << buf;
           }
           break;
@@ -257,7 +264,7 @@ class Dispatcher {
           break;
       }
       if (w.restarts > 0) line << " restarts=" << w.restarts;
-      w.status_done = w.tasks_done;
+      w.status_done = w.progress.done;
     }
     log(line.str());
   }
@@ -346,12 +353,10 @@ class Dispatcher {
         options_.telemetry ? telemetry_path(dir, attempt) : "";
     w.pid = spawn_worker(options_.command, w.shard, options_.shards, dir,
                          log_path, telemetry);
-    w.tail = telemetry.empty()
-                 ? nullptr
-                 : std::make_unique<obs::TelemetryTail>(telemetry);
     w.kill_reason.clear();
     w.attempt_start = w.last_progress = Clock::now();
     w.last_bytes = checkpoint_bytes(dir);
+    read_progress(w);
     if (w.pid < 0) {
       // fork failed: record a zero-length attempt and route it through the
       // ordinary crash path (budget + backoff).
@@ -409,7 +414,6 @@ class Dispatcher {
 
   /// Reaps an exited worker and routes it to completed/backoff/failed.
   void handle_exit(Worker& w, int status) {
-    poll_tail(w);  // drain the attempt's final telemetry lines
     AttemptResult attempt;
     attempt.wall_s = seconds_since(w.attempt_start);
     attempt.checkpoint_bytes =
@@ -487,19 +491,20 @@ class Dispatcher {
       handle_exit(w, status);
       return;
     }
-    poll_tail(w);
     if (draining_) {
       if (seconds_since(drain_start_) > options_.grace_period_s) {
         ::kill(w.pid, SIGKILL);  // grace expired; checkpoint is still valid
       }
       return;
     }
-    // Liveness: checkpoint growth resets the stall clock.
+    // Liveness: checkpoint growth resets the stall clock, and is the only
+    // time the progress counts can move.
     const std::uint64_t bytes =
         checkpoint_bytes(shard_dir(options_.work_dir, w.shard));
     if (bytes != w.last_bytes) {
       w.last_bytes = bytes;
       w.last_progress = Clock::now();
+      read_progress(w);
     } else if (options_.stall_timeout_s > 0.0 &&
                seconds_since(w.last_progress) > options_.stall_timeout_s) {
       kill_worker(w, "stalled", SIGKILL);
@@ -562,10 +567,7 @@ class Dispatcher {
       for (const fs::directory_entry& entry :
            fs::directory_iterator(shard_dir(options_.work_dir, i), ec)) {
         const std::string name = entry.path().filename().string();
-        if (name.size() > 11 &&
-            name.compare(name.size() - 11, 11, ".ckpt.jsonl") == 0) {
-          names.insert(name);
-        }
+        if (is_checkpoint_file(name)) names.insert(name);
       }
     }
 
@@ -619,15 +621,15 @@ class Dispatcher {
 
     bool all_completed = true;
     for (Worker& w : workers_) {
-      poll_tail(w);  // any lines flushed after the final supervision poll
+      read_progress(w);  // rows flushed after the final supervision poll
       ShardStatus status;
       status.shard = w.shard;
       status.state = state_name(w.state);
       status.restarts = w.restarts;
       status.chaos_kills = w.chaos_kills;
       status.rows = shard_rows[w.shard];
-      status.tasks_done = w.tasks_done;
-      status.tasks_total = w.tasks_total;
+      status.tasks_done = w.progress.done;
+      status.tasks_total = w.progress.total;
       status.attempts = w.attempts;
       all_completed = all_completed && w.state == Worker::State::kCompleted;
       report.shard_status.push_back(std::move(status));
@@ -645,7 +647,7 @@ class Dispatcher {
     // before it becomes an input.
     if (options_.telemetry) {
       report.telemetry = true;
-      if (self_ != nullptr) self_->close();
+      if (self_ != nullptr) self_->finalize();
       TimelineOptions topt;
       topt.work_dir = options_.work_dir;
       topt.shards = options_.shards;
@@ -667,7 +669,7 @@ class Dispatcher {
 };
 
 void append_attempt_json(std::ostringstream& out, const AttemptResult& a) {
-  out << "{\"outcome\": " << json_escape(a.outcome)
+  out << "{\"outcome\": " << json::quote(a.outcome)
       << ", \"exit_code\": " << a.exit_code
       << ", \"term_signal\": " << a.term_signal << ", \"wall_s\": "
       << json::number_to_string(a.wall_s)
@@ -688,7 +690,7 @@ DispatchReport dispatch_sweep(const DispatchOptions& options) {
 
 std::string dispatch_report_json(const DispatchReport& report) {
   std::ostringstream out;
-  out << "{\"dispatch_report\": 1, \"status\": " << json_escape(report.status)
+  out << "{\"dispatch_report\": 1, \"status\": " << json::quote(report.status)
       << ", \"shards\": " << report.shards
       << ", \"chaos_kills\": " << report.chaos_kills
       << ", \"wall_s\": " << json::number_to_string(report.wall_s)
@@ -697,7 +699,7 @@ std::string dispatch_report_json(const DispatchReport& report) {
   for (std::size_t i = 0; i < report.shard_status.size(); ++i) {
     const ShardStatus& s = report.shard_status[i];
     out << (i == 0 ? "" : ",") << "\n  {\"shard\": " << s.shard
-        << ", \"state\": " << json_escape(s.state)
+        << ", \"state\": " << json::quote(s.state)
         << ", \"restarts\": " << s.restarts
         << ", \"chaos_kills\": " << s.chaos_kills << ", \"rows\": " << s.rows
         << ", \"tasks_done\": " << s.tasks_done
@@ -711,15 +713,15 @@ std::string dispatch_report_json(const DispatchReport& report) {
   out << "],\n \"merged\": [";
   for (std::size_t i = 0; i < report.merged.size(); ++i) {
     const MergedSweep& m = report.merged[i];
-    out << (i == 0 ? "" : ",") << "\n  {\"sweep\": " << json_escape(m.sweep)
-        << ", \"path\": " << json_escape(m.path) << ", \"rows\": " << m.rows
+    out << (i == 0 ? "" : ",") << "\n  {\"sweep\": " << json::quote(m.sweep)
+        << ", \"path\": " << json::quote(m.path) << ", \"rows\": " << m.rows
         << ", \"task_count\": " << m.task_count << ", \"complete\": "
         << (m.complete() ? "true" : "false") << ", \"missing\": [";
     for (std::size_t t = 0; t < m.missing.size(); ++t) {
       out << (t == 0 ? "" : ", ") << m.missing[t];
     }
     out << "]";
-    if (!m.error.empty()) out << ", \"error\": " << json_escape(m.error);
+    if (!m.error.empty()) out << ", \"error\": " << json::quote(m.error);
     out << "}";
   }
   out << "]";
@@ -729,10 +731,10 @@ std::string dispatch_report_json(const DispatchReport& report) {
         << ", \"aligned_sources\": " << t.aligned_sources
         << ", \"events\": " << t.events << ", \"stacks\": " << t.stacks
         << ", \"base_epoch_unix_us\": " << t.base_epoch_unix_us
-        << ", \"jsonl\": " << json_escape(t.jsonl_path)
-        << ", \"perfetto\": " << json_escape(t.perfetto_path)
-        << ", \"stacks_path\": " << json_escape(t.stacks_path);
-    if (!t.error.empty()) out << ", \"error\": " << json_escape(t.error);
+        << ", \"jsonl\": " << json::quote(t.jsonl_path)
+        << ", \"perfetto\": " << json::quote(t.perfetto_path)
+        << ", \"stacks_path\": " << json::quote(t.stacks_path);
+    if (!t.error.empty()) out << ", \"error\": " << json::quote(t.error);
     out << "}";
   }
   out << "}\n";

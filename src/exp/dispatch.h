@@ -8,9 +8,13 @@
 //
 //   * process exit status — exit 0 completes the shard, anything else (or
 //     death by signal) is a crash;
-//   * checkpoint progress — the byte size of the shard's `*.ckpt.jsonl`
+//   * checkpoint growth — the byte size of the shard's `*.ckpt.jsonl`
 //     files must grow within `stall_timeout_s`, otherwise the worker is
 //     presumed hung and killed.
+//
+// The same files are the one progress signal: whenever they grow, the
+// dispatcher loads them and counts the rows inside the shard's slice of
+// each sweep (ShardStatus::tasks_done / tasks_total, the status lines).
 //
 // Dead or stalled workers are restarted with exponential backoff under a
 // per-shard retry budget. Workers are crash-only: every completed row was
@@ -96,14 +100,13 @@ struct DispatchOptions {
   std::string resume_report_path;
   /// Telemetry plane: each worker attempt gets
   /// `telemetry=<shard_dir>/telemetry_<attempt>.jsonl` appended to its
-  /// command (obs::TelemetrySink stream), the dispatcher tails those
-  /// streams for live per-shard progress, writes its own supervision
-  /// stream to `<work_dir>/dispatcher_telemetry.jsonl`, and merges
-  /// everything into `<work_dir>/merged/timeline.*` (exp/timeline.h)
-  /// after the checkpoint merge.
+  /// command (obs::TelemetrySink stream), the dispatcher writes its own
+  /// supervision stream to `<work_dir>/dispatcher_telemetry.jsonl`, and
+  /// after the checkpoint merge it merges every stream into
+  /// `<work_dir>/merged/timeline.*` (exp/timeline.h).
   bool telemetry = false;
-  /// Cadence of aggregated live status lines (seconds; needs `telemetry`
-  /// and `log`; 0 disables).
+  /// Cadence of the aggregated per-shard status lines, done/total from the
+  /// checkpoints (seconds; needs `log`; 0 disables).
   double status_interval_s = 5.0;
   /// Drain request (e.g. wired to a SIGINT/SIGTERM flag by the CLI): when
   /// it turns true the dispatcher forwards SIGTERM to every worker, waits
@@ -137,8 +140,9 @@ struct ShardStatus {
   std::size_t chaos_kills = 0;
   /// Rows present in this shard's checkpoint files at the end.
   std::size_t rows = 0;
-  /// Last telemetry progress heartbeat across all attempts (telemetry
-  /// mode; 0/0 when the worker never sent one).
+  /// Rows of this shard's slice in its checkpoint files, and the summed
+  /// slice sizes of the sweeps it wrote (resume-seeded rows outside the
+  /// slice count in `rows` only).
   std::size_t tasks_done = 0;
   std::size_t tasks_total = 0;
   std::vector<AttemptResult> attempts;

@@ -1,10 +1,10 @@
 #include "exp/reporter.h"
 
-#include <cmath>
 #include <cstdio>
 #include <fstream>
 
 #include "util/csv.h"
+#include "util/json.h"
 
 namespace dcs::exp {
 namespace {
@@ -13,36 +13,6 @@ std::string format_value(double v) {
   char buf[32];
   std::snprintf(buf, sizeof(buf), "%.10g", v);
   return buf;
-}
-
-std::string json_number(double v) {
-  // JSON has no inf/nan literals; report them as null.
-  if (!std::isfinite(v)) return "null";
-  char buf[40];
-  std::snprintf(buf, sizeof(buf), "%.17g", v);
-  return buf;
-}
-
-std::string json_escape(const std::string& s) {
-  std::string out = "\"";
-  for (const char c : s) {
-    switch (c) {
-      case '"': out += "\\\""; break;
-      case '\\': out += "\\\\"; break;
-      case '\n': out += "\\n"; break;
-      case '\t': out += "\\t"; break;
-      default:
-        if (static_cast<unsigned char>(c) < 0x20) {
-          char buf[8];
-          std::snprintf(buf, sizeof(buf), "\\u%04x", c);
-          out += buf;
-        } else {
-          out += c;
-        }
-    }
-  }
-  out += '"';
-  return out;
 }
 
 bool open_or_diag(std::ofstream& out, const std::string& path,
@@ -114,42 +84,44 @@ void write_summary_csv(std::ostream& out, const SweepSummary& summary) {
 }
 
 void write_summary_json(std::ostream& out, const SweepSummary& summary) {
-  out << "{\n  \"sweep\": " << json_escape(summary.name) << ",\n  \"axes\": [";
+  out << "{\n  \"sweep\": " << json::quote(summary.name) << ",\n  \"axes\": [";
   for (std::size_t a = 0; a < summary.axes.size(); ++a) {
     const Axis& axis = summary.axes[a];
-    out << (a == 0 ? "" : ", ") << "{\"name\": " << json_escape(axis.name)
+    out << (a == 0 ? "" : ", ") << "{\"name\": " << json::quote(axis.name)
         << ", \"labels\": [";
     for (std::size_t i = 0; i < axis.labels.size(); ++i) {
-      out << (i == 0 ? "" : ", ") << json_escape(axis.labels[i]);
+      out << (i == 0 ? "" : ", ") << json::quote(axis.labels[i]);
     }
     out << "]}";
   }
   out << "],\n  \"metrics\": [";
   for (std::size_t m = 0; m < summary.metrics.size(); ++m) {
-    out << (m == 0 ? "" : ", ") << json_escape(summary.metrics[m]);
+    out << (m == 0 ? "" : ", ") << json::quote(summary.metrics[m]);
   }
   out << "],\n  \"replicates\": " << summary.replicates
-      << ",\n  \"perf\": {\"wall_seconds\": " << json_number(summary.wall_seconds)
-      << ", \"tasks\": " << summary.task_count
-      << ", \"runs_per_second\": " << json_number(summary.tasks_per_second())
+      << ",\n  \"perf\": {\"wall_seconds\": "
+      << json::number_or_null(summary.wall_seconds)
+      << ", \"tasks\": " << summary.task_count << ", \"runs_per_second\": "
+      << json::number_or_null(summary.tasks_per_second())
       << ", \"threads\": " << summary.threads_used << "},\n  \"cells\": [\n";
   for (std::size_t c = 0; c < summary.cells.size(); ++c) {
     const CellSummary& cell = summary.cells[c];
     out << "    {\"labels\": [";
     for (std::size_t a = 0; a < cell.labels.size(); ++a) {
-      out << (a == 0 ? "" : ", ") << json_escape(cell.labels[a]);
+      out << (a == 0 ? "" : ", ") << json::quote(cell.labels[a]);
     }
     out << "], \"stats\": {";
     for (std::size_t m = 0; m < summary.metrics.size(); ++m) {
       const MetricSummary& ms = cell.metrics[m];
-      out << (m == 0 ? "" : ", ") << json_escape(summary.metrics[m])
-          << ": {\"n\": " << ms.count << ", \"mean\": " << json_number(ms.mean)
-          << ", \"stddev\": " << json_number(ms.stddev)
-          << ", \"min\": " << json_number(ms.min)
-          << ", \"max\": " << json_number(ms.max)
-          << ", \"p50\": " << json_number(ms.p50)
-          << ", \"p95\": " << json_number(ms.p95)
-          << ", \"ci95\": " << json_number(ms.ci95) << "}";
+      out << (m == 0 ? "" : ", ") << json::quote(summary.metrics[m])
+          << ": {\"n\": " << ms.count
+          << ", \"mean\": " << json::number_or_null(ms.mean)
+          << ", \"stddev\": " << json::number_or_null(ms.stddev)
+          << ", \"min\": " << json::number_or_null(ms.min)
+          << ", \"max\": " << json::number_or_null(ms.max)
+          << ", \"p50\": " << json::number_or_null(ms.p50)
+          << ", \"p95\": " << json::number_or_null(ms.p95)
+          << ", \"ci95\": " << json::number_or_null(ms.ci95) << "}";
     }
     out << "}}" << (c + 1 == summary.cells.size() ? "" : ",") << "\n";
   }
@@ -159,10 +131,11 @@ void write_summary_json(std::ostream& out, const SweepSummary& summary) {
 void write_perf_record_json(std::ostream& out, const SweepSummary& summary,
                             const obs::ProfileSummary* scopes,
                             const obs::FoldedStacks* folded) {
-  out << "{\"bench\": " << json_escape(summary.name)
-      << ", \"wall_seconds\": " << json_number(summary.wall_seconds)
+  out << "{\"bench\": " << json::quote(summary.name)
+      << ", \"wall_seconds\": " << json::number_or_null(summary.wall_seconds)
       << ", \"tasks\": " << summary.task_count
-      << ", \"runs_per_second\": " << json_number(summary.tasks_per_second())
+      << ", \"runs_per_second\": "
+      << json::number_or_null(summary.tasks_per_second())
       << ", \"threads\": " << summary.threads_used
       << ", \"cells\": " << summary.cells.size()
       << ", \"replicates\": " << summary.replicates
@@ -174,13 +147,14 @@ void write_perf_record_json(std::ostream& out, const SweepSummary& summary,
     out << ", \"scopes\": {";
     bool first = true;
     for (const auto& [name, stats] : *scopes) {
-      // json_number throughout: raw operator<< would truncate to 6
+      // json::number_or_null throughout: raw operator<< would truncate to 6
       // significant figures and emit bare inf/nan, which breaks the
       // util/json parse in perf_gate.
-      out << (first ? "" : ", ") << json_escape(name) << ": {\"count\": "
-          << stats.count << ", \"total_us\": " << json_number(stats.total_us)
-          << ", \"max_us\": " << json_number(stats.max_us)
-          << ", \"mean_us\": " << json_number(stats.mean_us()) << "}";
+      out << (first ? "" : ", ") << json::quote(name) << ": {\"count\": "
+          << stats.count
+          << ", \"total_us\": " << json::number_or_null(stats.total_us)
+          << ", \"max_us\": " << json::number_or_null(stats.max_us)
+          << ", \"mean_us\": " << json::number_or_null(stats.mean_us()) << "}";
       first = false;
     }
     out << "}";
@@ -189,7 +163,7 @@ void write_perf_record_json(std::ostream& out, const SweepSummary& summary,
     out << ", \"folded_stacks\": {";
     bool first = true;
     for (const auto& [stack, count] : *folded) {
-      out << (first ? "" : ", ") << json_escape(stack) << ": " << count;
+      out << (first ? "" : ", ") << json::quote(stack) << ": " << count;
       first = false;
     }
     out << "}";

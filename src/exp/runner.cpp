@@ -68,14 +68,6 @@ SweepRun run_sweep(const SweepSpec& spec, std::vector<std::string> metrics,
                std::max<std::size_t>(pending.size(), 1));
 
   std::atomic<std::size_t> executed{0};
-  // Progress heartbeats count against the shard's whole slice, with
-  // checkpoint-resumed slots already done — a restarted worker reports
-  // 40/100 immediately instead of restarting the count from zero.
-  const std::size_t slice_total = last - first;
-  const std::size_t slice_resumed = slice_total - pending.size();
-  if (options.on_progress != nullptr) {
-    options.on_progress(slice_resumed, slice_total);
-  }
   const auto start = std::chrono::steady_clock::now();
   parallel_for(pending.size(), options.threads, [&](std::size_t p) {
     // Cooperative drain (SIGTERM from a dispatcher, Ctrl-C): slots not yet
@@ -95,11 +87,7 @@ SweepRun run_sweep(const SweepSpec& spec, std::vector<std::string> metrics,
                     std::to_string(run.metrics.size()));
     if (checkpoint != nullptr) checkpoint->append(i, tasks[i].seed, row);
     run.rows[i] = std::move(row);
-    const std::size_t done =
-        executed.fetch_add(1, std::memory_order_relaxed) + 1;
-    if (options.on_progress != nullptr) {
-      options.on_progress(slice_resumed + done, slice_total);
-    }
+    executed.fetch_add(1, std::memory_order_relaxed);
   });
   run.wall_seconds =
       std::chrono::duration<double>(std::chrono::steady_clock::now() - start)

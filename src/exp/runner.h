@@ -16,7 +16,9 @@
 // checkpoint files merge back into the full task-indexed run with
 // exp::merge_runs / tools/merge_sweep. Both rely on the stable task->seed
 // mapping of SweepSpec: a slot computes the same row no matter which
-// process (or which attempt) executes it.
+// process (or which attempt) executes it. The checkpoint is also how a
+// supervisor watches a worker: exp/dispatch.h reads a shard's progress as
+// the rows its checkpoint files hold inside the shard's slice.
 #pragma once
 
 #include <atomic>
@@ -57,11 +59,6 @@ struct RunnerOptions {
   /// and checkpoint — normally. The run returns with `drained == true` and
   /// the unexecuted slots empty, leaving a resumable checkpoint behind.
   const std::atomic<bool>* stop = nullptr;
-  /// Progress callback, invoked after every completed task with
-  /// (done, total) for this process's slice — done counts resumed slots
-  /// too, so it reaches total when the slice finishes. Called from worker
-  /// threads; must be thread-safe (obs::TelemetrySink::heartbeat is).
-  std::function<void(std::size_t done, std::size_t total)> on_progress;
 };
 
 /// Raw sweep output: one row of metric values per task, in task order.

@@ -94,7 +94,7 @@ std::string render_args(const json::Value& args) {
   for (const auto& [key, v] : args.as_object()) {
     if (!first) out += ",";
     first = false;
-    out += obs::detail::render_string(key) + ":";
+    out += json::quote(key) + ":";
     switch (v.type()) {
       case json::Value::Type::kNumber:
         out += json::number_to_string(v.as_number());
@@ -103,7 +103,7 @@ std::string render_args(const json::Value& args) {
         out += v.as_bool() ? "true" : "false";
         break;
       case json::Value::Type::kString:
-        out += obs::detail::render_string(v.as_string());
+        out += json::quote(v.as_string());
         break;
       default:
         out += "null";
@@ -152,9 +152,9 @@ class Merger {
     offset_us_ = source.have_header
                      ? static_cast<double>(source.epoch_unix_us - base_epoch_)
                      : 0.0;
-    jsonl_ << "{\"t\":\"proc\",\"src\":" << obs::detail::render_string(src_)
+    jsonl_ << "{\"t\":\"proc\",\"src\":" << json::quote(src_)
            << ",\"pid\":" << source.pid
-           << ",\"name\":" << obs::detail::render_string(source.name)
+           << ",\"name\":" << json::quote(source.name)
            << ",\"aligned\":" << (source.have_header ? "true" : "false")
            << ",\"epoch_unix_us\":" << source.epoch_unix_us
            << ",\"offset_us\":" << json::number_to_string(offset_us_)
@@ -256,10 +256,10 @@ class Merger {
                                    : obs::Domain::kSim;
     const auto lane = static_cast<std::uint32_t>(v.at("lane").as_number());
     const std::string& name = v.at("name").as_string();
-    jsonl_ << "{\"t\":\"lane\",\"src\":" << obs::detail::render_string(src_)
+    jsonl_ << "{\"t\":\"lane\",\"src\":" << json::quote(src_)
            << ",\"domain\":\"" << obs::to_string(domain)
            << "\",\"lane\":" << lane
-           << ",\"name\":" << obs::detail::render_string(name) << "}\n";
+           << ",\"name\":" << json::quote(name) << "}\n";
     const auto key = std::make_tuple(sidx_, domain, lane);
     const auto it = perfetto_lanes_.find(key);
     if (it != perfetto_lanes_.end()) {
@@ -289,13 +289,13 @@ class Merger {
     const std::string& name = v.at("name").as_string();
     const json::Value* args = v.find("args");
 
-    jsonl_ << "{\"t\":\"ev\",\"src\":" << obs::detail::render_string(src_)
+    jsonl_ << "{\"t\":\"ev\",\"src\":" << json::quote(src_)
            << ",\"domain\":\"" << domain_name << "\",\"ph\":\"" << phase
            << "\",\"ts\":" << json::number_to_string(ts);
     if (phase == 'X') jsonl_ << ",\"dur\":" << json::number_to_string(dur);
     jsonl_ << ",\"lane\":" << lane
-           << ",\"cat\":" << obs::detail::render_string(cat)
-           << ",\"name\":" << obs::detail::render_string(name);
+           << ",\"cat\":" << json::quote(cat)
+           << ",\"name\":" << json::quote(name);
     if (args != nullptr && args->is_object()) {
       jsonl_ << ",\"args\":" << render_args(*args);
     }

@@ -1,7 +1,7 @@
 // Cross-process timeline merge: folds the dispatcher's own telemetry
 // stream and every shard worker's per-attempt telemetry stream
-// (obs/telemetry.h) into one timeline, aligned on a shared wall-clock
-// epoch.
+// (obs::TelemetrySink, obs/sink.h) into one timeline, aligned on a shared
+// wall-clock epoch.
 //
 // Alignment: each stream's header carries the producing process's
 // obs::Profiler::epoch_unix_us(). The merge picks the earliest epoch as

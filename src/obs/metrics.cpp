@@ -7,6 +7,7 @@
 #include <fstream>
 
 #include "util/check.h"
+#include "util/json.h"
 
 namespace dcs::obs {
 namespace {
@@ -16,33 +17,6 @@ std::string format_value(double v) {
   char buf[40];
   std::snprintf(buf, sizeof(buf), "%.17g", v);
   return buf;
-}
-
-std::string json_number(double v) {
-  if (!std::isfinite(v)) return "null";
-  return format_value(v);
-}
-
-std::string json_escape(std::string_view s) {
-  std::string out = "\"";
-  for (const char c : s) {
-    switch (c) {
-      case '"': out += "\\\""; break;
-      case '\\': out += "\\\\"; break;
-      case '\n': out += "\\n"; break;
-      case '\t': out += "\\t"; break;
-      default:
-        if (static_cast<unsigned char>(c) < 0x20) {
-          char buf[8];
-          std::snprintf(buf, sizeof(buf), "\\u%04x", c);
-          out += buf;
-        } else {
-          out += c;
-        }
-    }
-  }
-  out += '"';
-  return out;
 }
 
 /// Prometheus metric/label names: [a-zA-Z_][a-zA-Z0-9_]*.
@@ -224,30 +198,31 @@ void MetricsRegistry::write_json(std::ostream& out) const {
   for (const auto& [key, metric] : metrics_) {
     out << (first ? "  " : ",\n  ");
     first = false;
-    out << "{\"name\": " << json_escape(key.first) << ", \"kind\": \""
+    out << "{\"name\": " << json::quote(key.first) << ", \"kind\": \""
         << kind_name(metric.kind == Kind::kCounter, metric.kind == Kind::kGauge)
         << "\", \"labels\": {";
     for (std::size_t i = 0; i < key.second.size(); ++i) {
-      out << (i == 0 ? "" : ", ") << json_escape(key.second[i].first) << ": "
-          << json_escape(key.second[i].second);
+      out << (i == 0 ? "" : ", ") << json::quote(key.second[i].first) << ": "
+          << json::quote(key.second[i].second);
     }
     out << "}";
     switch (metric.kind) {
       case Kind::kCounter:
-        out << ", \"value\": " << json_number(metric.counter->value());
+        out << ", \"value\": " << json::number_or_null(metric.counter->value());
         break;
       case Kind::kGauge:
-        out << ", \"value\": " << json_number(metric.gauge->value());
+        out << ", \"value\": " << json::number_or_null(metric.gauge->value());
         break;
       case Kind::kHistogram: {
         const Histogram& h = *metric.histogram;
         out << ", \"count\": " << h.count()
-            << ", \"sum\": " << json_number(h.sum()) << ", \"buckets\": [";
+            << ", \"sum\": " << json::number_or_null(h.sum())
+            << ", \"buckets\": [";
         const std::vector<std::size_t> cum = h.cumulative_counts();
         for (std::size_t i = 0; i < h.upper_bounds().size(); ++i) {
           out << (i == 0 ? "" : ", ") << "{\"le\": "
-              << json_number(h.upper_bounds()[i]) << ", \"count\": " << cum[i]
-              << "}";
+              << json::number_or_null(h.upper_bounds()[i])
+              << ", \"count\": " << cum[i] << "}";
         }
         out << (h.upper_bounds().empty() ? "" : ", ")
             << "{\"le\": null, \"count\": " << cum.back() << "}]";

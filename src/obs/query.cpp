@@ -57,7 +57,7 @@ void capture_args(const json::Value& args, QueryEvent* q) {
 }
 
 /// One complete JSONL line: an object with a string "t". "ev" lines become
-/// events; every other type (header, lane, heartbeat, ...) is skipped.
+/// events; every other type (header, lane, stack, ...) is skipped.
 /// Throws on anything else.
 void load_jsonl_line(std::string_view line, TraceData* trace) {
   const json::Value e = json::parse(line);
@@ -129,7 +129,7 @@ TraceData load_trace(const std::string& path) {
   while (begin < text.size()) {
     const std::size_t nl = text.find('\n', begin);
     // A final line without its newline is a torn write (a worker killed
-    // mid-line), never a record: skip it, as TelemetryTail does.
+    // mid-line), never a record: skip it, as the timeline merge does.
     if (nl == std::string::npos) break;
     ++number;
     const std::string_view line(text.data() + begin, nl - begin);
@@ -466,8 +466,6 @@ void write_audit_csv(std::ostream& out, const std::vector<AuditRow>& rows) {
 
 namespace {
 
-using obs::detail::render_string;
-
 /// Re-renders a captured canonical literal as JSON: numbers and bools pass
 /// through raw, everything else is a quoted string.
 std::string render_literal(const std::string& literal) {
@@ -475,7 +473,7 @@ std::string render_literal(const std::string& literal) {
   char* end = nullptr;
   std::strtod(literal.c_str(), &end);
   if (!literal.empty() && end != nullptr && *end == '\0') return literal;
-  return render_string(literal);
+  return json::quote(literal);
 }
 
 void write_args_object(std::ostream& out, const QueryEvent& e) {
@@ -484,7 +482,7 @@ void write_args_object(std::ostream& out, const QueryEvent& e) {
   for (const auto& [key, value] : e.args) {
     if (!first) out << ",";
     first = false;
-    out << render_string(key) << ":" << render_literal(value);
+    out << json::quote(key) << ":" << render_literal(value);
   }
   out << "}";
 }
@@ -494,8 +492,8 @@ void write_args_object(std::ostream& out, const QueryEvent& e) {
 void write_scope_jsonl(std::ostream& out,
                        const std::vector<ScopeStat>& stats) {
   for (const ScopeStat& s : stats) {
-    out << "{\"src\":" << render_string(s.src)
-        << ",\"name\":" << render_string(s.name) << ",\"count\":" << s.count
+    out << "{\"src\":" << json::quote(s.src)
+        << ",\"name\":" << json::quote(s.name) << ",\"count\":" << s.count
         << ",\"total_us\":" << json::number_to_string(s.total_us)
         << ",\"mean_us\":" << json::number_to_string(s.mean_us())
         << ",\"min_us\":" << json::number_to_string(s.min_us)
@@ -506,8 +504,8 @@ void write_scope_jsonl(std::ostream& out,
 void write_counter_jsonl(std::ostream& out,
                          const std::vector<CounterStat>& stats) {
   for (const CounterStat& s : stats) {
-    out << "{\"src\":" << render_string(s.src)
-        << ",\"name\":" << render_string(s.name) << ",\"points\":" << s.points
+    out << "{\"src\":" << json::quote(s.src)
+        << ",\"name\":" << json::quote(s.name) << ",\"points\":" << s.points
         << ",\"min\":" << json::number_to_string(s.min)
         << ",\"mean\":" << json::number_to_string(s.mean)
         << ",\"max\":" << json::number_to_string(s.max)
@@ -518,7 +516,7 @@ void write_counter_jsonl(std::ostream& out,
 void write_window_jsonl(std::ostream& out,
                         const std::vector<ThresholdWindow>& windows) {
   for (const ThresholdWindow& w : windows) {
-    out << "{\"src\":" << render_string(w.src) << ",\"lane\":" << w.lane
+    out << "{\"src\":" << json::quote(w.src) << ",\"lane\":" << w.lane
         << ",\"start_us\":" << json::number_to_string(w.start_us)
         << ",\"end_us\":" << json::number_to_string(w.end_us)
         << ",\"duration_us\":" << json::number_to_string(w.duration_us())
@@ -529,11 +527,11 @@ void write_window_jsonl(std::ostream& out,
 void write_decision_jsonl(std::ostream& out, const TraceData& trace,
                           const std::vector<DecisionRecord>& records) {
   for (const DecisionRecord& r : records) {
-    out << "{\"src\":" << render_string(r.src) << ",\"lane\":" << r.lane
+    out << "{\"src\":" << json::quote(r.src) << ",\"lane\":" << r.lane
         << ",\"ts_us\":" << json::number_to_string(r.ts_us)
-        << ",\"rule\":" << render_string(r.rule)
-        << ",\"id\":" << render_string(r.id)
-        << ",\"cause\":" << render_string(r.cause) << ",\"args\":";
+        << ",\"rule\":" << json::quote(r.rule)
+        << ",\"id\":" << json::quote(r.id)
+        << ",\"cause\":" << json::quote(r.cause) << ",\"args\":";
     write_args_object(out, trace.events[r.event_index]);
     out << "}\n";
   }
@@ -550,23 +548,23 @@ void write_explain_jsonl(std::ostream& out, const TraceData& trace,
       const bool last = depth + 1 == c.chain.size();
       const char* status =
           !last ? "ok" : (c.complete() ? "root" : "unresolved");
-      out << "{\"target\":" << render_string(tgt.id) << ",\"depth\":" << depth
-          << ",\"rule\":" << render_string(r.rule)
-          << ",\"id\":" << render_string(r.id)
-          << ",\"cause\":" << render_string(r.cause)
+      out << "{\"target\":" << json::quote(tgt.id) << ",\"depth\":" << depth
+          << ",\"rule\":" << json::quote(r.rule)
+          << ",\"id\":" << json::quote(r.id)
+          << ",\"cause\":" << json::quote(r.cause)
           << ",\"ts_us\":" << json::number_to_string(r.ts_us)
-          << ",\"src\":" << render_string(r.src) << ",\"lane\":" << r.lane
+          << ",\"src\":" << json::quote(r.src) << ",\"lane\":" << r.lane
           << ",\"status\":\"" << status << "\",\"args\":";
       write_args_object(out, trace.events[r.event_index]);
       out << "}\n";
     }
     if (!c.complete()) {
-      out << "{\"target\":" << render_string(tgt.id)
+      out << "{\"target\":" << json::quote(tgt.id)
           << ",\"depth\":" << c.chain.size()
-          << ",\"rule\":\"\",\"id\":" << render_string(c.dangling)
+          << ",\"rule\":\"\",\"id\":" << json::quote(c.dangling)
           << ",\"cause\":\"\",\"ts_us\":"
           << json::number_to_string(tgt.ts_us)
-          << ",\"src\":" << render_string(tgt.src) << ",\"lane\":" << tgt.lane
+          << ",\"src\":" << json::quote(tgt.src) << ",\"lane\":" << tgt.lane
           << ",\"status\":\"missing\",\"args\":{}}\n";
     }
   }
@@ -574,8 +572,8 @@ void write_explain_jsonl(std::ostream& out, const TraceData& trace,
 
 void write_audit_jsonl(std::ostream& out, const std::vector<AuditRow>& rows) {
   for (const AuditRow& r : rows) {
-    out << "{\"src\":" << render_string(r.src)
-        << ",\"rule\":" << render_string(r.rule) << ",\"count\":" << r.count
+    out << "{\"src\":" << json::quote(r.src)
+        << ",\"rule\":" << json::quote(r.rule) << ",\"count\":" << r.count
         << ",\"roots\":" << r.roots << ",\"resolved\":" << r.resolved
         << ",\"dangling\":" << r.dangling << "}\n";
   }

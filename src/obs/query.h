@@ -5,12 +5,12 @@
 // cb_trip_margin_s dip below 0.5 s", "which intervals violated the serving
 // p99 SLO").
 //
-// Accepted inputs: every JSONL file of the telemetry schema
-// (obs/telemetry.h) — a bench's `<name>_trace.jsonl`, a worker's telemetry
-// stream and the dispatcher's merged `timeline.jsonl`. "ev" lines carry the
-// events, and the timeline's "src" tag survives into QueryEvent::src so
-// stats can be grouped per shard process; lines of any other "t" type
-// (header, lane, heartbeat, ...) are skipped.
+// Accepted inputs: every JSONL file of the telemetry schema (obs/sink.h) —
+// a bench's `<name>_trace.jsonl`, a worker's telemetry stream and the
+// dispatcher's merged `timeline.jsonl`. "ev" lines carry the events, and
+// the timeline's "src" tag survives into QueryEvent::src so stats can be
+// grouped per shard process; lines of any other "t" type (header, lane,
+// stack, ...) are skipped.
 //
 // Counter tracks are step functions: a sample holds until the next sample
 // on its (src, lane) track. Exporters write a track only where it changes

@@ -1,8 +1,10 @@
 #include "obs/sink.h"
 
+#include <unistd.h>
+
 #include <utility>
 
-#include "obs/perfetto.h"
+#include "util/json.h"
 
 namespace dcs::obs {
 
@@ -74,23 +76,26 @@ void JsonlStreamSink::write_lane_name(Domain domain, std::uint32_t lane,
   commit(0);
 }
 
-bool export_trace(const std::string& dir, const std::string& name,
-                  const Tracer& tracer, std::ostream* diag) {
-  JsonlStreamSink jsonl(dir + "/" + name + "_trace.jsonl");
-  PerfettoStreamSink perfetto(dir + "/" + name + "_trace.perfetto");
-  TeeSink tee({&jsonl, &perfetto});
-  tracer.replay(tee);
-  tee.finalize();
-  bool ok = true;
-  for (const FileStreamSink* s :
-       {static_cast<const FileStreamSink*>(&jsonl),
-        static_cast<const FileStreamSink*>(&perfetto)}) {
-    ok = ok && s->ok();
-    if (diag == nullptr) continue;
-    *diag << (s->ok() ? "[obs] wrote " : "cannot write ") << s->path()
-          << "\n";
+TelemetrySink::TelemetrySink(std::string path, TelemetryOptions options)
+    : JsonlStreamSink(std::move(path)) {
+  if (!ok()) return;
+  buf_ += "{\"t\":\"header\",\"telemetry\":1,\"name\":";
+  json::append_string(buf_, options.name);
+  buf_ += ",\"pid\":" + std::to_string(::getpid()) + ",\"shard\":";
+  json::append_string(buf_, options.shard);
+  buf_ += ",\"epoch_unix_us\":" +
+          std::to_string(Profiler::instance().epoch_unix_us()) + "}\n";
+  flush();
+}
+
+void TelemetrySink::write_stacks(const FoldedStacks& stacks) {
+  if (!accepting()) return;
+  for (const auto& [stack, count] : stacks) {
+    buf_ += "{\"t\":\"stack\",\"stack\":";
+    json::append_string(buf_, stack);
+    buf_ += ",\"count\":" + std::to_string(count) + "}\n";
+    commit(0);
   }
-  return ok;
 }
 
 }  // namespace dcs::obs

@@ -7,8 +7,8 @@
 // memory is that bound plus one rendered record, whatever the trace
 // length. The buffer only ever holds whole records — JSONL lines or
 // Perfetto packets — so a file cut short by a crash ends on a record
-// boundary up to the last write, and readers (obs/query.h, TelemetryTail)
-// skip at most a torn last line.
+// boundary up to the last write, and readers (obs/query.h, the timeline
+// merge) skip at most a torn last line.
 //
 // Sinks are not thread-safe (same contract as Tracer): one sink fed by one
 // thread, typically the merge thread of a sweep or a single-run bench.
@@ -21,6 +21,7 @@
 #include <string>
 #include <vector>
 
+#include "obs/profile.h"
 #include "obs/trace.h"
 
 namespace dcs::obs {
@@ -73,10 +74,12 @@ class FileStreamSink : public TraceSink {
   [[nodiscard]] const std::string* lane_name(Domain domain,
                                              std::uint32_t lane) const;
 
+  /// Writes the buffer to the file now.
+  void flush();
+
   std::string buf_;
 
  private:
-  void flush();
 
   std::map<std::pair<Domain, std::uint32_t>, std::string> lane_names_;
   std::ofstream out_;
@@ -93,7 +96,7 @@ class FileStreamSink : public TraceSink {
 /// event and one "lane" line per new lane name, in arrival order
 /// (detail::append_event_line / append_lane_line). No header, so the file
 /// is a pure function of the event stream.
-class JsonlStreamSink final : public FileStreamSink {
+class JsonlStreamSink : public FileStreamSink {
  public:
   explicit JsonlStreamSink(std::string path, StreamSinkOptions options = {});
 
@@ -102,9 +105,41 @@ class JsonlStreamSink final : public FileStreamSink {
                        const std::string& name) override;
 };
 
+struct TelemetryOptions {
+  /// Stream identity written into the header.
+  std::string name = "worker";
+  /// "i/N" shard designation ("" for unsharded processes).
+  std::string shard;
+};
+
+/// A worker's telemetry stream (telemetry=<path>, one file per dispatcher
+/// attempt): the JSONL trace lines under a header, plus the process's
+/// folded scope stacks. Line types (`"t"` discriminates; readers skip
+/// types they do not know):
+///
+///   {"t":"header","telemetry":1,"name":...,"pid":...,"shard":"i/N",
+///    "epoch_unix_us":...}                  first line, flushed on open
+///   {"t":"ev",...} / {"t":"lane",...}       exactly as JsonlStreamSink
+///   {"t":"stack","stack":"main;exp.task","count":...}  one scope path's
+///                                  self time in whole microseconds
+///
+/// The header anchors the process's wall clock to the Unix epoch
+/// (Profiler::epoch_unix_us), so exp/timeline.h aligns every stream on one
+/// axis; it is on disk before the run does any work, so an attempt the
+/// dispatcher kills still aligns. Everything after it reaches the file
+/// when the buffer fills or at finalize: a killed worker loses its
+/// buffered lines, as its trace files do.
+class TelemetrySink final : public JsonlStreamSink {
+ public:
+  explicit TelemetrySink(std::string path, TelemetryOptions options = {});
+
+  /// One "stack" line per folded stack (obs::folded_stacks); call before
+  /// finalize().
+  void write_stacks(const FoldedStacks& stacks);
+};
+
 /// Fans one event stream out to several sinks: the bench glue's JSONL and
-/// Perfetto files plus, when open, the worker telemetry stream. Does not
-/// own the sinks.
+/// Perfetto files and the worker telemetry stream. Does not own the sinks.
 class TeeSink final : public TraceSink {
  public:
   explicit TeeSink(std::vector<TraceSink*> sinks) : sinks_(std::move(sinks)) {}
@@ -131,13 +166,5 @@ class TeeSink final : public TraceSink {
  private:
   std::vector<TraceSink*> sinks_;
 };
-
-/// Writes a buffered tracer's lane names and events to
-/// `<dir>/<name>_trace.jsonl` and `<dir>/<name>_trace.perfetto` through the
-/// stream sinks, so buffered and streamed runs produce the same encodings.
-/// Returns false (after a diagnostic on `diag`) when a file cannot be
-/// written.
-bool export_trace(const std::string& dir, const std::string& name,
-                  const Tracer& tracer, std::ostream* diag = nullptr);
 
 }  // namespace dcs::obs

@@ -6,6 +6,7 @@
 #include <utility>
 
 #include "util/check.h"
+#include "util/json.h"
 
 namespace dcs::obs {
 namespace detail {
@@ -32,10 +33,6 @@ std::string render_number(double v) {
 
 namespace {
 
-[[nodiscard]] bool needs_escaping(char c) noexcept {
-  return c == '"' || c == '\\' || static_cast<unsigned char>(c) < 0x20;
-}
-
 void append_uint(std::string& out, std::uint64_t v) {
   char buf[24];
   const auto res = std::to_chars(buf, buf + sizeof(buf), v);
@@ -43,39 +40,6 @@ void append_uint(std::string& out, std::uint64_t v) {
 }
 
 }  // namespace
-
-void append_json_string(std::string& out, std::string_view s) {
-  out += '"';
-  // Fast path: event categories, names and arg keys are almost always plain
-  // identifiers — copy verbatim, escape only on demand.
-  std::size_t plain = 0;
-  while (plain < s.size() && !needs_escaping(s[plain])) ++plain;
-  out.append(s.data(), plain);
-  for (std::size_t i = plain; i < s.size(); ++i) {
-    const char c = s[i];
-    switch (c) {
-      case '"': out += "\\\""; break;
-      case '\\': out += "\\\\"; break;
-      case '\n': out += "\\n"; break;
-      case '\t': out += "\\t"; break;
-      default:
-        if (static_cast<unsigned char>(c) < 0x20) {
-          char buf[8];
-          std::snprintf(buf, sizeof(buf), "\\u%04x", c);
-          out += buf;
-        } else {
-          out += c;
-        }
-    }
-  }
-  out += '"';
-}
-
-std::string render_string(std::string_view s) {
-  std::string out;
-  append_json_string(out, s);
-  return out;
-}
 
 int pid_of(Domain domain) noexcept {
   return domain == Domain::kSim ? 1 : 2;
@@ -95,14 +59,14 @@ void append_event_line(std::string& out, const TraceEvent& e) {
   out += ",\"lane\":";
   append_uint(out, e.lane);
   out += ",\"cat\":";
-  append_json_string(out, e.cat);
+  json::append_string(out, e.cat);
   out += ",\"name\":";
-  append_json_string(out, e.name);
+  json::append_string(out, e.name);
   if (!e.args.empty()) {
     out += ",\"args\":{";
     for (std::size_t i = 0; i < e.args.size(); ++i) {
       if (i != 0) out += ',';
-      append_json_string(out, e.args[i].key);
+      json::append_string(out, e.args[i].key);
       out += ':';
       out += e.args[i].value;
     }
@@ -118,7 +82,7 @@ void append_lane_line(std::string& out, Domain domain, std::uint32_t lane,
   out += "\",\"lane\":";
   append_uint(out, lane);
   out += ",\"name\":";
-  append_json_string(out, name);
+  json::append_string(out, name);
   out += '}';
 }
 
@@ -133,7 +97,7 @@ TraceArg arg(std::string key, double value) {
 }
 
 TraceArg arg(std::string key, std::string_view value) {
-  return TraceArg{std::move(key), detail::render_string(value)};
+  return TraceArg{std::move(key), json::quote(value)};
 }
 
 TraceArg arg(std::string key, bool value) {
@@ -197,13 +161,6 @@ void Tracer::clear() {
   events_.clear();
   lane_names_.clear();
   counts_[0] = counts_[1] = 0;
-}
-
-void Tracer::replay(TraceSink& sink) const {
-  for (const auto& [key, name] : lane_names_) {
-    sink.write_lane_name(key.first, key.second, name);
-  }
-  for (const TraceEvent& e : events_) sink.write(e);
 }
 
 void Tracer::write_jsonl(std::ostream& out) const {

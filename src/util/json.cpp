@@ -258,4 +258,45 @@ double read_number(const Value& v) {
   return 0.0;
 }
 
+std::string number_or_null(double v) {
+  if (!std::isfinite(v)) return "null";
+  char buf[40];
+  std::snprintf(buf, sizeof(buf), "%.17g", v);
+  return buf;
+}
+
+void append_string(std::string& out, std::string_view s) {
+  const auto needs_escaping = [](char c) {
+    return c == '"' || c == '\\' || static_cast<unsigned char>(c) < 0x20;
+  };
+  out += '"';
+  std::size_t plain = 0;
+  while (plain < s.size() && !needs_escaping(s[plain])) ++plain;
+  out.append(s.data(), plain);
+  for (std::size_t i = plain; i < s.size(); ++i) {
+    const char c = s[i];
+    switch (c) {
+      case '"': out += "\\\""; break;
+      case '\\': out += "\\\\"; break;
+      case '\n': out += "\\n"; break;
+      case '\t': out += "\\t"; break;
+      default:
+        if (static_cast<unsigned char>(c) < 0x20) {
+          char buf[8];
+          std::snprintf(buf, sizeof(buf), "\\u%04x", c);
+          out += buf;
+        } else {
+          out += c;
+        }
+    }
+  }
+  out += '"';
+}
+
+std::string quote(std::string_view s) {
+  std::string out;
+  append_string(out, s);
+  return out;
+}
+
 }  // namespace dcs::json

@@ -99,4 +99,17 @@ class Value {
 /// the non-finite marker strings. DCS_REQUIRE on anything else.
 [[nodiscard]] double read_number(const Value& v);
 
+/// A double as a report number: `%.17g` when finite, `null` otherwise (for
+/// summaries and snapshots, where a non-finite value means "no data").
+[[nodiscard]] std::string number_or_null(double v);
+
+/// Appends `s` as a quoted JSON string: `"` and `\` are escaped, `\n` and
+/// `\t` written as such, and every other byte below 0x20 as `\u00XX`.
+/// Plain text is copied in one piece, so the common identifier costs no
+/// per-byte work.
+void append_string(std::string& out, std::string_view s);
+
+/// `s` as a quoted JSON string (append_string).
+[[nodiscard]] std::string quote(std::string_view s);
+
 }  // namespace dcs::json

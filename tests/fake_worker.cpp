@@ -10,6 +10,9 @@
 //   checkpoint=<dir>      checkpoint directory (required)
 //   shard=i/N             task slice (default 0/1)
 //   sweep=<name>          sweep name (default "fake")
+//   sweeps=<k>            run k sweeps of the same grid one after another,
+//                         the first named <name>, the others <name>_2 ..
+//                         <name>_k (default 1), like the multi-sweep benches
 //   tasks=<n>             grid size (default 24)
 //   sleep_ms=<ms>         per-task delay (default 0)
 //   attempt_dir=<dir>     where the per-shard attempt counter lives; the
@@ -22,9 +25,8 @@
 //   fail_shard=<i>        restrict the *_attempts failures to shard i
 //                         (default -1 = all shards)
 //   telemetry=<path>      write an obs::TelemetrySink stream (header, one
-//                         sim instant per executed task, heartbeats, a
-//                         folded stack, end marker) — the dispatcher's
-//                         --telemetry contract
+//                         sim instant per executed task, a folded stack)
+//                         — the dispatcher's --telemetry contract
 //
 // Row values depend only on the task seed, so any mix of crashes, restarts
 // and shards merges byte-identical to a clean single-process run.
@@ -44,7 +46,7 @@
 
 #include "exp/runner.h"
 #include "exp/sweep.h"
-#include "obs/telemetry.h"
+#include "obs/sink.h"
 #include "util/config.h"
 
 namespace {
@@ -117,73 +119,73 @@ int main(int argc, char** argv) {
       scripted && attempt <= args.get_int("stall_attempts", 0);
   const int crash_rows = args.get_int("crash_rows", 2);
 
-  exp::SweepSpec spec(sweep_name, /*base_seed=*/0xFA4EULL);
-  std::vector<double> values(tasks);
-  for (std::size_t i = 0; i < tasks; ++i) values[i] = static_cast<double>(i);
-  spec.add_axis("x", values, 0);
-
-  // Telemetry contract under test: the stream is valid after any scripted
-  // crash (events flushed per line), heartbeats flow through the runner's
-  // on_progress, and the end marker appears only on clean completion.
+  // Telemetry contract under test: the header is on disk from the start,
+  // so even a crashed attempt's stream aligns; the task events and the
+  // stack line reach the file only on clean completion (finalize).
   std::unique_ptr<obs::TelemetrySink> telemetry;
   const std::string telemetry_file = args.get_string("telemetry", "");
   if (!telemetry_file.empty()) {
-    obs::TelemetryOptions topt;
-    topt.name = "fake_worker";
-    topt.shard = args.get_string("shard", "0/1");
-    telemetry = std::make_unique<obs::TelemetrySink>(telemetry_file, topt);
+    telemetry = std::make_unique<obs::TelemetrySink>(
+        telemetry_file,
+        obs::TelemetryOptions{.name = "fake_worker",
+                              .shard = args.get_string("shard", "0/1")});
     telemetry->write_lane_name(obs::Domain::kSim, 0, "fake");
   }
 
   std::atomic<int> rows_this_attempt{0};
-  exp::RunnerOptions options;
-  options.threads = 1;  // deterministic row order within the slice
-  options.checkpoint_path =
-      checkpoint_dir + "/" + sweep_name + ".ckpt.jsonl";
-  options.shard = shard;
-  if (telemetry != nullptr) {
-    options.on_progress = [&telemetry, sweep_name](std::size_t done,
-                                                   std::size_t total) {
-      telemetry->heartbeat(sweep_name, done, total);
-    };
+  std::size_t executed = 0;
+  const int sweeps = args.get_int("sweeps", 1);
+  for (int k = 1; k <= sweeps; ++k) {
+    const std::string name =
+        k == 1 ? sweep_name : sweep_name + "_" + std::to_string(k);
+    exp::SweepSpec spec(name, /*base_seed=*/0xFA4EULL);
+    std::vector<double> values(tasks);
+    for (std::size_t i = 0; i < tasks; ++i) values[i] = static_cast<double>(i);
+    spec.add_axis("x", values, 0);
+
+    exp::RunnerOptions options;
+    options.threads = 1;  // deterministic row order within the slice
+    options.checkpoint_path = checkpoint_dir + "/" + name + ".ckpt.jsonl";
+    options.shard = shard;
+    const exp::SweepRun run = exp::run_sweep(
+        spec, {"value"},
+        [&](const exp::SweepSpec::Task& task) {
+          if (crash_scripted && rows_this_attempt.load() >= crash_rows) {
+            std::_Exit(42);  // hard crash: no flush, no destructors
+          }
+          if (stall_scripted && rows_this_attempt.load() >= 1) {
+            for (;;) std::this_thread::sleep_for(std::chrono::seconds(3600));
+          }
+          if (sleep_ms > 0) {
+            std::this_thread::sleep_for(std::chrono::milliseconds(sleep_ms));
+          }
+          rows_this_attempt.fetch_add(1);
+          if (telemetry != nullptr) {
+            obs::TraceEvent event;
+            event.domain = obs::Domain::kSim;
+            event.phase = 'i';
+            event.ts_us = static_cast<double>(task.index) * 1e6;
+            event.cat = "fake";
+            event.name = "task";
+            event.args = {obs::arg("index", static_cast<double>(task.index))};
+            telemetry->write(event);
+          }
+          // Keyed on the stable task seed: every attempt computes identical
+          // bytes, the property the dispatcher's merge verifies.
+          return std::vector<double>{
+              static_cast<double>(task.seed % 10007) / 3.0};
+        },
+        options);
+    executed += run.executed_tasks;
   }
-  const exp::SweepRun run = exp::run_sweep(
-      spec, {"value"},
-      [&](const exp::SweepSpec::Task& task) {
-        if (crash_scripted && rows_this_attempt.load() >= crash_rows) {
-          std::_Exit(42);  // hard crash: no flush, no destructors
-        }
-        if (stall_scripted && rows_this_attempt.load() >= 1) {
-          for (;;) std::this_thread::sleep_for(std::chrono::seconds(3600));
-        }
-        if (sleep_ms > 0) {
-          std::this_thread::sleep_for(std::chrono::milliseconds(sleep_ms));
-        }
-        rows_this_attempt.fetch_add(1);
-        if (telemetry != nullptr) {
-          obs::TraceEvent event;
-          event.domain = obs::Domain::kSim;
-          event.phase = 'i';
-          event.ts_us = static_cast<double>(task.index) * 1e6;
-          event.cat = "fake";
-          event.name = "task";
-          event.args = {obs::arg("index", static_cast<double>(task.index))};
-          telemetry->write(event);
-        }
-        // Keyed on the stable task seed: every attempt computes identical
-        // bytes, the property the dispatcher's merge verifies.
-        return std::vector<double>{
-            static_cast<double>(task.seed % 10007) / 3.0};
-      },
-      options);
 
   if (telemetry != nullptr) {
-    telemetry->write_stacks({{"fake;task", run.executed_tasks}});
-    telemetry->close();
+    telemetry->write_stacks({{"fake;task", executed}});
+    telemetry->finalize();
   }
 
   std::cout << "fake_worker: shard " << shard.index << "/" << shard.count
-            << " attempt " << attempt << " executed " << run.executed_tasks
+            << " attempt " << attempt << " executed " << executed
             << " task(s)\n";
   return 0;
 }

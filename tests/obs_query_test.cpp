@@ -30,9 +30,13 @@ void write_file(const std::string& path, const std::string& text) {
 
 /// A merged-timeline-style JSONL fixture: two sources, a span, scope
 /// summaries on two lanes and paths, counters on two lanes, and non-event
-/// lines that loaders must skip.
+/// lines that loaders must skip. The file is named after the running test:
+/// ctest runs each test in its own process, in parallel, and one test's
+/// cleanup must not remove the file another is reading.
 std::string timeline_fixture() {
-  const std::string path = temp_path("query_timeline.jsonl");
+  const std::string test =
+      ::testing::UnitTest::GetInstance()->current_test_info()->name();
+  const std::string path = temp_path("query_timeline_" + test + ".jsonl");
   write_file(
       path,
       "{\"t\":\"timeline\",\"timeline\":1,\"sources\":2}\n"

@@ -1,19 +1,18 @@
-// Worker telemetry streams: crash-safe JSONL schema, the incremental tail
-// the dispatcher supervises with, and the torn-trailing-line tolerance both
-// sides rely on when workers die mid-write.
-#include "obs/telemetry.h"
-
+// Worker telemetry streams (obs::TelemetrySink in obs/sink.h): the header
+// that is on disk before any event, the trace lines and folded stacks that
+// follow it, and finalize sealing the stream. Torn-last-line reading is
+// covered where the readers live: ObsQuery (load_trace) and the checkpoint
+// tests.
 #include <gtest/gtest.h>
 
+#include <cstdint>
 #include <cstdio>
-#include <filesystem>
 #include <fstream>
-#include <sstream>
 #include <string>
 #include <vector>
 
-#include "obs/metrics.h"
 #include "obs/profile.h"
+#include "obs/sink.h"
 #include "obs/trace.h"
 #include "util/json.h"
 
@@ -41,27 +40,37 @@ TraceEvent instant_at(double ts_us, const std::string& name) {
   return e;
 }
 
-TEST(ObsTelemetry, StreamCarriesHeaderEventsMetricsStacksAndEndMarker) {
+TEST(ObsTelemetry, HeaderIsOnDiskBeforeAnyEvent) {
+  const std::string path = temp_path("telemetry_header.jsonl");
+  TelemetrySink sink(path, {.name = "early", .shard = "0/2"});
+  ASSERT_TRUE(sink.ok());
+  // Read right after construction: no event, no finalize. This is all a
+  // worker killed mid-sweep leaves, and it must still align.
+  const std::vector<json::Value> lines = read_lines(path);
+  ASSERT_EQ(lines.size(), 1u);
+  EXPECT_EQ(lines[0].at("t").as_string(), "header");
+  EXPECT_EQ(lines[0].at("name").as_string(), "early");
+  EXPECT_EQ(lines[0].at("shard").as_string(), "0/2");
+  EXPECT_EQ(static_cast<std::int64_t>(lines[0].at("epoch_unix_us").as_number()),
+            Profiler::instance().epoch_unix_us());
+  sink.finalize();
+  std::remove(path.c_str());
+}
+
+TEST(ObsTelemetry, StreamCarriesHeaderEventsLanesAndStacks) {
   const std::string path = temp_path("telemetry_full.jsonl");
-  TelemetryOptions options;
-  options.name = "unit";
-  options.shard = "1/4";
   {
-    TelemetrySink sink(path, options);
+    TelemetrySink sink(path, {.name = "unit", .shard = "1/4"});
     ASSERT_TRUE(sink.ok());
     sink.write_lane_name(Domain::kSim, 0, "lane-zero");
+    sink.write_lane_name(Domain::kSim, 0, "lane-zero");  // a repeat: no line
     sink.write(instant_at(1.0, "first"));
-    sink.heartbeat("sweep", 3, 10);
-    MetricsRegistry registry;
-    registry.counter("rows_total").inc(5.0);
-    registry.gauge("margin_s").set(0.25);
-    sink.write_metrics(registry);
     sink.write_stacks({{"main;task", 7}});
     EXPECT_EQ(sink.events_written(), 1u);
-    sink.close();
+    sink.finalize();
   }
   const std::vector<json::Value> lines = read_lines(path);
-  ASSERT_GE(lines.size(), 7u);
+  ASSERT_EQ(lines.size(), 4u);
 
   // Header first, exactly once, with the cross-process merge anchor.
   EXPECT_EQ(lines[0].at("t").as_string(), "header");
@@ -72,61 +81,32 @@ TEST(ObsTelemetry, StreamCarriesHeaderEventsMetricsStacksAndEndMarker) {
   EXPECT_EQ(static_cast<std::int64_t>(lines[0].at("epoch_unix_us").as_number()),
             Profiler::instance().epoch_unix_us());
 
-  std::size_t events = 0, lanes = 0, heartbeats = 0, metrics = 0, stacks = 0;
-  for (const json::Value& line : lines) {
-    const std::string& t = line.at("t").as_string();
-    if (t == "ev") {
-      ++events;
-      EXPECT_EQ(line.at("name").as_string(), "first");
-    } else if (t == "lane") {
-      ++lanes;
-      EXPECT_EQ(line.at("name").as_string(), "lane-zero");
-    } else if (t == "hb") {
-      ++heartbeats;
-      EXPECT_EQ(line.at("done").as_number(), 3.0);
-      EXPECT_EQ(line.at("total").as_number(), 10.0);
-      EXPECT_GE(line.at("wall_us").as_number(), 0.0);
-    } else if (t == "metric") {
-      ++metrics;
-    } else if (t == "stack") {
-      ++stacks;
-      EXPECT_EQ(line.at("stack").as_string(), "main;task");
-      EXPECT_EQ(line.at("count").as_number(), 7.0);
-    }
-  }
-  EXPECT_EQ(events, 1u);
-  EXPECT_EQ(lanes, 1u);
-  EXPECT_EQ(heartbeats, 1u);
-  EXPECT_EQ(metrics, 2u);
-  EXPECT_EQ(stacks, 1u);
+  // Then the trace lines, as JsonlStreamSink writes them, in arrival order.
+  EXPECT_EQ(lines[1].at("t").as_string(), "lane");
+  EXPECT_EQ(lines[1].at("name").as_string(), "lane-zero");
+  EXPECT_EQ(lines[2].at("t").as_string(), "ev");
+  EXPECT_EQ(lines[2].at("name").as_string(), "first");
 
-  // End marker last: the clean-shutdown signal restarted shards lack.
-  EXPECT_EQ(lines.back().at("t").as_string(), "end");
-  EXPECT_EQ(lines.back().at("events").as_number(), 1.0);
+  // Stacks last, before finalize.
+  EXPECT_EQ(lines[3].at("t").as_string(), "stack");
+  EXPECT_EQ(lines[3].at("stack").as_string(), "main;task");
+  EXPECT_EQ(lines[3].at("count").as_number(), 7.0);
   std::remove(path.c_str());
 }
 
-TEST(ObsTelemetry, CloseIsIdempotentAndSealsTheStream) {
-  const std::string path = temp_path("telemetry_close.jsonl");
+TEST(ObsTelemetry, FinalizeIsIdempotentAndSealsTheStream) {
+  const std::string path = temp_path("telemetry_finalize.jsonl");
   TelemetrySink sink(path);
   sink.write(instant_at(1.0, "kept"));
-  sink.close();
-  sink.close();  // idempotent: one end marker
+  sink.finalize();
+  sink.finalize();  // idempotent
   sink.write(instant_at(2.0, "dropped"));
-  sink.heartbeat("late", 1, 1);
+  sink.write_stacks({{"late;stack", 1}});
   EXPECT_EQ(sink.events_written(), 1u);
-  std::size_t ends = 0;
-  bool dropped_seen = false;
-  for (const json::Value& line : read_lines(path)) {
-    if (line.at("t").as_string() == "end") ++ends;
-    const json::Value* name = line.find("name");
-    if (name != nullptr && name->is_string() &&
-        name->as_string() == "dropped") {
-      dropped_seen = true;
-    }
-  }
-  EXPECT_EQ(ends, 1u);
-  EXPECT_FALSE(dropped_seen) << "writes after close must be silent no-ops";
+  const std::vector<json::Value> lines = read_lines(path);
+  ASSERT_EQ(lines.size(), 2u) << "writes after finalize must be no-ops";
+  EXPECT_EQ(lines[0].at("t").as_string(), "header");
+  EXPECT_EQ(lines[1].at("name").as_string(), "kept");
   std::remove(path.c_str());
 }
 
@@ -135,139 +115,9 @@ TEST(ObsTelemetry, UnwritablePathReportsNotOkAndNeverCrashes) {
   EXPECT_FALSE(sink.ok());
   EXPECT_FALSE(sink.healthy());
   sink.write(instant_at(1.0, "dropped"));
-  sink.heartbeat("s", 1, 2);
-  sink.close();
-}
-
-TEST(ObsTelemetry, TailReadsIncrementallyAndTracksHeartbeats) {
-  const std::string path = temp_path("telemetry_tail.jsonl");
-  std::remove(path.c_str());
-
-  TelemetryTail tail(path);
-  EXPECT_FALSE(tail.poll()) << "a missing file is 'no data yet', not an error";
-  EXPECT_FALSE(tail.have_header());
-
-  TelemetryOptions options;
-  options.name = "tailed";
-  options.shard = "0/2";
-  TelemetrySink sink(path, options);
-  ASSERT_TRUE(sink.ok());
-  EXPECT_TRUE(tail.poll());
-  EXPECT_TRUE(tail.have_header());
-  EXPECT_EQ(tail.name(), "tailed");
-  EXPECT_EQ(tail.epoch_unix_us(), Profiler::instance().epoch_unix_us());
-  EXPECT_FALSE(tail.have_heartbeat());
-
-  sink.heartbeat("fake", 4, 24);
-  EXPECT_TRUE(tail.poll());
-  ASSERT_TRUE(tail.have_heartbeat());
-  EXPECT_EQ(tail.heartbeat().sweep, "fake");
-  EXPECT_EQ(tail.heartbeat().done, 4u);
-  EXPECT_EQ(tail.heartbeat().total, 24u);
-  EXPECT_FALSE(tail.ended());
-
-  sink.heartbeat("fake", 24, 24);
-  sink.write(instant_at(5.0, "tick"));
-  sink.close();
-  EXPECT_TRUE(tail.poll());
-  EXPECT_EQ(tail.heartbeat().done, 24u);
-  EXPECT_EQ(tail.events_seen(), 1u);
-  EXPECT_TRUE(tail.ended());
-  EXPECT_FALSE(tail.poll()) << "nothing new after the end marker";
-  std::remove(path.c_str());
-}
-
-TEST(ObsTelemetry, TailNeverConsumesATornTrailingLine) {
-  const std::string path = temp_path("telemetry_torn.jsonl");
-  {
-    std::ofstream out(path, std::ios::binary);
-    out << "{\"t\":\"header\",\"telemetry\":1,\"name\":\"torn\",\"pid\":7,"
-           "\"shard\":\"\",\"epoch_unix_us\":1000}\n";
-    out << "{\"t\":\"hb\",\"wall_us\":1.0,\"sweep\":\"s\",\"done\":2,"
-           "\"total\":8}\n";
-    // The worker was killed mid-write: no trailing newline, truncated JSON.
-    out << "{\"t\":\"hb\",\"wall_us\":2.0,\"sweep\":\"s\",\"do";
-  }
-  TelemetryTail tail(path);
-  EXPECT_TRUE(tail.poll());
-  EXPECT_TRUE(tail.have_header());
-  EXPECT_EQ(tail.pid(), 7);
-  EXPECT_EQ(tail.epoch_unix_us(), 1000);
-  EXPECT_EQ(tail.heartbeat().done, 2u)
-      << "the torn line must not be consumed";
-  EXPECT_EQ(tail.lines_read(), 2u);
-  EXPECT_FALSE(tail.poll()) << "the torn tail is not new data";
-
-  // The missing bytes land (a restarted attempt never does this, but an
-  // interrupted write flushing late can): the completed line is consumed.
-  {
-    std::ofstream out(path, std::ios::binary | std::ios::app);
-    out << "ne\":5,\"total\":8}\n";
-  }
-  EXPECT_TRUE(tail.poll());
-  EXPECT_EQ(tail.heartbeat().done, 5u);
-  EXPECT_EQ(tail.lines_read(), 3u);
-  std::remove(path.c_str());
-}
-
-TEST(ObsTelemetry, TailResetsWhenTheStreamShrinksOrIsReplaced) {
-  const std::string path = temp_path("telemetry_rewritten.jsonl");
-  {
-    std::ofstream out(path, std::ios::binary);
-    out << "{\"t\":\"header\",\"telemetry\":1,\"name\":\"first\",\"pid\":11,"
-           "\"shard\":\"\",\"epoch_unix_us\":100}\n";
-    out << "{\"t\":\"hb\",\"wall_us\":1.0,\"sweep\":\"s\",\"done\":7,"
-           "\"total\":8}\n";
-  }
-  TelemetryTail tail(path);
-  EXPECT_TRUE(tail.poll());
-  EXPECT_EQ(tail.name(), "first");
-  EXPECT_EQ(tail.heartbeat().done, 7u);
-  EXPECT_EQ(tail.lines_read(), 2u);
-
-  // The worker restarted and rewrote the stream from scratch with a
-  // shorter file: the tail must reset to offset zero and re-read the new
-  // content instead of waiting for the file to outgrow the stale offset.
-  {
-    std::ofstream out(path, std::ios::binary | std::ios::trunc);
-    out << "{\"t\":\"header\",\"telemetry\":1,\"name\":\"second\",\"pid\":12,"
-           "\"shard\":\"\",\"epoch_unix_us\":200}\n";
-  }
-  EXPECT_TRUE(tail.poll());
-  EXPECT_EQ(tail.name(), "second");
-  EXPECT_EQ(tail.pid(), 12);
-  EXPECT_EQ(tail.epoch_unix_us(), 200);
-  EXPECT_EQ(tail.lines_read(), 3u);
-
-  // Appends to the replacement stream keep flowing incrementally.
-  {
-    std::ofstream out(path, std::ios::binary | std::ios::app);
-    out << "{\"t\":\"hb\",\"wall_us\":2.0,\"sweep\":\"s\",\"done\":1,"
-           "\"total\":8}\n";
-  }
-  EXPECT_TRUE(tail.poll());
-  EXPECT_EQ(tail.heartbeat().done, 1u);
-  EXPECT_EQ(tail.lines_read(), 4u);
-  std::remove(path.c_str());
-}
-
-TEST(ObsTelemetry, TailSkipsUnknownLineTypes) {
-  const std::string path = temp_path("telemetry_unknown.jsonl");
-  {
-    std::ofstream out(path, std::ios::binary);
-    out << "{\"t\":\"header\",\"telemetry\":1,\"name\":\"fwd\",\"pid\":1,"
-           "\"shard\":\"\",\"epoch_unix_us\":5}\n";
-    out << "{\"t\":\"future-type\",\"payload\":true}\n";
-    out << "{\"t\":\"hb\",\"wall_us\":1.0,\"sweep\":\"s\",\"done\":1,"
-           "\"total\":2}\n";
-  }
-  TelemetryTail tail(path);
-  EXPECT_TRUE(tail.poll());
-  EXPECT_TRUE(tail.have_header());
-  EXPECT_EQ(tail.heartbeat().done, 1u)
-      << "unknown types must be skipped, not fatal";
-  EXPECT_EQ(tail.lines_read(), 3u);
-  std::remove(path.c_str());
+  sink.write_stacks({{"s", 1}});
+  sink.finalize();
+  EXPECT_EQ(sink.events_written(), 0u);
 }
 
 }  // namespace

@@ -4,6 +4,7 @@
 
 #include <cstdio>
 #include <fstream>
+#include <limits>
 #include <stdexcept>
 #include <string>
 
@@ -35,6 +36,25 @@ TEST(UtilJson, ParsesNestedStructures) {
 TEST(UtilJson, ParsesStringEscapes) {
   EXPECT_EQ(parse(R"("a\"b\\c\nd\tz")").as_string(), "a\"b\\c\nd\tz");
   EXPECT_EQ(parse(R"("Aé")").as_string(), "A\xc3\xa9");
+}
+
+TEST(UtilJson, QuoteEscapesAndRoundTripsThroughParse) {
+  EXPECT_EQ(quote("plain.name"), "\"plain.name\"");
+  EXPECT_EQ(quote("a\"b\\c\nd\te"), R"("a\"b\\c\nd\te")");
+  EXPECT_EQ(quote(std::string("\x01\x1f", 2)), R"("\u0001\u001f")");
+  EXPECT_EQ(quote("A\xc3\xa9"), "\"A\xc3\xa9\"");  // bytes >= 0x80 verbatim
+  std::string out = "x=";
+  append_string(out, "y\"");
+  EXPECT_EQ(out, R"(x="y\"")");
+  const std::string text("ctl\x02 \"q\" \\ tab\t nl\n", 19);
+  EXPECT_EQ(parse(quote(text)).as_string(), text);
+}
+
+TEST(UtilJson, NumberOrNullWritesNullForNonFinite) {
+  EXPECT_EQ(number_or_null(0.1), "0.10000000000000001");
+  EXPECT_EQ(number_or_null(-2.0), "-2");
+  EXPECT_EQ(number_or_null(std::numeric_limits<double>::infinity()), "null");
+  EXPECT_EQ(number_or_null(std::numeric_limits<double>::quiet_NaN()), "null");
 }
 
 TEST(UtilJson, RoundTripsPerfRecordNumbers) {

@@ -23,13 +23,14 @@
 //   --chaos-seed=N         chaos RNG seed
 //   --chaos-kill-limit=N   disarm chaos after N kills (0 = unlimited)
 //   --telemetry            stream telemetry: workers write per-attempt
-//                          JSONL streams the dispatcher tails for live
-//                          per-shard progress/ETA lines, and everything
-//                          (dispatcher + all worker attempts) merges into
+//                          JSONL streams, and everything (dispatcher + all
+//                          worker attempts) merges into
 //                          WORKDIR/merged/timeline.{jsonl,perfetto} +
 //                          dispatch_stacks.folded (every worker's scope
 //                          paths, valued at self microseconds)
-//   --status-interval=S    cadence of aggregated status lines (default 5)
+//   --status-interval=S    cadence of the per-shard done/total, rate and
+//                          ETA lines, read from the shard checkpoints with
+//                          or without --telemetry (default 5; 0 disables)
 //   --report=PATH          report path (default WORKDIR/dispatch_report.json)
 //   --resume-report=PATH   resume a degraded run: seed the merged sweep
 //                          checkpoints named in PATH (a prior run's
