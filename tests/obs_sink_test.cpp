@@ -199,7 +199,6 @@ TEST(ObsSink, StreamingTracerForwardsWithoutBuffering) {
   {
     JsonlStreamSink sink(path, {.buffer_bytes = 1024});
     Tracer tracer(&sink);
-    EXPECT_EQ(tracer.sink(), &sink);
     tracer.set_lane(5);
     for (int i = 0; i < 100; ++i) {
       tracer.instant(Duration::seconds(i), "cat", "streamed");
