@@ -118,8 +118,6 @@ int main(int argc, char** argv) {
   }
   t.print(std::cout);
 
-  obs::MetricsRegistry metrics;
-  const bool want_metrics = !args.get_string("metrics", "").empty();
   std::size_t tasks = 0;
   double wall = 0.0;
   const std::pair<const exp::SweepSpec*, const exp::SweepRun*> sweeps[] = {
@@ -127,11 +125,10 @@ int main(int argc, char** argv) {
   for (const auto& [spec, run] : sweeps) {
     const exp::SweepSummary summary = exp::aggregate(*spec, *run);
     bench::maybe_export_sweep(args, *spec, *run, summary);
-    if (want_metrics) exp::metrics_from_summary(metrics, summary);
     tasks += run->rows.size();
     wall += run->wall_seconds;
   }
-  bench::finish_obs(args, "ablation_esd", stream, &metrics);
+  bench::finish_obs(stream);
   std::cerr << "[exp] " << tasks << " tasks in " << format_double(wall, 2)
             << " s on " << ups_run.threads_used << " thread(s)\n";
   bench::drain_exit_if_requested();

@@ -7,14 +7,22 @@
 // (11 scenarios x 2 strategies), the uncontrolled baseline, and a 50-seed
 // survival sweep over random fault schedules (stable task->seed mapping,
 // bit-identical for any thread count).
+//
+// Under trace=<dir> (or telemetry=<path>) each grid task traces its run
+// into its own lane, named <strategy>/<scenario>: fault, phase and ladder
+// instants, the decision records `trace_query audit` chains, and the
+// default counter tracks (state of charge, breaker trip margin, room
+// temperature, degree, chiller draw).
 #include <iostream>
 #include <memory>
+#include <optional>
 #include <string>
 #include <vector>
 
 #include "bench_util.h"
 #include "core/datacenter.h"
 #include "faults/schedule.h"
+#include "obs/decision.h"
 #include "util/table.h"
 #include "workload/yahoo_trace.h"
 
@@ -94,18 +102,22 @@ struct Outcome {
 };
 
 /// One isolated scenario run: fresh DataCenter, generator and supply trace
-/// per call, so tasks are safe to execute concurrently. `tracer` and
-/// `metrics` are per-task sinks (or null): the run is traced into `tracer`
-/// (see RunOptions), and recorded and exported into `metrics`.
+/// per call, so tasks are safe to execute concurrently. A non-null `tracer`
+/// is the task's own lane: the run is recorded and traced into it with its
+/// decision records, then its default channels follow as counter tracks.
 Outcome run_scenario(const DataCenterConfig& config, const TimeSeries& trace,
                      const Scenario& sc, Strategy* strategy, Mode mode,
-                     obs::Tracer* tracer = nullptr,
-                     obs::MetricsRegistry* metrics = nullptr) {
+                     obs::Tracer* tracer = nullptr) {
   DataCenter dc(config);
   RunOptions opts;
   opts.mode = mode;
-  opts.tracer = tracer;
-  opts.record = metrics != nullptr;
+  std::optional<obs::DecisionLog> decisions;
+  if (tracer != nullptr) {
+    opts.tracer = tracer;
+    opts.record = true;
+    decisions.emplace(tracer);
+    opts.decisions = &*decisions;
+  }
   TimeSeries supply;
   power::DieselGenerator generator(
       "gen", {.rated = config.dc_rated() * 0.5,
@@ -121,7 +133,10 @@ Outcome run_scenario(const DataCenterConfig& config, const TimeSeries& trace,
   if (!sc.schedule.empty()) opts.faults = &sc.schedule;
   Outcome o;
   o.result = dc.run(trace, strategy, opts);
-  if (metrics != nullptr) dc.export_metrics(o.result, *metrics);
+  if (tracer != nullptr) {
+    obs::export_counters(o.result.recorder, *tracer,
+                         {.channels = bench::kDefaultCounterChannels});
+  }
   o.survived = !o.result.tripped && o.result.watchdog.ok();
   return o;
 }
@@ -288,20 +303,7 @@ int main(int argc, char** argv) {
   const exp::SweepSummary grid_summary = exp::aggregate(grid, grid_run);
   bench::maybe_export_sweep(args, grid, grid_run, grid_summary);
   bench::maybe_export_sweep(args, surv, surv_run, surv_summary);
-
-  obs::MetricsRegistry metrics;
-  if (!args.get_string("metrics", "").empty()) {
-    // Cell-level snapshot of both sweeps, plus the run instruments
-    // (sprint_degree histogram, SoC/margin gauges, transition counters)
-    // from one recorded, representative faulted run. The registry is not
-    // thread-safe, so that run happens here, after the sweeps.
-    exp::metrics_from_summary(metrics, grid_summary);
-    exp::metrics_from_summary(metrics, surv_summary);
-    GreedyStrategy greedy;
-    run_scenario(config, trace, scenarios[6], &greedy, Mode::kControlled,
-                 nullptr, &metrics);
-  }
-  bench::finish_obs(args, "ablation_faults", stream, &metrics);
+  bench::finish_obs(stream);
   std::cerr << "[exp] "
             << grid_run.rows.size() + unc_run.rows.size() +
                    surv_run.rows.size()

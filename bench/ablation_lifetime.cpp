@@ -14,6 +14,7 @@ int main(int argc, char** argv) {
   using namespace dcs;
   using namespace dcs::core;
   const Config args = bench::parse_args(argc, argv);
+  bench::StreamTraceSinks stream = bench::obs_setup(args, "ablation_lifetime");
   DataCenter dc(bench::bench_config(args));
 
   // A day of MS-style traffic normalized so the sprint-free capacity is
@@ -58,5 +59,6 @@ int main(int argc, char** argv) {
   std::cout << "\nPaper: LFP handles 10 full discharges/month over its 8-year"
                " life, and the Fig. 1 month's\n~200 bursts at ~26% depth have"
                " no lifetime impact.\n";
+  bench::finish_obs(stream);
   return 0;
 }

@@ -20,6 +20,7 @@ int main(int argc, char** argv) {
   using namespace dcs;
   using namespace dcs::core;
   const Config args = bench::parse_args(argc, argv);
+  bench::StreamTraceSinks stream = bench::obs_setup(args, "ablation_planner");
   const DataCenterConfig config = bench::bench_config(args);
   DataCenter dc(config);
 
@@ -69,5 +70,6 @@ int main(int argc, char** argv) {
   std::cout << "\nThe budget-paced plan tracks the Oracle without running a"
                " single simulation;\nthe online strategy needs no forecast"
                " inputs and still clearly beats Greedy on long bursts.\n";
+  bench::finish_obs(stream);
   return 0;
 }

@@ -19,15 +19,14 @@ int main(int argc, char** argv) {
   using namespace dcs;
   using namespace dcs::core;
   const Config args = bench::parse_args(argc, argv);
+  bench::StreamTraceSinks stream = bench::obs_setup(args, "ablation_zonal");
   DataCenterConfig config = bench::bench_config(args);
-  const bool tracing = !args.get_string("trace", "").empty();
+  const bool tracing = bench::tracing_enabled(args);
 
   // Per-scenario lanes: each zonal run traces its controller instants and
-  // decisions into its own named lane, then exports its per-zone channels
-  // there as counter tracks, so Perfetto shows every zone's breaker margin
-  // / degree / UPS state side by side.
-  bench::StreamTraceSinks stream =
-      bench::maybe_stream_sinks(args, "ablation_zonal");
+  // decisions into its own named lane, then exports the default channels
+  // and its per-zone channels there as counter tracks, so Perfetto shows
+  // every zone's breaker margin / degree / UPS state side by side.
   obs::Tracer tracer(stream.sink());
   std::uint32_t next_lane = 0;
   const auto run_zones = [&](const std::vector<Zone>& zones,
@@ -46,9 +45,11 @@ int main(int argc, char** argv) {
     }
     RunResult r = DataCenter(config).run(zones, &greedy, options);
     if (tracing) {
+      std::vector<std::string> channels = bench::kDefaultCounterChannels;
+      channels.push_back("dc_load_mw");
       obs::export_counters(
           r.recorder, tracer,
-          {.channels = obs::with_zonal_channels({"dc_load_mw", "cooling_mw"},
+          {.channels = obs::with_zonal_channels(std::move(channels),
                                                 zones.size())});
     }
     return r;
@@ -102,6 +103,6 @@ int main(int argc, char** argv) {
             << " of the 15 burst\nminutes, until the stored energy runs"
                " out) the light zone is served in full and the\nheavy zone"
                " takes the rest; no breaker trips even at zero headroom.\n";
-  bench::finish_obs(args, "ablation_zonal", stream);
+  bench::finish_obs(stream);
   return 0;
 }

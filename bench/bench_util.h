@@ -22,7 +22,6 @@
 #include "exp/runner.h"
 #include "exp/sweep.h"
 #include "obs/counters.h"
-#include "obs/metrics.h"
 #include "obs/perfetto.h"
 #include "obs/profile.h"
 #include "obs/sink.h"
@@ -36,12 +35,11 @@ namespace dcs::bench {
 /// sweep-runner knobs (threads=<n>, csv=<dir>, perf=<dir>, checkpoint=<dir>
 /// for crash-safe resume files, shard=<i>/<N> to run one contiguous slice
 /// of every grid) and the observability knobs (trace=<dir> for the JSONL
-/// and Perfetto traces, metrics=<dir> for CSV/JSON/Prometheus snapshots,
-/// telemetry=<path> for the worker telemetry stream a supervising
-/// dispatcher merges into its timeline — see obs/sink.h).
+/// and Perfetto traces, telemetry=<path> for the worker telemetry stream a
+/// supervising dispatcher merges into its timeline — see obs/sink.h).
 inline constexpr std::string_view kCommonKeys[] = {
     "pdus", "dc_headroom", "pue", "csv", "perf", "threads", "trace",
-    "metrics", "checkpoint", "shard", "telemetry", "decisions"};
+    "checkpoint", "shard", "telemetry"};
 
 /// Default recorder channels bridged into Perfetto counter tracks by the
 /// traced benches: physical state (state of charge, breaker trip margin,
@@ -71,18 +69,13 @@ inline Config parse_args(int argc, char** argv,
 }
 
 /// Whether this run should record sim trace events: a trace= export wants
-/// them, and so does a telemetry stream (they are its "ev" payload).
+/// them, and so does a telemetry stream (they are its "ev" payload). A
+/// traced controller run records its channels, exports
+/// kDefaultCounterChannels (plus the bench's own) as counter tracks and
+/// emits DecisionRecords (obs/decision.h), all into its own lane.
 inline bool tracing_enabled(const Config& args) {
   return !args.get_string("trace", "").empty() ||
          !args.get_string("telemetry", "").empty();
-}
-
-/// Whether traced runs should also emit DecisionRecords (obs/decision.h)
-/// into their trace lanes. On by default whenever tracing is on;
-/// decisions=0 turns just the decision plane off (the tracing-overhead
-/// gate measures both configurations).
-inline bool decisions_enabled(const Config& args) {
-  return tracing_enabled(args) && args.get_int("decisions", 1) != 0;
 }
 
 /// Worker threads for the sweep runner (threads=<n>; 0 = all hardware).
@@ -305,17 +298,13 @@ inline StreamTraceSinks maybe_stream_sinks(const Config& args,
 }
 
 /// The observability setup step, once near the top of main() before any
-/// run: turns the wall-clock profiler on when trace=, metrics= or
-/// telemetry= is given, and opens the run's streaming sinks. A traced
+/// run: turns the wall-clock profiler on when trace= or telemetry= is
+/// given (tracing_enabled), and opens the run's streaming sinks. A traced
 /// bench then builds `obs::Tracer tracer(stream.sink())`; finish_obs is
 /// the matching last step.
 [[nodiscard]] inline StreamTraceSinks obs_setup(const Config& args,
                                                 const std::string& name) {
-  if (!args.get_string("trace", "").empty() ||
-      !args.get_string("metrics", "").empty() ||
-      !args.get_string("telemetry", "").empty()) {
-    obs::Profiler::instance().set_enabled(true);
-  }
+  if (tracing_enabled(args)) obs::Profiler::instance().set_enabled(true);
   return maybe_stream_sinks(args, name);
 }
 
@@ -323,24 +312,16 @@ inline StreamTraceSinks maybe_stream_sinks(const Config& args,
 /// profiler's wall spans and scope path totals to the stream
 /// (obs::export_to, through a wall-only tracer over the tee), then the
 /// telemetry stream's folded stacks, then finalizes the sinks, reporting
-/// each trace file on stdout. Under metrics=<dir> it also writes
-/// `<name>_metrics.{csv,json,prom}` from `metrics` when given.
-inline void finish_obs(const Config& args, const std::string& name,
-                       StreamTraceSinks& stream,
-                       const obs::MetricsRegistry* metrics = nullptr) {
-  if (stream.active()) {
-    const obs::Profile profile = obs::Profiler::instance().collect();
-    obs::Tracer wall(stream.sink());
-    obs::export_to(wall, profile);
-    if (stream.telemetry != nullptr) {
-      stream.telemetry->write_stacks(obs::folded_stacks(profile.paths));
-    }
-    stream.finalize(&std::cout);
+/// each trace file on stdout.
+inline void finish_obs(StreamTraceSinks& stream) {
+  if (!stream.active()) return;
+  const obs::Profile profile = obs::Profiler::instance().collect();
+  obs::Tracer wall(stream.sink());
+  obs::export_to(wall, profile);
+  if (stream.telemetry != nullptr) {
+    stream.telemetry->write_stacks(obs::folded_stacks(profile.paths));
   }
-  const std::string metrics_dir = args.get_string("metrics", "");
-  if (!metrics_dir.empty() && metrics != nullptr) {
-    obs::export_metrics(metrics_dir, name, *metrics, &std::cout);
-  }
+  stream.finalize(&std::cout);
 }
 
 }  // namespace dcs::bench

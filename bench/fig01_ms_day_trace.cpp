@@ -3,14 +3,16 @@
 // throughput-oriented workloads. Prints hourly statistics of the synthetic
 // stand-in plus the burstiness profile the paper's argument relies on.
 //
-// Under trace=<dir> it additionally runs the controlled data center over
-// the full day and traces it — per-tick counter tracks for a 24 h run are
-// the motivating workload for the bounded-memory streaming sinks.
+// Under trace=<dir> (or telemetry=<path>) it additionally runs the
+// controlled data center over the full day and traces it, with its decision
+// records — per-tick counter tracks for a 24 h run are the motivating
+// workload for the bounded-memory streaming sinks.
 #include <iostream>
 
 #include "bench_util.h"
 #include "core/datacenter.h"
 #include "core/strategy.h"
+#include "obs/decision.h"
 #include "util/table.h"
 #include "workload/burst.h"
 #include "workload/ms_trace.h"
@@ -47,17 +49,19 @@ int main(int argc, char** argv) {
             << "  burst episodes     " << stats.burst_count
             << " per day (paper: ~200 bursts/month ~ 6-7/day)\n";
 
-  // Opt-in day-long controlled run with counter tracks (trace=<dir>; the
-  // streaming sinks keep peak memory bounded regardless of trace length).
-  if (!args.get_string("trace", "").empty()) {
+  // Opt-in day-long controlled run with counter tracks (the streaming
+  // sinks keep peak memory bounded regardless of trace length).
+  if (bench::tracing_enabled(args)) {
     obs::Tracer tracer(stream.sink());
     tracer.name_lane(obs::Domain::kSim, 0, "greedy/day-trace");
+    obs::DecisionLog decisions(&tracer);
 
     core::DataCenter dc(bench::bench_config(args));
     core::GreedyStrategy greedy;
     core::RunOptions opts;
     opts.record = true;
     opts.tracer = &tracer;
+    opts.decisions = &decisions;
     const core::RunResult day_run =
         dc.run(trace.scaled(1.0 / 4.0), &greedy, opts);
     obs::export_counters(day_run.recorder, tracer,
@@ -66,6 +70,6 @@ int main(int argc, char** argv) {
               << format_double(day_run.performance_factor, 3) << ", "
               << tracer.count(obs::Domain::kSim) << " sim trace events\n";
   }
-  bench::finish_obs(args, "fig01_ms_day_trace", stream);
+  bench::finish_obs(stream);
   return 0;
 }

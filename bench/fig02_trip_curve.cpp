@@ -10,7 +10,7 @@
 int main(int argc, char** argv) {
   using namespace dcs;
   const Config args = bench::parse_args(argc, argv);
-  (void)args;
+  bench::StreamTraceSinks stream = bench::obs_setup(args, "fig02_trip_curve");
 
   std::cout << "=== Figure 2: circuit breaker trip curve ===\n";
   const power::TripCurve curve;
@@ -33,5 +33,6 @@ int main(int argc, char** argv) {
             << " (paper: 1 minute)\n"
             << "  30% overload -> " << to_string(curve.time_to_trip(1.3))
             << " (paper: 4 minutes)\n";
+  bench::finish_obs(stream);
   return 0;
 }

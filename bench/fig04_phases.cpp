@@ -13,6 +13,7 @@ int main(int argc, char** argv) {
   using namespace dcs;
   using namespace dcs::core;
   const Config args = bench::parse_args(argc, argv);
+  bench::StreamTraceSinks stream = bench::obs_setup(args, "fig04_phases");
   const DataCenterConfig config = bench::bench_config(args);
   DataCenter dc(config);
 
@@ -55,5 +56,6 @@ int main(int argc, char** argv) {
             << "TES activation rule fires at "
             << to_string(config.tes_activation_time())
             << " into the burst (Section V-C).\n";
+  bench::finish_obs(stream);
   return 0;
 }

@@ -80,11 +80,7 @@ int main(int argc, char** argv) {
 
   const exp::SweepSummary summary = exp::aggregate(spec, run);
   bench::maybe_export_sweep(args, spec, run, summary);
-  obs::MetricsRegistry metrics;
-  if (!args.get_string("metrics", "").empty()) {
-    exp::metrics_from_summary(metrics, summary);
-  }
-  bench::finish_obs(args, "fig05_cost_revenue", stream, &metrics);
+  bench::finish_obs(stream);
   std::cerr << "[exp] " << run.rows.size() << " tasks in "
             << format_double(run.wall_seconds, 2) << " s on "
             << run.threads_used << " thread(s)\n";

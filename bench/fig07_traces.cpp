@@ -40,6 +40,7 @@ void print_minutes(const dcs::TimeSeries& trace, const char* label) {
 int main(int argc, char** argv) {
   using namespace dcs;
   const Config args = bench::parse_args(argc, argv);
+  bench::StreamTraceSinks stream = bench::obs_setup(args, "fig07_traces");
 
   std::cout << "=== Figure 7: experiment workload traces ===\n";
   const TimeSeries ms = workload::generate_ms_trace();
@@ -50,5 +51,6 @@ int main(int argc, char** argv) {
   bench::maybe_export_csv(args, "fig07b_yahoo_trace", yahoo);
   print_minutes(yahoo,
                 "Fig. 7b: Yahoo trace, burst degree 3.2, duration 15 min");
+  bench::finish_obs(stream);
   return 0;
 }

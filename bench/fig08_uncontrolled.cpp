@@ -34,6 +34,7 @@ void print_series(const dcs::core::RunResult& run, const char* label) {
 int main(int argc, char** argv) {
   using namespace dcs;
   const Config args = bench::parse_args(argc, argv);
+  bench::StreamTraceSinks stream = bench::obs_setup(args, "fig08_uncontrolled");
   core::DataCenter dc(bench::bench_config(args));
   const TimeSeries trace = workload::generate_ms_trace();
 
@@ -73,5 +74,6 @@ int main(int argc, char** argv) {
                                 : 0.0),
                    1)
             << "% vs CB overload (paper: TES ~13%)\n";
+  bench::finish_obs(stream);
   return 0;
 }

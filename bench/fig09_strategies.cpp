@@ -34,7 +34,6 @@ int main(int argc, char** argv) {
   const std::size_t threads = bench::bench_threads(args);
   bench::StreamTraceSinks stream = bench::obs_setup(args, "fig09_strategies");
   const bool tracing = bench::tracing_enabled(args);
-  const bool decisions = bench::decisions_enabled(args);
   const bool faulted = args.get_int("faults", 0) != 0;
   const DataCenter dc(bench::bench_config(args));
   const TimeSeries trace = workload::generate_ms_trace();
@@ -113,12 +112,10 @@ int main(int argc, char** argv) {
           opts.tracer = &task_tracers[task.index];
           opts.tracer->set_lane(static_cast<std::uint32_t>(task.index));
           opts.record = true;
-          if (decisions) {
-            // Decision provenance rides the task's own trace lane, so the
-            // merged decision stream shares the bit-identity contract.
-            decision_log.emplace(opts.tracer);
-            opts.decisions = &*decision_log;
-          }
+          // Decision provenance rides the task's own trace lane, so the
+          // merged decision stream shares the bit-identity contract.
+          decision_log.emplace(opts.tracer);
+          opts.decisions = &*decision_log;
         }
         const RunResult prediction_run = task_dc.run(trace, &prediction, opts);
         if (tracing) {
@@ -155,7 +152,7 @@ int main(int argc, char** argv) {
 
   const exp::SweepSummary summary = exp::aggregate(spec, run);
   bench::maybe_export_sweep(args, spec, run, summary);
-  bench::finish_obs(args, "fig09_strategies", stream);
+  bench::finish_obs(stream);
   std::cerr << "[exp] " << run.rows.size() << " tasks in "
             << format_double(run.wall_seconds, 2) << " s on "
             << run.threads_used << " thread(s)\n";

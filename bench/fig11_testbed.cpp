@@ -13,6 +13,7 @@ int main(int argc, char** argv) {
   using namespace dcs;
   using namespace dcs::testbed;
   const Config args = bench::parse_args(argc, argv);
+  bench::StreamTraceSinks stream = bench::obs_setup(args, "fig11_testbed");
 
   std::cout << "=== Figure 11: hardware testbed (emulated) ===\n";
   Testbed tb(TestbedParams{});
@@ -52,5 +53,6 @@ int main(int argc, char** argv) {
             << "Paper: an intermediate reserve (~30 s) maximizes the"
                " sustained time, and ours\noutlasts CB First (by 14 s on"
                " their hardware).\n";
+  bench::finish_obs(stream);
   return 0;
 }

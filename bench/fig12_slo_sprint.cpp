@@ -14,7 +14,7 @@
 //    queues them and leans on sprinting to make the p99.
 //
 // Knobs beyond the common set: slo=<ms> (target p99), queue_model=mg1|ps,
-// placement=round_robin|jsq|thermal, rps=<peak requests/s>, servers=<n>,
+// placement=round_robin|jsq, rps=<peak requests/s>, servers=<n>,
 // admit=<factor> (budget sweep only — the admission sweep owns that axis).
 //
 // Runs on the src/exp sweep runner: rows are bit-identical for any thread
@@ -64,7 +64,6 @@ int main(int argc, char** argv) {
                    "admit"});
   bench::StreamTraceSinks stream = bench::obs_setup(args, "fig12_slo_sprint");
   const bool tracing = bench::tracing_enabled(args);
-  const bool decisions = bench::decisions_enabled(args);
 
   const double slo_ms = args.get_double("slo", 250.0);
   serving::ServingParams base_serving;
@@ -118,17 +117,15 @@ int main(int argc, char** argv) {
       opts.tracer = tracer;
       opts.record = true;
       serving.set_recorder(&serving_recorder);
-      if (decisions) {
-        // One DecisionLog per task over the task's own trace lane: the
-        // controller, the SLO latch and the serving layer all emit into it,
-        // so `trace_query explain` can chain p99 latch -> sprint onset.
-        decision_log.emplace(tracer);
-        opts.decisions = &*decision_log;
-        slo.set_decision_log(&*decision_log);
-        serving.set_decision_log(&*decision_log);
-        serving.enable_error_budget(
-            serving::ErrorBudgetParams{.target_p99_s = slo_ms * 1e-3});
-      }
+      // One DecisionLog per task over the task's own trace lane: the
+      // controller, the SLO latch and the serving layer all emit into it,
+      // so `trace_query explain` can chain p99 latch -> sprint onset.
+      decision_log.emplace(tracer);
+      opts.decisions = &*decision_log;
+      slo.set_decision_log(&*decision_log);
+      serving.set_decision_log(&*decision_log);
+      serving.enable_error_budget(
+          serving::ErrorBudgetParams{.target_p99_s = slo_ms * 1e-3});
     }
     const RunResult run = dc.run(trace, strategy, opts);
     if (tracer != nullptr) {
@@ -238,7 +235,6 @@ int main(int argc, char** argv) {
   // Observability tail: merge the per-task lanes in task order (the
   // bit-identity contract) and export.
   obs::Tracer tracer(stream.sink());
-  obs::MetricsRegistry metrics;
   if (tracing) {
     for (const exp::SweepSpec::Task& task : budget_spec.tasks()) {
       tracer.name_lane(obs::Domain::kSim,
@@ -255,32 +251,11 @@ int main(int argc, char** argv) {
       tracer.merge_from(std::move(admit_tracers[task.index]));
     }
   }
-  if (!args.get_string("metrics", "").empty()) {
-    // A canonical single run's serving metrics snapshot (1x budget, SLO
-    // strategy) — gauges p50/p95/p99/p999 plus offered/dropped counters.
-    serving::ServingParams sp = base_serving;
-    sp.demand = &trace;
-    serving::ServingLayer serving(sp);
-    SloSprintStrategy slo(SloSprintParams{.target_p99_s = slo_ms * 1e-3});
-    serving.set_slo_callback([&slo](const serving::ServingStats& stats) {
-      slo.observe_latency(stats.p99_s);
-    });
-    DataCenter dc(bench::bench_config(args));
-    RunOptions opts;
-    opts.components = {&serving};
-    opts.on_step = [&serving](Duration, Duration, const StepResult& step) {
-      serving.set_capacity_degree(step.degree);
-    };
-    opts.record = true;
-    dc.export_metrics(dc.run(trace, &slo, opts), metrics);
-    serving.export_metrics(metrics);
-  }
-
   const exp::SweepSummary budget_summary = exp::aggregate(budget_spec, budget_run);
   const exp::SweepSummary admit_summary = exp::aggregate(admit_spec, admit_run);
   bench::maybe_export_sweep(args, budget_spec, budget_run, budget_summary);
   bench::maybe_export_sweep(args, admit_spec, admit_run, admit_summary);
-  bench::finish_obs(args, "fig12_slo_sprint", stream, &metrics);
+  bench::finish_obs(stream);
   std::cerr << "[exp] " << budget_run.rows.size() + admit_run.rows.size()
             << " tasks in "
             << format_double(budget_run.wall_seconds + admit_run.wall_seconds,

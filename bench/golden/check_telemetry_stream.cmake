@@ -1,8 +1,9 @@
-# Runs one sweep bench with telemetry= and checks the stream it leaves: a
-# header first, then at least one `exp.task` wall span and one folded-stack
-# line. A bench that traces no sim events still streams its profile:
+# Runs one bench with telemetry= and checks the stream it leaves: a header
+# first, then at least one SPAN wall span (default `exp.task`) and one
+# folded-stack line. A bench that traces no sim events still streams its
+# profile:
 #
-#   cmake -DBENCH=<fig10_burst_sweep> -DWORKDIR=<dir> \
+#   cmake -DBENCH=<fig10_burst_sweep> -DWORKDIR=<dir> [-DSPAN=<name>] \
 #         -P bench/golden/check_telemetry_stream.cmake
 #
 # The run is `<bench> threads=1 pdus=2 telemetry=WORKDIR/telemetry.jsonl`.
@@ -11,6 +12,10 @@ foreach(var BENCH WORKDIR)
     message(FATAL_ERROR "check_telemetry_stream.cmake needs -D${var}=...")
   endif()
 endforeach()
+if(NOT DEFINED SPAN)
+  set(SPAN "exp.task")
+endif()
+string(REPLACE "." "\\." span_pattern "${SPAN}")
 
 set(stream "${WORKDIR}/telemetry.jsonl")
 file(REMOVE_RECURSE "${WORKDIR}")
@@ -33,20 +38,20 @@ list(GET lines 0 first)
 if(NOT first MATCHES "^{\"t\":\"header\",\"telemetry\":1,")
   message(FATAL_ERROR "first line of ${stream} is not a header: ${first}")
 endif()
-set(task_spans 0)
+set(spans 0)
 set(stacks 0)
 foreach(line IN LISTS lines)
   if(line MATCHES "^{\"t\":\"ev\",\"domain\":\"wall\",\"ph\":\"X\"" AND
-     line MATCHES "\"name\":\"exp\\.task\"")
-    math(EXPR task_spans "${task_spans} + 1")
+     line MATCHES "\"name\":\"${span_pattern}\"")
+    math(EXPR spans "${spans} + 1")
   elseif(line MATCHES "^{\"t\":\"stack\",")
     math(EXPR stacks "${stacks} + 1")
   endif()
 endforeach()
-message(STATUS "${stream}: ${count} lines, ${task_spans} exp.task spans, "
+message(STATUS "${stream}: ${count} lines, ${spans} ${SPAN} spans, "
                "${stacks} stacks")
-if(task_spans EQUAL 0)
-  message(FATAL_ERROR "${stream} holds no exp.task wall span")
+if(spans EQUAL 0)
+  message(FATAL_ERROR "${stream} holds no ${SPAN} wall span")
 endif()
 if(stacks EQUAL 0)
   message(FATAL_ERROR "${stream} holds no stack line")

@@ -263,7 +263,7 @@ void BM_ServingTick(benchmark::State& state, double rps, std::size_t servers,
 void register_serving_ticks() {
   for (const int rps : {400, 4000}) {
     for (const std::size_t servers : {8, 512}) {
-      for (const char* placement : {"round_robin", "jsq", "thermal"}) {
+      for (const char* placement : {"round_robin", "jsq"}) {
         const std::string name = "BM_ServingTick/" + std::to_string(rps) +
                                  "x" + std::to_string(servers) + "x" +
                                  placement;

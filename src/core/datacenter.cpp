@@ -35,22 +35,6 @@ const std::vector<std::string> kRunChannels = {
     "ups_soc", "tes_soc", "dc_cb_heat", "pdu_cb_heat", "cb_trip_margin_s",
     "supply", "degradation"};
 
-double last_value(const TimeSeries& series) {
-  return series.samples().back().value;
-}
-
-/// Ticks whose value differs from the tick before; the first tick compares
-/// against `initial`.
-double changes(const TimeSeries& series, double initial) {
-  double count = 0.0;
-  double prev = initial;
-  for (const Sample& s : series.samples()) {
-    if (s.value != prev) count += 1.0;
-    prev = s.value;
-  }
-  return count;
-}
-
 }  // namespace
 
 struct DataCenter::Plant {
@@ -333,48 +317,6 @@ RunResult DataCenter::run(const std::vector<Zone>& zones, Strategy* strategy,
         zone_baseline[z] > 0.0 ? zone_achieved[z] / zone_baseline[z] : 0.0);
   }
   return result;
-}
-
-void DataCenter::export_metrics(const RunResult& run,
-                                obs::MetricsRegistry& registry) const {
-  const sim::Recorder& rec = run.recorder;
-  DCS_REQUIRE(rec.has("degree"),
-              "export_metrics needs a run recorded with RunOptions::record");
-  const TimeSeries degree = rec.series("degree");
-  if (!degree.empty()) {
-    registry.counter("ticks_total").inc(static_cast<double>(degree.size()));
-    obs::Histogram& histogram = registry.histogram(
-        "sprint_degree", {1.0, 1.5, 2.0, 2.5, 3.0, 3.5, 4.0});
-    for (const Sample& s : degree.samples()) histogram.observe(s.value);
-    registry.gauge("ups_soc").set(last_value(rec.series("ups_soc")));
-    registry.gauge("ups_soc_min").set(run.min_ups_soc);
-    if (config_.has_tes) {
-      registry.gauge("tes_soc").set(last_value(rec.series("tes_soc")));
-      registry.gauge("tes_soc_min").set(run.min_tes_soc);
-    }
-    const TimeSeries margin = rec.series("cb_trip_margin_s");
-    registry.gauge("cb_trip_margin_s").set(last_value(margin));
-    registry.gauge("cb_trip_margin_s_min").set(margin.min_value());
-    registry.gauge("faults_active")
-        .set(rec.has("faults_active") ? last_value(rec.series("faults_active"))
-                                      : 0.0);
-    registry.gauge("room_rise_c_max")
-        .set((run.peak_room_temperature - config_.room_params().setpoint).c());
-    // Counted from the state before the first tick, as the ladders start.
-    const double phase_changes = changes(
-        rec.series("phase"), static_cast<double>(SprintPhase::kNormal));
-    if (phase_changes > 0.0) {
-      registry.counter("phase_transitions_total").inc(phase_changes);
-    }
-    const double degradation_changes =
-        changes(rec.series("degradation"),
-                static_cast<double>(DegradationLevel::kNominal));
-    if (degradation_changes > 0.0) {
-      registry.counter("degradation_steps_total").inc(degradation_changes);
-    }
-  }
-  registry.counter("watchdog_violations_total")
-      .inc(static_cast<double>(run.watchdog.violations));
 }
 
 }  // namespace dcs::core

@@ -31,7 +31,6 @@
 #include "faults/schedule.h"
 #include "faults/watchdog.h"
 #include "obs/decision.h"
-#include "obs/metrics.h"
 #include "obs/trace.h"
 #include "sim/component.h"
 #include "sim/recorder.h"
@@ -162,16 +161,6 @@ class DataCenter {
   [[nodiscard]] RunResult run(const std::vector<Zone>& zones,
                               Strategy* strategy,
                               const RunOptions& options = {});
-
-  /// Fills `registry` from a run recorded with RunOptions::record: the
-  /// ticks_total counter, the sprint_degree histogram, the ups_soc /
-  /// tes_soc / cb_trip_margin_s gauges (last tick) with their `_min`
-  /// watermarks, faults_active, room_rise_c_max, and the phase / degradation
-  /// transition and watchdog violation counters. Counters and the histogram
-  /// add to what the registry holds; gauges are overwritten. Registries are
-  /// not thread-safe, so give each concurrent caller its own.
-  void export_metrics(const RunResult& run,
-                      obs::MetricsRegistry& registry) const;
 
   /// EB_tot in degree-seconds with fresh subsystems — the Heuristic
   /// strategy's budget input.

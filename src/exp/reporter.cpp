@@ -171,28 +171,6 @@ void write_perf_record_json(std::ostream& out, const SweepSummary& summary,
   out << "}\n";
 }
 
-void metrics_from_summary(obs::MetricsRegistry& registry,
-                          const SweepSummary& summary) {
-  for (const CellSummary& cell : summary.cells) {
-    obs::Labels base{{"sweep", summary.name}};
-    for (std::size_t a = 0; a < summary.axes.size(); ++a) {
-      base.emplace_back(summary.axes[a].name, cell.labels[a]);
-    }
-    for (std::size_t m = 0; m < summary.metrics.size(); ++m) {
-      const MetricSummary& ms = cell.metrics[m];
-      const struct {
-        const char* stat;
-        double value;
-      } stats[] = {{"mean", ms.mean}, {"min", ms.min}, {"max", ms.max}};
-      for (const auto& s : stats) {
-        obs::Labels labels = base;
-        labels.emplace_back("stat", s.stat);
-        registry.gauge(summary.metrics[m], labels).set(s.value);
-      }
-    }
-  }
-}
-
 bool export_time_series_csv(const std::string& dir, const std::string& name,
                             const TimeSeries& series, std::ostream* diag) {
   const std::string path = dir + "/" + name + ".csv";

@@ -11,7 +11,6 @@
 #include "exp/aggregator.h"
 #include "exp/runner.h"
 #include "exp/sweep.h"
-#include "obs/metrics.h"
 #include "obs/profile.h"
 #include "util/time_series.h"
 
@@ -41,12 +40,6 @@ void write_summary_json(std::ostream& out, const SweepSummary& summary);
 void write_perf_record_json(std::ostream& out, const SweepSummary& summary,
                             const obs::ProfileSummary* scopes = nullptr,
                             const obs::FoldedStacks* folded = nullptr);
-
-/// Folds a sweep summary into a metrics registry: one gauge per
-/// (cell, metric, stat in {mean, min, max}), named after the sweep metric
-/// and labeled with the sweep name, the cell's axis labels, and the stat.
-void metrics_from_summary(obs::MetricsRegistry& registry,
-                          const SweepSummary& summary);
 
 /// Writes `<dir>/<name>.csv` as "time_s,value" rows (the old per-bench
 /// `maybe_export_csv` glue, deduplicated here). Returns false (after a

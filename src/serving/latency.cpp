@@ -140,16 +140,6 @@ bool LatencyHistogram::operator==(const LatencyHistogram& other) const noexcept 
          sum_ == other.sum_ && max_ == other.max_;
 }
 
-std::vector<double> LatencyHistogram::prometheus_bounds() {
-  std::vector<double> bounds;
-  bounds.reserve(1 + kBuckets);
-  bounds.push_back(kMinSeconds);  // closes the underflow bucket
-  for (std::size_t i = 0; i < kBuckets; ++i) {
-    bounds.push_back(bucket_lower_edge(i + 1));
-  }
-  return bounds;
-}
-
 std::vector<std::size_t> LatencyHistogram::bucket_counts() const {
   return {counts_.begin(), counts_.end()};
 }
@@ -177,38 +167,6 @@ void LatencyTracker::end_tick() noexcept {
 
 double LatencyTracker::window_p99() const noexcept {
   return window_.count() > 0 ? window_.quantile(0.99) : last_window_p99_;
-}
-
-void LatencyTracker::export_metrics(obs::MetricsRegistry& registry,
-                                    const std::string& prefix) const {
-  registry.gauge(prefix + "p50_ms").set(p50() * 1e3);
-  registry.gauge(prefix + "p95_ms").set(p95() * 1e3);
-  registry.gauge(prefix + "p99_ms").set(p99() * 1e3);
-  registry.gauge(prefix + "p999_ms").set(p999() * 1e3);
-  registry.gauge(prefix + "mean_ms").set(total_.mean_seconds() * 1e3);
-  registry.gauge(prefix + "max_ms").set(total_.max_seconds() * 1e3);
-  obs::Counter& requests = registry.counter(prefix + "requests_total");
-  requests.inc(static_cast<double>(total_.count()) - requests.value());
-
-  // The full distribution as a registry histogram, so the Prometheus
-  // snapshot exposes every bucket count (not just the quantile gauges).
-  // Export is idempotent: only the delta against what the registry already
-  // holds is imported, each bucket's samples entering at its upper bound
-  // (sum is therefore an upper estimate; the exact sum stays in the
-  // `mean_ms` gauge and `requests_total`).
-  const std::vector<double> bounds = LatencyHistogram::prometheus_bounds();
-  obs::Histogram& histogram =
-      registry.histogram(prefix + "seconds", bounds);
-  const std::vector<std::size_t> have = histogram.cumulative_counts();
-  const std::vector<std::size_t> want = total_.bucket_counts();
-  for (std::size_t i = 0; i < want.size(); ++i) {
-    const std::size_t have_bucket =
-        i == 0 ? have[0] : have[i] - have[i - 1];
-    if (want[i] <= have_bucket) continue;
-    const double representative =
-        i < bounds.size() ? bounds[i] : 2.0 * LatencyHistogram::kMaxSeconds;
-    histogram.observe_n(representative, want[i] - have_bucket);
-  }
 }
 
 }  // namespace dcs::serving

@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <cmath>
 #include <functional>
-#include <limits>
 
 #include "util/check.h"
 
@@ -61,28 +60,26 @@ void RoundRobinPlacement::place(std::span<const ServerLoad> servers,
   cursor_ = (start + extra) % n;
 }
 
-ShortestQueuePlacement::ShortestQueuePlacement(std::size_t servers) {
+JoinShortestQueuePlacement::JoinShortestQueuePlacement(std::size_t servers) {
   candidates_.reserve(servers);
   sorted_backlogs_.reserve(servers);
   heads_.reserve(servers);
 }
 
-void ShortestQueuePlacement::place(std::span<const ServerLoad> servers,
-                                   std::size_t admitted,
-                                   std::span<std::size_t> counts) {
+void JoinShortestQueuePlacement::place(std::span<const ServerLoad> servers,
+                                       std::size_t admitted,
+                                       std::span<std::size_t> counts) {
   std::fill(counts.begin(), counts.end(), std::size_t{0});
-  candidates_.clear();
-  select(servers, candidates_);
   if (admitted == 0) return;
   // A NaN queue length compares false both ways and +inf loses to every
-  // finite one: a NaN first candidate, or one without a finite rival,
-  // keeps every request, and otherwise only finite backlogs win picks.
-  const std::size_t first = candidates_.front();
-  std::erase_if(candidates_, [&](std::size_t i) {
-    return !std::isfinite(servers[i].backlog);
-  });
-  if (std::isnan(servers[first].backlog) || candidates_.empty()) {
-    counts[first] = admitted;
+  // finite one: server 0 keeps every request when its backlog is NaN or
+  // no backlog is finite, and otherwise only finite backlogs win picks.
+  candidates_.clear();
+  for (std::size_t i = 0; i < servers.size(); ++i) {
+    if (std::isfinite(servers[i].backlog)) candidates_.push_back(i);
+  }
+  if (std::isnan(servers[0].backlog) || candidates_.empty()) {
+    counts[0] = admitted;
     return;
   }
 
@@ -137,40 +134,13 @@ void ShortestQueuePlacement::place(std::span<const ServerLoad> servers,
   }
 }
 
-void JoinShortestQueuePlacement::select(
-    std::span<const ServerLoad> servers,
-    std::vector<std::size_t>& candidates) const {
-  for (std::size_t i = 0; i < servers.size(); ++i) candidates.push_back(i);
-}
-
-void ThermalAwarePlacement::select(std::span<const ServerLoad> servers,
-                                   std::vector<std::size_t>& candidates) const {
-  // Heat holds for the whole period, so every pick goes to a server at the
-  // minimum heat. A NaN heat compares false both ways: on server 0 it keeps
-  // every pick there, elsewhere it never wins one.
-  if (std::isnan(servers[0].heat)) {
-    candidates.push_back(0);
-    return;
-  }
-  double coolest = std::numeric_limits<double>::infinity();
-  for (const ServerLoad& server : servers) {
-    coolest = std::min(coolest, server.heat);
-  }
-  for (std::size_t i = 0; i < servers.size(); ++i) {
-    if (servers[i].heat == coolest) candidates.push_back(i);
-  }
-}
-
 std::unique_ptr<PlacementPolicy> make_placement(std::string_view name,
                                                 std::size_t servers) {
   if (name == "round_robin") return std::make_unique<RoundRobinPlacement>();
   if (name == "jsq") {
     return std::make_unique<JoinShortestQueuePlacement>(servers);
   }
-  if (name == "thermal") {
-    return std::make_unique<ThermalAwarePlacement>(servers);
-  }
-  DCS_REQUIRE(false, "unknown placement (want round_robin, jsq or thermal)");
+  DCS_REQUIRE(false, "unknown placement (want round_robin or jsq)");
   return nullptr;
 }
 

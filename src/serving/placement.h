@@ -3,23 +3,19 @@
 // Mirrors the job-queue + pluggable-scheduler shape of geedo0's
 // miniproject3 (ROADMAP exemplar): each control period the serving layer
 // asks the policy how many of the period's admitted requests each server
-// receives, given every server's queue backlog and a thermal proxy. The
-// counts are those of a request-by-request placement, where each request
-// goes to the server the policy's rule picks at that moment:
+// receives, given every server's queue backlog. The counts are those of a
+// request-by-request placement, where each request goes to the server the
+// policy's rule picks at that moment:
 //   round_robin - rotate through the servers;
 //   jsq         - join the shortest queue (backlog + requests already
-//                 placed this period), ties to the lowest index;
-//   thermal     - coolest server first (the exemplar's
-//                 LowTemperatureFirstSchedulingAlgorithm, reproduced as a
-//                 sprint-placement strategy), queue length as tiebreak.
+//                 placed this period), ties to the lowest index.
 //
 // A period is placed in closed form. Round-robin is an even split with the
 // remainder placed from the cursor. JSQ fills a water level over the
 // backlogs: every (queue length, server) pair below the level is a prefix
 // of the request-by-request pick order, so it is taken in bulk, and the
-// last few picks follow the rule itself. Heat holds for the whole period,
-// so thermal is JSQ among the servers tied at the minimum heat. A period
-// costs O(servers log servers), whatever the number of requests.
+// last few picks follow the rule itself. A period costs
+// O(servers log servers), whatever the number of requests.
 //
 // Policies are deterministic pure functions of the server view plus their
 // own cursor state, so placement never perturbs the sweep bit-identity
@@ -39,8 +35,6 @@ namespace dcs::serving {
 struct ServerLoad {
   /// Requests queued at the server (fluid backlog), in requests.
   double backlog = 0.0;
-  /// Thermal proxy in [0, ~2]: utilization smoothed over heat_tau_s.
-  double heat = 0.0;
 };
 
 class PlacementPolicy {
@@ -71,56 +65,28 @@ class RoundRobinPlacement final : public PlacementPolicy {
   std::size_t cursor_ = 0;
 };
 
-/// Join the shortest queue among the candidate servers a subclass selects.
-/// Scratch is sized for `servers` at construction, so placing allocates
-/// nothing.
-class ShortestQueuePlacement : public PlacementPolicy {
+/// Join the shortest queue. Scratch is sized for `servers` at
+/// construction, so placing allocates nothing.
+class JoinShortestQueuePlacement final : public PlacementPolicy {
  public:
-  explicit ShortestQueuePlacement(std::size_t servers);
+  explicit JoinShortestQueuePlacement(std::size_t servers);
 
   void place(std::span<const ServerLoad> servers, std::size_t admitted,
-             std::span<std::size_t> counts) final;
-
- protected:
-  /// Fills `candidates` (cleared, capacity for every server) with the
-  /// servers that may receive requests this period, in index order.
-  virtual void select(std::span<const ServerLoad> servers,
-                      std::vector<std::size_t>& candidates) const = 0;
+             std::span<std::size_t> counts) override;
+  [[nodiscard]] std::string_view name() const noexcept override {
+    return "jsq";
+  }
 
  private:
+  /// The servers with a finite backlog, in index order.
   std::vector<std::size_t> candidates_;
   std::vector<double> sorted_backlogs_;
   /// Min-heap of (queue length, server) for the picks after the bulk.
   std::vector<std::pair<double, std::size_t>> heads_;
 };
 
-class JoinShortestQueuePlacement final : public ShortestQueuePlacement {
- public:
-  using ShortestQueuePlacement::ShortestQueuePlacement;
-  [[nodiscard]] std::string_view name() const noexcept override {
-    return "jsq";
-  }
-
- protected:
-  void select(std::span<const ServerLoad> servers,
-              std::vector<std::size_t>& candidates) const override;
-};
-
-class ThermalAwarePlacement final : public ShortestQueuePlacement {
- public:
-  using ShortestQueuePlacement::ShortestQueuePlacement;
-  [[nodiscard]] std::string_view name() const noexcept override {
-    return "thermal";
-  }
-
- protected:
-  void select(std::span<const ServerLoad> servers,
-              std::vector<std::size_t>& candidates) const override;
-};
-
-/// Factory over the bench `placement=` knob: "round_robin" | "jsq" |
-/// "thermal", with scratch for `servers` servers. Aborts on an unknown
-/// name.
+/// Factory over the bench `placement=` knob: "round_robin" | "jsq", with
+/// scratch for `servers` servers. Aborts on an unknown name.
 [[nodiscard]] std::unique_ptr<PlacementPolicy> make_placement(
     std::string_view name, std::size_t servers);
 

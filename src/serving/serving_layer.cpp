@@ -30,7 +30,6 @@ ServingLayer::ServingLayer(ServingParams params)
       base_(Rng(params_.seed).fork(0x5e72f1ceULL)) {
   DCS_REQUIRE(params_.servers > 0, "need at least one server");
   DCS_REQUIRE(params_.admit_factor > 0.0, "admit_factor must be positive");
-  DCS_REQUIRE(params_.heat_tau_s > 0.0, "heat_tau_s must be positive");
   DCS_REQUIRE(params_.demand != nullptr && !params_.demand->empty(),
               "serving layer needs a demand trace");
   queues_.reserve(params_.servers);
@@ -98,18 +97,6 @@ void ServingLayer::tick(Duration now, Duration dt) {
     Rng server_rng = tick_rng.fork(s);
     queues_[s]->step(per_server_[s], mu, dt, server_rng, tracker_);
     loads_[s].backlog = queues_[s]->backlog();
-    // Thermal proxy: utilization (arrival pressure against the server's
-    // share of capacity) smoothed over heat_tau_s; saturates during
-    // overload so thermal-aware placement steers around hot servers.
-    const double lambda_s = static_cast<double>(per_server_[s]) / dt.sec();
-    const double utilization =
-        mu > 0.0 ? std::min(lambda_s / mu + (queues_[s]->backlog() > 0.0
-                                                 ? 1.0
-                                                 : 0.0),
-                            2.0)
-                 : 2.0;
-    const double alpha = std::min(dt.sec() / params_.heat_tau_s, 1.0);
-    loads_[s].heat += (utilization - loads_[s].heat) * alpha;
   }
   tracker_.end_tick();
 
@@ -186,24 +173,6 @@ void ServingLayer::tick(Duration now, Duration dt) {
   }
   if (slo_callback_) slo_callback_(stats);
   ++tick_index_;
-}
-
-void ServingLayer::export_metrics(obs::MetricsRegistry& registry) const {
-  tracker_.export_metrics(registry, "serving_");
-  obs::Counter& offered = registry.counter("serving_offered_total");
-  offered.inc(static_cast<double>(offered_total_) - offered.value());
-  obs::Counter& dropped = registry.counter("serving_dropped_total");
-  dropped.inc(static_cast<double>(dropped_total_) - dropped.value());
-  registry.gauge("serving_drop_fraction").set(drop_fraction());
-  registry.gauge("serving_backlog").set(backlog_total());
-  if (budget_) {
-    registry.gauge("slo_budget_remaining").set(budget_->remaining());
-    registry.gauge("slo_burn_fast").set(budget_->burn_fast());
-    registry.gauge("slo_burn_slow").set(budget_->burn_slow());
-    obs::Counter& violations = registry.counter("slo_budget_violations_total");
-    violations.inc(static_cast<double>(budget_->violations()) -
-                   violations.value());
-  }
 }
 
 }  // namespace dcs::serving

@@ -33,7 +33,6 @@
 #include <vector>
 
 #include "obs/decision.h"
-#include "obs/metrics.h"
 #include "serving/error_budget.h"
 #include "serving/latency.h"
 #include "serving/placement.h"
@@ -58,16 +57,13 @@ struct ServingParams {
   /// Queue model name: "mg1" | "ps" (serving/queue_model.h).
   std::string queue_model = "mg1";
   QueueModelParams queue;
-  /// Placement policy name: "round_robin" | "jsq" | "thermal".
+  /// Placement policy name: "round_robin" | "jsq".
   std::string placement = "round_robin";
   /// Admission cap as a multiple of current capacity: arrivals beyond
   /// admit_factor x degree x peak_rps x dt are dropped.
   double admit_factor = 2.0;
   /// Control periods per sliding SLO window (the p99 signal's horizon).
   std::size_t window_ticks = 10;
-  /// Time constant of the per-server thermal proxy fed to thermal-aware
-  /// placement.
-  double heat_tau_s = 30.0;
   /// Demand trace driving the arrivals; must outlive the layer. Same
   /// normalized trace the controller runs.
   const TimeSeries* demand = nullptr;
@@ -134,9 +130,6 @@ class ServingLayer final : public sim::Component {
   }
   [[nodiscard]] double drop_fraction() const noexcept;
   [[nodiscard]] double backlog_total() const noexcept;
-
-  /// Latency gauges (serving_ prefix) plus offered/dropped counters.
-  void export_metrics(obs::MetricsRegistry& registry) const;
 
  private:
   ServingParams params_;

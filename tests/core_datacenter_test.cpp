@@ -11,7 +11,6 @@
 
 #include "faults/fault.h"
 #include "faults/schedule.h"
-#include "obs/metrics.h"
 #include "obs/trace.h"
 #include "sim/component.h"
 #include "workload/ms_trace.h"
@@ -171,17 +170,17 @@ TEST(DataCenter, RecorderEmptyWithoutOptIn) {
 
 /// Ticks whose value differs from the tick before, the first against 0
 /// (SprintPhase::kNormal and DegradationLevel::kNominal).
-double changes_from_zero(const TimeSeries& series) {
-  double count = 0.0;
+std::size_t changes_from_zero(const TimeSeries& series) {
+  std::size_t count = 0;
   double prev = 0.0;
   for (const Sample& s : series.samples()) {
-    count += s.value != prev ? 1.0 : 0.0;
+    count += s.value != prev ? 1 : 0;
     prev = s.value;
   }
   return count;
 }
 
-TEST(DataCenter, RunMetricsMatchTheRun) {
+TEST(DataCenter, RecordedRunWatermarksMatchItsChannels) {
   // A faulted burst: the chiller loses 40% for four minutes, and a noisy
   // demand sensor stays on past the end of the run.
   workload::YahooTraceParams p;
@@ -199,60 +198,30 @@ TEST(DataCenter, RunMetricsMatchTheRun) {
   GreedyStrategy greedy;
   const RunResult r =
       dc.run(trace, &greedy, {.record = true, .faults = &schedule});
-  obs::MetricsRegistry registry;
-  dc.export_metrics(r, registry);
 
   const sim::Recorder& rec = r.recorder;
   const auto last = [&](const char* channel) {
     return rec.series(channel).samples().back().value;
   };
-  const TimeSeries degree = rec.series("degree");
-  ASSERT_EQ(degree.size(), 1800u);
-  EXPECT_EQ(registry.counter("ticks_total").value(), 1800.0);
-  const obs::Histogram& histogram = registry.histogram(
-      "sprint_degree", {1.0, 1.5, 2.0, 2.5, 3.0, 3.5, 4.0});
-  EXPECT_EQ(histogram.count(), degree.size());
-  double degree_sum = 0.0;
-  for (const Sample& s : degree.samples()) degree_sum += s.value;
-  EXPECT_EQ(histogram.sum(), degree_sum);
+  ASSERT_EQ(rec.series("degree").size(), 1800u);
 
-  // Last-tick gauges and their watermarks.
-  EXPECT_EQ(registry.gauge("ups_soc").value(), last("ups_soc"));
-  EXPECT_EQ(registry.gauge("ups_soc_min").value(), r.min_ups_soc);
+  // The run's watermarks are its channels' minima, below where they end.
   EXPECT_EQ(r.min_ups_soc, rec.series("ups_soc").min_value());
   EXPECT_GT(r.min_ups_soc, 0.0);
   EXPECT_LT(r.min_ups_soc, last("ups_soc"));
-  EXPECT_EQ(registry.gauge("tes_soc").value(), last("tes_soc"));
-  EXPECT_EQ(registry.gauge("tes_soc_min").value(), r.min_tes_soc);
   EXPECT_EQ(r.min_tes_soc, rec.series("tes_soc").min_value());
   EXPECT_GT(r.min_tes_soc, 0.0);
-  EXPECT_LT(r.min_tes_soc, 1.0);
-  const TimeSeries margin = rec.series("cb_trip_margin_s");
-  EXPECT_EQ(registry.gauge("cb_trip_margin_s").value(),
-            last("cb_trip_margin_s"));
-  EXPECT_EQ(registry.gauge("cb_trip_margin_s_min").value(), margin.min_value());
-  EXPECT_GT(margin.min_value(), 0.0);
-  EXPECT_LT(margin.min_value(), 3600.0);  // the burst overloads the breaker
-  EXPECT_EQ(registry.gauge("faults_active").value(), last("faults_active"));
+  EXPECT_LT(r.min_tes_soc, last("tes_soc"));
+  const double margin_min = rec.series("cb_trip_margin_s").min_value();
+  EXPECT_GT(margin_min, 0.0);
+  EXPECT_LT(margin_min, 3600.0);  // the burst overloads the breaker
   EXPECT_EQ(last("faults_active"), 1.0);
-  EXPECT_EQ(registry.gauge("room_rise_c_max").value(),
-            (r.peak_room_temperature - config.room_params().setpoint).c());
-  EXPECT_GT(registry.gauge("room_rise_c_max").value(), 0.0);
+  EXPECT_GT(
+      (r.peak_room_temperature - config.room_params().setpoint).c(), 0.0);
 
-  // Transition counters: one per change in the recorded channel.
-  const double phase_changes = changes_from_zero(rec.series("phase"));
-  const double ladder_changes = changes_from_zero(rec.series("degradation"));
-  EXPECT_GT(phase_changes, 0.0);
-  EXPECT_GT(ladder_changes, 0.0);
-  EXPECT_EQ(registry.counter("phase_transitions_total").value(), phase_changes);
-  EXPECT_EQ(registry.counter("degradation_steps_total").value(),
-            ladder_changes);
-  EXPECT_EQ(registry.counter("watchdog_violations_total").value(),
-            static_cast<double>(r.watchdog.violations));
-
-  // Metrics need the recorded channels.
-  const RunResult unrecorded = dc.run(trace, &greedy, {.faults = &schedule});
-  EXPECT_THROW(dc.export_metrics(unrecorded, registry), std::invalid_argument);
+  // The controller moved through its phases and down the ladder.
+  EXPECT_GT(changes_from_zero(rec.series("phase")), 0u);
+  EXPECT_GT(changes_from_zero(rec.series("degradation")), 0u);
 }
 
 /// One tick seen by a component or the on_step hook.

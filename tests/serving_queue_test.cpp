@@ -23,7 +23,6 @@
 
 #include "exp/runner.h"
 #include "exp/sweep.h"
-#include "obs/metrics.h"
 #include "serving/latency.h"
 #include "serving/placement.h"
 #include "serving/queue_model.h"
@@ -168,14 +167,6 @@ TEST(ServingTracker, WindowP99FallsBackToLastCompletedWindow) {
   // An empty current window keeps reporting the last completed one.
   tracker.end_tick();
   EXPECT_DOUBLE_EQ(tracker.window_p99(), snapshot);
-
-  obs::MetricsRegistry registry;
-  tracker.export_metrics(registry, "serving_");
-  EXPECT_DOUBLE_EQ(registry.counter("serving_requests_total").value(), 2.0);
-  EXPECT_GT(registry.gauge("serving_p99_ms").value(), 0.0);
-  // Re-export must not double-count the counter.
-  tracker.export_metrics(registry, "serving_");
-  EXPECT_DOUBLE_EQ(registry.counter("serving_requests_total").value(), 2.0);
 }
 
 /// Drives a queue with a deterministic `arrivals` per tick for `ticks`
@@ -291,21 +282,18 @@ TEST(ServingPlacement, PoliciesPickDeterministically) {
   EXPECT_EQ(pick(rr, three), 0u);
 
   JoinShortestQueuePlacement jsq(3);
-  EXPECT_EQ(pick(jsq, {{2.0, 0}, {0.0, 0}, {1.0, 0}}), 1u);
-  EXPECT_EQ(pick(jsq, {{1.0, 0}, {1.0, 0}}), 0u);  // tie: lowest
+  EXPECT_EQ(pick(jsq, {{2.0}, {0.0}, {1.0}}), 1u);
+  EXPECT_EQ(pick(jsq, {{1.0}, {1.0}}), 0u);  // tie: lowest
   // Requests placed earlier in the period count toward the queue: the
   // second request sees 1 at server 0 against 0.5 at server 1.
   std::vector<std::size_t> counts(2);
-  jsq.place(std::vector<ServerLoad>{{0.0, 0}, {0.5, 0}}, 2, counts);
+  jsq.place(std::vector<ServerLoad>{{0.0}, {0.5}}, 2, counts);
   EXPECT_EQ(counts, (std::vector<std::size_t>{1, 1}));
 
-  ThermalAwarePlacement thermal(2);
-  EXPECT_EQ(pick(thermal, {{0.0, 0.5}, {9.0, 0.1}}), 1u);
-  // Equal heat: fall back to the shorter queue.
-  EXPECT_EQ(pick(thermal, {{5.0, 0.1}, {1.0, 0.1}}), 1u);
-
+  EXPECT_EQ(make_placement("round_robin", 1)->name(), "round_robin");
+  EXPECT_EQ(make_placement("jsq", 1)->name(), "jsq");
   EXPECT_THROW((void)make_placement("random", 1), std::invalid_argument);
-  EXPECT_EQ(make_placement("thermal", 1)->name(), "thermal");
+  EXPECT_THROW((void)make_placement("thermal", 1), std::invalid_argument);
 }
 
 // ---------------------------------------------------------------------------
@@ -477,12 +465,8 @@ struct OraclePlacement {
         best = cursor % servers.size();
         cursor = (cursor + 1) % servers.size();
       } else {
-        const bool thermal = policy == "thermal";
         for (std::size_t i = 1; i < servers.size(); ++i) {
-          const bool cooler = thermal && servers[i].heat < servers[best].heat;
-          const bool as_cool =
-              !thermal || servers[i].heat == servers[best].heat;
-          if (cooler || (as_cool && length(i) < length(best))) best = i;
+          if (length(i) < length(best)) best = i;
         }
       }
       ++counts[best];
@@ -491,7 +475,7 @@ struct OraclePlacement {
   }
 };
 
-/// Seeded server views: `kind` picks the backlog and heat pattern.
+/// Seeded server views: `kind` picks the backlog pattern.
 std::vector<ServerLoad> random_loads(const std::string& kind,
                                      std::size_t servers, Rng& rng) {
   const double inf = std::numeric_limits<double>::infinity();
@@ -502,39 +486,35 @@ std::vector<ServerLoad> random_loads(const std::string& kind,
     };
     if (kind == "zero") continue;
     if (kind == "tied") {
-      load = {pick({0.0, 1.0, 2.0, 2.5}), pick({0.5, 1.0})};
+      load = {pick({0.0, 1.0, 2.0, 2.5})};
     } else if (kind == "fractional") {
-      load = {rng.uniform() < 0.25 ? 0.0 : rng.uniform(0.0, 40.0),
-              pick({0.5, 1.0, 1.5})};
+      load = {rng.uniform() < 0.25 ? 0.0 : rng.uniform(0.0, 40.0)};
     } else if (kind == "spread") {
-      load = {std::exp(rng.uniform(0.0, 14.0)) - 1.0, rng.uniform(0.0, 2.0)};
+      load = {std::exp(rng.uniform(0.0, 14.0)) - 1.0};
     } else if (kind == "huge") {
       const double base = std::ldexp(1.0, 40);
       load = {pick({base, base + rng.uniform(0.0, 64.0),
-                    std::ldexp(1.0, 41) - 0.5, std::ldexp(1.0, 47) + 0.25}),
-              rng.uniform(0.0, 2.0)};
+                    std::ldexp(1.0, 41) - 0.5, std::ldexp(1.0, 47) + 0.25})};
     } else if (kind == "level") {
       // Servers a few requests apart at 2^49: at 512 servers the water
       // level's rounding costs more than a request per server, the bulk
       // would overshoot and the rule places every request.
       const double quarters = std::floor(rng.uniform(0.0, 128.0));
-      load = {std::ldexp(1.0, 49) + quarters / 4.0, 1.0};
+      load = {std::ldexp(1.0, 49) + quarters / 4.0};
     } else if (kind == "enormous") {
       // From 2^53 up, adding a request can round the queue length back
       // down: lengths plateau and ties pile up.
       load = {pick({std::ldexp(1.0, 53) + 2.0, std::ldexp(1.0, 60),
-                    std::ldexp(1.0, 60) + 256.0, std::ldexp(1.0, 61)}),
-              pick({0.5, 1.0})};
+                    std::ldexp(1.0, 60) + 256.0, std::ldexp(1.0, 61)})};
     } else if (kind == "nonfinite") {
-      load = {pick({std::nan(""), inf, 0.0, 3.5, rng.uniform(0.0, 10.0)}),
-              rng.uniform() < 0.1 ? std::nan("") : pick({0.5, 1.0})};
+      load = {pick({std::nan(""), inf, 0.0, 3.5, rng.uniform(0.0, 10.0)})};
     }
   }
   return loads;
 }
 
 TEST(ServingOracle, PlacementMatchesPerRequestPicks) {
-  for (const char* policy : {"round_robin", "jsq", "thermal"}) {
+  for (const char* policy : {"round_robin", "jsq"}) {
     for (const std::size_t servers : {1u, 3u, 8u, 512u}) {
       for (const char* kind : {"zero", "tied", "fractional", "spread", "huge",
                                "level", "enormous", "nonfinite"}) {
@@ -627,12 +607,6 @@ TEST(ServingLayer, AdmissionDropsBeyondCapacityHeadroom) {
   const ServingLayer queued = run_layer(trace, loose, 1.0);
   EXPECT_LT(queued.drop_fraction(), capped.drop_fraction());
   EXPECT_GE(queued.latency().p99(), capped.latency().p99());
-
-  obs::MetricsRegistry registry;
-  capped.export_metrics(registry);
-  EXPECT_DOUBLE_EQ(registry.counter("serving_offered_total").value(),
-                   static_cast<double>(capped.offered_total()));
-  EXPECT_GT(registry.gauge("serving_drop_fraction").value(), 0.0);
 }
 
 TEST(ServingLayer, MoreCapacityMeansLowerTail) {
@@ -648,7 +622,7 @@ TEST(ServingLayer, MoreCapacityMeansLowerTail) {
 TEST(ServingLayer, HistogramsAreBitIdenticalAcrossRuns) {
   const TimeSeries trace = burst_trace();
   for (const char* model : {"mg1", "ps"}) {
-    for (const char* placement : {"round_robin", "jsq", "thermal"}) {
+    for (const char* placement : {"round_robin", "jsq"}) {
       ServingParams params;
       params.queue_model = model;
       params.placement = placement;
@@ -667,7 +641,7 @@ TEST(ServingLayer, TickAllocatesNothing) {
   // and shed (degree 0) periods allocates nothing, whatever the policy.
   const TimeSeries trace = burst_trace();
   for (const char* model : {"mg1", "ps"}) {
-    for (const char* placement : {"round_robin", "jsq", "thermal"}) {
+    for (const char* placement : {"round_robin", "jsq"}) {
       for (const std::size_t servers : {1u, 8u, 512u}) {
         ServingParams params;
         params.demand = &trace;
