@@ -15,7 +15,8 @@
 //    stretches it to T = S / (1 - rho) — PS is insensitive to the size
 //    distribution beyond its mean, so its mean response matches M/M/1.
 //    The mean (M/G/1) or stretch (PS) is worked out once per step; each
-//    request then costs one exponential draw and one histogram slot.
+//    request then costs one exponential draw (a ziggurat step, one 64-bit
+//    draw and no log for about 98% of requests) and one histogram slot.
 //  - Fluid overload (backlog pending or rho >= rho_max): deterministic
 //    FIFO fluid dynamics — request i waits for the backlog plus the i
 //    requests ahead of it at rate mu, and the backlog integrates

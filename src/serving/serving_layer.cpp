@@ -81,8 +81,14 @@ void ServingLayer::tick(Duration now, Duration dt) {
   // an unbounded backlog.
   const double capacity_rps = degree_ * params_.peak_rps;
   const double cap = params_.admit_factor * capacity_rps * dt.sec();
-  const auto admitted = std::min(
-      offered, static_cast<std::size_t>(std::max(std::floor(cap), 0.0)));
+  // Compared in double, so only a cap below the offered count is cast: a
+  // cap at or above it (infinite too) admits everything, a NaN one nothing.
+  std::size_t admitted = 0;
+  if (cap >= static_cast<double>(offered)) {
+    admitted = offered;
+  } else if (cap >= 1.0) {
+    admitted = static_cast<std::size_t>(cap);
+  }
   offered_total_ += offered;
   dropped_total_ += offered - admitted;
 

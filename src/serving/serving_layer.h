@@ -11,10 +11,11 @@
 // the controller through set_capacity_degree), and (5) folds the response
 // times into a LatencyTracker whose sliding-window p99 feeds the SLO
 // callback (wired to core::SloSprintStrategy::observe_latency by the
-// bench/test layer — core never links against serving). Placement costs
-// O(servers log servers) a period and a fluid-overload run O(log arrivals)
-// per latency bucket; only the Poisson arrival draw and stationary
-// response draws grow with the request rate. Scratch is sized at
+// bench/test layer — core never links against serving). The Poisson
+// arrival draw costs the same at any rate, placement O(servers log
+// servers) a period and a fluid-overload run O(log arrivals) per latency
+// bucket; only the stationary response draws grow with the request rate,
+// at one ziggurat exponential per request. Scratch is sized at
 // construction, so tick() allocates nothing (bar the decision log's own
 // storage, and the recorder's columns, reserved once on the first recorded
 // tick).
@@ -51,7 +52,7 @@ struct ServingParams {
   /// invariance (core/datacenter.h) means this is a modeling knob, not a
   /// hardware count.
   std::size_t servers = 8;
-  /// Request rate at demand 1.0.
+  /// Request rate at demand 1.0; positive and finite.
   double peak_rps = 400.0;
   std::uint64_t seed = 0x5e91ce5eedULL;
   /// Queue model name: "mg1" | "ps" (serving/queue_model.h).

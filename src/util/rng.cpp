@@ -1,6 +1,8 @@
 #include "util/rng.h"
 
+#include <array>
 #include <cmath>
+#include <cstddef>
 #include <numbers>
 
 namespace dcs {
@@ -15,8 +17,38 @@ std::uint64_t splitmix64(std::uint64_t& x) noexcept {
   return z ^ (z >> 31);
 }
 
-std::uint64_t rotl(std::uint64_t x, int k) noexcept {
-  return (x << k) | (x >> (64 - k));
+/// The 256-layer ziggurat under the Exp(1) density e^-x (Marsaglia & Tsang
+/// 2000). Every layer has area (r + 1) e^-r. Layer i >= 1 is the rectangle
+/// [0, x[i]] x [f[i], f[i + 1]], with f[i] = e^-x[i]; the part left of
+/// x[i + 1] lies under the density. The base layer 0 is [0, r] x [0, e^-r]
+/// plus the tail beyond r, stretched to width x[0] = r + 1 so a uniform
+/// abscissa lands past r with the tail's share. x[256] = 0 tops it off.
+struct ExpZiggurat {
+  static constexpr std::size_t kLayers = 256;
+  /// Where the tail begins: the r for which the layers close at x = 0.
+  static constexpr double kTailStart = 7.69711747013104972;
+  std::array<double, kLayers + 1> x;
+  std::array<double, kLayers + 1> f;
+};
+
+/// Built on first use, with no heap allocation.
+const ExpZiggurat& exp_ziggurat() noexcept {
+  static const ExpZiggurat table = [] {
+    constexpr double r = ExpZiggurat::kTailStart;
+    const double area = (r + 1.0) * std::exp(-r);
+    ExpZiggurat z{};
+    z.x[0] = r + 1.0;
+    z.x[1] = r;
+    z.f[1] = std::exp(-r);
+    for (std::size_t i = 2; i < ExpZiggurat::kLayers; ++i) {
+      z.x[i] = -std::log(area / z.x[i - 1] + z.f[i - 1]);
+      z.f[i] = std::exp(-z.x[i]);
+    }
+    z.x[ExpZiggurat::kLayers] = 0.0;
+    z.f[ExpZiggurat::kLayers] = 1.0;
+    return z;
+  }();
+  return table;
 }
 
 }  // namespace
@@ -24,23 +56,6 @@ std::uint64_t rotl(std::uint64_t x, int k) noexcept {
 Rng::Rng(std::uint64_t seed) noexcept {
   std::uint64_t sm = seed;
   for (auto& s : s_) s = splitmix64(sm);
-}
-
-std::uint64_t Rng::next_u64() noexcept {
-  // xoshiro256**
-  const std::uint64_t result = rotl(s_[1] * 5, 7) * 9;
-  const std::uint64_t t = s_[1] << 17;
-  s_[2] ^= s_[0];
-  s_[3] ^= s_[1];
-  s_[1] ^= s_[2];
-  s_[0] ^= s_[3];
-  s_[2] ^= t;
-  s_[3] = rotl(s_[3], 45);
-  return result;
-}
-
-double Rng::uniform() noexcept {
-  return static_cast<double>(next_u64() >> 11) * 0x1.0p-53;
 }
 
 double Rng::uniform(double lo, double hi) noexcept {
@@ -77,9 +92,23 @@ std::uint64_t Rng::fork_seed(std::uint64_t stream_id) const noexcept {
 }
 
 double Rng::exponential(double rate) noexcept {
-  double u = uniform();
-  while (u <= 0.0) u = uniform();
-  return -std::log(u) / rate;
+  const ExpZiggurat& z = exp_ziggurat();
+  for (;;) {
+    const std::uint64_t bits = next_u64();
+    const std::size_t layer = bits & (ExpZiggurat::kLayers - 1);
+    const double x =
+        static_cast<double>(bits >> 11) * 0x1.0p-53 * z.x[layer];
+    if (x < z.x[layer + 1]) return x / rate;
+    if (layer == 0) {
+      // The tail is memoryless: r plus an Exp(1) draw, by inversion of a
+      // uniform in (0, 1].
+      return (ExpZiggurat::kTailStart - std::log(1.0 - uniform())) / rate;
+    }
+    // The wedge: accept if a uniform height in the layer falls under e^-x.
+    const double y =
+        z.f[layer] + (z.f[layer + 1] - z.f[layer]) * uniform();
+    if (y < std::exp(-x)) return x / rate;
+  }
 }
 
 }  // namespace dcs

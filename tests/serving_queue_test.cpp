@@ -27,6 +27,7 @@
 #include "serving/placement.h"
 #include "serving/queue_model.h"
 #include "serving/request_source.h"
+#include "sampler_checks.h"
 #include "util/rng.h"
 #include "util/time_series.h"
 
@@ -55,8 +56,8 @@ TEST(ServingPoisson, SamplerMatchesMeanAndVariance) {
   Rng rng(42);
   EXPECT_EQ(poisson_sample(rng, 0.0), 0u);
 
-  // Small mean (single Knuth chunk) and large mean (chunked path, where a
-  // naive exp(-mean) product would underflow to an infinite loop).
+  // Small mean (Knuth's product) and large means (PTRS, where a naive
+  // exp(-mean) product would underflow to an infinite loop).
   for (const double mean : {3.0, 40.0, 400.0}) {
     const std::size_t n = 20000;
     double sum = 0.0, sum_sq = 0.0;
@@ -74,18 +75,73 @@ TEST(ServingPoisson, SamplerMatchesMeanAndVariance) {
   }
 }
 
+/// Consecutive counts of Poisson(mean) merged into bins of at least
+/// `min_mass` each; the last bin runs to infinity.
+struct CountBins {
+  std::vector<std::size_t> first;  ///< each bin's smallest count
+  std::vector<double> mass;
+};
+
+CountBins poisson_bins(double mean, double min_mass) {
+  CountBins bins{{0}, {}};
+  double log_pmf = -mean;  // at k = 0
+  double open = 0.0;       // mass of the bin being filled
+  double closed = 0.0;     // mass of the bins before it
+  for (std::size_t k = 0; 1.0 - closed - open > min_mass; ++k) {
+    open += std::exp(log_pmf);
+    log_pmf += std::log(mean) - std::log(static_cast<double>(k + 1));
+    // Close the bin only if the rest of the tail still fills one.
+    if (open >= min_mass && 1.0 - closed - open >= min_mass) {
+      bins.mass.push_back(open);
+      closed += open;
+      open = 0.0;
+      bins.first.push_back(k + 1);
+    }
+  }
+  bins.mass.push_back(1.0 - closed);
+  return bins;
+}
+
+TEST(ServingPoisson, DrawsFitTheExactPmf) {
+  // Chi-square of 500,000 draws against the exact pmf, in bins of at least
+  // 2% of the mass: Knuth's product below a mean of 10, PTRS from 10 up,
+  // and the range just above 10 where PTRS rejects most often. A wrong
+  // PTRS constant or log-factorial term fails it; mean and variance alone
+  // would not show either. Coarse bins keep the bound tight, so a skew that
+  // spreads over many counts still stands out.
+  constexpr std::size_t n = 500000;
+  for (const double mean : {3.0, 9.5, 10.0, 15.0, 40.0, 400.0, 4000.0}) {
+    const CountBins bins = poisson_bins(mean, 0.02);
+    std::vector<std::size_t> counts(bins.mass.size());
+    Rng rng(0x9015);
+    for (std::size_t i = 0; i < n; ++i) {
+      const std::size_t k = poisson_sample(rng, mean);
+      const auto bin = std::upper_bound(bins.first.begin(), bins.first.end(),
+                                        k) -
+                       bins.first.begin() - 1;
+      ++counts[static_cast<std::size_t>(bin)];
+    }
+    const std::size_t dof = counts.size() - 1;
+    EXPECT_LT(test::chi_square(counts, bins.mass), test::chi_square_bound(dof))
+        << "mean " << mean << ", " << counts.size() << " bins";
+  }
+}
+
 TEST(ServingPoisson, DrawsArePinned) {
   // Golden draws: 10^4 samples at each mean from a fixed seed, summed and
   // FNV-1a hashed in draw order. Any change to the sampler's arithmetic
-  // (chunking, the exp(-mean) limits, the uniform stream) moves them.
+  // (Knuth's exp(-mean) limit, the PTRS constants, the log-factorial, the
+  // uniform stream) moves them.
   struct Golden {
     double mean;
     std::uint64_t sum;
     std::uint64_t hash;
   };
   for (const Golden& g : {Golden{3.0, 30341, 0x8fcdf9c0275bda22ULL},
-                          Golden{40.0, 400949, 0x27465b51cc9298a2ULL},
-                          Golden{400.0, 4002685, 0xac9ccd8d0ade55c6ULL}}) {
+                          Golden{10.0, 99940, 0xadbdac751e6fedd5ULL},
+                          Golden{40.0, 400043, 0xc4d44bda4f23ef9cULL},
+                          Golden{400.0, 4000631, 0x8654d36cf37fbb32ULL},
+                          Golden{4000.0, 40003113, 0xdfbb47cd8c846924ULL}}) {
     Rng rng(20151);
     std::uint64_t sum = 0;
     std::uint64_t hash = 0xcbf29ce484222325ULL;
@@ -97,6 +153,34 @@ TEST(ServingPoisson, DrawsArePinned) {
     EXPECT_EQ(sum, g.sum) << g.mean;
     EXPECT_EQ(hash, g.hash) << g.mean;
   }
+}
+
+TEST(ServingPoisson, DrawCostDoesNotGrowWithTheMean) {
+  // Generator steps a draw consumes, counted by stepping a copy of the
+  // pre-draw Rng until it equals the post-draw one. Knuth's product takes
+  // mean + 1; PTRS about 2.3 at any mean.
+  for (const double mean : {10.0, 400.0, 4000.0, 40000.0}) {
+    Rng rng(0xc057);
+    std::size_t steps = 0;
+    for (int i = 0; i < 1000; ++i) {
+      const Rng before = rng;
+      (void)poisson_sample(rng, mean);
+      steps += test::steps_between(before, rng, std::size_t{1} << 20);
+    }
+    EXPECT_LE(static_cast<double>(steps) / 1000.0, 3.0) << "mean " << mean;
+  }
+}
+
+TEST(ServingPoisson, EveryMeanReturns) {
+  // NaN and non-positive means offer nothing; an infinite one is clamped
+  // to 2^53, so the count fits std::size_t.
+  Rng rng(3);
+  EXPECT_EQ(poisson_sample(rng, std::nan("")), 0u);
+  EXPECT_EQ(poisson_sample(rng, -1.0), 0u);
+  EXPECT_EQ(poisson_sample(rng, 0.0), 0u);
+  const double huge = static_cast<double>(
+      poisson_sample(rng, std::numeric_limits<double>::infinity()));
+  EXPECT_NEAR(huge, 0x1.0p53, 0x1.0p40);
 }
 
 TEST(ServingPoisson, RequestSourceIsAPureFunctionOfSeedAndTick) {
@@ -607,6 +691,25 @@ TEST(ServingLayer, AdmissionDropsBeyondCapacityHeadroom) {
   const ServingLayer queued = run_layer(trace, loose, 1.0);
   EXPECT_LT(queued.drop_fraction(), capped.drop_fraction());
   EXPECT_GE(queued.latency().p99(), capped.latency().p99());
+}
+
+TEST(ServingLayer, NonFiniteRatesAndAdmission) {
+  const TimeSeries trace = burst_trace();
+  const double inf = std::numeric_limits<double>::infinity();
+  // An infinite request rate is rejected like a zero one.
+  for (const double rps : {inf, 0.0, std::nan("")}) {
+    ServingParams params;
+    params.demand = &trace;
+    params.peak_rps = rps;
+    EXPECT_THROW((void)ServingLayer(params), std::invalid_argument) << rps;
+  }
+  // Infinite admission headroom admits every request, through the burst
+  // too; the cap is compared with the offered count before any cast.
+  ServingParams open;
+  open.admit_factor = inf;
+  const ServingLayer admitted = run_layer(trace, open, 1.0);
+  EXPECT_GT(admitted.offered_total(), 0u);
+  EXPECT_EQ(admitted.dropped_total(), 0u);
 }
 
 TEST(ServingLayer, MoreCapacityMeansLowerTail) {

@@ -2,8 +2,15 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <bit>
 #include <cmath>
+#include <cstddef>
+#include <cstdint>
 #include <set>
+#include <vector>
+
+#include "sampler_checks.h"
 
 namespace dcs {
 namespace {
@@ -160,6 +167,68 @@ TEST(Rng, ExponentialMeanIsInverseRate) {
     sum += x;
   }
   EXPECT_NEAR(sum / n, 0.5, 0.02);
+}
+
+TEST(Rng, ExponentialFitsTheExactBucketMasses) {
+  // Chi-square of 2 * 10^6 draws at rate 2 against Exp(2)'s exact masses:
+  // 256 equal-mass buckets below the ziggurat's tail start r = 7.697 / rate
+  // and four beyond it. The draws that take more than one generator step
+  // are the wedge tests and the tail; both must occur at their rate.
+  constexpr double rate = 2.0;
+  constexpr double r = 7.69711747013104972;
+  constexpr std::size_t n = 2'000'000;
+  std::vector<double> edges;  // in units of 1 / rate
+  const double body = -std::expm1(-r);
+  for (int j = 0; j < 256; ++j) {
+    edges.push_back(-std::log1p(-body * j / 256.0));
+  }
+  for (const double past : {0.0, 1.0, 2.0, 4.0}) edges.push_back(r + past);
+  std::vector<double> masses;
+  for (std::size_t i = 0; i < edges.size(); ++i) {
+    const double upper =
+        i + 1 < edges.size() ? std::exp(-edges[i + 1]) : 0.0;
+    masses.push_back(std::exp(-edges[i]) - upper);
+  }
+
+  std::vector<std::size_t> counts(edges.size());
+  std::size_t slow = 0;  // draws that took more than one step
+  std::size_t tail = 0;
+  Rng rng(0xe4a1);
+  for (std::size_t i = 0; i < n; ++i) {
+    const Rng before = rng;
+    const double x = rng.exponential(rate);
+    ASSERT_GE(x, 0.0);
+    slow += test::steps_between(before, rng, 8) > 1;
+    tail += x > r / rate;
+    const auto bucket =
+        std::upper_bound(edges.begin(), edges.end(), x * rate) -
+        edges.begin() - 1;
+    ++counts[static_cast<std::size_t>(bucket)];
+  }
+  EXPECT_LT(test::chi_square(counts, masses),
+            test::chi_square_bound(counts.size() - 1));
+  // About 2.2% of draws miss the quick test (a wedge or the tail) and
+  // e^-r = 0.045% land in the tail.
+  EXPECT_GT(slow, n / 60);
+  EXPECT_LT(slow, n / 30);
+  EXPECT_GT(tail, n / 4000);
+  EXPECT_LT(tail, n / 1500);
+}
+
+TEST(Rng, ExponentialDrawsArePinned) {
+  // 10^4 draws from a fixed seed, summed and FNV-1a hashed by bit pattern
+  // in draw order. Any change to the ziggurat's tables, its bit split or
+  // the uniform stream moves them.
+  Rng rng(20151);
+  double sum = 0.0;
+  std::uint64_t hash = 0xcbf29ce484222325ULL;
+  for (int i = 0; i < 10000; ++i) {
+    const double x = rng.exponential(0.5);
+    sum += x;
+    hash = (hash ^ std::bit_cast<std::uint64_t>(x)) * 0x100000001b3ULL;
+  }
+  EXPECT_EQ(sum, 0x1.3dac2769dc61fp+14);  // 20331.038489764669
+  EXPECT_EQ(hash, 0x7c3eeaf4fcafdcadULL);
 }
 
 }  // namespace
