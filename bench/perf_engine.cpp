@@ -3,8 +3,9 @@
 // one controller step on the MS trace's noisy demand, the fixed cost of a
 // run (plant build, controller construction, one step), a full 30-minute
 // experiment run, the same run with every observability layer on, the
-// serial vs parallel oracle search on the src/exp runner, and the
-// request-level serving layer's ticks over fig12's burst.
+// serial vs parallel oracle search on the src/exp runner, fig09's
+// upper-bound table, and the request-level serving layer's ticks over
+// fig12's burst.
 // The PDU-count arguments show what the paper's 909-PDU facility costs
 // next to a small one.
 //
@@ -194,6 +195,29 @@ BENCHMARK(BM_OracleSearch)
     ->Args({4, 2})
     ->Args({8, 2})
     ->Args({1, 909})
+    ->Unit(benchmark::kMillisecond)
+    ->UseRealTime();
+
+void BM_UpperBoundTable(benchmark::State& state) {
+  // Args = {worker threads for the table's cells, PDUs}: fig09's 5 x 5
+  // (burst duration x max degree) table at core stride 4, one oracle
+  // search per cell on a flat-topped Yahoo burst.
+  core::DataCenterConfig config;
+  config.fleet.pdu_count = static_cast<std::size_t>(state.range(1));
+  core::DataCenter dc(config);
+  const std::vector<Duration> durations = {
+      Duration::minutes(1), Duration::minutes(5), Duration::minutes(10),
+      Duration::minutes(15), Duration::minutes(25)};
+  const std::vector<double> degrees = {1.5, 2.0, 2.6, 3.0, 3.6};
+  const auto threads = static_cast<std::size_t>(state.range(0));
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(core::build_upper_bound_table(
+        dc, durations, degrees, workload::YahooTraceParams{}, 4, threads));
+  }
+}
+BENCHMARK(BM_UpperBoundTable)
+    ->Args({1, 909})
+    ->Args({3, 909})
     ->Unit(benchmark::kMillisecond)
     ->UseRealTime();
 

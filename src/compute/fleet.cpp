@@ -32,20 +32,24 @@ double Fleet::capacity(double degree_cap) const {
 
 Fleet::Operation Fleet::operate(double demand, double degree_cap) const {
   DCS_REQUIRE(demand >= 0.0, "demand must be non-negative");
-  DCS_REQUIRE(degree_cap >= 1.0, "degree cap must be at least 1 (normal cores stay on)");
-  const Chip& chip = server_.chip();
-  const std::size_t normal = chip.params().normal_cores;
-  const std::size_t cap_cores =
-      std::max(normal, chip.cores_for_degree(
-                           std::min(degree_cap, chip.max_sprint_degree())));
+  const std::size_t normal = server_.chip().params().normal_cores;
+  const std::size_t cap = cap_cores(degree_cap);
   // Activate just enough cores for the demand, never below normal, never
   // above the strategy's bound. With the bound at the normal count the clamp
   // pins the answer regardless of what the demand asks for.
   const std::size_t active =
-      cap_cores == normal
+      cap == normal
           ? normal
-          : std::clamp(throughput_.cores_for_demand(demand), normal, cap_cores);
+          : std::clamp(throughput_.cores_for_demand(demand), normal, cap);
   return operate_with_cores(demand, active);
+}
+
+std::size_t Fleet::cap_cores(double degree_cap) const {
+  DCS_REQUIRE(degree_cap >= 1.0, "degree cap must be at least 1 (normal cores stay on)");
+  const Chip& chip = server_.chip();
+  return std::max(chip.params().normal_cores,
+                  chip.cores_for_degree(
+                      std::min(degree_cap, chip.max_sprint_degree())));
 }
 
 Fleet::Operation Fleet::operate_with_cores(double demand,

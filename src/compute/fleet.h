@@ -44,6 +44,9 @@ class Fleet {
   /// (the real sprinting degree can be lower than the bound, Section IV-A).
   [[nodiscard]] Operation operate(double demand, double degree_cap) const;
 
+  /// The most cores per server `operate` activates under `degree_cap`.
+  [[nodiscard]] std::size_t cap_cores(double degree_cap) const;
+
   /// Operating point with an explicit per-server active-core count.
   [[nodiscard]] Operation operate_with_cores(double demand,
                                              std::size_t active_cores) const;

@@ -167,6 +167,7 @@ class DataCenter {
   [[nodiscard]] double budget_degree_seconds() const;
 
   [[nodiscard]] const DataCenterConfig& config() const noexcept { return config_; }
+  [[nodiscard]] const compute::Fleet& fleet() const noexcept { return fleet_; }
 
  private:
   struct Plant;  // fresh-per-run subsystem bundle

@@ -19,16 +19,25 @@ namespace dcs::core {
 struct OracleResult {
   double best_bound = 1.0;
   double best_performance = 1.0;
-  /// Every (bound, performance) point evaluated.
+  /// One (bound, performance) point per candidate, in candidate order.
+  /// Candidates whose core cap covers every sample's demand share one
+  /// run's performance (see oracle_search).
   std::vector<std::pair<double, double>> sweep;
 };
 
 /// Exhaustive search over constant upper bounds (one candidate per
 /// `core_stride` cores between the normal and total core count).
 ///
-/// The candidates are independent full simulations, so they run on the
-/// `src/exp` parallel runner: each task owns a fresh DataCenter built from
-/// `dc.config()` (run() builds fresh plant state per call, so this is
+/// A bound is only a cap (Fleet::operate turns on just the cores the demand
+/// asks for), so all candidates whose core cap covers the most cores any
+/// sample of `demand` asks for give the same run, bit for bit. The search
+/// simulates candidates up to the first of them, and the later ones share
+/// its performance: `sweep` still holds every candidate's point, and the
+/// result equals a scan that simulates every candidate.
+///
+/// The simulated candidates are independent full simulations, so they run
+/// on the `src/exp` parallel runner: each task owns a fresh DataCenter built
+/// from `dc.config()` (run() builds fresh plant state per call, so this is
 /// bit-identical to reusing `dc`), and candidates are combined in index
 /// order — the result is bit-identical for any `threads` value
 /// (0 = all hardware threads).

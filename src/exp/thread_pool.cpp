@@ -3,7 +3,9 @@
 #include <algorithm>
 #include <atomic>
 #include <exception>
-#include <utility>
+#include <mutex>
+#include <thread>
+#include <vector>
 
 #include "obs/profile.h"
 
@@ -13,51 +15,6 @@ std::size_t resolve_threads(std::size_t requested) noexcept {
   if (requested != 0) return requested;
   const unsigned hw = std::thread::hardware_concurrency();
   return hw == 0 ? 1 : static_cast<std::size_t>(hw);
-}
-
-ThreadPool::ThreadPool(std::size_t threads) {
-  const std::size_t n = resolve_threads(threads);
-  workers_.reserve(n);
-  for (std::size_t i = 0; i < n; ++i) {
-    workers_.emplace_back([this, i] {
-      obs::Profiler::set_thread_lane(static_cast<int>(i) + 1);
-      worker_loop();
-    });
-  }
-}
-
-ThreadPool::~ThreadPool() {
-  {
-    const std::lock_guard<std::mutex> lock(mu_);
-    stop_ = true;
-  }
-  cv_.notify_all();
-  for (std::thread& w : workers_) w.join();
-}
-
-std::future<void> ThreadPool::submit(std::function<void()> task) {
-  std::packaged_task<void()> packaged(std::move(task));
-  std::future<void> future = packaged.get_future();
-  {
-    const std::lock_guard<std::mutex> lock(mu_);
-    queue_.push_back(std::move(packaged));
-  }
-  cv_.notify_one();
-  return future;
-}
-
-void ThreadPool::worker_loop() {
-  for (;;) {
-    std::packaged_task<void()> task;
-    {
-      std::unique_lock<std::mutex> lock(mu_);
-      cv_.wait(lock, [this] { return stop_ || !queue_.empty(); });
-      if (queue_.empty()) return;  // stop_ set and queue drained
-      task = std::move(queue_.front());
-      queue_.pop_front();
-    }
-    task();  // packaged_task captures exceptions into the future
-  }
 }
 
 void parallel_for(std::size_t count, std::size_t threads,

@@ -1,5 +1,5 @@
-// Work-queue thread pool and the deterministic parallel-for primitive the
-// experiment runner is built on.
+// The deterministic parallel-for primitive the experiment runner and the
+// oracle search are built on.
 //
 // Tasks must be independent: each task may only write state it owns (for
 // sweeps, the result slot addressed by its task index). Under that contract
@@ -7,47 +7,14 @@
 // order, because combining happens in task-index order after the barrier.
 #pragma once
 
-#include <condition_variable>
 #include <cstddef>
-#include <deque>
 #include <functional>
-#include <future>
-#include <mutex>
-#include <thread>
-#include <vector>
 
 namespace dcs::exp {
 
 /// Resolves a requested worker count: 0 means "all hardware threads"
 /// (always at least 1).
 [[nodiscard]] std::size_t resolve_threads(std::size_t requested) noexcept;
-
-/// A fixed-size pool of workers draining a FIFO task queue. The destructor
-/// drains the queue and joins every worker.
-class ThreadPool {
- public:
-  explicit ThreadPool(std::size_t threads = 0);
-  ~ThreadPool();
-  ThreadPool(const ThreadPool&) = delete;
-  ThreadPool& operator=(const ThreadPool&) = delete;
-
-  [[nodiscard]] std::size_t thread_count() const noexcept {
-    return workers_.size();
-  }
-
-  /// Enqueues one task. The returned future rethrows whatever the task
-  /// threw, so callers observe failures where they wait.
-  [[nodiscard]] std::future<void> submit(std::function<void()> task);
-
- private:
-  void worker_loop();
-
-  std::vector<std::thread> workers_;
-  std::deque<std::packaged_task<void()>> queue_;
-  std::mutex mu_;
-  std::condition_variable cv_;
-  bool stop_ = false;
-};
 
 /// Runs fn(0) .. fn(count - 1) across `threads` workers (0 = all hardware
 /// threads). Every index is attempted even when earlier tasks throw; after

@@ -4,7 +4,7 @@
 // the calling thread's (count, total, min, max) entry for its *scope
 // path*: the chain of enclosing scope names on that thread, under the
 // thread's lane. Threads identify themselves with a lane (main thread 0;
-// exp::ThreadPool and parallel_for workers register 1..N), so a sweep's
+// exp::parallel_for workers register 1..N), so a sweep's
 // totals read per worker: lane 1's "exp.task;sim.run;controller.step" is
 // every controller step that worker ran inside a sweep task. A per-tick
 // scope therefore costs two clock reads and one uncontended lock, and

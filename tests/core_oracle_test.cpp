@@ -2,10 +2,14 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <array>
+#include <sstream>
 #include <stdexcept>
+#include <string>
 
 #include "core/prediction_strategy.h"
+#include "workload/ms_trace.h"
 #include "workload/yahoo_trace.h"
 
 namespace dcs::core {
@@ -61,6 +65,88 @@ TEST(OracleSearch, ShortBurstAllowsGreedyBound) {
   GreedyStrategy greedy;
   const RunResult greedy_run = dc.run(workload::generate_yahoo_trace(p), &greedy);
   EXPECT_NEAR(r.best_performance, greedy_run.performance_factor, 0.01);
+}
+
+/// The search that simulates every candidate in order, one fresh
+/// DataCenter each, keeping the lowest best bound on ties: the reference
+/// oracle_search must reproduce bit for bit.
+OracleResult exhaustive_search(const DataCenterConfig& config,
+                               const TimeSeries& demand,
+                               std::size_t core_stride) {
+  const std::size_t normal = config.fleet.server.chip.normal_cores;
+  const std::size_t total = config.fleet.server.chip.total_cores;
+  OracleResult out;
+  for (std::size_t cores = normal; cores <= total;
+       cores = std::min(cores + core_stride, total + 1)) {
+    const double bound =
+        static_cast<double>(cores) / static_cast<double>(normal);
+    DataCenter dc(config);
+    ConstantBoundStrategy strategy(bound, "oracle");
+    const double performance = dc.run(demand, &strategy).performance_factor;
+    out.sweep.emplace_back(bound, performance);
+    if (performance > out.best_performance) {
+      out.best_performance = performance;
+      out.best_bound = bound;
+    }
+    if (cores == total) break;
+  }
+  return out;
+}
+
+void expect_matches_exhaustive(const DataCenterConfig& config,
+                               const TimeSeries& demand,
+                               std::size_t core_stride,
+                               const std::string& label) {
+  SCOPED_TRACE(label);
+  const OracleResult searched =
+      oracle_search(DataCenter(config), demand, core_stride, /*threads=*/3);
+  const OracleResult reference = exhaustive_search(config, demand, core_stride);
+  EXPECT_EQ(searched.sweep, reference.sweep);
+  EXPECT_EQ(searched.best_bound, reference.best_bound);
+  EXPECT_EQ(searched.best_performance, reference.best_performance);
+}
+
+TEST(OracleSearch, MatchesExhaustiveSearchBitForBit) {
+  // Candidates whose cap covers the trace's peak demand share one run, so
+  // the search must equal one that simulates them all.
+  const DataCenterConfig config = small_config();
+  // Fig. 9's upper-bound table: every cell's search at stride 4.
+  for (const double minutes : {1.0, 5.0, 10.0, 15.0, 25.0}) {
+    for (const double degree : {1.5, 2.0, 2.6, 3.0, 3.6}) {
+      workload::YahooTraceParams p;
+      p.burst_duration = Duration::minutes(minutes);
+      p.burst_degree = degree;
+      std::ostringstream label;
+      label << "table cell " << minutes << " min x" << degree;
+      expect_matches_exhaustive(config, workload::generate_yahoo_trace(p), 4,
+                                label.str());
+    }
+  }
+  // The MS trace asks for more cores than the chip has: no candidate
+  // saturates.
+  expect_matches_exhaustive(config, workload::generate_ms_trace(), 2, "ms");
+  // No burst: the normal cores cover every sample.
+  workload::YahooTraceParams flat;
+  flat.burst_degree = 1.0;
+  expect_matches_exhaustive(config, workload::generate_yahoo_trace(flat), 2,
+                            "burst-free");
+  // Samples every 2 s, held across two control periods.
+  workload::YahooTraceParams coarse;
+  coarse.step = Duration::seconds(2);
+  expect_matches_exhaustive(config, workload::generate_yahoo_trace(coarse), 1,
+                            "2-s samples");
+  // A control period shorter than the sample step.
+  DataCenterConfig half_second = config;
+  half_second.control_period = Duration::seconds(0.5);
+  expect_matches_exhaustive(half_second, workload::generate_yahoo_trace(), 2,
+                            "0.5-s control period");
+  // Another chip: 40 cores, 10 of them normal.
+  DataCenterConfig small_chip = config;
+  small_chip.fleet.server.chip.total_cores = 40;
+  small_chip.fleet.server.chip.normal_cores = 10;
+  small_chip.fleet.throughput.normal_cores = 10;
+  expect_matches_exhaustive(small_chip, workload::generate_yahoo_trace(), 1,
+                            "40-core chip");
 }
 
 TEST(OracleSearch, StrideValidation) {

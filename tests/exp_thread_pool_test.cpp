@@ -2,10 +2,11 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
-#include <future>
 #include <numeric>
 #include <stdexcept>
+#include <string>
 #include <vector>
 
 namespace dcs::exp {
@@ -15,36 +16,6 @@ TEST(ExpThreadPool, ResolveThreadsIsAlwaysPositive) {
   EXPECT_GE(resolve_threads(0), 1u);
   EXPECT_EQ(resolve_threads(1), 1u);
   EXPECT_EQ(resolve_threads(7), 7u);
-}
-
-TEST(ExpThreadPool, RunsMoreTasksThanThreads) {
-  ThreadPool pool(3);
-  EXPECT_EQ(pool.thread_count(), 3u);
-  std::atomic<int> done{0};
-  std::vector<std::future<void>> futures;
-  for (int i = 0; i < 64; ++i) {
-    futures.push_back(pool.submit([&done] { done.fetch_add(1); }));
-  }
-  for (auto& f : futures) f.get();
-  EXPECT_EQ(done.load(), 64);
-}
-
-TEST(ExpThreadPool, DestructorDrainsQueue) {
-  std::atomic<int> done{0};
-  {
-    ThreadPool pool(2);
-    for (int i = 0; i < 32; ++i) {
-      (void)pool.submit([&done] { done.fetch_add(1); });
-    }
-  }  // ~ThreadPool joins after draining
-  EXPECT_EQ(done.load(), 32);
-}
-
-TEST(ExpThreadPool, SubmitPropagatesExceptionThroughFuture) {
-  ThreadPool pool(2);
-  std::future<void> future =
-      pool.submit([] { throw std::runtime_error("task boom"); });
-  EXPECT_THROW(future.get(), std::runtime_error);
 }
 
 TEST(ExpThreadPool, ParallelForEmptyIsNoop) {
