@@ -22,7 +22,6 @@
 #include "exp/runner.h"
 #include "exp/sweep.h"
 #include "obs/counters.h"
-#include "obs/perfetto.h"
 #include "obs/profile.h"
 #include "obs/sink.h"
 #include "obs/trace.h"
@@ -35,14 +34,15 @@ namespace dcs::bench {
 /// sweep-runner knobs (threads=<n>, csv=<dir>, perf=<dir>, checkpoint=<dir>
 /// for crash-safe resume files, shard=<i>/<N> to run one contiguous slice
 /// of every grid) and the observability knobs (trace=<dir> for the JSONL
-/// and Perfetto traces, telemetry=<path> for the worker telemetry stream a
-/// supervising dispatcher merges into its timeline — see obs/sink.h).
+/// trace, which `trace_query perfetto` renders for the Perfetto UI,
+/// telemetry=<path> for the worker telemetry stream a supervising
+/// dispatcher merges into its timeline — see obs/sink.h).
 inline constexpr std::string_view kCommonKeys[] = {
     "pdus", "dc_headroom", "pue", "csv", "perf", "threads", "trace",
     "checkpoint", "shard", "telemetry"};
 
-/// Default recorder channels bridged into Perfetto counter tracks by the
-/// traced benches: physical state (state of charge, breaker trip margin,
+/// Default recorder channels exported as counter tracks by the traced
+/// benches: physical state (state of charge, breaker trip margin,
 /// room temperature, chiller draw) next to the control trajectory (degree).
 inline const std::vector<std::string> kDefaultCounterChannels = {
     "ups_soc",  "tes_soc", "cb_trip_margin_s",
@@ -231,8 +231,9 @@ inline void maybe_export_sweep(const Config& args, const exp::SweepSpec& spec,
 }
 
 /// The streaming sinks of one bench run, fed through one tee: under
-/// trace=<dir>, the JSONL trace `<dir>/<name>_trace.jsonl` and the
-/// Perfetto stream `<dir>/<name>_trace.perfetto`; under telemetry=<path>
+/// trace=<dir>, the JSONL trace `<dir>/<name>_trace.jsonl` (the run's one
+/// trace encoding; `trace_query perfetto` renders it to
+/// `<name>_trace.perfetto` afterwards); under telemetry=<path>
 /// (appended by dispatch_sweep --telemetry), the worker telemetry stream,
 /// whose header is on disk as soon as it opens. Memory stays bounded
 /// whatever the trace length. With neither key the struct is inactive and
@@ -240,29 +241,24 @@ inline void maybe_export_sweep(const Config& args, const exp::SweepSpec& spec,
 /// a bench does not trace.
 struct StreamTraceSinks {
   std::unique_ptr<obs::JsonlStreamSink> jsonl;
-  std::unique_ptr<obs::PerfettoStreamSink> perfetto;
   std::unique_ptr<obs::TelemetrySink> telemetry;
   std::unique_ptr<obs::TeeSink> tee;
 
   [[nodiscard]] bool active() const noexcept { return tee != nullptr; }
   [[nodiscard]] obs::TraceSink* sink() const noexcept { return tee.get(); }
 
-  /// Finalizes every sink, then reports one "[obs] streamed N events to
-  /// <path>" (or "[obs] cannot write <path>") line per trace file on
+  /// Finalizes every sink, then reports "[obs] streamed N events to
+  /// <path>" (or "[obs] cannot write <path>") for the JSONL trace on
   /// `diag`.
   void finalize(std::ostream* diag = nullptr) {
     if (!active()) return;
     tee->finalize();
     if (diag == nullptr || jsonl == nullptr) return;
-    for (const obs::FileStreamSink* s :
-         {static_cast<const obs::FileStreamSink*>(jsonl.get()),
-          static_cast<const obs::FileStreamSink*>(perfetto.get())}) {
-      if (s->ok()) {
-        *diag << "[obs] streamed " << s->events_written() << " events to "
-              << s->path() << "\n";
-      } else {
-        *diag << "[obs] cannot write " << s->path() << "\n";
-      }
+    if (jsonl->ok()) {
+      *diag << "[obs] streamed " << jsonl->events_written() << " events to "
+            << jsonl->path() << "\n";
+    } else {
+      *diag << "[obs] cannot write " << jsonl->path() << "\n";
     }
   }
 };
@@ -276,9 +272,7 @@ inline StreamTraceSinks maybe_stream_sinks(const Config& args,
   if (!trace_dir.empty()) {
     sinks.jsonl = std::make_unique<obs::JsonlStreamSink>(
         trace_dir + "/" + name + "_trace.jsonl");
-    sinks.perfetto = std::make_unique<obs::PerfettoStreamSink>(
-        trace_dir + "/" + name + "_trace.perfetto");
-    children = {sinks.jsonl.get(), sinks.perfetto.get()};
+    children = {sinks.jsonl.get()};
   }
   const std::string telemetry = args.get_string("telemetry", "");
   if (!telemetry.empty()) {
@@ -312,7 +306,7 @@ inline StreamTraceSinks maybe_stream_sinks(const Config& args,
 /// profiler's wall spans and scope path totals to the stream
 /// (obs::export_to, through a wall-only tracer over the tee), then the
 /// telemetry stream's folded stacks, then finalizes the sinks, reporting
-/// each trace file on stdout.
+/// the trace file on stdout.
 inline void finish_obs(StreamTraceSinks& stream) {
   if (!stream.active()) return;
   const obs::Profile profile = obs::Profiler::instance().collect();

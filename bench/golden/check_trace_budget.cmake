@@ -1,7 +1,7 @@
 # Holds the traced fig09 run of check_trace_query.cmake to a fixed cost:
-# at most MAX_EVENTS trace events, and at most MAX_BYTES across its JSONL
-# and Perfetto files. Both are counts, not timings, so the check fails on
-# a regression however noisy the host is:
+# at most MAX_EVENTS trace events, and at most MAX_BYTES in its JSONL
+# trace, the one file a traced run writes. Both are counts, not timings,
+# so the check fails on a regression however noisy the host is:
 #
 #   cmake -DWORKDIR=<dir> -DMAX_EVENTS=<n> -DMAX_BYTES=<n> \
 #         -P bench/golden/check_trace_budget.cmake
@@ -23,15 +23,11 @@ if(NOT matched)
 endif()
 set(events "${CMAKE_MATCH_1}")
 
-set(bytes 0)
-foreach(suffix jsonl perfetto)
-  set(path "${WORKDIR}/trace/fig09_strategies_trace.${suffix}")
-  if(NOT EXISTS "${path}")
-    message(FATAL_ERROR "missing trace file ${path}")
-  endif()
-  file(SIZE "${path}" size)
-  math(EXPR bytes "${bytes} + ${size}")
-endforeach()
+set(path "${WORKDIR}/trace/fig09_strategies_trace.jsonl")
+if(NOT EXISTS "${path}")
+  message(FATAL_ERROR "missing trace file ${path}")
+endif()
+file(SIZE "${path}" bytes)
 
 message(STATUS "traced fig09: ${events} events, ${bytes} bytes "
                "(budget ${MAX_EVENTS} events, ${MAX_BYTES} bytes)")
@@ -40,6 +36,6 @@ if(events GREATER MAX_EVENTS)
                       "budget of ${MAX_EVENTS}")
 endif()
 if(bytes GREATER MAX_BYTES)
-  message(FATAL_ERROR "traced fig09 wrote ${bytes} bytes of JSONL and "
-                      "Perfetto, over the budget of ${MAX_BYTES}")
+  message(FATAL_ERROR "traced fig09 wrote ${bytes} bytes of JSONL, over "
+                      "the budget of ${MAX_BYTES}")
 endif()

@@ -9,7 +9,9 @@
 # The run is `fig09_strategies threads=3 faults=1 trace=trace` at its
 # default 909 PDUs, inside WORKDIR (created if missing). Its stdout lands
 # in WORKDIR/stdout.txt and its trace under WORKDIR/trace, where the trace
-# budget check reads them. The threshold, audit and
+# budget check reads them. The run must write its trace as JSONL only, and
+# `trace_query perfetto` must render that JSONL to a non-empty
+# WORKDIR/trace/fig09_strategies_trace.perfetto. The threshold, audit and
 # explain answers come from sim-domain events and are pinned whole.
 # Scope timings are wall clock, so only the src, name and count columns
 # of `scopes` are pinned. A deliberate change is re-baselined by copying
@@ -32,6 +34,25 @@ if(NOT status EQUAL 0)
 endif()
 
 set(trace "${WORKDIR}/trace/fig09_strategies_trace.jsonl")
+set(perfetto "${WORKDIR}/trace/fig09_strategies_trace.perfetto")
+if(EXISTS "${perfetto}")
+  message(FATAL_ERROR "${BENCH} wrote ${perfetto}: a traced run writes JSONL "
+                      "only")
+endif()
+execute_process(
+  COMMAND "${QUERY}" perfetto "${trace}"
+  RESULT_VARIABLE status)
+if(NOT status EQUAL 0)
+  message(FATAL_ERROR "trace_query perfetto exited with status ${status}")
+endif()
+if(NOT EXISTS "${perfetto}")
+  message(FATAL_ERROR "trace_query perfetto wrote no ${perfetto}")
+endif()
+file(SIZE "${perfetto}" perfetto_bytes)
+if(perfetto_bytes EQUAL 0)
+  message(FATAL_ERROR "trace_query perfetto wrote an empty ${perfetto}")
+endif()
+
 function(run_query golden command)
   execute_process(
     COMMAND "${QUERY}" ${command} "${trace}" ${ARGN}

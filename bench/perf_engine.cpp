@@ -140,7 +140,7 @@ BENCHMARK(BM_FullMsRun)->Arg(2)->Arg(8)->Arg(909)->Unit(benchmark::kMillisecond)
 void BM_TracedRun(benchmark::State& state) {
   // BM_FullMsRun as a traced bench runs it: the recorder, a tracer and the
   // decision log on, the default counter channels exported as change-only
-  // tracks after the run, and the stream sinks (JSONL + Perfetto) writing
+  // tracks after the run, and the stream sink (the JSONL trace) writing
   // into a scratch directory that each iteration removes. Items are trace
   // events.
   core::DataCenterConfig config;

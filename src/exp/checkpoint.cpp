@@ -74,8 +74,7 @@ void parse_header(const json::Value& doc, CheckpointData* data) {
                                 std::to_string(version));
   }
   data->base_seed = parse_u64(doc.at("base_seed").as_string(), "base_seed");
-  data->task_count =
-      static_cast<std::size_t>(doc.at("task_count").as_number());
+  data->task_count = json::read_integer<std::size_t>(doc.at("task_count"));
   for (const json::Value& m : doc.at("metrics").as_array()) {
     data->metrics.push_back(m.as_string());
   }
@@ -112,8 +111,12 @@ CheckpointData load_checkpoint(const std::string& path) {
     // A row whose shape is wrong is treated like a torn line too: anything
     // after the corruption point is unreachable on a line-oriented scan.
     if (!doc.has("index") || !doc.has("seed") || !doc.has("row")) break;
-    const std::size_t index =
-        static_cast<std::size_t>(doc.at("index").as_number());
+    std::size_t index = 0;
+    try {
+      index = json::read_integer<std::size_t>(doc.at("index"));
+    } catch (const std::invalid_argument&) {
+      break;
+    }
     if (index >= data.task_count) break;
     std::vector<double> row;
     for (const json::Value& v : doc.at("row").as_array()) {

@@ -97,7 +97,7 @@ void write_checkpoint(std::ostream& out, const CheckpointData& data);
 /// append, emitting the header first when the file is new or empty.
 /// `append` is thread-safe (workers complete tasks concurrently) and
 /// flushes each line, dropping to `ok() == false` the moment the stream
-/// fails (disk full, unlinked directory) — mirroring obs::FileStreamSink.
+/// fails (disk full, unlinked directory) — mirroring obs::JsonlStreamSink.
 class CheckpointWriter {
  public:
   CheckpointWriter(const std::string& path, const SweepSpec& spec,

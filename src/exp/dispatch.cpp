@@ -298,7 +298,7 @@ class Dispatcher {
       const std::string& name = sweep.at("sweep").as_string();
       const std::string& path = sweep.at("path").as_string();
       const auto task_count =
-          static_cast<std::size_t>(sweep.at("task_count").as_number());
+          json::read_integer<std::size_t>(sweep.at("task_count"));
       std::error_code ec;
       if (sweep.find("error") != nullptr || path.empty() ||
           !fs::is_regular_file(path, ec) || task_count == 0) {
@@ -321,7 +321,7 @@ class Dispatcher {
       const json::Value& missing = sweep.at("missing");
       std::size_t pending_total = 0;
       for (std::size_t t = 0; t < missing.size(); ++t) {
-        const auto task = static_cast<std::size_t>(missing[t].as_number());
+        const auto task = json::read_integer<std::size_t>(missing[t]);
         for (std::size_t i = 0; i < options_.shards; ++i) {
           const auto [first, last] =
               shard_range(task_count, Shard{i, options_.shards});

@@ -1,6 +1,7 @@
 #include "exp/timeline.h"
 
 #include <algorithm>
+#include <cmath>
 #include <cstdint>
 #include <filesystem>
 #include <fstream>
@@ -11,6 +12,7 @@
 
 #include "obs/perfetto.h"
 #include "obs/profile.h"
+#include "obs/query.h"
 #include "obs/trace.h"
 #include "util/json.h"
 
@@ -38,9 +40,9 @@ void read_header(Source* source) {
   try {
     const json::Value v = json::parse(line);
     if (v.find("telemetry") == nullptr) return;
-    source->pid = static_cast<int>(v.at("pid").as_number());
+    source->pid = json::read_integer<int>(v.at("pid"));
     source->epoch_unix_us =
-        static_cast<std::int64_t>(v.at("epoch_unix_us").as_number());
+        json::read_integer<std::int64_t>(v.at("epoch_unix_us"));
     source->name = v.at("name").as_string();
     source->have_header = true;
   } catch (const std::exception&) {
@@ -114,31 +116,16 @@ std::string render_args(const json::Value& args) {
   return out;
 }
 
-constexpr std::uint64_t to_ns(double ts_us) {
-  return ts_us <= 0.0 ? 0 : static_cast<std::uint64_t>(ts_us * 1e3);
-}
-
-/// Perfetto packets accumulate in a buffer that is written out in chunks
-/// of this size.
-constexpr std::size_t kPerfettoChunkBytes = std::size_t{1} << 20;
-
-/// The merge itself: owns the two output writers and the per-source track
-/// bookkeeping.
+/// The merge itself: writes timeline.jsonl and folds the stacks.
 class Merger {
  public:
   Merger(const std::string& out_dir, TimelineSummary* summary)
       : summary_(summary),
-        jsonl_(out_dir + "/timeline.jsonl", std::ios::trunc),
-        perfetto_stream_(out_dir + "/timeline.perfetto",
-                         std::ios::trunc | std::ios::binary),
-        perfetto_(perfetto_buf_) {
+        jsonl_(out_dir + "/timeline.jsonl", std::ios::trunc) {
     summary->jsonl_path = out_dir + "/timeline.jsonl";
-    summary->perfetto_path = out_dir + "/timeline.perfetto";
   }
 
-  [[nodiscard]] bool ok() const {
-    return static_cast<bool>(jsonl_) && static_cast<bool>(perfetto_stream_);
-  }
+  [[nodiscard]] bool ok() const { return static_cast<bool>(jsonl_); }
 
   void begin(std::size_t sources, std::int64_t base_epoch) {
     base_epoch_ = base_epoch;
@@ -146,8 +133,7 @@ class Merger {
            << ",\"base_epoch_unix_us\":" << base_epoch << "}\n";
   }
 
-  void add_source(const Source& source, std::size_t index) {
-    sidx_ = index;
+  void add_source(const Source& source) {
     src_ = source.src;
     offset_us_ = source.have_header
                      ? static_cast<double>(source.epoch_unix_us - base_epoch_)
@@ -162,7 +148,6 @@ class Merger {
   }
 
   void consume_line(std::string_view line) {
-    if (perfetto_buf_.size() >= kPerfettoChunkBytes) write_perfetto();
     json::Value v;
     try {
       v = json::parse(line);
@@ -179,7 +164,7 @@ class Merger {
         lane_name(v);
       } else if (t == "stack") {
         stacks_[src_ + ";" + v.at("stack").as_string()] +=
-            static_cast<std::size_t>(v.at("count").as_number());
+            json::read_integer<std::size_t>(v.at("count"));
       }
     } catch (const std::exception&) {
       // Skip malformed lines; the merge covers what it can read.
@@ -190,108 +175,50 @@ class Merger {
     return stacks_;
   }
 
-  void finish() {
-    write_perfetto();
-    perfetto_stream_.flush();
-    jsonl_.flush();
-  }
-
-  [[nodiscard]] bool outputs_ok() const {
-    return static_cast<bool>(jsonl_) && static_cast<bool>(perfetto_stream_);
+  /// Closes timeline.jsonl; false when a write failed.
+  [[nodiscard]] bool finish() {
+    jsonl_.close();
+    return static_cast<bool>(jsonl_);
   }
 
  private:
-  void write_perfetto() {
-    perfetto_stream_.write(perfetto_buf_.data(),
-                           static_cast<std::streamsize>(perfetto_buf_.size()));
-    perfetto_buf_.clear();
-  }
-
-  // Perfetto pid per (source, domain): sources land at 10, 12, 14, ...
-  // (sim) and 11, 13, 15, ... (wall) — disjoint from the single-process 1/2
-  // scheme of the bench traces.
-  [[nodiscard]] int source_pid(obs::Domain domain) const {
-    return 10 + 2 * static_cast<int>(sidx_) +
-           (domain == obs::Domain::kWall ? 1 : 0);
-  }
-
-  std::uint64_t perfetto_process(obs::Domain domain) {
-    const auto key = std::make_pair(sidx_, domain);
-    const auto it = perfetto_procs_.find(key);
-    if (it != perfetto_procs_.end()) return it->second;
-    const std::uint64_t uuid = perfetto_.add_process(
-        source_pid(domain), src_ + "/" + std::string(obs::to_string(domain)));
-    perfetto_procs_.emplace(key, uuid);
-    return uuid;
-  }
-
-  std::uint64_t perfetto_lane(obs::Domain domain, std::uint32_t lane) {
-    const auto key = std::make_tuple(sidx_, domain, lane);
-    const auto it = perfetto_lanes_.find(key);
-    if (it != perfetto_lanes_.end()) return it->second;
-    perfetto_process(domain);
-    const auto named = lane_names_.find(key);
-    const std::string name = named != lane_names_.end()
-                                 ? named->second
-                                 : "lane-" + std::to_string(lane);
-    const std::uint64_t uuid = perfetto_.add_thread(
-        source_pid(domain), static_cast<std::int32_t>(lane), name);
-    perfetto_lanes_.emplace(key, uuid);
-    return uuid;
-  }
-
-  std::uint64_t perfetto_counter(obs::Domain domain, const std::string& name) {
-    const auto key = std::make_tuple(sidx_, domain, name);
-    const auto it = perfetto_counters_.find(key);
-    if (it != perfetto_counters_.end()) return it->second;
-    const std::uint64_t uuid =
-        perfetto_.add_counter(perfetto_process(domain), name);
-    perfetto_counters_.emplace(key, uuid);
-    return uuid;
-  }
-
   void lane_name(const json::Value& v) {
     const obs::Domain domain = v.at("domain").as_string() == "wall"
                                    ? obs::Domain::kWall
                                    : obs::Domain::kSim;
-    const auto lane = static_cast<std::uint32_t>(v.at("lane").as_number());
+    const auto lane = json::read_integer<std::uint32_t>(v.at("lane"));
     const std::string& name = v.at("name").as_string();
     jsonl_ << "{\"t\":\"lane\",\"src\":" << json::quote(src_)
            << ",\"domain\":\"" << obs::to_string(domain)
            << "\",\"lane\":" << lane
            << ",\"name\":" << json::quote(name) << "}\n";
-    const auto key = std::make_tuple(sidx_, domain, lane);
-    const auto it = perfetto_lanes_.find(key);
-    if (it != perfetto_lanes_.end()) {
-      perfetto_.redeclare_thread(it->second, source_pid(domain),
-                                 static_cast<std::int32_t>(lane), name);
-    }
-    lane_names_.insert_or_assign(key, name);
   }
 
   void event(const json::Value& v) {
     const std::string& domain_name = v.at("domain").as_string();
-    const obs::Domain domain =
-        domain_name == "wall" ? obs::Domain::kWall : obs::Domain::kSim;
     const std::string& ph = v.at("ph").as_string();
     if (ph.empty()) return;
     const char phase = ph[0];
     // Wall events shift onto the shared epoch; sim events keep their
     // simulated timestamps (a different axis entirely).
     double ts = v.at("ts").as_number();
-    if (domain == obs::Domain::kWall) ts += offset_us_;
+    if (domain_name == "wall") ts += offset_us_;
     double dur = 0.0;
     const json::Value* dur_v = v.find("dur");
     if (dur_v != nullptr) dur = dur_v->as_number();
-    const auto lane =
-        static_cast<std::uint32_t>(v.at("lane").as_number());
+    // A non-finite stamp would reach timeline.jsonl as a marker string
+    // that no reader takes for a time: skip the line like any malformed one.
+    DCS_REQUIRE(std::isfinite(ts) && std::isfinite(dur),
+                "non-finite timestamp");
+    const auto lane = json::read_integer<std::uint32_t>(v.at("lane"));
     const std::string& cat = v.at("cat").as_string();
     const std::string& name = v.at("name").as_string();
     const json::Value* args = v.find("args");
 
     jsonl_ << "{\"t\":\"ev\",\"src\":" << json::quote(src_)
-           << ",\"domain\":\"" << domain_name << "\",\"ph\":\"" << phase
-           << "\",\"ts\":" << json::number_to_string(ts);
+           << ",\"domain\":" << json::quote(domain_name)
+           << ",\"ph\":" << json::quote(std::string_view(&phase, 1))
+           << ",\"ts\":" << json::number_to_string(ts);
     if (phase == 'X') jsonl_ << ",\"dur\":" << json::number_to_string(dur);
     jsonl_ << ",\"lane\":" << lane
            << ",\"cat\":" << json::quote(cat)
@@ -301,66 +228,14 @@ class Merger {
     }
     jsonl_ << "}\n";
 
-    switch (phase) {
-      case 'C': {
-        double value = 0.0;
-        bool have = false;
-        if (args != nullptr && args->is_object()) {
-          const json::Value* direct = args->find("value");
-          if (direct != nullptr && direct->is_number()) {
-            value = direct->as_number();
-            have = true;
-          }
-        }
-        if (have) {
-          perfetto_.counter(perfetto_counter(domain, name), to_ns(ts), value);
-        }
-        break;
-      }
-      case 'X': {
-        const std::uint64_t track = perfetto_lane(domain, lane);
-        perfetto_.slice_begin(track, to_ns(ts), name, cat);
-        perfetto_.slice_end(track, to_ns(ts + dur));
-        break;
-      }
-      default: {
-        // Decision records carry id/cause args; hash them (scoped by src so
-        // per-worker chains stay distinct after the merge) into Perfetto
-        // flow ids so causal chains render as arrows.
-        std::vector<std::uint64_t> flows;
-        if (cat == "decision" && args != nullptr && args->is_object()) {
-          for (const char* key : {"id", "cause"}) {
-            const json::Value* token = args->find(key);
-            if (token != nullptr && token->is_string()) {
-              flows.push_back(obs::detail::flow_id_hash(src_ + "/" +
-                                                        token->as_string()));
-            }
-          }
-        }
-        perfetto_.instant(perfetto_lane(domain, lane), to_ns(ts), name, cat,
-                          flows);
-        break;
-      }
-    }
     ++summary_->events;
   }
 
   TimelineSummary* summary_;
   std::ofstream jsonl_;
-  std::ofstream perfetto_stream_;
-  std::string perfetto_buf_;
-  obs::PerfettoWriter perfetto_;
   std::int64_t base_epoch_ = 0;
-  std::size_t sidx_ = 0;
   std::string src_;
   double offset_us_ = 0.0;
-  std::map<std::pair<std::size_t, obs::Domain>, std::uint64_t> perfetto_procs_;
-  std::map<std::tuple<std::size_t, obs::Domain, std::uint32_t>, std::uint64_t>
-      perfetto_lanes_;
-  std::map<std::tuple<std::size_t, obs::Domain, std::uint32_t>, std::string>
-      lane_names_;
-  std::map<std::tuple<std::size_t, obs::Domain, std::string>, std::uint64_t>
-      perfetto_counters_;
   obs::FoldedStacks stacks_;
 };
 
@@ -406,15 +281,27 @@ TimelineSummary merge_timeline(const TimelineOptions& options) {
     return summary;
   }
   merger.begin(sources.size(), base);
-  for (std::size_t i = 0; i < sources.size(); ++i) {
-    merger.add_source(sources[i], i);
-    std::ifstream in(sources[i].path, std::ios::binary);
+  for (const Source& source : sources) {
+    merger.add_source(source);
+    std::ifstream in(source.path, std::ios::binary);
     std::string line;
     while (std::getline(in, line)) merger.consume_line(line);
   }
-  merger.finish();
-  if (!merger.outputs_ok()) {
+  if (!merger.finish()) {
     summary.error = "timeline: output write failed under " + out_dir;
+    return summary;
+  }
+  // The Perfetto timeline is rendered from the merged JSONL, as
+  // `trace_query perfetto` renders any trace.
+  summary.perfetto_path = out_dir + "/timeline.perfetto";
+  try {
+    if (!obs::write_perfetto(obs::query::load_trace(summary.jsonl_path),
+                             summary.perfetto_path)) {
+      summary.error = "timeline: cannot write " + summary.perfetto_path;
+      return summary;
+    }
+  } catch (const std::exception& e) {
+    summary.error = std::string("timeline: ") + e.what();
     return summary;
   }
 

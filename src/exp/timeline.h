@@ -17,10 +17,12 @@
 //                           "shard0", "shard0#2" for restart attempts) and
 //                           aligned timestamps, plus proc/lane metadata;
 //                           tools/trace_query reads it
-//   timeline.perfetto       protobuf TrackEvent stream (obs/perfetto.h):
-//                           one pid per (source, domain), process names
-//                           "src/domain"; loads in the Perfetto UI and is
-//                           SQL-queryable in trace_processor
+//   timeline.perfetto       timeline.jsonl rendered by obs::write_perfetto
+//                           (obs/perfetto.h), the renderer behind
+//                           `trace_query perfetto`: one process per
+//                           (source, domain), named "src/domain"; loads in
+//                           the Perfetto UI and is SQL-queryable in
+//                           trace_processor
 //   dispatch_stacks.folded  every stream's folded scope stacks (self
 //                           microseconds per scope path), prefixed with
 //                           its src, so distributed runs produce one flame

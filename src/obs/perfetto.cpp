@@ -1,9 +1,13 @@
 #include "obs/perfetto.h"
 
-#include <charconv>
-#include <system_error>
+#include <fstream>
+#include <limits>
+#include <map>
+#include <string_view>
+#include <tuple>
 #include <utility>
 
+#include "obs/trace.h"
 #include "util/proto.h"
 
 namespace dcs::obs {
@@ -98,13 +102,6 @@ std::uint64_t PerfettoWriter::add_process(std::int32_t pid,
 std::uint64_t PerfettoWriter::add_thread(std::int32_t pid, std::int32_t tid,
                                          const std::string& name) {
   const std::uint64_t uuid = next_uuid_++;
-  redeclare_thread(uuid, pid, tid, name);
-  return uuid;
-}
-
-void PerfettoWriter::redeclare_thread(std::uint64_t uuid, std::int32_t pid,
-                                      std::int32_t tid,
-                                      const std::string& name) {
   proto::ProtoWriter thread;
   thread.int64(kThreadPid, pid);
   thread.int64(kThreadTid, tid);
@@ -113,6 +110,7 @@ void PerfettoWriter::redeclare_thread(std::uint64_t uuid, std::int32_t pid,
   track.varint(kTrackUuid, uuid);
   track.message(kTrackThread, thread);
   descriptor_packet(track);
+  return uuid;
 }
 
 std::uint64_t PerfettoWriter::add_counter(std::uint64_t parent_uuid,
@@ -162,149 +160,140 @@ void PerfettoWriter::counter(std::uint64_t track_uuid, std::uint64_t ts_ns,
   event_packet(ts_ns);
 }
 
-namespace detail {
+namespace {
 
-bool counter_value(const TraceEvent& event, double* value) {
-  const TraceArg* fallback = nullptr;
-  for (const TraceArg& a : event.args) {
-    if (a.key == "value") {
-      fallback = &a;
-      break;
-    }
-    if (fallback == nullptr) fallback = &a;
-  }
-  if (fallback == nullptr) return false;
-  // Args hold pre-rendered JSON literals; only numeric ones qualify.
-  const std::string& literal = fallback->value;
-  const char* end = literal.data() + literal.size();
-  double parsed = 0.0;
-  const auto [ptr, ec] = std::from_chars(literal.data(), end, parsed);
-  if (ec != std::errc() || ptr != end) return false;
-  *value = parsed;
-  return true;
+/// Nanoseconds for a timestamp in microseconds, saturating: negative and
+/// NaN stamps land at 0, stamps past the uint64 range at its end.
+std::uint64_t to_ns(double ts_us) {
+  const double ns = ts_us * 1e3;
+  if (!(ns > 0.0)) return 0;
+  if (ns >= 0x1p64) return std::numeric_limits<std::uint64_t>::max();
+  return static_cast<std::uint64_t>(ns);
 }
 
-std::uint64_t flow_id_hash(std::string_view token) noexcept {
-  // FNV-1a, 64-bit: deterministic across platforms, no allocation.
+/// FNV-1a, 64-bit, of "<scope>/<token>" (of `token` alone when `scope` is
+/// empty): deterministic across platforms.
+std::uint64_t flow_id(std::string_view scope, std::string_view token) {
   std::uint64_t hash = 14695981039346656037ull;
-  for (const char c : token) {
-    hash ^= static_cast<unsigned char>(c);
-    hash *= 1099511628211ull;
+  const auto mix = [&](std::string_view bytes) {
+    for (const char c : bytes) {
+      hash ^= static_cast<unsigned char>(c);
+      hash *= 1099511628211ull;
+    }
+  };
+  if (!scope.empty()) {
+    mix(scope);
+    mix("/");
   }
+  mix(token);
   return hash;
 }
 
-namespace {
+/// Lays a decoded trace out on Perfetto tracks, declaring each track at
+/// its first event.
+class Renderer {
+ public:
+  Renderer(const query::TraceData& trace, std::string& out)
+      : lane_names_(trace.lane_names), writer_(out) {}
 
-/// Unwraps a pre-rendered JSON string literal ("d0-1" with quotes) to the
-/// raw token; non-string literals pass through unchanged.
-std::string_view unquote(std::string_view literal) noexcept {
-  if (literal.size() >= 2 && literal.front() == '"' && literal.back() == '"') {
-    return literal.substr(1, literal.size() - 2);
+  void event(const query::QueryEvent& e) {
+    const Domain domain = e.domain == "wall" ? Domain::kWall : Domain::kSim;
+    switch (e.ph) {
+      case 'C':
+        if (e.has_value) {
+          writer_.counter(counter(e, domain), to_ns(e.ts_us), e.value);
+        }
+        break;
+      case 'X': {
+        const std::uint64_t track = thread(e, domain);
+        writer_.slice_begin(track, to_ns(e.ts_us), e.name, e.cat);
+        writer_.slice_end(track, to_ns(e.ts_us + e.dur_us));
+        break;
+      }
+      default:
+        writer_.instant(thread(e, domain), to_ns(e.ts_us), e.name, e.cat,
+                        e.cat == "decision" ? flows(e)
+                                            : std::vector<std::uint64_t>{});
+        break;
+    }
   }
-  return literal;
-}
+
+ private:
+  struct Process {
+    std::int32_t pid = 0;
+    std::uint64_t uuid = 0;
+  };
+
+  const Process& process(const std::string& src, Domain domain) {
+    const auto key = std::make_pair(src, domain);
+    const auto it = processes_.find(key);
+    if (it != processes_.end()) return it->second;
+    const std::size_t k =
+        src_index_.try_emplace(src, src_index_.size()).first->second;
+    const auto pid =
+        static_cast<std::int32_t>(2 * k + (domain == Domain::kWall ? 2 : 1));
+    std::string name(to_string(domain));
+    if (!src.empty()) name = src + "/" + name;
+    return processes_
+        .emplace(key, Process{pid, writer_.add_process(pid, name)})
+        .first->second;
+  }
+
+  std::uint64_t thread(const query::QueryEvent& e, Domain domain) {
+    const auto key = std::make_tuple(e.src, domain, e.lane);
+    const auto it = threads_.find(key);
+    if (it != threads_.end()) return it->second;
+    const std::int32_t pid = process(e.src, domain).pid;
+    const auto named = lane_names_.find({e.src, e.domain, e.lane});
+    const std::uint64_t uuid = writer_.add_thread(
+        pid, static_cast<std::int32_t>(e.lane),
+        named != lane_names_.end() ? named->second
+                                   : "lane-" + std::to_string(e.lane));
+    threads_.emplace(key, uuid);
+    return uuid;
+  }
+
+  std::uint64_t counter(const query::QueryEvent& e, Domain domain) {
+    const auto key = std::make_tuple(e.src, domain, e.name);
+    const auto it = counters_.find(key);
+    if (it != counters_.end()) return it->second;
+    const std::uint64_t uuid =
+        writer_.add_counter(process(e.src, domain).uuid, e.name);
+    counters_.emplace(key, uuid);
+    return uuid;
+  }
+
+  static std::vector<std::uint64_t> flows(const query::QueryEvent& e) {
+    std::vector<std::uint64_t> ids;
+    for (const std::string_view key : {"id", "cause"}) {
+      for (const auto& [k, value] : e.args) {
+        if (k == key) ids.push_back(flow_id(e.src, value));
+      }
+    }
+    return ids;
+  }
+
+  const std::map<std::tuple<std::string, std::string, std::uint32_t>,
+                 std::string>& lane_names_;
+  PerfettoWriter writer_;
+  std::map<std::string, std::size_t> src_index_;
+  std::map<std::pair<std::string, Domain>, Process> processes_;
+  std::map<std::tuple<std::string, Domain, std::uint32_t>, std::uint64_t>
+      threads_;
+  std::map<std::tuple<std::string, Domain, std::string>, std::uint64_t>
+      counters_;
+};
 
 }  // namespace
 
-std::vector<std::uint64_t> decision_flow_ids(const TraceEvent& event,
-                                             std::string_view scope) {
-  std::vector<std::uint64_t> flows;
-  for (const TraceArg& a : event.args) {
-    if (a.key != "id" && a.key != "cause") continue;
-    std::string token(scope);
-    if (!token.empty()) token.push_back('/');
-    token.append(unquote(a.value));
-    flows.push_back(flow_id_hash(token));
-  }
-  return flows;
-}
-
-}  // namespace detail
-
-namespace {
-
-std::uint64_t to_ns(double ts_us) {
-  return ts_us <= 0.0 ? 0 : static_cast<std::uint64_t>(ts_us * 1e3);
-}
-
-}  // namespace
-
-PerfettoStreamSink::PerfettoStreamSink(std::string path,
-                                       StreamSinkOptions options)
-    : FileStreamSink(std::move(path), options), writer_(buf_) {}
-
-std::uint64_t PerfettoStreamSink::process_uuid(Domain domain) {
-  std::uint64_t& uuid = process_uuids_[static_cast<int>(domain)];
-  if (uuid == 0) {
-    uuid = writer_.add_process(obs::detail::pid_of(domain),
-                               std::string(to_string(domain)));
-  }
-  return uuid;
-}
-
-std::uint64_t PerfettoStreamSink::lane_uuid(Domain domain, std::uint32_t lane) {
-  const auto key = std::make_pair(domain, lane);
-  const auto it = lane_uuids_.find(key);
-  if (it != lane_uuids_.end()) return it->second;
-  process_uuid(domain);  // declare the process before its first thread
-  const std::string* named = lane_name(domain, lane);
-  const std::string name =
-      named != nullptr ? *named : "lane-" + std::to_string(lane);
-  const std::uint64_t uuid = writer_.add_thread(
-      obs::detail::pid_of(domain), static_cast<std::int32_t>(lane), name);
-  lane_uuids_.emplace(key, uuid);
-  return uuid;
-}
-
-std::uint64_t PerfettoStreamSink::counter_uuid(Domain domain,
-                                               const std::string& name) {
-  const auto key = std::make_pair(domain, name);
-  const auto it = counter_uuids_.find(key);
-  if (it != counter_uuids_.end()) return it->second;
-  const std::uint64_t uuid = writer_.add_counter(process_uuid(domain), name);
-  counter_uuids_.emplace(key, uuid);
-  return uuid;
-}
-
-void PerfettoStreamSink::write_lane_name(Domain domain, std::uint32_t lane,
-                                         const std::string& name) {
-  if (!accepting() || !rename_lane(domain, lane, name)) return;
-  // A track that already exists is re-declared under its uuid
-  // (trace_processor keeps the latest name); otherwise the name waits for
-  // the lane's first event.
-  const auto track = lane_uuids_.find({domain, lane});
-  if (track != lane_uuids_.end()) {
-    writer_.redeclare_thread(track->second, obs::detail::pid_of(domain),
-                             static_cast<std::int32_t>(lane), name);
-  }
-  commit(0);
-}
-
-void PerfettoStreamSink::write(const TraceEvent& event) {
-  if (!accepting()) return;
-  switch (event.phase) {
-    case 'C': {
-      double value = 0.0;
-      if (!detail::counter_value(event, &value)) break;
-      writer_.counter(counter_uuid(event.domain, event.name),
-                      to_ns(event.ts_us), value);
-      break;
-    }
-    case 'X': {
-      const std::uint64_t track = lane_uuid(event.domain, event.lane);
-      writer_.slice_begin(track, to_ns(event.ts_us), event.name, event.cat);
-      writer_.slice_end(track, to_ns(event.ts_us + event.dur_us));
-      break;
-    }
-    default:
-      writer_.instant(lane_uuid(event.domain, event.lane), to_ns(event.ts_us),
-                      event.name, event.cat,
-                      event.cat == "decision" ? detail::decision_flow_ids(event)
-                                              : std::vector<std::uint64_t>{});
-      break;
-  }
-  commit(1);
+bool write_perfetto(const query::TraceData& trace, const std::string& path) {
+  std::string bytes;
+  Renderer renderer(trace, bytes);
+  for (const query::QueryEvent& e : trace.events) renderer.event(e);
+  std::ofstream out(path, std::ios::trunc | std::ios::binary);
+  out.write(bytes.data(), static_cast<std::streamsize>(bytes.size()));
+  out.close();
+  return static_cast<bool>(out);
 }
 
 }  // namespace dcs::obs

@@ -12,30 +12,27 @@
 // Names and categories are emitted inline (no interning) — simpler, and
 // these traces are written once and queried offline.
 //
-// PerfettoWriter is the low-level encoder (exp/timeline.h drives it
-// directly to lay many processes on one timeline); PerfettoStreamSink
-// adapts it to the TraceSink interface with the repo's sim/wall process
-// convention, so benches stream `<name>_trace.perfetto` next to the JSONL
-// file.
+// Nothing renders Perfetto while a run is traced: runs stream JSONL only
+// (obs/sink.h), and write_perfetto renders a JSONL trace afterwards, as
+// decoded by obs/query.h. It is the one place that knows the track
+// convention, behind `trace_query perfetto <trace.jsonl>` and the merged
+// `timeline.perfetto` of a dispatch (exp/timeline.h). PerfettoWriter is its
+// low-level encoder.
 #pragma once
 
 #include <cstdint>
-#include <map>
 #include <string>
-#include <string_view>
-#include <utility>
 #include <vector>
 
-#include "obs/sink.h"
-#include "obs/trace.h"
+#include "obs/query.h"
 #include "util/proto.h"
 
 namespace dcs::obs {
 
 /// Appends Perfetto TracePacket records to a byte buffer the caller
 /// writes out. Track uuids are handed out sequentially, so an identical
-/// call sequence produces identical bytes (timeline merges rely on this for
-/// byte-stable re-merges).
+/// call sequence produces identical bytes (re-rendering a trace, or
+/// re-merging a timeline, gives the same file).
 class PerfettoWriter {
  public:
   explicit PerfettoWriter(std::string& out) : out_(&out) {}
@@ -45,10 +42,6 @@ class PerfettoWriter {
   /// Declares a thread track under `pid` (slices and instants land here).
   std::uint64_t add_thread(std::int32_t pid, std::int32_t tid,
                            const std::string& name);
-  /// Re-emits a thread-track descriptor under an existing uuid (renames:
-  /// trace_processor keeps the latest descriptor per uuid).
-  void redeclare_thread(std::uint64_t uuid, std::int32_t pid, std::int32_t tid,
-                        const std::string& name);
   /// Declares a counter track under a process track.
   std::uint64_t add_counter(std::uint64_t parent_uuid, const std::string& name,
                             const std::string& unit = "");
@@ -85,47 +78,23 @@ class PerfettoWriter {
   proto::ProtoWriter packet_;
 };
 
-/// TraceSink that writes a Perfetto protobuf trace with the repo's process
-/// convention (pid 1 = "sim", pid 2 = "wall"; one thread track per lane;
-/// 'C' events become one counter track per (domain, name), valued from
-/// their "value" arg). Each event is encoded into FileStreamSink's bounded
-/// buffer as it arrives; a lane name either names the lane's track when it
-/// is first used or re-declares a track that already exists.
-class PerfettoStreamSink final : public FileStreamSink {
- public:
-  explicit PerfettoStreamSink(std::string path, StreamSinkOptions options = {});
-
-  void write(const TraceEvent& event) override;
-  void write_lane_name(Domain domain, std::uint32_t lane,
-                       const std::string& name) override;
-
- private:
-  std::uint64_t process_uuid(Domain domain);
-  std::uint64_t lane_uuid(Domain domain, std::uint32_t lane);
-  std::uint64_t counter_uuid(Domain domain, const std::string& name);
-
-  PerfettoWriter writer_;
-  std::uint64_t process_uuids_[2] = {0, 0};
-  std::map<std::pair<Domain, std::uint32_t>, std::uint64_t> lane_uuids_;
-  std::map<std::pair<Domain, std::string>, std::uint64_t> counter_uuids_;
-};
-
-namespace detail {
-/// The numeric value of a counter event: its "value" arg if present, else
-/// the first arg whose pre-rendered literal parses as a number. Returns
-/// false when the event carries no numeric payload.
-[[nodiscard]] bool counter_value(const TraceEvent& event, double* value);
-
-/// Deterministic 64-bit flow id for a decision id/cause token (FNV-1a).
-[[nodiscard]] std::uint64_t flow_id_hash(std::string_view token) noexcept;
-
-/// Flow ids for a decision record: hashes of its "id" and "cause" arg
-/// values (pre-rendered quoted strings; quotes stripped before hashing).
-/// `scope` is prepended to each token ("<scope>/<id>") so merged
-/// multi-source timelines keep per-source chains distinct. Empty for
-/// events without an "id" arg.
-[[nodiscard]] std::vector<std::uint64_t> decision_flow_ids(
-    const TraceEvent& event, std::string_view scope = {});
-}  // namespace detail
+/// Writes `trace` (query::load_trace) to `path` as a Perfetto trace with
+/// the repo's track convention:
+///   * one process per (src, domain): pids 2k+1 ("sim") and 2k+2 ("wall"),
+///     k counting srcs in order of their first event, named "sim"/"wall"
+///     in an untagged trace (pids 1 and 2) and "src/domain" in a merged
+///     timeline;
+///   * one thread track per lane (tid = lane), named with the lane's last
+///     name (TraceData::lane_names) or "lane-<n>";
+///   * one counter track per (src, domain, counter name), valued from
+///     QueryEvent::value; samples without a value are dropped;
+///   * decision instants carry flow ids, FNV-1a hashes of their "id" and
+///     "cause" args ("<src>/<token>" in a merged timeline), so each record
+///     links to the records it causes.
+/// Each track is declared once, at its first event, so a trace always
+/// renders to the same bytes. Timestamps become nanoseconds, saturating at
+/// 0 and at 2^64 - 1. Returns false when `path` cannot be written.
+[[nodiscard]] bool write_perfetto(const query::TraceData& trace,
+                                  const std::string& path);
 
 }  // namespace dcs::obs

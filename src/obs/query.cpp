@@ -57,26 +57,36 @@ void capture_args(const json::Value& args, QueryEvent* q) {
 }
 
 /// One complete JSONL line: an object with a string "t". "ev" lines become
-/// events; every other type (header, lane, stack, ...) is skipped.
-/// Throws on anything else.
+/// events and "lane" lines lane names; every other type (header, stack,
+/// ...) is skipped. Throws on anything else.
 void load_jsonl_line(std::string_view line, TraceData* trace) {
   const json::Value e = json::parse(line);
   const json::Value* type = e.is_object() ? e.find("t") : nullptr;
   DCS_REQUIRE(type != nullptr && type->is_string(),
               "not a JSON object with a string \"t\"");
-  if (type->as_string() != "ev") return;
+  const std::string& t = type->as_string();
+  if (t != "ev" && t != "lane") return;
+  std::string src;
+  const json::Value* src_v = e.find("src");
+  if (src_v != nullptr && src_v->is_string()) src = src_v->as_string();
+  if (t == "lane") {
+    trace->lane_names.insert_or_assign(
+        {std::move(src), e.at("domain").as_string(),
+         json::read_integer<std::uint32_t>(e.at("lane"))},
+        e.at("name").as_string());
+    return;
+  }
   const std::string& ph = e.at("ph").as_string();
   DCS_REQUIRE(!ph.empty(), "empty \"ph\"");
   QueryEvent q;
-  const json::Value* src = e.find("src");
-  if (src != nullptr && src->is_string()) q.src = src->as_string();
+  q.src = std::move(src);
   q.domain = e.at("domain").as_string();
   q.ph = ph[0];
   q.ts_us = e.at("ts").as_number();
   const json::Value* dur = e.find("dur");
   if (dur != nullptr) q.dur_us = dur->as_number();
   const json::Value* lane = e.find("lane");
-  if (lane != nullptr) q.lane = static_cast<std::uint32_t>(lane->as_number());
+  if (lane != nullptr) q.lane = json::read_integer<std::uint32_t>(*lane);
   const json::Value* cat = e.find("cat");
   if (cat != nullptr && cat->is_string()) q.cat = cat->as_string();
   const json::Value* name = e.find("name");

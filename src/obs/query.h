@@ -7,10 +7,11 @@
 //
 // Accepted inputs: every JSONL file of the telemetry schema (obs/sink.h) —
 // a bench's `<name>_trace.jsonl`, a worker's telemetry stream and the
-// dispatcher's merged `timeline.jsonl`. "ev" lines carry the events, and
-// the timeline's "src" tag survives into QueryEvent::src so stats can be
-// grouped per shard process; lines of any other "t" type (header, lane,
-// stack, ...) are skipped.
+// dispatcher's merged `timeline.jsonl`. "ev" lines carry the events and
+// "lane" lines the lane names, and the timeline's "src" tag survives into
+// QueryEvent::src so stats can be grouped per shard process; lines of any
+// other "t" type (header, proc, stack, ...) are skipped. The same decoded
+// trace feeds the Perfetto renderer (obs/perfetto.h).
 //
 // Counter tracks are step functions: a sample holds until the next sample
 // on its (src, lane) track. Exporters write a track only where it changes
@@ -24,8 +25,10 @@
 #pragma once
 
 #include <cstdint>
+#include <map>
 #include <ostream>
 #include <string>
+#include <tuple>
 #include <utility>
 #include <vector>
 
@@ -56,14 +59,20 @@ struct QueryEvent {
 
 struct TraceData {
   std::vector<QueryEvent> events;
+  /// Lane names by (src, domain, lane), each the last "lane" line's name
+  /// for its lane (a lane renamed mid-trace keeps its latest name).
+  std::map<std::tuple<std::string, std::string, std::uint32_t>, std::string>
+      lane_names;
 };
 
 /// Loads a JSONL trace. A final line without its newline is a torn write
 /// (a worker killed mid-line) and is skipped, as are blank lines and lines
-/// of a "t" type other than "ev". Throws std::invalid_argument, naming the
-/// file and line, when the file cannot be read or a complete line is not a
-/// JSON object with a string "t" (a Chrome trace-event document, a line of
-/// the old plain schema, a damaged line) or is a malformed "ev" line.
+/// of a "t" type other than "ev" and "lane". Throws std::invalid_argument,
+/// naming the file and line, when the file cannot be read or a complete
+/// line is not a JSON object with a string "t" (a Chrome trace-event
+/// document, a line of the old plain schema, a damaged line) or is a
+/// malformed "ev" or "lane" line (a lane that is not a whole number in
+/// [0, 2^32) included).
 [[nodiscard]] TraceData load_trace(const std::string& path);
 
 /// Duration statistics read from the profiler's scope summaries (instants

@@ -8,37 +8,22 @@
 
 namespace dcs::obs {
 
-FileStreamSink::FileStreamSink(std::string path, StreamSinkOptions options)
+JsonlStreamSink::JsonlStreamSink(std::string path, StreamSinkOptions options)
     : path_(std::move(path)),
       buffer_bytes_(options.buffer_bytes == 0 ? 1 : options.buffer_bytes) {
   out_.open(path_, std::ios::trunc | std::ios::binary);
   ok_ = static_cast<bool>(out_);
 }
 
-FileStreamSink::~FileStreamSink() { finalize(); }
+JsonlStreamSink::~JsonlStreamSink() { finalize(); }
 
-void FileStreamSink::commit(std::size_t events) {
+void JsonlStreamSink::commit(std::size_t events) {
   events_written_ += events;
   if (buf_.size() > peak_buffered_) peak_buffered_ = buf_.size();
   if (buf_.size() >= buffer_bytes_) flush();
 }
 
-bool FileStreamSink::rename_lane(Domain domain, std::uint32_t lane,
-                                 const std::string& name) {
-  const auto [it, added] = lane_names_.try_emplace({domain, lane}, name);
-  if (added) return true;
-  if (it->second == name) return false;
-  it->second = name;
-  return true;
-}
-
-const std::string* FileStreamSink::lane_name(Domain domain,
-                                             std::uint32_t lane) const {
-  const auto it = lane_names_.find({domain, lane});
-  return it == lane_names_.end() ? nullptr : &it->second;
-}
-
-void FileStreamSink::flush() {
+void JsonlStreamSink::flush() {
   out_.write(buf_.data(), static_cast<std::streamsize>(buf_.size()));
   out_.flush();
   buf_.clear();
@@ -49,7 +34,7 @@ void FileStreamSink::flush() {
   if (!out_) ok_ = false;
 }
 
-void FileStreamSink::finalize() {
+void JsonlStreamSink::finalize() {
   if (finalized_) return;
   finalized_ = true;
   if (!ok_) return;
@@ -57,9 +42,6 @@ void FileStreamSink::finalize() {
   out_.close();
   if (!out_) ok_ = false;
 }
-
-JsonlStreamSink::JsonlStreamSink(std::string path, StreamSinkOptions options)
-    : FileStreamSink(std::move(path), options) {}
 
 void JsonlStreamSink::write(const TraceEvent& event) {
   if (!accepting()) return;
@@ -70,7 +52,12 @@ void JsonlStreamSink::write(const TraceEvent& event) {
 
 void JsonlStreamSink::write_lane_name(Domain domain, std::uint32_t lane,
                                       const std::string& name) {
-  if (!accepting() || !rename_lane(domain, lane, name)) return;
+  if (!accepting()) return;
+  const auto [it, added] = lane_names_.try_emplace({domain, lane}, name);
+  if (!added) {
+    if (it->second == name) return;
+    it->second = name;
+  }
   detail::append_lane_line(buf_, domain, lane, name);
   buf_ += '\n';
   commit(0);

@@ -5,10 +5,11 @@
 // A sink renders each event into its byte buffer the moment it arrives and
 // writes the buffer to the file once it holds `buffer_bytes`, so peak
 // memory is that bound plus one rendered record, whatever the trace
-// length. The buffer only ever holds whole records — JSONL lines or
-// Perfetto packets — so a file cut short by a crash ends on a record
-// boundary up to the last write, and readers (obs/query.h, the timeline
-// merge) skip at most a torn last line.
+// length. The buffer only ever holds whole JSONL lines, so a file cut
+// short by a crash ends on a line boundary up to the last write, and
+// readers (obs/query.h, the timeline merge) skip at most a torn last line.
+// JSONL is the one encoding a traced run writes: Perfetto files are
+// rendered from it afterwards (obs/perfetto.h, `trace_query perfetto`).
 //
 // Sinks are not thread-safe (same contract as Tracer): one sink fed by one
 // thread, typically the merge thread of a sweep or a single-run bench.
@@ -32,55 +33,53 @@ struct StreamSinkOptions {
   std::size_t buffer_bytes = std::size_t{1} << 20;
 };
 
-/// Common machinery of the file-backed sinks: the render buffer, its
-/// bounded flush, health tracking and finalize. Derived sinks append one
-/// whole record to `buf_` per call and then call commit().
-class FileStreamSink : public TraceSink {
+/// Streams the JSONL trace to `path`: one telemetry-schema "ev" line per
+/// event and one "lane" line per new lane name, in arrival order
+/// (detail::append_event_line / append_lane_line). No header, so the file
+/// is a pure function of the event stream. Each line is rendered into
+/// `buf_`, which is written out once it reaches `buffer_bytes`; a failed
+/// write drops the sink to not-ok at once.
+class JsonlStreamSink : public TraceSink {
  public:
-  FileStreamSink(const FileStreamSink&) = delete;
-  FileStreamSink& operator=(const FileStreamSink&) = delete;
-  ~FileStreamSink() override;
+  explicit JsonlStreamSink(std::string path, StreamSinkOptions options = {});
+  JsonlStreamSink(const JsonlStreamSink&) = delete;
+  JsonlStreamSink& operator=(const JsonlStreamSink&) = delete;
+  ~JsonlStreamSink() override;
 
+  void write(const TraceEvent& event) override;
+  void write_lane_name(Domain domain, std::uint32_t lane,
+                       const std::string& name) override;
   /// Writes what is buffered and closes the file. Idempotent.
   void finalize() final;
 
   [[nodiscard]] bool healthy() const override { return ok_; }
   [[nodiscard]] bool ok() const noexcept { return ok_; }
   [[nodiscard]] const std::string& path() const noexcept { return path_; }
-  /// Events rendered (lane names and other metadata records not counted).
+  /// Events rendered (lane names and other metadata lines not counted).
   [[nodiscard]] std::size_t events_written() const noexcept {
     return events_written_;
   }
   /// High-water mark of the render buffer in bytes — tests assert it stays
-  /// within StreamSinkOptions::buffer_bytes plus one record.
+  /// within StreamSinkOptions::buffer_bytes plus one line.
   [[nodiscard]] std::size_t peak_buffered_bytes() const noexcept {
     return peak_buffered_;
   }
   [[nodiscard]] std::size_t flush_count() const noexcept { return flushes_; }
 
  protected:
-  FileStreamSink(std::string path, StreamSinkOptions options);
-
   /// False once the sink is finalized or failed: writers return early.
   [[nodiscard]] bool accepting() const noexcept { return ok_ && !finalized_; }
-  /// Call after appending whole records to buf_; `events` of them were
+  /// Call after appending whole lines to buf_; `events` of them were
   /// trace events. Writes the buffer out once it reaches the bound.
   void commit(std::size_t events);
-  /// Records `name` for the lane; false when the lane already has that
-  /// name (task-order merging re-registers lanes, and a repeat writes
-  /// nothing).
-  bool rename_lane(Domain domain, std::uint32_t lane, const std::string& name);
-  /// The lane's latest name, or null when it has none.
-  [[nodiscard]] const std::string* lane_name(Domain domain,
-                                             std::uint32_t lane) const;
-
   /// Writes the buffer to the file now.
   void flush();
 
   std::string buf_;
 
  private:
-
+  /// Each lane's latest name: a repeat of it writes nothing (task-order
+  /// merging re-registers lanes).
   std::map<std::pair<Domain, std::uint32_t>, std::string> lane_names_;
   std::ofstream out_;
   std::string path_;
@@ -90,19 +89,6 @@ class FileStreamSink : public TraceSink {
   std::size_t events_written_ = 0;
   std::size_t peak_buffered_ = 0;
   std::size_t flushes_ = 0;
-};
-
-/// Streams the JSONL trace to `path`: one telemetry-schema "ev" line per
-/// event and one "lane" line per new lane name, in arrival order
-/// (detail::append_event_line / append_lane_line). No header, so the file
-/// is a pure function of the event stream.
-class JsonlStreamSink : public FileStreamSink {
- public:
-  explicit JsonlStreamSink(std::string path, StreamSinkOptions options = {});
-
-  void write(const TraceEvent& event) override;
-  void write_lane_name(Domain domain, std::uint32_t lane,
-                       const std::string& name) override;
 };
 
 struct TelemetryOptions {
@@ -138,8 +124,8 @@ class TelemetrySink final : public JsonlStreamSink {
   void write_stacks(const FoldedStacks& stacks);
 };
 
-/// Fans one event stream out to several sinks: the bench glue's JSONL and
-/// Perfetto files and the worker telemetry stream. Does not own the sinks.
+/// Fans one event stream out to several sinks: the bench glue's JSONL
+/// trace and the worker telemetry stream. Does not own the sinks.
 class TeeSink final : public TraceSink {
  public:
   explicit TeeSink(std::vector<TraceSink*> sinks) : sinks_(std::move(sinks)) {}

@@ -41,10 +41,6 @@ void append_uint(std::string& out, std::uint64_t v) {
 
 }  // namespace
 
-int pid_of(Domain domain) noexcept {
-  return domain == Domain::kSim ? 1 : 2;
-}
-
 void append_event_line(std::string& out, const TraceEvent& e) {
   out += "{\"t\":\"ev\",\"domain\":\"";
   out += to_string(e.domain);

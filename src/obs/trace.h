@@ -1,6 +1,7 @@
 // Structured trace events for the sprinting stack, written as JSONL lines
 // of the telemetry schema (obs/sink.h: `{"t":"ev",...}` events and
-// `{"t":"lane",...}` lane names) and as Perfetto protobuf (obs/perfetto.h).
+// `{"t":"lane",...}` lane names), the one encoding a run writes. Perfetto
+// files are rendered from that JSONL afterwards (obs/perfetto.h).
 //
 // Two clock domains share one Tracer:
 //  * kSim — events stamped with *simulated* time (controller phase
@@ -114,8 +115,8 @@ class Tracer {
   /// Self-merge is a precondition violation.
   void merge_from(Tracer&& other);
 
-  /// Names a lane: a "lane" line in JSONL, the thread track's name in
-  /// Perfetto.
+  /// Names a lane: a "lane" line in JSONL, which names the lane's thread
+  /// track when the trace is rendered for Perfetto.
   void name_lane(Domain domain, std::uint32_t lane, std::string name);
 
   /// Buffered events (empty in streaming mode — the sink consumed them).
@@ -151,8 +152,6 @@ namespace detail {
 // json::append_string), so a sink renders an event where it arrives with
 // no stream formatting and no allocation once the buffer has grown.
 [[nodiscard]] std::string render_number(double v);
-/// Perfetto process id of a domain: 1 = "sim", 2 = "wall".
-[[nodiscard]] int pid_of(Domain domain) noexcept;
 void append_number(std::string& out, double v);
 /// `{"t":"ev","domain":...,"ph":...,"ts":...[,"dur":...],"lane":...,
 /// "cat":...,"name":...[,"args":{...}]}` without the trailing newline.

@@ -4,11 +4,14 @@
 // dependencies, no streaming — the records this reads are small.
 #pragma once
 
+#include <cmath>
 #include <cstddef>
+#include <limits>
 #include <map>
 #include <memory>
 #include <string>
 #include <string_view>
+#include <type_traits>
 #include <vector>
 
 #include "util/check.h"
@@ -98,6 +101,26 @@ class Value {
 /// Reads a value written by `number_to_string`: a plain number, or one of
 /// the non-finite marker strings. DCS_REQUIRE on anything else.
 [[nodiscard]] double read_number(const Value& v);
+
+/// Reads a number that must be a whole value inside `Int`'s range: the
+/// file readers' one way to turn a parsed number into an index, count or
+/// id, so a damaged file (`-1` for an index, `1e999` for a count) fails
+/// here instead of in an out-of-range float-to-integer conversion.
+/// DCS_REQUIRE on a non-number, a fraction, a non-finite value or one
+/// outside the range.
+template <typename Int>
+[[nodiscard]] Int read_integer(const Value& v) {
+  static_assert(std::is_integral_v<Int>);
+  const double x = v.as_number();
+  // Both bounds are zero or a power of two, so each converts exactly.
+  constexpr double kMin = static_cast<double>(std::numeric_limits<Int>::min());
+  constexpr double kEnd =
+      2.0 * static_cast<double>(std::numeric_limits<Int>::max() / 2 + 1);
+  DCS_REQUIRE(x >= kMin && x < kEnd && x == std::trunc(x),
+              "json number " + number_to_string(x) +
+                  " is not an integer in range");
+  return static_cast<Int>(x);
+}
 
 /// A double as a report number: `%.17g` when finite, `null` otherwise (for
 /// summaries and snapshots, where a non-finite value means "no data").

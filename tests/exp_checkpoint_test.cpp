@@ -154,6 +154,32 @@ TEST(ExpCheckpoint, HeaderOnlyFileIsPresentWithZeroRows) {
   std::remove(path.c_str());
 }
 
+TEST(ExpCheckpoint, OutOfRangeNumbersStopTheRowsOrRejectTheHeader) {
+  const std::string path = unique_path("ckpt_out_of_range.jsonl");
+  const auto header = [](const std::string& task_count) {
+    return "{\"checkpoint\": \"s\", \"version\": 1, \"base_seed\": \"7\", "
+           "\"task_count\": " + task_count + ", \"metrics\": [\"x\"]}\n";
+  };
+  const auto row = [](const std::string& index) {
+    return "{\"index\": " + index + ", \"seed\": \"1\", \"row\": [2.5]}\n";
+  };
+  // A damaged index is a torn row: the rows before it load, and it and
+  // every row after it are dropped.
+  for (const char* bad : {"-1", "1e999", "0.5"}) {
+    { std::ofstream(path) << header("4") << row("0") << row(bad) << row("1"); }
+    const CheckpointData data = load_checkpoint(path);
+    EXPECT_EQ(data.task_count, 4u) << bad;
+    ASSERT_EQ(data.rows.size(), 1u) << bad;
+    EXPECT_EQ(data.rows.count(0), 1u) << bad;
+  }
+  // A damaged task count is a header error.
+  for (const char* bad : {"-1", "1e999", "2.5"}) {
+    { std::ofstream(path) << header(bad) << row("0"); }
+    EXPECT_THROW((void)load_checkpoint(path), std::invalid_argument) << bad;
+  }
+  std::remove(path.c_str());
+}
+
 TEST(ExpCheckpoint, AtomicWriteRoundTripsAndNeverLeavesTemp) {
   const SweepSpec spec = small_spec();
   // threads=1 so the incremental writer appends in index order, matching

@@ -292,6 +292,31 @@ TEST(ExpDispatch, ResumeReportRejectsUnreadableReport) {
   fs::remove_all(dir);
 }
 
+TEST(ExpDispatch, ResumeReportRejectsOutOfRangeTaskNumbers) {
+  const std::string dir = fresh_dir("resume_range");
+  DispatchOptions options = base_options(dir, /*tasks=*/4, /*shards=*/1);
+  const std::string checkpoint = dir + "/merged.ckpt.jsonl";
+  { std::ofstream(checkpoint) << "{}\n"; }
+  const std::string report = dir + "/report.json";
+  options.resume_report_path = report;
+  const auto write_report = [&](const std::string& task_count,
+                                const std::string& missing) {
+    std::ofstream(report) << "{\"dispatch_report\": 1, \"merged\": [{"
+                             "\"sweep\": \"fake\", \"path\": \""
+                          << checkpoint << "\", \"task_count\": " << task_count
+                          << ", \"missing\": [" << missing << "]}]}\n";
+  };
+  // A task count or a missing task index that is not a whole number in
+  // range is an unusable report, like one that does not parse.
+  for (const char* bad : {"-1", "1e999", "0.5"}) {
+    write_report(bad, "0");
+    EXPECT_THROW((void)dispatch_sweep(options), std::invalid_argument) << bad;
+    write_report("4", bad);
+    EXPECT_THROW((void)dispatch_sweep(options), std::invalid_argument) << bad;
+  }
+  fs::remove_all(dir);
+}
+
 TEST(ExpDispatch, ChaosKillsAreFreeAndMergeDeterministically) {
   const std::string dir = fresh_dir("chaos");
   const std::size_t tasks = 60;

@@ -228,6 +228,45 @@ TEST(ExpTimeline, HeaderlessStreamsMergeUnaligned) {
   fs::remove_all(dir);
 }
 
+TEST(ExpTimeline, OutOfRangeNumbersAreSkippedOrSaturated) {
+  const std::string dir = fresh_dir("out_of_range");
+  // shard 0: a header whose pid overflows int reads as missing, so the
+  // stream merges unaligned; of its lines, a negative lane, a negative
+  // stack count and an infinite timestamp are skipped, and a timestamp
+  // past the uint64 nanosecond range renders saturated.
+  write_file(dir + "/shard_0/telemetry_0001.jsonl",
+             "{\"t\":\"header\",\"telemetry\":1,\"name\":\"fake\","
+             "\"pid\":1e999,\"shard\":\"\",\"epoch_unix_us\":5}\n"
+             "{\"t\":\"lane\",\"domain\":\"wall\",\"lane\":-1,"
+             "\"name\":\"bad\"}\n"
+             "{\"t\":\"ev\",\"domain\":\"wall\",\"ph\":\"i\",\"ts\":1,"
+             "\"lane\":-1,\"cat\":\"c\",\"name\":\"bad-lane\"}\n"
+             "{\"t\":\"ev\",\"domain\":\"wall\",\"ph\":\"i\",\"ts\":1e999,"
+             "\"lane\":0,\"cat\":\"c\",\"name\":\"inf-ts\"}\n"
+             "{\"t\":\"stack\",\"stack\":\"fake;task\",\"count\":-1}\n" +
+                 wall_instant(1e300, "far") + wall_instant(2.0, "tick"));
+  // shard 1: an epoch past int64 is a missing header too.
+  write_file(dir + "/shard_1/telemetry_0001.jsonl",
+             "{\"t\":\"header\",\"telemetry\":1,\"name\":\"fake\","
+             "\"pid\":7,\"shard\":\"\",\"epoch_unix_us\":1e300}\n" +
+                 wall_instant(3.0, "tick"));
+  const TimelineSummary summary = merge_timeline(options_for(dir));
+  ASSERT_TRUE(summary.ok()) << summary.error;
+  EXPECT_EQ(summary.sources, 2u);
+  EXPECT_EQ(summary.aligned_sources, 0u);
+  EXPECT_EQ(summary.stacks, 0u);
+  const obs::query::TraceData trace =
+      obs::query::load_trace(summary.jsonl_path);
+  std::vector<std::string> names;
+  for (const obs::query::QueryEvent& e : trace.events) {
+    names.push_back(e.name);
+  }
+  EXPECT_EQ(names, (std::vector<std::string>{"far", "tick", "tick"}));
+  EXPECT_TRUE(trace.lane_names.empty());
+  EXPECT_FALSE(slurp(summary.perfetto_path).empty());
+  fs::remove_all(dir);
+}
+
 TEST(ExpTimeline, ReportsErrorsInsteadOfThrowing) {
   TimelineOptions options;
   EXPECT_FALSE(merge_timeline(options).ok());

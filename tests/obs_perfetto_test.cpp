@@ -1,19 +1,23 @@
 // Perfetto protobuf output: wire-format framing, TrackEvent payloads and
-// the PerfettoStreamSink's process/track convention, verified with a small
-// in-test protobuf decoder (the repo itself never parses protobuf).
+// the renderer's process/track convention on JSONL traces written by the
+// stream sink, verified with a small in-test protobuf decoder (the repo
+// itself never parses protobuf).
 #include "obs/perfetto.h"
 
 #include <gtest/gtest.h>
 
+#include <bit>
 #include <cstdio>
 #include <cstring>
 #include <fstream>
+#include <limits>
 #include <map>
 #include <optional>
 #include <sstream>
 #include <string>
 #include <vector>
 
+#include "obs/query.h"
 #include "obs/sink.h"
 #include "obs/trace.h"
 #include "util/proto.h"
@@ -107,6 +111,7 @@ constexpr std::uint32_t kEventType = 9;
 constexpr std::uint32_t kEventTrackUuid = 11;
 constexpr std::uint32_t kEventName = 23;
 constexpr std::uint32_t kEventDoubleCounterValue = 44;
+constexpr std::uint32_t kEventFlowIds = 47;
 
 std::string read_file(const std::string& path) {
   std::ifstream in(path, std::ios::binary);
@@ -225,10 +230,10 @@ TEST(ObsPerfetto, IdenticalCallSequencesProduceIdenticalBytes) {
     writer.counter(writer.add_counter(p, "x"), 30, 1.5);
     return out;
   };
-  EXPECT_EQ(run(), run()) << "timeline re-merges rely on byte stability";
+  EXPECT_EQ(run(), run()) << "re-rendered traces rely on byte stability";
 }
 
-// -- PerfettoStreamSink ------------------------------------------------------
+// -- write_perfetto ----------------------------------------------------------
 
 TraceEvent event_with(Domain domain, char phase, double ts_us,
                       const std::string& name) {
@@ -241,10 +246,55 @@ TraceEvent event_with(Domain domain, char phase, double ts_us,
   return e;
 }
 
-TEST(ObsPerfetto, StreamSinkMapsDomainsLanesAndCountersToTracks) {
-  const std::string path = temp_path("perfetto_sink.perfetto");
+/// Renders the JSONL trace at `jsonl` as `trace_query perfetto` does
+/// (query::load_trace, then write_perfetto) and returns the packets.
+std::vector<std::string> render(const std::string& jsonl) {
+  const std::string perfetto = jsonl + ".perfetto";
+  EXPECT_TRUE(write_perfetto(query::load_trace(jsonl), perfetto));
+  std::vector<std::string> packets = split_packets(read_file(perfetto));
+  std::remove(jsonl.c_str());
+  std::remove(perfetto.c_str());
+  return packets;
+}
+
+/// The descriptors and events of a rendered trace, by track uuid.
+struct Rendered {
+  std::map<std::uint64_t, std::pair<std::uint64_t, std::string>>
+      processes;                                        // uuid -> pid, name
+  std::map<std::uint64_t, std::vector<std::string>> threads;  // uuid -> names
+  std::map<std::uint64_t, std::string> counters;              // uuid -> name
+  std::vector<std::vector<Field>> events;
+};
+
+Rendered tracks_of(const std::vector<std::string>& packets) {
+  Rendered r;
+  for (const std::string& payload : packets) {
+    const std::vector<Field> pkt = decode(payload);
+    if (const Field* track = find(pkt, kPacketTrackDescriptor)) {
+      const std::vector<Field> desc = decode(track->bytes);
+      const std::uint64_t uuid = find(desc, kTrackUuid)->varint;
+      if (const Field* proc = find(desc, kTrackProcess)) {
+        const std::vector<Field> pd = decode(proc->bytes);
+        r.processes[uuid] = {find(pd, kProcessPid)->varint,
+                             find(pd, kProcessName)->bytes};
+      } else if (const Field* thread = find(desc, kTrackThread)) {
+        r.threads[uuid].push_back(
+            find(decode(thread->bytes), kThreadName)->bytes);
+      } else if (const Field* name = find(desc, kTrackName)) {
+        r.counters[uuid] = name->bytes;
+      }
+    }
+    if (const Field* ev = find(pkt, kPacketTrackEvent)) {
+      r.events.push_back(decode(ev->bytes));
+    }
+  }
+  return r;
+}
+
+TEST(ObsPerfetto, RendererMapsDomainsLanesAndCountersToTracks) {
+  const std::string path = temp_path("perfetto_render.jsonl");
   {
-    PerfettoStreamSink sink(path, {.buffer_bytes = 32});
+    JsonlStreamSink sink(path, {.buffer_bytes = 32});
     ASSERT_TRUE(sink.ok());
     sink.write_lane_name(Domain::kSim, 0, "named-early");
     sink.write(event_with(Domain::kSim, 'i', 1.0, "tick"));
@@ -257,95 +307,173 @@ TEST(ObsPerfetto, StreamSinkMapsDomainsLanesAndCountersToTracks) {
     sink.finalize();
     EXPECT_EQ(sink.events_written(), 3u);  // lane names are not events
   }
-  const std::vector<std::string> packets = split_packets(read_file(path));
+  const std::vector<std::string> packets = render(path);
   // sim process + sim thread + wall process + wall counter descriptors,
   // instant + slice begin/end + counter sample events.
   ASSERT_EQ(packets.size(), 8u);
+  const Rendered r = tracks_of(packets);
 
-  std::map<std::uint64_t, std::string> process_names;   // uuid -> name
-  std::map<std::uint64_t, std::string> thread_names;    // uuid -> name
-  std::map<std::uint64_t, std::string> counter_tracks;  // uuid -> name
-  std::vector<std::vector<Field>> events;
-  for (const std::string& payload : packets) {
-    const std::vector<Field> pkt = decode(payload);
-    if (const Field* track = find(pkt, kPacketTrackDescriptor)) {
-      const std::vector<Field> desc = decode(track->bytes);
-      const std::uint64_t uuid = find(desc, kTrackUuid)->varint;
-      if (const Field* proc = find(desc, kTrackProcess)) {
-        process_names[uuid] = find(decode(proc->bytes), kProcessName)->bytes;
-      } else if (const Field* thread = find(desc, kTrackThread)) {
-        thread_names[uuid] = find(decode(thread->bytes), kThreadName)->bytes;
-      } else if (const Field* name = find(desc, kTrackName)) {
-        counter_tracks[uuid] = name->bytes;
-      }
-    }
-    if (const Field* ev = find(pkt, kPacketTrackEvent)) {
-      events.push_back(decode(ev->bytes));
-    }
-  }
-  ASSERT_EQ(process_names.size(), 2u);
-  std::vector<std::string> procs;
-  for (const auto& [uuid, name] : process_names) procs.push_back(name);
-  EXPECT_EQ(procs, (std::vector<std::string>{"sim", "wall"}));
-  // The early write_lane_name must beat the lazy "lane-0" default.
-  ASSERT_EQ(thread_names.size(), 1u);
-  EXPECT_EQ(thread_names.begin()->second, "named-early");
-  ASSERT_EQ(counter_tracks.size(), 1u);
-  EXPECT_EQ(counter_tracks.begin()->second, "degree");
+  // An untagged trace: pid 1 is "sim", pid 2 is "wall".
+  ASSERT_EQ(r.processes.size(), 2u);
+  std::vector<std::pair<std::uint64_t, std::string>> procs;
+  for (const auto& [uuid, proc] : r.processes) procs.push_back(proc);
+  EXPECT_EQ(procs, (std::vector<std::pair<std::uint64_t, std::string>>{
+                       {1, "sim"}, {2, "wall"}}));
+  // The lane's name beats the "lane-0" default.
+  ASSERT_EQ(r.threads.size(), 1u);
+  EXPECT_EQ(r.threads.begin()->second,
+            (std::vector<std::string>{"named-early"}));
+  ASSERT_EQ(r.counters.size(), 1u);
+  EXPECT_EQ(r.counters.begin()->second, "degree");
 
-  ASSERT_EQ(events.size(), 4u);
-  EXPECT_EQ(find(events[0], kEventType)->varint, 3u);  // instant
-  EXPECT_EQ(find(events[1], kEventType)->varint, 1u);  // slice begin
-  EXPECT_EQ(find(events[2], kEventType)->varint, 2u);  // slice end
-  EXPECT_EQ(find(events[3], kEventType)->varint, 4u);  // counter
-  EXPECT_EQ(find(events[3], kEventDoubleCounterValue)->fixed64, 2.75);
-  EXPECT_EQ(find(events[3], kEventTrackUuid)->varint,
-            counter_tracks.begin()->first);
-  std::remove(path.c_str());
+  ASSERT_EQ(r.events.size(), 4u);
+  EXPECT_EQ(find(r.events[0], kEventType)->varint, 3u);  // instant
+  EXPECT_EQ(find(r.events[1], kEventType)->varint, 1u);  // slice begin
+  EXPECT_EQ(find(r.events[2], kEventType)->varint, 2u);  // slice end
+  EXPECT_EQ(find(r.events[3], kEventType)->varint, 4u);  // counter
+  EXPECT_EQ(find(r.events[3], kEventDoubleCounterValue)->fixed64, 2.75);
+  EXPECT_EQ(find(r.events[3], kEventTrackUuid)->varint,
+            r.counters.begin()->first);
 }
 
-TEST(ObsPerfetto, LaneRenameRedeclaresTheSameTrackUuid) {
-  const std::string path = temp_path("perfetto_rename.perfetto");
+TEST(ObsPerfetto, RenamedLaneRendersOneTrackUnderItsLastName) {
+  const std::string path = temp_path("perfetto_rename.jsonl");
   {
-    PerfettoStreamSink sink(path);
-    // The instant mints the track before the rename arrives, forcing the
-    // redeclare path rather than the eager-name one.
+    JsonlStreamSink sink(path);
+    // The lane is named, used, then renamed: the stream holds both names.
+    sink.write_lane_name(Domain::kSim, 0, "first");
     sink.write(event_with(Domain::kSim, 'i', 1.0, "before"));
     sink.write_lane_name(Domain::kSim, 0, "renamed");
+    sink.write(event_with(Domain::kSim, 'i', 2.0, "after"));
     sink.finalize();
   }
-  std::map<std::uint64_t, std::vector<std::string>> names_by_uuid;
-  for (const std::string& payload : split_packets(read_file(path))) {
-    const std::vector<Field> pkt = decode(payload);
-    const Field* track = find(pkt, kPacketTrackDescriptor);
-    if (track == nullptr) continue;
-    const std::vector<Field> desc = decode(track->bytes);
-    if (const Field* thread = find(desc, kTrackThread)) {
-      names_by_uuid[find(desc, kTrackUuid)->varint].push_back(
-          find(decode(thread->bytes), kThreadName)->bytes);
-    }
+  const Rendered r = tracks_of(render(path));
+  // One track, declared once, under the lane's last name: a rename never
+  // mints a second track.
+  ASSERT_EQ(r.threads.size(), 1u);
+  EXPECT_EQ(r.threads.begin()->second, (std::vector<std::string>{"renamed"}));
+  ASSERT_EQ(r.events.size(), 2u);
+  for (const std::vector<Field>& ev : r.events) {
+    EXPECT_EQ(find(ev, kEventTrackUuid)->varint, r.threads.begin()->first);
   }
-  // Both descriptors must target one uuid — trace_processor keeps the last
-  // name, so a rename must never mint a second track.
-  ASSERT_EQ(names_by_uuid.size(), 1u);
-  ASSERT_EQ(names_by_uuid.begin()->second.size(), 2u);
-  EXPECT_EQ(names_by_uuid.begin()->second.back(), "renamed");
-  std::remove(path.c_str());
 }
 
 TEST(ObsPerfetto, CounterEventsWithoutNumericPayloadAreDropped) {
-  TraceEvent e = event_with(Domain::kSim, 'C', 1.0, "track");
-  double value = 0.0;
-  EXPECT_FALSE(detail::counter_value(e, &value));
-  e.args = {arg("note", std::string_view("text"))};
-  EXPECT_FALSE(detail::counter_value(e, &value));
-  e.args = {arg("note", std::string_view("text")), arg("value", 4.0)};
-  EXPECT_TRUE(detail::counter_value(e, &value));
-  EXPECT_EQ(value, 4.0);
-  // No "value" key: the first numeric arg qualifies.
-  e.args = {arg("degree", 3.5)};
-  EXPECT_TRUE(detail::counter_value(e, &value));
-  EXPECT_EQ(value, 3.5);
+  const std::string path = temp_path("perfetto_counters.jsonl");
+  {
+    JsonlStreamSink sink(path);
+    TraceEvent e = event_with(Domain::kSim, 'C', 1.0, "track");
+    sink.write(e);
+    e.args = {arg("note", std::string_view("text"))};
+    sink.write(e);
+    e.args = {arg("note", std::string_view("text")), arg("value", 4.0)};
+    sink.write(e);
+    // No "value" key: the first numeric arg qualifies.
+    e.args = {arg("degree", 3.5)};
+    sink.write(e);
+    sink.finalize();
+  }
+  const Rendered r = tracks_of(render(path));
+  ASSERT_EQ(r.counters.size(), 1u);
+  std::vector<double> values;
+  for (const std::vector<Field>& ev : r.events) {
+    values.push_back(find(ev, kEventDoubleCounterValue)->fixed64);
+  }
+  EXPECT_EQ(values, (std::vector<double>{4.0, 3.5}));
+}
+
+TEST(ObsPerfetto, TimestampsSaturateAtTheEndsOfTheNanosecondRange) {
+  const std::string path = temp_path("perfetto_saturate.jsonl");
+  {
+    JsonlStreamSink sink(path);
+    for (const double ts_us : {-5.0, 1.5, 1e300}) {
+      sink.write(event_with(Domain::kSim, 'i', ts_us, "t"));
+    }
+    sink.finalize();
+  }
+  std::vector<std::uint64_t> stamps;
+  for (const std::string& payload : render(path)) {
+    const std::vector<Field> pkt = decode(payload);
+    if (find(pkt, kPacketTrackEvent) != nullptr) {
+      stamps.push_back(find(pkt, kPacketTimestamp)->varint);
+    }
+  }
+  EXPECT_EQ(stamps, (std::vector<std::uint64_t>{
+                        0, 1500, std::numeric_limits<std::uint64_t>::max()}));
+}
+
+/// 64-bit FNV-1a, the flow id of a decision token.
+std::uint64_t fnv1a(std::string_view token) {
+  std::uint64_t hash = 14695981039346656037ull;
+  for (const char c : token) {
+    hash ^= static_cast<unsigned char>(c);
+    hash *= 1099511628211ull;
+  }
+  return hash;
+}
+
+/// The flow ids (TrackEvent field 47, fixed64) of each instant, in order.
+std::vector<std::vector<std::uint64_t>> instant_flows(const Rendered& r) {
+  std::vector<std::vector<std::uint64_t>> flows;
+  for (const std::vector<Field>& ev : r.events) {
+    std::vector<std::uint64_t> ids;
+    for (const Field& f : ev) {
+      if (f.number == kEventFlowIds) {
+        ids.push_back(std::bit_cast<std::uint64_t>(f.fixed64));
+      }
+    }
+    flows.push_back(ids);
+  }
+  return flows;
+}
+
+TEST(ObsPerfetto, DecisionFlowIdsLinkEachCauseToItsRecord) {
+  const auto decision = [](const std::string& src, const std::string& id,
+                           const std::string& cause) {
+    std::string line = "{\"t\":\"ev\",";
+    if (!src.empty()) line += "\"src\":\"" + src + "\",";
+    line += "\"domain\":\"sim\",\"ph\":\"i\",\"ts\":1,\"lane\":0,"
+            "\"cat\":\"decision\",\"name\":\"rule\",\"args\":{\"id\":\"" +
+            id + "\"";
+    if (!cause.empty()) line += ",\"cause\":\"" + cause + "\"";
+    return line + "}}\n";
+  };
+  // An untagged trace: ids hash the bare token, the record's own id first.
+  std::string path = temp_path("perfetto_flows.jsonl");
+  {
+    std::ofstream out(path, std::ios::binary);
+    out << decision("", "d0-1", "") << decision("", "d0-2", "d0-1")
+        << "{\"t\":\"ev\",\"domain\":\"sim\",\"ph\":\"i\",\"ts\":2,"
+           "\"lane\":0,\"cat\":\"fault\",\"name\":\"n\",\"args\":"
+           "{\"id\":\"d0-1\"}}\n";
+  }
+  std::vector<std::vector<std::uint64_t>> flows =
+      instant_flows(tracks_of(render(path)));
+  ASSERT_EQ(flows.size(), 3u);
+  EXPECT_EQ(flows[0], (std::vector<std::uint64_t>{fnv1a("d0-1")}));
+  EXPECT_EQ(flows[1],
+            (std::vector<std::uint64_t>{fnv1a("d0-2"), fnv1a("d0-1")}));
+  EXPECT_TRUE(flows[2].empty()) << "only decision records carry flows";
+
+  // A merged timeline: each src's chain is scoped by its src, so equal ids
+  // in two sources never link, and each source is its own process pair.
+  path = temp_path("perfetto_flows_merged.jsonl");
+  {
+    std::ofstream out(path, std::ios::binary);
+    out << decision("shard0", "d0-1", "") << decision("shard1", "d0-1", "")
+        << decision("shard1", "d0-2", "d0-1");
+  }
+  const Rendered merged = tracks_of(render(path));
+  flows = instant_flows(merged);
+  ASSERT_EQ(flows.size(), 3u);
+  EXPECT_EQ(flows[0], (std::vector<std::uint64_t>{fnv1a("shard0/d0-1")}));
+  EXPECT_EQ(flows[1], (std::vector<std::uint64_t>{fnv1a("shard1/d0-1")}));
+  EXPECT_EQ(flows[2], (std::vector<std::uint64_t>{fnv1a("shard1/d0-2"),
+                                                  fnv1a("shard1/d0-1")}));
+  std::vector<std::pair<std::uint64_t, std::string>> procs;
+  for (const auto& [uuid, proc] : merged.processes) procs.push_back(proc);
+  EXPECT_EQ(procs, (std::vector<std::pair<std::uint64_t, std::string>>{
+                       {1, "shard0/sim"}, {3, "shard1/sim"}}));
 }
 
 }  // namespace

@@ -8,9 +8,11 @@
 
 #include <cstdio>
 #include <fstream>
+#include <map>
 #include <sstream>
 #include <stdexcept>
 #include <string>
+#include <tuple>
 #include <vector>
 
 #include "obs/sink.h"
@@ -326,7 +328,12 @@ TEST(ObsQuery, InstantEventsKeepTheirArgsInSortedOrder) {
 
 /// load_trace's error for `text`, or "" when it loads.
 std::string load_error(const std::string& text) {
-  const std::string path = temp_path("query_reject.jsonl");
+  // Named after the running test, which ctest may run next to another
+  // test that writes this file.
+  const std::string path = temp_path(
+      std::string(
+          ::testing::UnitTest::GetInstance()->current_test_info()->name()) +
+      "_query_reject.jsonl");
   write_file(path, text);
   std::string error;
   try {
@@ -369,6 +376,43 @@ TEST(ObsQuery, RejectsLinesOutsideTheSchemaNamingFileAndLine) {
   EXPECT_EQ(load_error("{\"t\":\"future\",\"x\":1}\n" + ev), "");
   EXPECT_EQ(load_error(ev + "{\"t\":\"ev\",\"dom"), "");
   EXPECT_EQ(load_error(ev + "not json at all"), "");
+}
+
+TEST(ObsQuery, RejectsLanesOutsideTheUint32RangeNamingFileAndLine) {
+  const auto ev = [](const std::string& lane) {
+    return "{\"t\":\"ev\",\"domain\":\"sim\",\"ph\":\"i\",\"ts\":1,"
+           "\"lane\":" + lane + ",\"cat\":\"c\",\"name\":\"n\"}\n";
+  };
+  const auto lane_line = [](const std::string& lane) {
+    return "{\"t\":\"lane\",\"domain\":\"sim\",\"lane\":" + lane +
+           ",\"name\":\"n\"}\n";
+  };
+  // A lane is a whole number in [0, 2^32), on "ev" and "lane" lines alike.
+  for (const char* bad : {"-1", "1e999", "-1e999", "4294967296", "0.5"}) {
+    EXPECT_NE(load_error(ev("0") + ev(bad)).find("query_reject.jsonl:2:"),
+              std::string::npos)
+        << bad;
+    EXPECT_NE(load_error(ev("0") + lane_line(bad)).find(":2:"),
+              std::string::npos)
+        << bad;
+  }
+  EXPECT_EQ(load_error(ev("4294967295") + lane_line("4294967295")), "");
+}
+
+TEST(ObsQuery, LaneLinesNameEachLaneWithItsLastName) {
+  const std::string path = temp_path("query_lane_names.jsonl");
+  write_file(path,
+             "{\"t\":\"lane\",\"domain\":\"sim\",\"lane\":0,\"name\":\"a\"}\n"
+             "{\"t\":\"lane\",\"src\":\"shard1\",\"domain\":\"wall\","
+             "\"lane\":2,\"name\":\"worker-2\"}\n"
+             "{\"t\":\"lane\",\"domain\":\"sim\",\"lane\":0,\"name\":\"b\"}\n");
+  const TraceData trace = load_trace(path);
+  EXPECT_TRUE(trace.events.empty());
+  using Key = std::tuple<std::string, std::string, std::uint32_t>;
+  EXPECT_EQ(trace.lane_names,
+            (std::map<Key, std::string>{{{"", "sim", 0}, "b"},
+                                        {{"shard1", "wall", 2}, "worker-2"}}));
+  std::remove(path.c_str());
 }
 
 TEST(ObsQuery, RejectsUnreadableAndHandlesEmptyInput) {

@@ -11,7 +11,6 @@
 #include <string>
 #include <vector>
 
-#include "obs/perfetto.h"
 #include "obs/trace.h"
 #include "util/json.h"
 
@@ -147,21 +146,21 @@ TEST(ObsSink, JsonlSinkWritesOneParsableObjectPerLine) {
 }
 
 TEST(ObsSink, TeeFansOutToEverySink) {
-  const std::string perfetto_path = temp_path("sink_tee.perfetto");
-  const std::string jsonl_path = temp_path("sink_tee.jsonl");
+  const std::string first_path = temp_path("sink_tee_first.jsonl");
+  const std::string second_path = temp_path("sink_tee_second.jsonl");
   {
-    PerfettoStreamSink perfetto(perfetto_path);
-    JsonlStreamSink jsonl(jsonl_path);
-    TeeSink tee({&perfetto, &jsonl});
+    JsonlStreamSink first(first_path);
+    JsonlStreamSink second(second_path);
+    TeeSink tee({&first, &second});
     tee.write(instant_at(1.0, "both"));
     tee.finalize();
-    EXPECT_EQ(perfetto.events_written(), 1u);
-    EXPECT_EQ(jsonl.events_written(), 1u);
+    EXPECT_EQ(first.events_written(), 1u);
+    EXPECT_EQ(second.events_written(), 1u);
   }
-  EXPECT_NE(read_file(perfetto_path).find("both"), std::string::npos);
-  EXPECT_NE(read_file(jsonl_path).find("both"), std::string::npos);
-  std::remove(perfetto_path.c_str());
-  std::remove(jsonl_path.c_str());
+  EXPECT_NE(read_file(first_path).find("both"), std::string::npos);
+  EXPECT_NE(read_file(second_path).find("both"), std::string::npos);
+  std::remove(first_path.c_str());
+  std::remove(second_path.c_str());
 }
 
 TEST(ObsSink, TeePropagatesPartialFailureAndKeepsHealthySinksWriting) {

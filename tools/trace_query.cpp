@@ -2,6 +2,7 @@
 // `<name>_trace.jsonl`, a worker telemetry stream, the merged
 // timeline.jsonl; see obs/query.h). Usage:
 //
+//   trace_query perfetto  <trace>
 //   trace_query scopes    <trace> [output] [--require-rows=N]
 //   trace_query counters  <trace> [output] [--require-rows=N]
 //   trace_query threshold <trace> --track=NAME --threshold=V
@@ -17,6 +18,11 @@
 //                         [--require-monotone=TRACK]
 //
 //   output: --csv[=path] | --jsonl[=path]   (default: readable table)
+//
+// `perfetto` renders the trace for the Perfetto UI (obs/perfetto.h) to
+// `<trace>.perfetto` next to it, `.jsonl` replaced: a bench's
+// `<name>_trace.jsonl` becomes `<name>_trace.perfetto`. Traced runs write
+// JSONL only, so this is how any trace gets its Perfetto file.
 //
 // `scopes` prints duration stats per (src, scope name), summed over the
 // profiler's per-path summaries (obs/profile.h); `counters` prints
@@ -57,6 +63,7 @@
 #include <string>
 #include <vector>
 
+#include "obs/perfetto.h"
 #include "obs/query.h"
 #include "util/json.h"
 
@@ -86,8 +93,8 @@ struct Args {
 int usage() {
   std::cerr
       << "usage: trace_query "
-         "<scopes|counters|threshold|slo|decisions|explain|audit> <trace> "
-         "[options]\n"
+         "<perfetto|scopes|counters|threshold|slo|decisions|explain|audit> "
+         "<trace> [options]\n"
          "  --csv[=path]           CSV output (default: readable table)\n"
          "  --jsonl[=path]         JSONL output\n"
          "  --track=NAME           counter track (threshold)\n"
@@ -331,6 +338,18 @@ int main(int argc, char** argv) {
 
   try {
     const query::TraceData trace = query::load_trace(args.trace);
+    if (args.command == "perfetto") {
+      std::string path = args.trace;
+      if (path.ends_with(".jsonl")) path.resize(path.size() - 6);
+      path += ".perfetto";
+      if (!dcs::obs::write_perfetto(trace, path)) {
+        std::cerr << "trace_query: cannot write " << path << "\n";
+        return 2;
+      }
+      std::cout << "rendered " << trace.events.size() << " events to " << path
+                << "\n";
+      return 0;
+    }
     std::ofstream file;
     std::ostream* out = open_out(args, &file);
     if (out == nullptr) return 2;
