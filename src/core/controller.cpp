@@ -10,11 +10,7 @@
 namespace dcs::core {
 namespace {
 
-constexpr double kDegreeEps = 1e-9;
 const Power kPowerEps = Power::watts(1e-6);
-
-/// Normalized demand above 1 is a burst (Section IV-A).
-bool burst_active(double demand) noexcept { return demand > 1.0 + kDegreeEps; }
 
 /// Active-fault severity at or above which an ongoing sprint ends outright
 /// (the ladder's kSprintEnded rung); milder faults shed degree instead.

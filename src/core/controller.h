@@ -65,6 +65,15 @@ enum class Mode {
 
 [[nodiscard]] std::string_view to_string(Mode mode) noexcept;
 
+/// Tolerance on sprinting degrees and on normalized demand around 1.
+inline constexpr double kDegreeEps = 1e-9;
+
+/// The controller's burst test: normalized demand above 1 is a burst
+/// (Section IV-A).
+[[nodiscard]] constexpr bool burst_active(double demand) noexcept {
+  return demand > 1.0 + kDegreeEps;
+}
+
 enum class SprintPhase {
   kNormal = 0,    ///< not sprinting
   kCbOverload = 1,///< phase 1: breaker tolerance only

@@ -150,10 +150,7 @@ RunResult DataCenter::run(const std::vector<Zone>& zones, Strategy* strategy,
   const Duration dt = config_.control_period;
   const Duration end = zones.front().demand->end_time();
 
-  double achieved_integral = 0.0;
-  double baseline_integral = 0.0;
-  std::vector<double> zone_achieved(k > 1 ? k : 0, 0.0);
-  std::vector<double> zone_baseline(k > 1 ? k : 0, 0.0);
+  std::vector<ThroughputIntegrals> zone_throughput(k > 1 ? k : 0);
   double burst_degree_integral = 0.0;
   double burst_seconds = 0.0;
   // Recorded runs append one row a tick to columns reserved for the whole
@@ -193,11 +190,10 @@ RunResult DataCenter::run(const std::vector<Zone>& zones, Strategy* strategy,
     const double d = step.demand;  // PDU-weighted facility demand
     watchdog.check(now, plant->topology, plant->room, plant->tes.get());
 
-    achieved_integral += step.achieved * dt.sec();
-    baseline_integral += baseline * dt.sec();
-    for (std::size_t z = 0; z < zone_achieved.size(); ++z) {
-      zone_achieved[z] += controller.group_ops()[z].achieved * dt.sec();
-      zone_baseline[z] += std::min(demands[z], 1.0) * dt.sec();
+    result.throughput.add(step.achieved, baseline, dt);
+    for (std::size_t z = 0; z < zone_throughput.size(); ++z) {
+      zone_throughput[z].add(controller.group_ops()[z].achieved,
+                             std::min(demands[z], 1.0), dt);
     }
     if (peak > 1.0) {
       burst_degree_integral += step.degree * dt.sec();
@@ -277,13 +273,9 @@ RunResult DataCenter::run(const std::vector<Zone>& zones, Strategy* strategy,
                              obs::arg("stopped", false)});
   }
 
-  const double total_sec = (end - Duration::zero()).sec();
-  result.avg_achieved = achieved_integral / total_sec;
-  result.avg_achieved_nosprint = baseline_integral / total_sec;
-  result.performance_factor =
-      result.avg_achieved_nosprint > 0.0
-          ? result.avg_achieved / result.avg_achieved_nosprint
-          : 0.0;
+  result.avg_achieved = result.throughput.achieved / end.sec();
+  result.avg_achieved_nosprint = result.throughput.baseline / end.sec();
+  result.performance_factor = result.throughput.performance_factor(end);
   result.drop_fraction = sprint_admission.drop_fraction();
   result.avg_sprint_degree =
       burst_seconds > 0.0 ? burst_degree_integral / burst_seconds : 1.0;
@@ -312,11 +304,20 @@ RunResult DataCenter::run(const std::vector<Zone>& zones, Strategy* strategy,
         std::max(result.ups_equivalent_cycles, bank.equivalent_full_cycles());
   }
   result.ups_max_depth = 1.0 - result.min_ups_soc;
-  for (std::size_t z = 0; z < zone_achieved.size(); ++z) {
+  for (const ThroughputIntegrals& zone : zone_throughput) {
     result.zone_performance_factor.push_back(
-        zone_baseline[z] > 0.0 ? zone_achieved[z] / zone_baseline[z] : 0.0);
+        zone.baseline > 0.0 ? zone.achieved / zone.baseline : 0.0);
   }
   return result;
+}
+
+void add_normal_ticks(ThroughputIntegrals& sums, const TimeSeries& demand,
+                      Duration from, Duration dt) {
+  TimeSeries::Cursor cursor;
+  for (Duration now = from; now < demand.end_time(); now += dt) {
+    const double held = std::min(demand.at(now, cursor), 1.0);
+    sums.add(held, held, dt);
+  }
 }
 
 }  // namespace dcs::core

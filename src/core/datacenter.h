@@ -87,6 +87,37 @@ struct Zone {
   const TimeSeries* demand = nullptr;
 };
 
+/// The two sums a run's performance factor divides: achieved (normalized)
+/// throughput and its no-sprint baseline min(demand, 1), each adding its
+/// value times the control period once a tick, in tick order.
+struct ThroughputIntegrals {
+  double achieved = 0.0;
+  double baseline = 0.0;
+
+  void add(double achieved_now, double baseline_now, Duration dt) noexcept {
+    achieved += achieved_now * dt.sec();
+    baseline += baseline_now * dt.sec();
+  }
+  /// Mean achieved over mean baseline across `horizon`; 0 without a
+  /// baseline.
+  [[nodiscard]] double performance_factor(Duration horizon) const noexcept {
+    const double mean = achieved / horizon.sec();
+    const double mean_baseline = baseline / horizon.sec();
+    return mean_baseline > 0.0 ? mean / mean_baseline : 0.0;
+  }
+};
+
+/// Adds the ticks of a one-zone run of `demand` from `from` to the trace's
+/// end, on the run loop's clock (`from` is one of its tick times), each
+/// running only the normal cores: such a tick achieves
+/// min(demand, throughput(normal)) = min(demand, 1), its own no-sprint
+/// baseline. In a controlled, fault-free run every tick after the last
+/// burst tick is one of these, whatever the strategy (the bound is 1
+/// outside a burst), so adding them to the integrals of the run up to
+/// there gives the whole run's, bit for bit.
+void add_normal_ticks(ThroughputIntegrals& sums, const TimeSeries& demand,
+                      Duration from, Duration dt);
+
 struct RunResult {
   /// Time-weighted mean achieved (normalized) throughput.
   double avg_achieved = 0.0;
@@ -95,6 +126,9 @@ struct RunResult {
   /// avg_achieved / avg_achieved_nosprint — the paper's "average
   /// performance normalized to the performance without sprinting".
   double performance_factor = 0.0;
+  /// The sums avg_achieved and avg_achieved_nosprint divide by the
+  /// horizon; performance_factor is `throughput.performance_factor(end)`.
+  ThroughputIntegrals throughput;
   /// Fraction of offered demand dropped.
   double drop_fraction = 0.0;
   /// Time-average realized sprinting degree over the burst (demand > 1)

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <utility>
 
+#include "core/controller.h"
 #include "exp/thread_pool.h"
 #include "obs/profile.h"
 #include "util/check.h"
@@ -39,17 +40,46 @@ OracleResult oracle_search(const DataCenter& dc, const TimeSeries& demand,
     ++runs;
   }
 
+  // Nor can a bound reach the plant after the last burst tick: the bound
+  // is 1 outside a burst, so every candidate runs the normal cores there
+  // and each tick adds min(demand, 1) to both integrals its performance
+  // divides. Walk the trace on the run loop's clock to find the cut (the
+  // end of the last burst tick); each candidate simulates only the trace
+  // up to the cut and then adds the ticks after it in tick order.
+  const Duration dt = dc.config().control_period;
+  const Duration end = demand.end_time();
+  Duration cut = Duration::zero();
+  TimeSeries::Cursor cursor;
+  for (Duration now = Duration::zero(); now < end;) {
+    const double sample = demand.at(now, cursor);
+    DCS_REQUIRE(sample >= 0.0, "demand must be non-negative");
+    now += dt;
+    if (burst_active(sample)) cut = now;
+  }
+  // Without a burst tick there is nothing to simulate: every candidate's
+  // run is the ticks after the cut alone.
+  if (cut == Duration::zero()) runs = 0;
+  const TimeSeries head = runs > 0 && cut < end
+                              ? demand.slice(Duration::zero(), cut)
+                              : TimeSeries{};
+  const TimeSeries& simulated = cut < end ? head : demand;
+  const auto finish = [&](ThroughputIntegrals sums) {
+    add_normal_ticks(sums, demand, cut, dt);
+    return sums.performance_factor(end);
+  };
+
   OracleResult out;
   out.sweep.assign(bounds.size(), {});
   exp::parallel_for(runs, threads, [&](std::size_t i) {
     DCS_OBS_SPAN("oracle.candidate");
     DataCenter task_dc(dc.config());
     ConstantBoundStrategy strategy(bounds[i], "oracle");
-    const RunResult run = task_dc.run(demand, &strategy);
-    out.sweep[i] = {bounds[i], run.performance_factor};
+    out.sweep[i] = {bounds[i],
+                    finish(task_dc.run(simulated, &strategy).throughput)};
   });
+  const double shared = runs > 0 ? out.sweep[runs - 1].second : finish({});
   for (std::size_t i = runs; i < bounds.size(); ++i) {
-    out.sweep[i] = {bounds[i], out.sweep[runs - 1].second};
+    out.sweep[i] = {bounds[i], shared};
   }
 
   // Combine in candidate order: identical to the serial scan (strict '>'
@@ -88,8 +118,13 @@ UpperBoundTable build_upper_bound_table(const DataCenter& dc,
     }
   }
 
+  // A cell's search simulates up to the end of its burst, so it costs more
+  // the longer the burst and the more candidates its degree needs. Both
+  // axes increase, so cells start from the last one: the longest searches
+  // first, the short ones filling in behind them.
   std::vector<double> bounds(cells.size(), 1.0);
-  exp::parallel_for(cells.size(), threads, [&](std::size_t i) {
+  exp::parallel_for(cells.size(), threads, [&](std::size_t k) {
+    const std::size_t i = cells.size() - 1 - k;
     const TimeSeries trace = workload::generate_yahoo_trace(cells[i]);
     bounds[i] = oracle_search(dc, trace, core_stride, /*threads=*/1).best_bound;
   });

@@ -32,11 +32,20 @@ struct OracleResult {
 /// asks for), so all candidates whose core cap covers the most cores any
 /// sample of `demand` asks for give the same run, bit for bit. The search
 /// simulates candidates up to the first of them, and the later ones share
-/// its performance: `sweep` still holds every candidate's point, and the
-/// result equals a scan that simulates every candidate.
+/// its performance.
 ///
-/// The simulated candidates are independent full simulations, so they run
-/// on the `src/exp` parallel runner: each task owns a fresh DataCenter built
+/// Nor does a bound act after the trace's last burst tick (demand above
+/// 1 + kDegreeEps at a tick of the run loop's clock): the bound is 1 there
+/// for every candidate, so each later tick runs the normal cores and adds
+/// min(demand, 1) to both integrals of the performance factor. Each
+/// candidate simulates only the trace up to the end of that tick, and the
+/// shared tail is added to its integrals in tick order (add_normal_ticks);
+/// a trace with no burst tick simulates nothing. `sweep` still holds every
+/// candidate's point, and the result equals a scan that simulates every
+/// candidate over the whole trace, bit for bit.
+///
+/// The simulated candidates are independent simulations, so they run on
+/// the `src/exp` parallel runner: each task owns a fresh DataCenter built
 /// from `dc.config()` (run() builds fresh plant state per call, so this is
 /// bit-identical to reusing `dc`), and candidates are combined in index
 /// order — the result is bit-identical for any `threads` value
@@ -50,7 +59,10 @@ struct OracleResult {
 /// running the oracle search on synthetic Yahoo-style bursts (`base` sets
 /// everything but the burst duration/degree). The grid cells are
 /// parallelized (the per-cell searches then run serially to avoid
-/// oversubscription); results are bit-identical for any `threads` value.
+/// oversubscription). A cell's search simulates up to the end of its burst
+/// with more candidates the higher its degree, so the cells are handed out
+/// from the last (longest, highest) one; each result lands in its own slot
+/// and the table is bit-identical for any `threads` value.
 [[nodiscard]] UpperBoundTable build_upper_bound_table(
     const DataCenter& dc, std::span<const Duration> durations,
     std::span<const double> degrees, const workload::YahooTraceParams& base,

@@ -5,7 +5,6 @@
 #include <cstdlib>
 #include <fstream>
 #include <map>
-#include <sstream>
 #include <stdexcept>
 
 #include "obs/trace.h"
@@ -129,22 +128,17 @@ class CompensatedSum {
 TraceData load_trace(const std::string& path) {
   std::ifstream in(path, std::ios::binary);
   DCS_REQUIRE(static_cast<bool>(in), "cannot read trace " + path);
-  std::ostringstream buf;
-  buf << in.rdbuf();
-  const std::string text = buf.str();
 
+  // One line at a time, so only the decoded events grow with the file.
+  // A final line without its newline is a torn write (a worker killed
+  // mid-line), never a record: getline reaches the end of the file on it,
+  // and it is skipped, as the timeline merge does.
   TraceData trace;
-  std::size_t begin = 0;
+  std::string line;
   std::size_t number = 0;
-  while (begin < text.size()) {
-    const std::size_t nl = text.find('\n', begin);
-    // A final line without its newline is a torn write (a worker killed
-    // mid-line), never a record: skip it, as the timeline merge does.
-    if (nl == std::string::npos) break;
+  while (std::getline(in, line) && !in.eof()) {
     ++number;
-    const std::string_view line(text.data() + begin, nl - begin);
-    begin = nl + 1;
-    if (line.find_first_not_of(" \t\r") == std::string_view::npos) continue;
+    if (line.find_first_not_of(" \t\r") == std::string::npos) continue;
     try {
       load_jsonl_line(line, &trace);
     } catch (const std::exception& e) {

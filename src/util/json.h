@@ -102,21 +102,29 @@ class Value {
 /// the non-finite marker strings. DCS_REQUIRE on anything else.
 [[nodiscard]] double read_number(const Value& v);
 
-/// Reads a number that must be a whole value inside `Int`'s range: the
-/// file readers' one way to turn a parsed number into an index, count or
-/// id, so a damaged file (`-1` for an index, `1e999` for a count) fails
-/// here instead of in an out-of-range float-to-integer conversion.
-/// DCS_REQUIRE on a non-number, a fraction, a non-finite value or one
-/// outside the range.
+/// True when `x` is a whole value inside `Int`'s range, so that
+/// static_cast<Int>(x) is exact: the one check a parsed number passes
+/// before it becomes an index, count or id (read_integer here, and the
+/// tools' count options), so `-1`, `1e999`, `nan` or `2.5` fails there
+/// instead of in an out-of-range float-to-integer conversion.
 template <typename Int>
-[[nodiscard]] Int read_integer(const Value& v) {
+[[nodiscard]] bool is_integer_in_range(double x) noexcept {
   static_assert(std::is_integral_v<Int>);
-  const double x = v.as_number();
   // Both bounds are zero or a power of two, so each converts exactly.
   constexpr double kMin = static_cast<double>(std::numeric_limits<Int>::min());
   constexpr double kEnd =
       2.0 * static_cast<double>(std::numeric_limits<Int>::max() / 2 + 1);
-  DCS_REQUIRE(x >= kMin && x < kEnd && x == std::trunc(x),
+  return x >= kMin && x < kEnd && x == std::trunc(x);
+}
+
+/// Reads a number that must be a whole value inside `Int`'s range
+/// (is_integer_in_range): the file readers' one way to turn a parsed
+/// number into an index, count or id. DCS_REQUIRE on a non-number, a
+/// fraction, a non-finite value or one outside the range.
+template <typename Int>
+[[nodiscard]] Int read_integer(const Value& v) {
+  const double x = v.as_number();
+  DCS_REQUIRE(is_integer_in_range<Int>(x),
               "json number " + number_to_string(x) +
                   " is not an integer in range");
   return static_cast<Int>(x);

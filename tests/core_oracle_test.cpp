@@ -7,8 +7,11 @@
 #include <sstream>
 #include <stdexcept>
 #include <string>
+#include <utility>
+#include <vector>
 
 #include "core/prediction_strategy.h"
+#include "workload/burst.h"
 #include "workload/ms_trace.h"
 #include "workload/yahoo_trace.h"
 
@@ -147,6 +150,41 @@ TEST(OracleSearch, MatchesExhaustiveSearchBitForBit) {
   small_chip.fleet.throughput.normal_cores = 10;
   expect_matches_exhaustive(small_chip, workload::generate_yahoo_trace(), 1,
                             "40-core chip");
+
+  // The cases below end their bursts while the sprint still runs, so the
+  // last burst tick sprints and a cut one tick early would show.
+  workload::YahooTraceParams short_burst;
+  short_burst.burst_degree = 2.0;
+  short_burst.burst_duration = Duration::minutes(2);
+  // Two bursts with a calm gap between them: the cut follows the second,
+  // and the gap is simulated.
+  const TimeSeries two_bursts = workload::inject_burst(
+      workload::generate_yahoo_trace(short_burst), Duration::minutes(12),
+      Duration::minutes(1), 2.6);
+  expect_matches_exhaustive(config, two_bursts, 2, "two bursts");
+  // The last tick bursts: the cut is the trace's end, with no tail.
+  workload::YahooTraceParams to_end = short_burst;
+  to_end.burst_start = to_end.length - to_end.burst_duration;
+  expect_matches_exhaustive(config, workload::generate_yahoo_trace(to_end), 2,
+                            "burst to the end");
+  // A control period that does not divide the 1-s sample step.
+  DataCenterConfig odd_period = config;
+  odd_period.control_period = Duration::seconds(0.7);
+  expect_matches_exhaustive(odd_period,
+                            workload::generate_yahoo_trace(short_burst), 2,
+                            "0.7-s control period");
+  // Samples exactly at the burst threshold are not bursts: one right after
+  // the burst and one later in the tail.
+  std::vector<Sample> samples =
+      workload::generate_yahoo_trace(short_burst).samples();
+  for (Sample& sample : samples) {
+    if (sample.time == short_burst.burst_start + short_burst.burst_duration ||
+        sample.time == Duration::minutes(20)) {
+      sample.value = 1.0 + kDegreeEps;
+    }
+  }
+  expect_matches_exhaustive(config, TimeSeries(std::move(samples)), 2,
+                            "samples at the threshold");
 }
 
 TEST(OracleSearch, StrideValidation) {
@@ -190,6 +228,32 @@ TEST(UpperBoundTableBuilder, TableFeedsPredictionStrategy) {
   GreedyStrategy greedy;
   const RunResult g = dc.run(trace, &greedy);
   EXPECT_GT(r.performance_factor, g.performance_factor);
+}
+
+TEST(UpperBoundTableBuilder, MatchesPerCellExhaustiveSearch) {
+  // Each cell's bound is the exhaustive search's on the cell's trace,
+  // built as the table builds it. A 1-s burst is a single burst tick.
+  const DataCenterConfig config = small_config();
+  const std::array<Duration, 3> durations = {
+      Duration::seconds(1), Duration::minutes(2), Duration::minutes(10)};
+  const std::array<double, 2> degrees = {1.5, 3.0};
+  const workload::YahooTraceParams base;
+  for (const std::size_t threads : {1u, 3u}) {
+    SCOPED_TRACE("threads " + std::to_string(threads));
+    const UpperBoundTable table = build_upper_bound_table(
+        DataCenter(config), durations, degrees, base, 4, threads);
+    for (std::size_t i = 0; i < durations.size(); ++i) {
+      for (std::size_t j = 0; j < degrees.size(); ++j) {
+        workload::YahooTraceParams p = base;
+        p.burst_duration = durations[i];
+        p.burst_degree = degrees[j];
+        const OracleResult reference =
+            exhaustive_search(config, workload::generate_yahoo_trace(p), 4);
+        EXPECT_EQ(table.bound_at(i, j), reference.best_bound)
+            << "cell " << i << ", " << j;
+      }
+    }
+  }
 }
 
 TEST(UpperBoundTableBuilder, Validation) {

@@ -58,6 +58,7 @@
 #include <vector>
 
 #include "exp/dispatch.h"
+#include "util/json.h"
 
 namespace {
 
@@ -109,11 +110,14 @@ bool parse_double_flag(const char* arg, const char* prefix, double* out) {
   return true;
 }
 
+/// A count flag's value: a whole number in std::size_t's range, checked
+/// before the cast (json::is_integer_in_range).
 bool parse_size_flag(const char* arg, const char* prefix, std::size_t* out) {
   double v = 0.0;
   if (!parse_double_flag(arg, prefix, &v)) return false;
-  if (v < 0.0 || v != static_cast<double>(static_cast<std::size_t>(v))) {
-    throw std::invalid_argument(std::string("bad value in ") + arg);
+  if (!dcs::json::is_integer_in_range<std::size_t>(v)) {
+    throw std::invalid_argument(std::string("bad value in ") + arg +
+                                ": not a whole number in range");
   }
   *out = static_cast<std::size_t>(v);
   return true;

@@ -61,6 +61,7 @@
 #include <iostream>
 #include <optional>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "obs/perfetto.h"
@@ -86,7 +87,7 @@ struct Args {
   std::string id;
   std::string rule;
   bool require_resolved = false;
-  std::vector<std::string> require_rule;      // NAME or NAME:N
+  std::vector<std::pair<std::string, std::size_t>> require_rule;  // NAME, N
   std::vector<std::string> require_monotone;  // counter track names
 };
 
@@ -115,6 +116,21 @@ bool parse_double(const std::string& text, double* out) {
   char* end = nullptr;
   *out = std::strtod(text.c_str(), &end);
   return end != nullptr && *end == '\0' && end != text.c_str();
+}
+
+/// A count option's value: a whole number in std::size_t's range, checked
+/// before the cast (json::is_integer_in_range). Anything else is a usage
+/// error that names the option.
+bool parse_count(const std::string& arg, const std::string& text,
+                 std::size_t* out) {
+  double number = 0.0;
+  if (!parse_double(text, &number) ||
+      !dcs::json::is_integer_in_range<std::size_t>(number)) {
+    std::cerr << "trace_query: " << arg << ": not a whole number in range\n";
+    return false;
+  }
+  *out = static_cast<std::size_t>(number);
+  return true;
 }
 
 bool parse(int argc, char** argv, Args* args) {
@@ -155,9 +171,8 @@ bool parse(int argc, char** argv, Args* args) {
       args->min_duration_us = number;
     } else if (value_of("--slo-ms=", &value) && parse_double(value, &number)) {
       args->slo_ms = number;
-    } else if (value_of("--require-rows=", &value) &&
-               parse_double(value, &number)) {
-      args->require_rows = static_cast<std::size_t>(number);
+    } else if (value_of("--require-rows=", &value)) {
+      if (!parse_count(arg, value, &args->require_rows)) return false;
     } else if (value_of("--id=", &value)) {
       args->id = value;
     } else if (value_of("--rule=", &value)) {
@@ -165,7 +180,15 @@ bool parse(int argc, char** argv, Args* args) {
     } else if (arg == "--require-resolved") {
       args->require_resolved = true;
     } else if (value_of("--require-rule=", &value)) {
-      args->require_rule.push_back(value);
+      // NAME or NAME:N; a suffix that is no number belongs to the name.
+      std::size_t want = 1;
+      const std::size_t colon = value.rfind(':');
+      if (colon != std::string::npos &&
+          parse_double(value.substr(colon + 1), &number)) {
+        if (!parse_count(arg, value.substr(colon + 1), &want)) return false;
+        value.resize(colon);
+      }
+      args->require_rule.emplace_back(value, want);
     } else if (value_of("--require-monotone=", &value)) {
       args->require_monotone.push_back(value);
     } else {
@@ -296,17 +319,7 @@ int check_assertions(const Args& args, const query::TraceData& trace,
               << " chain(s) with a dangling cause id\n";
     rc = 1;
   }
-  for (const std::string& spec : args.require_rule) {
-    std::string name = spec;
-    std::size_t want = 1;
-    const std::size_t colon = spec.rfind(':');
-    if (colon != std::string::npos) {
-      double n = 0.0;
-      if (parse_double(spec.substr(colon + 1), &n)) {
-        name = spec.substr(0, colon);
-        want = static_cast<std::size_t>(n);
-      }
-    }
+  for (const auto& [name, want] : args.require_rule) {
     std::size_t have = 0;
     for (const query::DecisionRecord& r : records) {
       if (r.rule == name) ++have;
