@@ -144,7 +144,8 @@ Outcome run_scenario(const DataCenterConfig& config, const TimeSeries& trace,
 }  // namespace
 
 int main(int argc, char** argv) {
-  const Config args = bench::parse_args(argc, argv, {"seeds"});
+  const Config args =
+      bench::parse_args(argc, argv, {{"seeds", bench::Kind::kCount}});
   bench::StreamTraceSinks stream = bench::obs_setup(args, "ablation_faults");
   const bool tracing = bench::tracing_enabled(args);
 
@@ -264,8 +265,7 @@ int main(int argc, char** argv) {
             << scenarios.size() << " scenarios\n";
 
   // --- Section 3: seeded survival sweep over random fault schedules -------
-  const std::size_t seeds =
-      static_cast<std::size_t>(args.get_int("seeds", 50));
+  const std::size_t seeds = args.get_count("seeds", 50);
   exp::SweepSpec surv("ablation_faults_survival", /*base_seed=*/0x5EEDFA17ULL);
   const std::vector<double> severities = {1.0};
   surv.add_axis("severity", severities, 2);

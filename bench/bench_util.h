@@ -30,6 +30,16 @@
 
 namespace dcs::bench {
 
+/// What a command-line key's value must parse as (Config::get_string,
+/// get_double, get_count).
+enum class Kind { kText, kNumber, kCount };
+
+/// A command-line key and the kind of its value.
+struct Key {
+  std::string_view name;
+  Kind kind = Kind::kText;
+};
+
 /// Keys every bench understands: the shared data-center knobs plus the
 /// sweep-runner knobs (threads=<n>, csv=<dir>, perf=<dir>, checkpoint=<dir>
 /// for crash-safe resume files, shard=<i>/<N> to run one contiguous slice
@@ -37,9 +47,10 @@ namespace dcs::bench {
 /// trace, which `trace_query perfetto` renders for the Perfetto UI,
 /// telemetry=<path> for the worker telemetry stream a supervising
 /// dispatcher merges into its timeline — see obs/sink.h).
-inline constexpr std::string_view kCommonKeys[] = {
-    "pdus", "dc_headroom", "pue", "csv", "perf", "threads", "trace",
-    "checkpoint", "shard", "telemetry"};
+inline constexpr Key kCommonKeys[] = {
+    {"pdus", Kind::kCount}, {"dc_headroom", Kind::kNumber},
+    {"pue", Kind::kNumber}, {"csv"}, {"perf"}, {"threads", Kind::kCount},
+    {"trace"}, {"checkpoint"}, {"shard"}, {"telemetry"}};
 
 /// Default recorder channels exported as counter tracks by the traced
 /// benches: physical state (state of charge, breaker trip margin,
@@ -48,23 +59,33 @@ inline const std::vector<std::string> kDefaultCounterChannels = {
     "ups_soc",  "tes_soc", "cb_trip_margin_s",
     "room_c",   "degree",  "cooling_mw"};
 
-/// Parses "key=value" command-line arguments. Malformed tokens and keys
-/// outside the common set plus `extra_allowed` abort with a clear error
-/// instead of being silently ignored.
-inline Config parse_args(int argc, char** argv,
-                         std::initializer_list<std::string_view> extra_allowed = {}) {
+/// Reports a usage error on stderr and exits 2.
+[[noreturn]] inline void usage_error(const char* program,
+                                     const std::string& what) {
+  std::cerr << program << ": error: " << what << "\nusage: " << program
+            << " [key=value ...]\n";
+  std::exit(2);
+}
+
+/// Reads "key=value" command-line arguments, the one reader of every bench
+/// and example. A malformed token, a key outside `keys` or a value that
+/// does not parse as its key's kind is a usage error that names the key,
+/// before anything runs; after it, no getter of a listed key throws.
+inline Config read_args(int argc, char** argv, std::span<const Key> keys) {
   try {
-    const Config args = Config::from_args(
-        std::span<const char* const>(argv + 1, static_cast<std::size_t>(argc - 1)));
-    std::vector<std::string_view> allowed(std::begin(kCommonKeys),
-                                          std::end(kCommonKeys));
-    allowed.insert(allowed.end(), extra_allowed.begin(), extra_allowed.end());
-    args.require_known(allowed);
+    const Config args = Config::from_args(std::span<const char* const>(
+        argv + 1, static_cast<std::size_t>(argc - 1)));
+    std::vector<std::string_view> names;
+    for (const Key& key : keys) names.push_back(key.name);
+    args.require_known(names);
+    for (const Key& key : keys) {
+      const std::string name(key.name);
+      if (key.kind == Kind::kNumber) (void)args.get_double(name, 0.0);
+      if (key.kind == Kind::kCount) (void)args.get_count(name, 0);
+    }
     return args;
   } catch (const std::exception& e) {
-    std::cerr << argv[0] << ": error: " << e.what()
-              << "\nusage: " << argv[0] << " [key=value ...]\n";
-    std::exit(2);
+    usage_error(argv[0], e.what());
   }
 }
 
@@ -80,12 +101,7 @@ inline bool tracing_enabled(const Config& args) {
 
 /// Worker threads for the sweep runner (threads=<n>; 0 = all hardware).
 inline std::size_t bench_threads(const Config& args) {
-  const int threads = args.get_int("threads", 0);
-  if (threads < 0) {
-    std::cerr << "error: threads must be >= 0\n";
-    std::exit(2);
-  }
-  return static_cast<std::size_t>(threads);
+  return args.get_count("threads", 0);
 }
 
 /// Parses shard=<i>/<N> ("0/4" .. "3/4"). Aborts on malformed values.
@@ -103,6 +119,40 @@ inline exp::Shard parse_shard(const std::string& text) {
   shard.index = static_cast<std::size_t>(index);
   shard.count = static_cast<std::size_t>(count);
   return shard;
+}
+
+/// The default experiment configuration: the paper's data center at its
+/// full 909 PDUs, so absolute columns (MW, MWh) describe the paper's
+/// facility. The plant is one weighted PDU group, so a run costs the same
+/// at any `pdus=`, and normalized results agree across counts to rounding
+/// (see core/datacenter.h).
+inline core::DataCenterConfig bench_config(const Config& args) {
+  core::DataCenterConfig config;
+  config.fleet.pdu_count = args.get_count("pdus", 909);
+  config.dc_headroom = args.get_double("dc_headroom", 0.10);
+  config.pue = args.get_double("pue", 1.53);
+  return config;
+}
+
+/// Reads a bench's arguments: the common keys plus `extra` (read_args).
+/// The data-center keys must also give a valid data center and shard= a
+/// valid slice; anything else is the same usage error, before any run.
+inline Config parse_args(int argc, char** argv,
+                         std::initializer_list<Key> extra = {}) {
+  std::vector<Key> keys(std::begin(kCommonKeys), std::end(kCommonKeys));
+  keys.insert(keys.end(), extra.begin(), extra.end());
+  const Config args = read_args(argc, argv, keys);
+  try {
+    bench_config(args).validate();
+  } catch (const std::exception& e) {
+    usage_error(argv[0],
+                std::string("pdus, dc_headroom and pue give no valid data "
+                            "center: ") +
+                    e.what());
+  }
+  const std::string shard = args.get_string("shard", "");
+  if (!shard.empty()) (void)parse_shard(shard);
+  return args;
 }
 
 /// Worker-mode drain contract (dispatcher-initiated kills, Ctrl-C on a
@@ -186,20 +236,6 @@ inline double row_value(const exp::SweepRun& run, std::size_t index,
   return index < run.rows.size() && m < run.rows[index].size()
              ? run.rows[index][m]
              : std::numeric_limits<double>::quiet_NaN();
-}
-
-/// The default experiment configuration: the paper's data center at its
-/// full 909 PDUs, so absolute columns (MW, MWh) describe the paper's
-/// facility. The plant is one weighted PDU group, so a run costs the same
-/// at any `pdus=`, and normalized results agree across counts to rounding
-/// (see core/datacenter.h).
-inline core::DataCenterConfig bench_config(const Config& args) {
-  core::DataCenterConfig config;
-  config.fleet.pdu_count =
-      static_cast<std::size_t>(args.get_int("pdus", 909));
-  config.dc_headroom = args.get_double("dc_headroom", 0.10);
-  config.pue = args.get_double("pue", 1.53);
-  return config;
 }
 
 /// Writes a time series as CSV ("time_s,value") under csv=<dir> if given.

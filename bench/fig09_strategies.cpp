@@ -30,11 +30,12 @@
 int main(int argc, char** argv) {
   using namespace dcs;
   using namespace dcs::core;
-  const Config args = bench::parse_args(argc, argv, {"faults"});
+  const Config args =
+      bench::parse_args(argc, argv, {{"faults", bench::Kind::kCount}});
   const std::size_t threads = bench::bench_threads(args);
   bench::StreamTraceSinks stream = bench::obs_setup(args, "fig09_strategies");
   const bool tracing = bench::tracing_enabled(args);
-  const bool faulted = args.get_int("faults", 0) != 0;
+  const bool faulted = args.get_count("faults", 0) != 0;
   const DataCenter dc(bench::bench_config(args));
   const TimeSeries trace = workload::generate_ms_trace();
 

@@ -59,16 +59,18 @@ struct TaskOutcome {
 int main(int argc, char** argv) {
   using namespace dcs;
   using namespace dcs::core;
+  using bench::Kind;
   const Config args = bench::parse_args(
-      argc, argv, {"slo", "queue_model", "placement", "rps", "servers",
-                   "admit"});
+      argc, argv,
+      {{"slo", Kind::kNumber}, {"queue_model"}, {"placement"},
+       {"rps", Kind::kNumber}, {"servers", Kind::kCount},
+       {"admit", Kind::kNumber}});
   bench::StreamTraceSinks stream = bench::obs_setup(args, "fig12_slo_sprint");
   const bool tracing = bench::tracing_enabled(args);
 
   const double slo_ms = args.get_double("slo", 250.0);
   serving::ServingParams base_serving;
-  base_serving.servers =
-      static_cast<std::size_t>(args.get_int("servers", 8));
+  base_serving.servers = args.get_count("servers", 8);
   base_serving.peak_rps = args.get_double("rps", 400.0);
   base_serving.queue_model = args.get_string("queue_model", "mg1");
   base_serving.placement = args.get_string("placement", "round_robin");

@@ -8,11 +8,11 @@
 // Usage: burst_response [degree=3.2] [minutes=12] [error=0.0] [csv=dir]
 #include <fstream>
 #include <iostream>
-#include <span>
 #include <string>
 #include <utility>
 #include <vector>
 
+#include "bench_util.h"
 #include "core/heuristic_strategy.h"
 #include "core/oracle.h"
 #include "core/prediction_strategy.h"
@@ -25,15 +25,18 @@
 int main(int argc, char** argv) {
   using namespace dcs;
   using namespace dcs::core;
-  const Config args = Config::from_args(
-      std::span<const char* const>(argv + 1, static_cast<std::size_t>(argc - 1)));
+  using bench::Kind;
+  static constexpr bench::Key kKeys[] = {
+      {"degree", Kind::kNumber}, {"minutes", Kind::kNumber},
+      {"error", Kind::kNumber}, {"pdus", Kind::kCount}, {"csv"}};
+  const Config args = bench::read_args(argc, argv, kKeys);
 
   const double degree = args.get_double("degree", 3.2);
   const double minutes = args.get_double("minutes", 12.0);
   const double error = args.get_double("error", 0.0);
 
   DataCenterConfig config;
-  config.fleet.pdu_count = static_cast<std::size_t>(args.get_int("pdus", 8));
+  config.fleet.pdu_count = args.get_count("pdus", 8);
   DataCenter dc(config);
 
   workload::YahooTraceParams tp;

@@ -9,8 +9,8 @@
 // Usage: capacity_planning [degree=3.2] [minutes=15] [target=1.8]
 #include <iostream>
 #include <optional>
-#include <span>
 
+#include "bench_util.h"
 #include "core/datacenter.h"
 #include "core/oracle.h"
 #include "util/config.h"
@@ -38,8 +38,11 @@ double esd_cost_per_server(const dcs::core::DataCenterConfig& config) {
 int main(int argc, char** argv) {
   using namespace dcs;
   using namespace dcs::core;
-  const Config args = Config::from_args(
-      std::span<const char* const>(argv + 1, static_cast<std::size_t>(argc - 1)));
+  using bench::Kind;
+  static constexpr bench::Key kKeys[] = {
+      {"degree", Kind::kNumber}, {"minutes", Kind::kNumber},
+      {"target", Kind::kNumber}};
+  const Config args = bench::read_args(argc, argv, kKeys);
   const double degree = args.get_double("degree", 3.2);
   const double minutes = args.get_double("minutes", 15.0);
   const double target = args.get_double("target", 1.8);

@@ -6,8 +6,8 @@
 // Usage: economics [servers=18750] [N=4] [bursts=3] [minutes=5]
 //                  [utilization=1.0] [ut_over_u0=4] [core_usd=40]
 #include <iostream>
-#include <span>
 
+#include "bench_util.h"
 #include "econ/profitability.h"
 #include "util/config.h"
 #include "util/table.h"
@@ -15,15 +15,19 @@
 int main(int argc, char** argv) {
   using namespace dcs;
   using namespace dcs::econ;
-  const Config args = Config::from_args(
-      std::span<const char* const>(argv + 1, static_cast<std::size_t>(argc - 1)));
+  using bench::Kind;
+  static constexpr bench::Key kKeys[] = {
+      {"servers", Kind::kCount}, {"core_usd", Kind::kNumber},
+      {"N", Kind::kNumber}, {"bursts", Kind::kCount},
+      {"minutes", Kind::kNumber}, {"utilization", Kind::kNumber},
+      {"ut_over_u0", Kind::kNumber}};
+  const Config args = bench::read_args(argc, argv, kKeys);
 
   CostModel::Params cost_params;
-  cost_params.servers =
-      static_cast<std::size_t>(args.get_int("servers", 18750));
+  cost_params.servers = args.get_count("servers", 18750);
   cost_params.core_cost_usd = args.get_double("core_usd", 40.0);
   const double n = args.get_double("N", 4.0);
-  const int bursts = args.get_int("bursts", 3);
+  const std::size_t bursts = args.get_count("bursts", 3);
   const double minutes = args.get_double("minutes", 5.0);
   const double utilization = args.get_double("utilization", 1.0);
   const double ut_over_u0 = args.get_double("ut_over_u0", 4.0);

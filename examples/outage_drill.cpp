@@ -8,8 +8,8 @@
 //
 // Usage: outage_drill [dip=0.6] [at_min=8] [dip_min=3] [gen_delay=45]
 #include <iostream>
-#include <span>
 
+#include "bench_util.h"
 #include "core/datacenter.h"
 #include "power/generator.h"
 #include "util/config.h"
@@ -19,8 +19,11 @@
 int main(int argc, char** argv) {
   using namespace dcs;
   using namespace dcs::core;
-  const Config args = Config::from_args(
-      std::span<const char* const>(argv + 1, static_cast<std::size_t>(argc - 1)));
+  using bench::Kind;
+  static constexpr bench::Key kKeys[] = {
+      {"dip", Kind::kNumber}, {"at_min", Kind::kNumber},
+      {"dip_min", Kind::kNumber}, {"gen_delay", Kind::kNumber}};
+  const Config args = bench::read_args(argc, argv, kKeys);
   const double dip = args.get_double("dip", 0.6);
   const double at_min = args.get_double("at_min", 8.0);
   const double dip_min = args.get_double("dip_min", 3.0);

@@ -3,8 +3,8 @@
 //
 // Usage: quickstart [key=value ...]   e.g.  quickstart dc_headroom=0.2 pdus=16
 #include <iostream>
-#include <span>
 
+#include "bench_util.h"
 #include "core/datacenter.h"
 #include "core/oracle.h"
 #include "util/config.h"
@@ -15,14 +15,15 @@
 int main(int argc, char** argv) {
   using namespace dcs;
 
-  const Config args = Config::from_args(
-      std::span<const char* const>(argv + 1, static_cast<std::size_t>(argc - 1)));
+  using bench::Kind;
+  static constexpr bench::Key kKeys[] = {
+      {"pdus", Kind::kCount}, {"dc_headroom", Kind::kNumber}};
+  const Config args = bench::read_args(argc, argv, kKeys);
 
   core::DataCenterConfig config;
   // Normalized results agree across PDU counts to rounding and a run costs
   // the same at any count (see datacenter.h); only absolute powers scale.
-  config.fleet.pdu_count =
-      static_cast<std::size_t>(args.get_int("pdus", 8));
+  config.fleet.pdu_count = args.get_count("pdus", 8);
   config.dc_headroom = args.get_double("dc_headroom", 0.10);
   core::DataCenter dc(config);
 

@@ -10,9 +10,9 @@
 //
 // Usage: replay_trace [trace=demand.csv] [capacity=1.0] [pdus=8]
 #include <iostream>
-#include <span>
 #include <string>
 
+#include "bench_util.h"
 #include "core/budget_paced_strategy.h"
 #include "core/datacenter.h"
 #include "core/oracle.h"
@@ -25,8 +25,10 @@
 int main(int argc, char** argv) {
   using namespace dcs;
   using namespace dcs::core;
-  const Config args = Config::from_args(
-      std::span<const char* const>(argv + 1, static_cast<std::size_t>(argc - 1)));
+  using bench::Kind;
+  static constexpr bench::Key kKeys[] = {
+      {"trace"}, {"capacity", Kind::kNumber}, {"pdus", Kind::kCount}};
+  const Config args = bench::read_args(argc, argv, kKeys);
 
   std::string path = args.get_string("trace", "");
   if (path.empty()) {
@@ -52,7 +54,7 @@ int main(int argc, char** argv) {
   }
 
   DataCenterConfig config;
-  config.fleet.pdu_count = static_cast<std::size_t>(args.get_int("pdus", 8));
+  config.fleet.pdu_count = args.get_count("pdus", 8);
   DataCenter dc(config);
 
   TablePrinter table({"policy", "avg perf", "drop %", "sprint min",

@@ -3,9 +3,9 @@
 //
 // Usage: testbed_demo [policy=ours|cbfirst|cbonly] [reserve=30] [ups_wh=10]
 #include <iostream>
-#include <span>
 #include <string>
 
+#include "bench_util.h"
 #include "testbed/testbed.h"
 #include "util/config.h"
 #include "util/table.h"
@@ -13,8 +13,10 @@
 int main(int argc, char** argv) {
   using namespace dcs;
   using namespace dcs::testbed;
-  const Config args = Config::from_args(
-      std::span<const char* const>(argv + 1, static_cast<std::size_t>(argc - 1)));
+  using bench::Kind;
+  static constexpr bench::Key kKeys[] = {
+      {"policy"}, {"reserve", Kind::kNumber}, {"ups_wh", Kind::kNumber}};
+  const Config args = bench::read_args(argc, argv, kKeys);
 
   const std::string policy_name = args.get_string("policy", "ours");
   Policy policy = Policy::kReservedTripTime;

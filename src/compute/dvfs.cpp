@@ -3,7 +3,6 @@
 #include <cmath>
 
 #include "util/check.h"
-#include "util/interpolate.h"
 
 namespace dcs::compute {
 
@@ -19,12 +18,6 @@ double DvfsModel::power_multiplier(double frequency) const {
                   frequency <= params_.max_multiplier,
               "frequency outside the DVFS range");
   return std::pow(frequency, params_.dynamic_exponent);
-}
-
-double DvfsModel::max_frequency_for(double power_budget) const {
-  DCS_REQUIRE(power_budget >= 0.0, "power budget must be non-negative");
-  const double f = std::pow(power_budget, 1.0 / params_.dynamic_exponent);
-  return clamp(f, params_.min_multiplier, params_.max_multiplier);
 }
 
 double DvfsModel::performance(double frequency) const {

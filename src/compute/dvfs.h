@@ -24,10 +24,6 @@ class DvfsModel {
   /// Core dynamic-power multiplier at frequency multiplier f.
   [[nodiscard]] double power_multiplier(double frequency) const;
 
-  /// Largest in-range frequency whose dynamic power fits `power_budget`
-  /// (a multiple of the nominal dynamic power).
-  [[nodiscard]] double max_frequency_for(double power_budget) const;
-
   /// Compute-bound performance multiplier (== frequency).
   [[nodiscard]] double performance(double frequency) const;
 

@@ -18,18 +18,6 @@ Fleet::Fleet(const Params& params)
   }
 }
 
-std::size_t Fleet::server_count() const noexcept {
-  return params_.servers_per_pdu * params_.pdu_count;
-}
-
-double Fleet::capacity(double degree_cap) const {
-  DCS_REQUIRE(degree_cap >= 0.0, "degree cap must be non-negative");
-  const Chip& chip = server_.chip();
-  const double capped = std::min(degree_cap, chip.max_sprint_degree());
-  const std::size_t cores = chip.cores_for_degree(capped);
-  return throughput_.throughput(std::max<std::size_t>(cores, 1));
-}
-
 Fleet::Operation Fleet::operate(double demand, double degree_cap) const {
   DCS_REQUIRE(demand >= 0.0, "demand must be non-negative");
   const std::size_t normal = server_.chip().params().normal_cores;
@@ -67,14 +55,6 @@ Fleet::Operation Fleet::operate_with_cores(double demand,
   op.per_pdu = op.per_server * static_cast<double>(params_.servers_per_pdu);
   op.fleet_total = op.per_pdu * static_cast<double>(params_.pdu_count);
   return op;
-}
-
-Power Fleet::peak_normal_power() const {
-  return server_.peak_normal_power() * static_cast<double>(server_count());
-}
-
-Power Fleet::peak_sprint_power() const {
-  return server_.peak_sprint_power() * static_cast<double>(server_count());
 }
 
 }  // namespace dcs::compute

@@ -51,15 +51,6 @@ class Fleet {
   [[nodiscard]] Operation operate_with_cores(double demand,
                                              std::size_t active_cores) const;
 
-  /// Normalized capacity at a given degree cap.
-  [[nodiscard]] double capacity(double degree_cap) const;
-
-  /// Fleet-wide power at the normal peak (degree 1, fully utilized).
-  [[nodiscard]] Power peak_normal_power() const;
-  /// Fleet-wide power ceiling with every core on and utilized.
-  [[nodiscard]] Power peak_sprint_power() const;
-
-  [[nodiscard]] std::size_t server_count() const noexcept;
   [[nodiscard]] const Server& server() const noexcept { return server_; }
   [[nodiscard]] const ThroughputModel& throughput() const noexcept { return throughput_; }
   [[nodiscard]] const Params& params() const noexcept { return params_; }

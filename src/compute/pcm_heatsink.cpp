@@ -26,18 +26,8 @@ void PcmHeatSink::step(Power chip_power, Duration dt) {
   }
 }
 
-double PcmHeatSink::melted_fraction() const noexcept {
-  return melted_ / params_.latent_capacity;
-}
-
 bool PcmHeatSink::exhausted() const noexcept {
   return melted_ >= params_.latent_capacity;
-}
-
-Duration PcmHeatSink::time_to_exhaustion(Power chip_power) const {
-  DCS_REQUIRE(chip_power >= Power::zero(), "chip power must be non-negative");
-  if (chip_power <= params_.sustainable) return Duration::infinity();
-  return (params_.latent_capacity - melted_) / (chip_power - params_.sustainable);
 }
 
 }  // namespace dcs::compute

@@ -35,13 +35,8 @@ class PcmHeatSink {
   /// Advances the PCM state under `chip_power` for `dt`.
   void step(Power chip_power, Duration dt);
 
-  /// Fraction melted in [0, 1]; 1 means the buffer is exhausted.
-  [[nodiscard]] double melted_fraction() const noexcept;
+  /// Whether the PCM is fully melted: the buffer is spent.
   [[nodiscard]] bool exhausted() const noexcept;
-
-  /// Time until exhaustion at a constant chip power (infinite at or below
-  /// the sustainable level).
-  [[nodiscard]] Duration time_to_exhaustion(Power chip_power) const;
 
   /// Resets to fully solid.
   void reset() noexcept { melted_ = Energy::zero(); }

@@ -20,8 +20,4 @@ Power Server::peak_sprint_power() const {
   return params_.non_cpu + chip_.peak_power();
 }
 
-Power Server::idle_power() const {
-  return power(chip_.params().normal_cores, 0.0);
-}
-
 }  // namespace dcs::compute

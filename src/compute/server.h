@@ -25,8 +25,6 @@ class Server {
   [[nodiscard]] Power peak_normal_power() const;
   /// Power with every core on and fully utilized (sprint ceiling).
   [[nodiscard]] Power peak_sprint_power() const;
-  /// Power with the normal core count, idle.
-  [[nodiscard]] Power idle_power() const;
 
   [[nodiscard]] const Chip& chip() const noexcept { return chip_; }
   [[nodiscard]] Power non_cpu() const noexcept { return params_.non_cpu; }

@@ -17,30 +17,12 @@ double ThroughputModel::throughput(std::size_t cores) const {
   return std::pow(n / n0, params_.alpha);
 }
 
-double ThroughputModel::throughput_for_degree(double degree) const {
-  DCS_REQUIRE(degree >= 0.0, "degree must be non-negative");
-  return std::pow(degree, params_.alpha);
-}
-
 std::size_t ThroughputModel::cores_for_demand(double demand) const {
   DCS_REQUIRE(demand >= 0.0, "demand must be non-negative");
   if (demand <= 0.0) return 0;
   const double n0 = static_cast<double>(params_.normal_cores);
   const double n = n0 * std::pow(demand, 1.0 / params_.alpha);
   return static_cast<std::size_t>(std::ceil(n - 1e-9));
-}
-
-double ThroughputModel::degree_for_demand(double demand) const {
-  DCS_REQUIRE(demand >= 0.0, "demand must be non-negative");
-  return std::pow(demand, 1.0 / params_.alpha);
-}
-
-double ThroughputModel::per_core_efficiency(std::size_t cores) const {
-  DCS_REQUIRE(cores > 0, "need at least one core");
-  const double n = static_cast<double>(cores);
-  const double n0 = static_cast<double>(params_.normal_cores);
-  // (T(n)/n) / (T(n0)/n0) = (n/n0)^(alpha-1)
-  return std::pow(n / n0, params_.alpha - 1.0);
 }
 
 }  // namespace dcs::compute

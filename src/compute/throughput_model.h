@@ -30,18 +30,9 @@ class ThroughputModel {
   /// that throughput(normal_cores) == 1.
   [[nodiscard]] double throughput(std::size_t cores) const;
 
-  /// Throughput as a function of (possibly fractional) sprinting degree.
-  [[nodiscard]] double throughput_for_degree(double degree) const;
-
   /// Smallest core count whose throughput covers `demand` (normalized
   /// units). May exceed any physical chip; callers clamp.
   [[nodiscard]] std::size_t cores_for_demand(double demand) const;
-
-  /// Sprinting degree that exactly covers `demand` (continuous relaxation).
-  [[nodiscard]] double degree_for_demand(double demand) const;
-
-  /// Per-core throughput relative to a core of the normal configuration.
-  [[nodiscard]] double per_core_efficiency(std::size_t cores) const;
 
   [[nodiscard]] const Params& params() const noexcept { return params_; }
 

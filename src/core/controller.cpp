@@ -22,17 +22,6 @@ constexpr double kMarginReleaseFactor = 1.25;
 
 }  // namespace
 
-std::string_view to_string(Mode mode) noexcept {
-  switch (mode) {
-    case Mode::kControlled: return "controlled";
-    case Mode::kUncontrolled: return "uncontrolled";
-    case Mode::kNoSprint: return "no-sprint";
-    case Mode::kPowerCapped: return "power-capped";
-    case Mode::kDvfsCapped: return "dvfs-capped";
-  }
-  return "?";
-}
-
 std::string_view to_string(SprintPhase phase) noexcept {
   switch (phase) {
     case SprintPhase::kNormal: return "normal";

@@ -63,8 +63,6 @@ enum class Mode {
   kDvfsCapped,    ///< conventional DVFS capping: boost frequency, not cores
 };
 
-[[nodiscard]] std::string_view to_string(Mode mode) noexcept;
-
 /// Tolerance on sprinting degrees and on normalized demand around 1.
 inline constexpr double kDegreeEps = 1e-9;
 

@@ -11,7 +11,8 @@ ProfitabilityAnalysis::ProfitabilityAnalysis(CostModel cost, RevenueModel revenu
     : cost_(std::move(cost)), revenue_(std::move(revenue)) {}
 
 ProfitBreakdown ProfitabilityAnalysis::analyze(double max_sprint_degree,
-                                               double burst_minutes, int bursts,
+                                               double burst_minutes,
+                                               std::size_t bursts,
                                                double utilization,
                                                double ut_over_u0) const {
   DCS_REQUIRE(utilization > 0.0 && utilization <= 1.0, "utilization in (0, 1]");
@@ -49,7 +50,7 @@ ProfitBreakdown ProfitabilityAnalysis::analyze_trace(const TimeSeries& demand,
 
   const workload::BurstStats stats = workload::analyze_bursts(demand, 1.0);
   const double mean_magnitude = std::max(1.0, stats.mean_burst_demand);
-  const auto bursts_per_month = static_cast<int>(
+  const auto bursts_per_month = static_cast<std::size_t>(
       static_cast<double>(stats.burst_count) / months_spanned + 0.5);
   out.retention_revenue_usd = revenue_.retention_revenue_usd(
       std::min(mean_magnitude, max_sprint_degree), bursts_per_month, ut_over_u0);

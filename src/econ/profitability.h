@@ -29,7 +29,8 @@ class ProfitabilityAnalysis {
   /// utilizes `utilization` (0.5 / 0.75 / 1.0 for R50/R75/R100) of the
   /// additional cores at max sprinting degree N, with Ut/U0 users.
   [[nodiscard]] ProfitBreakdown analyze(double max_sprint_degree,
-                                        double burst_minutes, int bursts,
+                                        double burst_minutes,
+                                        std::size_t bursts,
                                         double utilization,
                                         double ut_over_u0) const;
 

@@ -15,18 +15,17 @@ RevenueModel::RevenueModel(const Params& params) : params_(params) {
 }
 
 double RevenueModel::request_revenue_usd(double burst_minutes, double magnitude,
-                                         int bursts) const {
+                                         std::size_t bursts) const {
   DCS_REQUIRE(burst_minutes >= 0.0, "burst minutes must be non-negative");
-  DCS_REQUIRE(bursts >= 0, "burst count must be non-negative");
   if (magnitude <= 1.0) return 0.0;
   return params_.downtime_usd_per_min * burst_minutes * (magnitude - 1.0) *
          static_cast<double>(bursts);
 }
 
-double RevenueModel::retention_revenue_usd(double magnitude, int bursts,
+double RevenueModel::retention_revenue_usd(double magnitude,
+                                           std::size_t bursts,
                                            double ut_over_u0) const {
   DCS_REQUIRE(ut_over_u0 > 0.0, "Ut/U0 must be positive");
-  DCS_REQUIRE(bursts >= 0, "burst count must be non-negative");
   if (magnitude <= 1.0) return 0.0;
   const double affected_fraction =
       std::min((magnitude - 1.0) * static_cast<double>(bursts) / ut_over_u0, 1.0);

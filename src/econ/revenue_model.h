@@ -12,6 +12,8 @@
 //     the K bursts is min[U0 (M - 1) K, Ut] / Ut.
 #pragma once
 
+#include <cstddef>
+
 namespace dcs::econ {
 
 class RevenueModel {
@@ -28,11 +30,12 @@ class RevenueModel {
   /// Revenue from serving the excess requests of K bursts of `burst_minutes`
   /// at magnitude M (normalized; returns 0 for M <= 1).
   [[nodiscard]] double request_revenue_usd(double burst_minutes, double magnitude,
-                                           int bursts) const;
+                                           std::size_t bursts) const;
 
   /// Monthly revenue of the would-be-lost user fraction:
   /// ($682,560 / Ut) * min[U0 (M-1) K, Ut], expressed via ut_over_u0 = Ut/U0.
-  [[nodiscard]] double retention_revenue_usd(double magnitude, int bursts,
+  [[nodiscard]] double retention_revenue_usd(double magnitude,
+                                             std::size_t bursts,
                                              double ut_over_u0) const;
 
   /// Monthly revenue equivalent of 0.2 % of all users ($682,560 default).

@@ -228,16 +228,6 @@ CheckpointData merge_checkpoints(const std::vector<CheckpointData>& shards) {
   return merged;
 }
 
-SweepRun merge_runs(const std::vector<CheckpointData>& shards) {
-  const CheckpointData merged = merge_checkpoints(shards);
-  SweepRun run;
-  run.metrics = merged.metrics;
-  run.rows.assign(merged.task_count, {});
-  for (const auto& [index, row] : merged.rows) run.rows[index] = row;
-  run.resumed_tasks = merged.rows.size();
-  return run;
-}
-
 CheckpointWriter::CheckpointWriter(const std::string& path,
                                    const SweepSpec& spec,
                                    const std::vector<std::string>& metrics)

@@ -87,12 +87,6 @@ void write_checkpoint(std::ostream& out, const CheckpointData& data);
 [[nodiscard]] CheckpointData merge_checkpoints(
     const std::vector<CheckpointData>& shards);
 
-/// Merges shard checkpoints into one task-indexed SweepRun. Task indices no
-/// shard covered keep empty rows (callers needing completeness check
-/// `merge_checkpoints(...).complete()` or compare row counts). The merged
-/// run carries no timing (wall_seconds == 0): the shards ran elsewhere.
-[[nodiscard]] SweepRun merge_runs(const std::vector<CheckpointData>& shards);
-
 /// Append-only checkpoint writer used by run_sweep. Opens `path` for
 /// append, emitting the header first when the file is new or empty.
 /// `append` is thread-safe (workers complete tasks concurrently) and

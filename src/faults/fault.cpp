@@ -22,15 +22,6 @@ std::string_view to_string(FaultKind kind) noexcept {
   return "?";
 }
 
-std::string_view to_string(SensorChannel channel) noexcept {
-  switch (channel) {
-    case SensorChannel::kDemand: return "demand";
-    case SensorChannel::kPower: return "power";
-    case SensorChannel::kTemperature: return "temperature";
-  }
-  return "?";
-}
-
 bool is_sensor_fault(FaultKind kind) noexcept {
   return kind == FaultKind::kSensorStale || kind == FaultKind::kSensorDropped ||
          kind == FaultKind::kSensorNoisy;

@@ -63,7 +63,6 @@ struct Fault {
 };
 
 [[nodiscard]] std::string_view to_string(FaultKind kind) noexcept;
-[[nodiscard]] std::string_view to_string(SensorChannel channel) noexcept;
 [[nodiscard]] bool is_sensor_fault(FaultKind kind) noexcept;
 
 /// Normalized severity in [0, 1] used by the controller's degradation

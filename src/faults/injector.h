@@ -62,9 +62,6 @@ class FaultInjector {
   void apply(Duration now);
 
   [[nodiscard]] const State& state() const noexcept { return state_; }
-  [[nodiscard]] const FaultSchedule& schedule() const noexcept {
-    return schedule_;
-  }
   /// True once any fault has been active during the run.
   [[nodiscard]] bool ever_active() const noexcept { return ever_active_; }
 

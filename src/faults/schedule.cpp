@@ -48,31 +48,6 @@ void FaultSchedule::add(const Fault& fault) {
   faults_.push_back(fault);
 }
 
-bool FaultSchedule::any_active(Duration t) const noexcept {
-  return std::any_of(faults_.begin(), faults_.end(),
-                     [t](const Fault& f) { return f.active_at(t); });
-}
-
-double FaultSchedule::severity_at(Duration t) const noexcept {
-  double worst = 0.0;
-  for (const Fault& f : faults_) {
-    if (f.active_at(t)) worst = std::max(worst, severity_of(f));
-  }
-  return worst;
-}
-
-FaultSchedule FaultSchedule::scaled(double factor) const {
-  DCS_REQUIRE(factor >= 0.0, "scale factor must be non-negative");
-  FaultSchedule out;
-  for (Fault f : faults_) {
-    const MagnitudeRange range = magnitude_range(f.kind);
-    const double hi = range.hi_inclusive ? range.hi : range.hi - 1e-9;
-    f.magnitude = std::clamp(f.magnitude * factor, range.lo, hi);
-    out.add(f);
-  }
-  return out;
-}
-
 FaultSchedule FaultSchedule::random(std::uint64_t seed, Duration horizon,
                                     double severity) {
   DCS_REQUIRE(horizon > Duration::zero(), "horizon must be positive");

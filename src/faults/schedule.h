@@ -28,14 +28,6 @@ class FaultSchedule {
   }
   [[nodiscard]] bool empty() const noexcept { return faults_.empty(); }
   [[nodiscard]] std::size_t size() const noexcept { return faults_.size(); }
-  [[nodiscard]] bool any_active(Duration t) const noexcept;
-  /// Worst severity_of() over the faults active at `t`.
-  [[nodiscard]] double severity_at(Duration t) const noexcept;
-
-  /// Same windows and kinds with every magnitude multiplied by `factor`
-  /// (clamped to each kind's valid range). Severity sweeps hold the seed
-  /// fixed and vary only this factor.
-  [[nodiscard]] FaultSchedule scaled(double factor) const;
 
   /// Reproducible random schedule of 2-4 infrastructure faults with
   /// magnitudes and windows inside a survivable envelope (bounded

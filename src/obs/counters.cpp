@@ -43,8 +43,7 @@ void export_counters(const sim::Recorder& recorder, Tracer& tracer,
       options.channels.empty() ? recorder.channels() : options.channels;
   for (const std::string& channel : selected) {
     if (!recorder.has(channel)) continue;
-    export_counter_track(tracer, options.cat, options.name_prefix + channel,
-                         recorder.series(channel));
+    export_counter_track(tracer, "recorder", channel, recorder.series(channel));
   }
 }
 

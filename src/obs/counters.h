@@ -37,11 +37,6 @@ struct CounterExportOptions {
   /// Channels the recorder does not have are skipped (e.g. `tes_soc` on a
   /// TES-less configuration), so one list serves every configuration.
   std::vector<std::string> channels;
-  /// Category stamped on the counter events.
-  std::string cat = "recorder";
-  /// Prepended to every track name (e.g. "prediction/" when one task runs
-  /// several strategies into the same lane).
-  std::string name_prefix;
 };
 
 /// Emits the samples of `series` as 'C' events named `name`, carrying the
@@ -78,8 +73,9 @@ inline const std::vector<std::string> kZonalChannelSuffixes = {
   return channels;
 }
 
-/// Bridges a recorder's channels into `tracer` as counter tracks; see the
-/// file comment for the determinism contract.
+/// Bridges a recorder's channels into `tracer` as counter tracks of
+/// category "recorder", each named after its channel; see the file comment
+/// for the determinism contract.
 void export_counters(const sim::Recorder& recorder, Tracer& tracer,
                      const CounterExportOptions& options = {});
 

@@ -65,8 +65,6 @@ void Profiler::set_enabled(bool enabled) noexcept {
 
 void Profiler::set_thread_lane(std::uint32_t lane) noexcept { t_lane = lane; }
 
-std::uint32_t Profiler::thread_lane() noexcept { return t_lane; }
-
 double Profiler::now_us() const noexcept {
   return std::chrono::duration<double, std::micro>(
              std::chrono::steady_clock::now() - epoch_)

@@ -98,7 +98,6 @@ class Profiler {
 
   /// Sets the calling thread's lane (sticky thread-local; main = 0).
   static void set_thread_lane(std::uint32_t lane) noexcept;
-  [[nodiscard]] static std::uint32_t thread_lane() noexcept;
 
   /// Wall microseconds since the process-wide profiler epoch.
   [[nodiscard]] double now_us() const noexcept;

@@ -159,25 +159,4 @@ void Tracer::clear() {
   counts_[0] = counts_[1] = 0;
 }
 
-void Tracer::write_jsonl(std::ostream& out) const {
-  // Written out in 1 MiB chunks: a day-long trace is tens of MB.
-  constexpr std::size_t kChunkBytes = std::size_t{1} << 20;
-  std::string buf;
-  const auto put = [&](bool last) {
-    if (!last && buf.size() < kChunkBytes) return;
-    out.write(buf.data(), static_cast<std::streamsize>(buf.size()));
-    buf.clear();
-  };
-  for (const auto& [key, name] : lane_names_) {
-    detail::append_lane_line(buf, key.first, key.second, name);
-    buf += '\n';
-  }
-  for (const TraceEvent& e : events_) {
-    detail::append_event_line(buf, e);
-    buf += '\n';
-    put(false);
-  }
-  put(true);
-}
-
 }  // namespace dcs::obs

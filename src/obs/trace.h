@@ -24,7 +24,6 @@
 
 #include <cstdint>
 #include <map>
-#include <ostream>
 #include <string>
 #include <string_view>
 #include <vector>
@@ -133,10 +132,6 @@ class Tracer {
   }
   void clear();
 
-  /// The JSONL trace: one "lane" line per named lane (in (domain, lane)
-  /// order), then one "ev" line per buffered event in append order.
-  void write_jsonl(std::ostream& out) const;
-
  private:
   std::uint32_t lane_ = 0;
   TraceSink* sink_ = nullptr;
@@ -146,8 +141,8 @@ class Tracer {
 };
 
 namespace detail {
-// The one JSONL renderer: Tracer::write_jsonl, the JSONL stream sink and
-// the telemetry stream all write their "ev" and "lane" lines through it.
+// The one JSONL renderer: the JSONL stream sink and the telemetry stream
+// write their "ev" and "lane" lines through it.
 // It appends to a caller buffer with std::to_chars (strings through
 // json::append_string), so a sink renders an event where it arrives with
 // no stream formatting and no allocation once the buffer has grown.

@@ -95,7 +95,6 @@ class CircuitBreaker {
   }
 
   [[nodiscard]] Power rated() const noexcept { return params_.rated; }
-  [[nodiscard]] const TripCurve& curve() const noexcept { return params_.curve; }
   [[nodiscard]] std::string_view name() const noexcept { return name_; }
 
  private:

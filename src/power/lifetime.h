@@ -39,7 +39,6 @@ class BatteryLifetimeModel {
                                       double depth_of_discharge) const;
 
   [[nodiscard]] Duration required_service_life() const;
-  [[nodiscard]] Chemistry chemistry() const noexcept { return chemistry_; }
 
  private:
   Chemistry chemistry_;

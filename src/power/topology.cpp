@@ -26,12 +26,6 @@ PowerTopology::PowerTopology(const Params& params)
               "PDU group sizes must sum to the PDU count");
 }
 
-std::size_t PowerTopology::server_count() const noexcept {
-  std::size_t n = 0;
-  for (const Group& g : groups_) n += g.pdu.server_count() * g.count;
-  return n;
-}
-
 Flows PowerTopology::step(std::span<const Power> server_power,
                           std::span<const Power> ups_request,
                           Power cooling_power, Duration dt) {
@@ -106,11 +100,6 @@ void PowerTopology::set_fault_all(double breaker_rating_factor,
     g.pdu.breaker().set_fault(breaker_rating_factor, breaker_trip_bias);
     g.pdu.ups().set_fault(ups_availability, ups_capacity_factor);
   }
-}
-
-void PowerTopology::reset_breakers() {
-  dc_breaker_.reset();
-  for (Group& g : groups_) g.pdu.breaker().reset();
 }
 
 }  // namespace dcs::power

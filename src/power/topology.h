@@ -74,7 +74,6 @@ class PowerTopology {
   [[nodiscard]] const std::vector<Group>& groups() const noexcept { return groups_; }
 
   [[nodiscard]] std::size_t pdu_count() const noexcept { return pdu_count_; }
-  [[nodiscard]] std::size_t server_count() const noexcept;
 
   /// Total UPS energy still available across all PDU banks.
   [[nodiscard]] Energy ups_available() const;
@@ -87,8 +86,6 @@ class PowerTopology {
   /// (faults::FaultInjector pushes the merged fault state here each tick).
   void set_fault_all(double breaker_rating_factor, double breaker_trip_bias,
                      double ups_availability, double ups_capacity_factor);
-
-  void reset_breakers();
 
  private:
   Flows finish_step(Power cooling_power, Duration dt);

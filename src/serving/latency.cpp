@@ -90,11 +90,6 @@ std::size_t LatencyHistogram::slot(double seconds) noexcept {
   return 1 + k;
 }
 
-void LatencyHistogram::observe(double seconds) noexcept {
-  if (!(seconds >= 0.0)) seconds = 0.0;  // NaN / negative guard
-  add(slot(seconds), 1, seconds, seconds);
-}
-
 void LatencyHistogram::add(std::size_t slot, std::size_t n, double sum,
                            double max) noexcept {
   counts_[slot] += n;
@@ -126,19 +121,7 @@ double LatencyHistogram::quantile(double q) const noexcept {
   return kMaxSeconds;
 }
 
-void LatencyHistogram::merge(const LatencyHistogram& other) noexcept {
-  for (std::size_t i = 0; i < kSlots; ++i) counts_[i] += other.counts_[i];
-  count_ += other.count_;
-  sum_ += other.sum_;
-  max_ = std::max(max_, other.max_);
-}
-
 void LatencyHistogram::reset() noexcept { *this = LatencyHistogram{}; }
-
-bool LatencyHistogram::operator==(const LatencyHistogram& other) const noexcept {
-  return counts_ == other.counts_ && count_ == other.count_ &&
-         sum_ == other.sum_ && max_ == other.max_;
-}
 
 std::vector<std::size_t> LatencyHistogram::bucket_counts() const {
   return {counts_.begin(), counts_.end()};

@@ -7,10 +7,10 @@
 // slot() reads it from a table of bucket edges instead, and defers to the
 // formula itself only within 1e-9 (relative) of an edge, where the
 // formula's rounding could tip a sample across it. Counts are integers over
-// deterministic inputs, and merging adds them, so histograms built from the
-// same sample stream are bit-identical regardless of which thread ran the
-// task — the same contract as every sweep-runner row. add() takes a run of
-// samples known to share a slot in one step (the queue models' fluid runs).
+// deterministic inputs, so histograms built from the same sample stream are
+// bit-identical regardless of which thread ran the task — the same contract
+// as every sweep-runner row. add() takes a run of samples known to share a
+// slot in one step (the queue models' fluid runs).
 //
 // LatencyTracker wraps two histograms: the run-total distribution (the
 // figure metric) and a short sliding window whose p99 is the controller's
@@ -41,12 +41,8 @@ class LatencyHistogram {
   /// samples too), 1 + the log bucket, or kSlots - 1 at kMaxSeconds and up.
   [[nodiscard]] static std::size_t slot(double seconds) noexcept;
 
-  /// One sample; NaN and negative samples count as 0 s.
-  void observe(double seconds) noexcept;
-
   /// `n` samples that all land in `slot`, summing to `sum` seconds, the
-  /// largest `max`: n observe() calls in one step, bar the rounding of the
-  /// sum.
+  /// largest `max`.
   void add(std::size_t slot, std::size_t n, double sum, double max) noexcept;
 
   /// Quantile in seconds, q in [0, 1]; geometric interpolation inside the
@@ -61,18 +57,11 @@ class LatencyHistogram {
   }
   [[nodiscard]] double max_seconds() const noexcept { return max_; }
 
-  /// Adds the other histogram's buckets into this one (commutative on the
-  /// counts; sum/max fold exactly for any merge order).
-  void merge(const LatencyHistogram& other) noexcept;
-
   void reset() noexcept;
 
-  /// Bucket-exact equality — the bit-identity check used by the serving
-  /// determinism tests.
-  [[nodiscard]] bool operator==(const LatencyHistogram& other) const noexcept;
-
   /// Per-slot (non-cumulative) counts in slot() order: underflow, the log
-  /// buckets, overflow; size kSlots.
+  /// buckets, overflow; size kSlots. A test seam: the serving tests compare
+  /// histograms bucket for bucket through it.
   [[nodiscard]] std::vector<std::size_t> bucket_counts() const;
 
  private:

@@ -14,10 +14,6 @@ double mg1_mean_response_s(double lambda_rps, double mu_rps,
          lambda_rps * (1.0 + cv2) / (2.0 * mu_rps * mu_rps * (1.0 - rho));
 }
 
-double ps_mean_response_s(double lambda_rps, double mu_rps) noexcept {
-  return 1.0 / (mu_rps - lambda_rps);
-}
-
 namespace {
 
 /// Records the fluid FIFO run (backlog + i + 1) / mu, i in [0, n), one

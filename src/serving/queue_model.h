@@ -52,14 +52,9 @@ struct QueueModelParams {
 };
 
 /// Closed-form M/G/1 mean response time (Pollaczek-Khinchine). Requires
-/// lambda < mu. Exposed for the serving_queue_test cross-checks.
+/// lambda < mu.
 [[nodiscard]] double mg1_mean_response_s(double lambda_rps, double mu_rps,
                                          double cv2) noexcept;
-
-/// Closed-form M/M/1-PS mean response time 1/(mu - lambda). Requires
-/// lambda < mu.
-[[nodiscard]] double ps_mean_response_s(double lambda_rps,
-                                        double mu_rps) noexcept;
 
 class QueueModel {
  public:

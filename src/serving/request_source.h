@@ -42,8 +42,6 @@ class RequestSource {
   [[nodiscard]] std::size_t arrivals(std::uint64_t tick_index, double demand,
                                      Duration dt) const noexcept;
 
-  [[nodiscard]] double peak_rps() const noexcept { return params_.peak_rps; }
-
  private:
   RequestSourceParams params_;
   Rng base_;

@@ -111,9 +111,6 @@ class ServingLayer final : public sim::Component {
   /// With a recorder attached, adds channels slo_budget_remaining,
   /// slo_burn_fast, slo_burn_slow and the monotone slo_budget_violations.
   void enable_error_budget(ErrorBudgetParams params);
-  [[nodiscard]] const ErrorBudget* error_budget() const noexcept {
-    return budget_ ? &*budget_ : nullptr;
-  }
 
   void tick(Duration now, Duration dt) override;
   [[nodiscard]] std::string_view name() const noexcept override {

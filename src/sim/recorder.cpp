@@ -53,10 +53,4 @@ std::vector<std::string> Recorder::channels() const {
   return names;
 }
 
-void Recorder::clear() {
-  names_.clear();
-  times_.clear();
-  columns_.clear();
-}
-
 }  // namespace dcs::sim

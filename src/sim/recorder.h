@@ -36,8 +36,6 @@ class Recorder {
   /// Channel names, sorted.
   [[nodiscard]] std::vector<std::string> channels() const;
 
-  void clear();
-
  private:
   [[nodiscard]] std::size_t column_of(std::string_view channel) const;
 

@@ -94,9 +94,6 @@ class CoolingPlant {
     capacity_factor_ = capacity_factor;
     cop_penalty_ = cop_penalty;
   }
-  [[nodiscard]] double capacity_factor() const noexcept {
-    return capacity_factor_;
-  }
 
  private:
   Params params_;

@@ -54,10 +54,6 @@ bool RoomModel::over_threshold() const noexcept {
   return rise_ > params_.threshold_rise;
 }
 
-Duration RoomModel::time_to_threshold(Power gap) const {
-  return time_to_threshold_from(rise_, gap);
-}
-
 Duration RoomModel::time_to_threshold_from(Temperature rise, Power gap) const {
   if (gap <= Power::zero()) return Duration::infinity();
   const double remaining_c = params_.threshold_rise.c() - rise.c();

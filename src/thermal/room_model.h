@@ -45,11 +45,10 @@ class RoomModel {
   /// Highest temperature seen so far.
   [[nodiscard]] Temperature peak_temperature() const noexcept { return peak_; }
 
-  /// Time until the threshold is hit if the given constant heat gap
-  /// persists; infinite for non-positive gaps.
-  [[nodiscard]] Duration time_to_threshold(Power gap) const;
-  /// Same projection from an arbitrary rise (the controller passes its
-  /// *measured* rise here, which a faulted sensor may have corrupted).
+  /// Time until the threshold is hit from `rise` if the given constant
+  /// heat gap persists; infinite for non-positive gaps. The controller
+  /// passes its *measured* rise here, which a faulted sensor may have
+  /// corrupted.
   [[nodiscard]] Duration time_to_threshold_from(Temperature rise,
                                                 Power gap) const;
 

@@ -8,45 +8,6 @@
 #include "util/check.h"
 
 namespace dcs {
-namespace {
-
-std::string_view trim(std::string_view s) {
-  while (!s.empty() && std::isspace(static_cast<unsigned char>(s.front()))) {
-    s.remove_prefix(1);
-  }
-  while (!s.empty() && std::isspace(static_cast<unsigned char>(s.back()))) {
-    s.remove_suffix(1);
-  }
-  return s;
-}
-
-}  // namespace
-
-Config Config::from_string(std::string_view text) {
-  Config cfg;
-  std::size_t pos = 0;
-  int lineno = 0;
-  while (pos <= text.size()) {
-    const std::size_t nl = text.find('\n', pos);
-    std::string_view line = text.substr(pos, nl == std::string_view::npos ? std::string_view::npos : nl - pos);
-    ++lineno;
-    pos = nl == std::string_view::npos ? text.size() + 1 : nl + 1;
-
-    const std::size_t hash = line.find('#');
-    if (hash != std::string_view::npos) line = line.substr(0, hash);
-    line = trim(line);
-    if (line.empty()) continue;
-
-    const std::size_t eq = line.find('=');
-    DCS_REQUIRE(eq != std::string_view::npos,
-                "config line " + std::to_string(lineno) + " has no '='");
-    const std::string key{trim(line.substr(0, eq))};
-    const std::string value{trim(line.substr(eq + 1))};
-    DCS_REQUIRE(!key.empty(), "config line " + std::to_string(lineno) + " has empty key");
-    cfg.set(key, value);
-  }
-  return cfg;
-}
 
 Config Config::from_args(std::span<const char* const> args) {
   Config cfg;
@@ -72,10 +33,6 @@ Config Config::from_args(std::span<const char* const> args) {
 
 void Config::set(std::string key, std::string value) {
   entries_[std::move(key)] = std::move(value);
-}
-
-bool Config::contains(const std::string& key) const {
-  return entries_.contains(key);
 }
 
 void Config::require_known(std::span<const std::string_view> allowed) const {
@@ -116,30 +73,18 @@ double Config::get_double(const std::string& key, double fallback) const {
   }
 }
 
-int Config::get_int(const std::string& key, int fallback) const {
+std::size_t Config::get_count(const std::string& key, std::size_t fallback) const {
   const auto it = entries_.find(key);
   if (it == entries_.end()) return fallback;
-  int v = 0;
+  std::size_t v = 0;
   const auto* first = it->second.data();
   const auto* last = first + it->second.size();
   const auto [ptr, ec] = std::from_chars(first, last, v);
   if (ec != std::errc{} || ptr != last) {
-    throw std::invalid_argument("config key '" + key + "' is not an int: '" +
+    throw std::invalid_argument("config key '" + key + "' is not a count: '" +
                                 it->second + "'");
   }
   return v;
-}
-
-bool Config::get_bool(const std::string& key, bool fallback) const {
-  const auto it = entries_.find(key);
-  if (it == entries_.end()) return fallback;
-  std::string v = it->second;
-  std::transform(v.begin(), v.end(), v.begin(),
-                 [](unsigned char c) { return static_cast<char>(std::tolower(c)); });
-  if (v == "1" || v == "true" || v == "yes" || v == "on") return true;
-  if (v == "0" || v == "false" || v == "no" || v == "off") return false;
-  throw std::invalid_argument("config key '" + key + "' is not a bool: '" +
-                              it->second + "'");
 }
 
 }  // namespace dcs

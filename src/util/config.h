@@ -1,10 +1,10 @@
 // A tiny key=value configuration store so examples and benches can override
-// simulation parameters from the command line ("key=value" arguments) or a
-// config file, without pulling in an external dependency.
+// simulation parameters from the command line ("key=value" arguments)
+// without pulling in an external dependency.
 #pragma once
 
+#include <cstddef>
 #include <map>
-#include <optional>
 #include <span>
 #include <string>
 #include <string_view>
@@ -15,18 +15,12 @@ class Config {
  public:
   Config() = default;
 
-  /// Parses "key=value" lines; '#' starts a comment; blank lines ignored.
-  /// Throws std::invalid_argument on malformed lines.
-  [[nodiscard]] static Config from_string(std::string_view text);
-
   /// Parses argv-style "key=value" tokens. Tokens without '=' and keys with
   /// characters outside [A-Za-z0-9_.] (e.g. "--flag=1") are rejected with
   /// std::invalid_argument.
   [[nodiscard]] static Config from_args(std::span<const char* const> args);
 
   void set(std::string key, std::string value);
-
-  [[nodiscard]] bool contains(const std::string& key) const;
 
   /// Throws std::invalid_argument listing every key not in `allowed` (and
   /// the allowed set), so callers reject misspelled knobs instead of
@@ -37,8 +31,9 @@ class Config {
   /// absent. Throw std::invalid_argument when present but unparsable.
   [[nodiscard]] std::string get_string(const std::string& key, std::string fallback) const;
   [[nodiscard]] double get_double(const std::string& key, double fallback) const;
-  [[nodiscard]] int get_int(const std::string& key, int fallback) const;
-  [[nodiscard]] bool get_bool(const std::string& key, bool fallback) const;
+  /// A count is a whole number >= 0 that fits std::size_t: "-1", "1.5"
+  /// and out-of-range values are unparsable.
+  [[nodiscard]] std::size_t get_count(const std::string& key, std::size_t fallback) const;
 
   [[nodiscard]] const std::map<std::string, std::string>& entries() const noexcept {
     return entries_;

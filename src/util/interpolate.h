@@ -22,7 +22,6 @@ class PiecewiseCurve {
   PiecewiseCurve(std::vector<Knot> knots, Scale scale = Scale::kLinear);
 
   [[nodiscard]] double operator()(double x) const;
-  [[nodiscard]] const std::vector<Knot>& knots() const noexcept { return knots_; }
 
  private:
   std::vector<Knot> knots_;

@@ -1,19 +1,12 @@
 #include "util/log.h"
 
-#include <atomic>
 #include <iostream>
 #include <mutex>
 
 namespace dcs {
 namespace {
 
-std::atomic<LogLevel> g_level{LogLevel::kWarn};
-std::mutex g_sink_mutex;
-LogSink g_sink;  // empty => default stderr sink
-
-void default_sink(LogLevel level, const std::string& message) {
-  std::cerr << '[' << to_string(level) << "] " << message << '\n';
-}
+std::mutex g_stderr_mutex;
 
 }  // namespace
 
@@ -23,28 +16,14 @@ const char* to_string(LogLevel level) noexcept {
     case LogLevel::kInfo: return "INFO";
     case LogLevel::kWarn: return "WARN";
     case LogLevel::kError: return "ERROR";
-    case LogLevel::kOff: return "OFF";
   }
   return "?";
 }
 
-void set_log_level(LogLevel level) noexcept { g_level.store(level); }
-
-LogLevel log_level() noexcept { return g_level.load(); }
-
-void set_log_sink(LogSink sink) {
-  const std::lock_guard lock(g_sink_mutex);
-  g_sink = std::move(sink);
-}
-
 void log_message(LogLevel level, const std::string& message) {
-  if (level < g_level.load()) return;
-  const std::lock_guard lock(g_sink_mutex);
-  if (g_sink) {
-    g_sink(level, message);
-  } else {
-    default_sink(level, message);
-  }
+  if (level < kLogLevel) return;
+  const std::lock_guard lock(g_stderr_mutex);
+  std::cerr << '[' << to_string(level) << "] " << message << '\n';
 }
 
 }  // namespace dcs

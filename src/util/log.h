@@ -1,25 +1,19 @@
-// Leveled logging with a process-wide sink. The simulator core never prints
-// directly; benches and examples choose verbosity.
+// Leveled logging to stderr. The simulator core never prints directly;
+// warnings and errors reach stderr as "[LEVEL] message", and debug and
+// info messages are dropped.
 #pragma once
 
-#include <functional>
 #include <sstream>
 #include <string>
 
 namespace dcs {
 
-enum class LogLevel { kDebug = 0, kInfo = 1, kWarn = 2, kError = 3, kOff = 4 };
+enum class LogLevel { kDebug = 0, kInfo = 1, kWarn = 2, kError = 3 };
+
+/// The lowest level that reaches stderr.
+inline constexpr LogLevel kLogLevel = LogLevel::kWarn;
 
 [[nodiscard]] const char* to_string(LogLevel level) noexcept;
-
-/// Sets the minimum level that reaches the sink. Default: kWarn.
-void set_log_level(LogLevel level) noexcept;
-[[nodiscard]] LogLevel log_level() noexcept;
-
-/// Replaces the sink (default writes "[LEVEL] message" to stderr).
-/// Passing nullptr restores the default sink.
-using LogSink = std::function<void(LogLevel, const std::string&)>;
-void set_log_sink(LogSink sink);
 
 void log_message(LogLevel level, const std::string& message);
 
@@ -45,8 +39,8 @@ class LogLine {
 
 }  // namespace dcs
 
-#define DCS_LOG(level)                         \
-  if (::dcs::log_level() <= ::dcs::LogLevel::level) \
+#define DCS_LOG(level)                             \
+  if (::dcs::kLogLevel <= ::dcs::LogLevel::level) \
   ::dcs::detail::LogLine(::dcs::LogLevel::level)
 
 #define DCS_LOG_DEBUG DCS_LOG(kDebug)

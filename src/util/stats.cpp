@@ -28,13 +28,6 @@ double RunningStats::variance() const noexcept {
 
 double RunningStats::stddev() const noexcept { return std::sqrt(variance()); }
 
-double mean(std::span<const double> xs) {
-  DCS_REQUIRE(!xs.empty(), "mean of empty range");
-  double s = 0.0;
-  for (double x : xs) s += x;
-  return s / static_cast<double>(xs.size());
-}
-
 double percentile(std::vector<double> xs, double p) {
   DCS_REQUIRE(!xs.empty(), "percentile of empty range");
   DCS_REQUIRE(p >= 0.0 && p <= 100.0, "percentile p out of [0,100]");
@@ -45,21 +38,6 @@ double percentile(std::vector<double> xs, double p) {
   const std::size_t hi = std::min(lo + 1, xs.size() - 1);
   const double frac = rank - static_cast<double>(lo);
   return xs[lo] + frac * (xs[hi] - xs[lo]);
-}
-
-double correlation(std::span<const double> a, std::span<const double> b) {
-  DCS_REQUIRE(a.size() == b.size(), "correlation requires equal lengths");
-  DCS_REQUIRE(a.size() >= 2, "correlation requires at least two samples");
-  const double ma = mean(a);
-  const double mb = mean(b);
-  double num = 0.0, da = 0.0, db = 0.0;
-  for (std::size_t i = 0; i < a.size(); ++i) {
-    num += (a[i] - ma) * (b[i] - mb);
-    da += (a[i] - ma) * (a[i] - ma);
-    db += (b[i] - mb) * (b[i] - mb);
-  }
-  DCS_REQUIRE(da > 0.0 && db > 0.0, "correlation undefined for constant input");
-  return num / std::sqrt(da * db);
 }
 
 }  // namespace dcs

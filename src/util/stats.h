@@ -2,7 +2,6 @@
 #pragma once
 
 #include <cstddef>
-#include <span>
 #include <vector>
 
 namespace dcs {
@@ -30,10 +29,7 @@ class RunningStats {
   double sum_ = 0.0;
 };
 
-[[nodiscard]] double mean(std::span<const double> xs);
 /// Linear-interpolation percentile, p in [0, 100]. Requires non-empty input.
 [[nodiscard]] double percentile(std::vector<double> xs, double p);
-/// Pearson correlation coefficient; requires equal non-trivial lengths.
-[[nodiscard]] double correlation(std::span<const double> a, std::span<const double> b);
 
 }  // namespace dcs

@@ -23,13 +23,6 @@ void TablePrinter::add_row(std::vector<std::string> row) {
   rows_.push_back(std::move(row));
 }
 
-void TablePrinter::add_numeric_row(const std::vector<double>& values, int precision) {
-  std::vector<std::string> row;
-  row.reserve(values.size());
-  for (double v : values) row.push_back(format_double(v, precision));
-  add_row(std::move(row));
-}
-
 void TablePrinter::add_row(const std::string& label,
                            const std::vector<double>& values, int precision) {
   std::vector<std::string> row;

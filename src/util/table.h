@@ -13,8 +13,6 @@ class TablePrinter {
   explicit TablePrinter(std::vector<std::string> headers);
 
   void add_row(std::vector<std::string> row);
-  /// Formats numbers with the given precision (default %.3f).
-  void add_numeric_row(const std::vector<double>& values, int precision = 3);
   /// Mixed row: first column text, remaining numeric.
   void add_row(const std::string& label, const std::vector<double>& values,
                int precision = 3);

@@ -74,16 +74,6 @@ TimeSeries TimeSeries::slice(Duration from, Duration to, Interpolation mode) con
   return out;
 }
 
-TimeSeries TimeSeries::resample(Duration step, Interpolation mode) const {
-  DCS_REQUIRE(step > Duration::zero(), "resample step must be positive");
-  DCS_REQUIRE(!samples_.empty(), "cannot resample an empty series");
-  TimeSeries out;
-  for (Duration t = start_time(); t <= end_time(); t += step) {
-    out.push_back(t, at(t, mode));
-  }
-  return out;
-}
-
 TimeSeries TimeSeries::map(const std::function<double(double)>& fn) const {
   TimeSeries out;
   for (const Sample& s : samples_) out.push_back(s.time, fn(s.value));
@@ -92,12 +82,6 @@ TimeSeries TimeSeries::map(const std::function<double(double)>& fn) const {
 
 TimeSeries TimeSeries::scaled(double k) const {
   return map([k](double v) { return v * k; });
-}
-
-TimeSeries TimeSeries::normalized_to_peak() const {
-  const double peak = max_value();
-  DCS_REQUIRE(peak > 0.0, "normalized_to_peak requires a positive peak");
-  return scaled(1.0 / peak);
 }
 
 double TimeSeries::min_value() const {
@@ -127,29 +111,6 @@ double TimeSeries::integral() const {
     sum += samples_[i].value * (samples_[i + 1].time - samples_[i].time).sec();
   }
   return sum;
-}
-
-Duration TimeSeries::time_above(double threshold) const {
-  Duration total = Duration::zero();
-  for (std::size_t i = 0; i + 1 < samples_.size(); ++i) {
-    if (samples_[i].value > threshold) {
-      total += samples_[i + 1].time - samples_[i].time;
-    }
-  }
-  return total;
-}
-
-TimeSeries TimeSeries::sum(const TimeSeries& a, const TimeSeries& b, Interpolation mode) {
-  DCS_REQUIRE(!a.empty() && !b.empty(), "sum requires non-empty series");
-  std::vector<Duration> times;
-  times.reserve(a.size() + b.size());
-  for (const Sample& s : a.samples()) times.push_back(s.time);
-  for (const Sample& s : b.samples()) times.push_back(s.time);
-  std::sort(times.begin(), times.end());
-  times.erase(std::unique(times.begin(), times.end()), times.end());
-  TimeSeries out;
-  for (Duration t : times) out.push_back(t, a.at(t, mode) + b.at(t, mode));
-  return out;
 }
 
 }  // namespace dcs

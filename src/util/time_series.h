@@ -1,7 +1,7 @@
 // A time-indexed sequence of samples with the transforms the experiment
-// harness needs: interpolation, resampling, slicing, scaling, aggregation
-// and summary statistics. Used both for workload traces (demand over time)
-// and for simulation outputs (power / performance over time).
+// harness needs: interpolation, slicing, scaling and summary statistics.
+// Used both for workload traces (demand over time) and for simulation
+// outputs (power / performance over time).
 #pragma once
 
 #include <cstddef>
@@ -74,19 +74,11 @@ class TimeSeries {
   [[nodiscard]] TimeSeries slice(Duration from, Duration to,
                                  Interpolation mode = Interpolation::kStep) const;
 
-  /// Re-samples onto a fixed step over [start, end].
-  [[nodiscard]] TimeSeries resample(Duration step,
-                                    Interpolation mode = Interpolation::kStep) const;
-
   /// Applies `fn` to each value, keeping timestamps.
   [[nodiscard]] TimeSeries map(const std::function<double(double)>& fn) const;
 
   /// Multiplies every value by `k`.
   [[nodiscard]] TimeSeries scaled(double k) const;
-
-  /// Divides every value by the peak value so the maximum becomes 1.
-  /// Requires a strictly positive peak.
-  [[nodiscard]] TimeSeries normalized_to_peak() const;
 
   [[nodiscard]] double min_value() const;
   [[nodiscard]] double max_value() const;
@@ -97,14 +89,6 @@ class TimeSeries {
   /// Time-weighted integral of value * dt (step interpretation). For a
   /// series of watts this yields joules.
   [[nodiscard]] double integral() const;
-
-  /// Total time during which value > threshold (step interpretation).
-  [[nodiscard]] Duration time_above(double threshold) const;
-
-  /// Pointwise sum of two series; both are resampled onto the union of
-  /// their timestamps using `mode`.
-  [[nodiscard]] static TimeSeries sum(const TimeSeries& a, const TimeSeries& b,
-                                      Interpolation mode = Interpolation::kStep);
 
  private:
   std::vector<Sample> samples_;

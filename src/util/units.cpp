@@ -22,22 +22,11 @@ std::string to_string(Duration d) {
   return fmt(s, "s");
 }
 
-std::string to_string(Power p) {
-  const double w = p.w();
-  if (std::fabs(w) >= 1e6) return fmt(p.mw(), "MW");
-  if (std::fabs(w) >= 1e3) return fmt(p.kw(), "kW");
-  return fmt(w, "W");
-}
-
 std::string to_string(Energy e) {
   const double j = e.j();
   if (std::fabs(j) >= 3.6e6) return fmt(e.kwh(), "kWh");
   if (std::fabs(j) >= 3600.0) return fmt(e.wh(), "Wh");
   return fmt(j, "J");
 }
-
-std::string to_string(Charge q) { return fmt(q.ah(), "Ah"); }
-
-std::string to_string(Temperature t) { return fmt(t.c(), "C"); }
 
 }  // namespace dcs

@@ -192,9 +192,6 @@ class Temperature {
 
 // Human-readable formatting (picks a sensible display unit).
 [[nodiscard]] std::string to_string(Duration d);
-[[nodiscard]] std::string to_string(Power p);
 [[nodiscard]] std::string to_string(Energy e);
-[[nodiscard]] std::string to_string(Charge q);
-[[nodiscard]] std::string to_string(Temperature t);
 
 }  // namespace dcs

@@ -23,10 +23,4 @@ double AdmissionController::drop_fraction() const noexcept {
   return offered > 0.0 ? dropped_ / offered : 0.0;
 }
 
-void AdmissionController::reset() noexcept {
-  served_ = 0.0;
-  dropped_ = 0.0;
-  degraded_ = Duration::zero();
-}
-
 }  // namespace dcs::workload

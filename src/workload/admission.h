@@ -26,8 +26,6 @@ class AdmissionController {
   /// Total time during which any demand was dropped.
   [[nodiscard]] Duration degraded_time() const noexcept { return degraded_; }
 
-  void reset() noexcept;
-
  private:
   double served_ = 0.0;
   double dropped_ = 0.0;

@@ -13,9 +13,7 @@ OnlineBurstPredictor::OnlineBurstPredictor(const Params& params)
               "learning rate in (0, 1]");
   DCS_REQUIRE(params_.prior_duration > Duration::zero(),
               "prior duration must be positive");
-  DCS_REQUIRE(params_.prior_mean_degree >= 1.0, "prior mean degree >= 1");
-  DCS_REQUIRE(params_.prior_max_degree >= params_.prior_mean_degree,
-              "prior max below prior mean");
+  DCS_REQUIRE(params_.prior_max_degree >= 1.0, "prior max degree >= 1");
 }
 
 void OnlineBurstPredictor::observe(double demand, Duration dt) {
@@ -24,7 +22,6 @@ void OnlineBurstPredictor::observe(double demand, Duration dt) {
   if (demand > params_.threshold) {
     in_burst_ = true;
     current_elapsed_ += dt;
-    current_integral_ += demand * dt.sec();
     current_max_ = std::max(current_max_, demand);
     return;
   }
@@ -32,21 +29,17 @@ void OnlineBurstPredictor::observe(double demand, Duration dt) {
 }
 
 void OnlineBurstPredictor::finish_burst() {
-  const double mean = current_integral_ / current_elapsed_.sec();
   if (completed_ == 0) {
     est_duration_ = current_elapsed_;
-    est_mean_degree_ = mean;
     est_max_degree_ = current_max_;
   } else {
     const double a = params_.learning_rate;
     est_duration_ = est_duration_ * (1.0 - a) + current_elapsed_ * a;
-    est_mean_degree_ = est_mean_degree_ * (1.0 - a) + mean * a;
     est_max_degree_ = est_max_degree_ * (1.0 - a) + current_max_ * a;
   }
   ++completed_;
   in_burst_ = false;
   current_elapsed_ = Duration::zero();
-  current_integral_ = 0.0;
   current_max_ = 1.0;
 }
 
@@ -57,10 +50,6 @@ Duration OnlineBurstPredictor::predicted_duration() const {
   const Duration base =
       completed_ > 0 ? est_duration_ : params_.prior_duration;
   return std::max(base, current_elapsed_);
-}
-
-double OnlineBurstPredictor::predicted_mean_degree() const {
-  return completed_ > 0 ? est_mean_degree_ : params_.prior_mean_degree;
 }
 
 double OnlineBurstPredictor::predicted_max_degree() const {

@@ -21,7 +21,6 @@ class OnlineBurstPredictor {
     double learning_rate = 0.5;
     /// Forecasts before any burst completed.
     Duration prior_duration = Duration::minutes(10);
-    double prior_mean_degree = 2.0;
     double prior_max_degree = 3.0;
   };
 
@@ -33,18 +32,12 @@ class OnlineBurstPredictor {
 
   /// Predicted duration of the next (or current) burst.
   [[nodiscard]] Duration predicted_duration() const;
-  /// Predicted time-mean demand during bursts.
-  [[nodiscard]] double predicted_mean_degree() const;
   /// Predicted peak demand during bursts.
   [[nodiscard]] double predicted_max_degree() const;
 
   /// Completed bursts learned so far.
   [[nodiscard]] std::size_t bursts_completed() const noexcept { return completed_; }
   [[nodiscard]] bool in_burst() const noexcept { return in_burst_; }
-  /// Elapsed time of the burst in progress (zero outside bursts).
-  [[nodiscard]] Duration current_burst_elapsed() const noexcept {
-    return current_elapsed_;
-  }
 
  private:
   void finish_burst();
@@ -52,12 +45,10 @@ class OnlineBurstPredictor {
   Params params_;
   bool in_burst_ = false;
   Duration current_elapsed_ = Duration::zero();
-  double current_integral_ = 0.0;
   double current_max_ = 1.0;
   std::size_t completed_ = 0;
   // EW estimates (valid once completed_ > 0).
   Duration est_duration_ = Duration::zero();
-  double est_mean_degree_ = 1.0;
   double est_max_degree_ = 1.0;
 };
 

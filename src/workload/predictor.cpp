@@ -29,19 +29,4 @@ double ErrorfulForecast::apply(double true_value) const {
   return true_value * (1.0 + error_);
 }
 
-EwmaPredictor::EwmaPredictor(double alpha) : alpha_(alpha) {
-  DCS_REQUIRE(alpha > 0.0 && alpha <= 1.0, "alpha in (0, 1]");
-}
-
-double EwmaPredictor::observe(double demand) {
-  DCS_REQUIRE(demand >= 0.0, "demand must be non-negative");
-  if (!primed_) {
-    level_ = demand;
-    primed_ = true;
-  } else {
-    level_ = alpha_ * demand + (1.0 - alpha_) * level_;
-  }
-  return level_;
-}
-
 }  // namespace dcs::workload

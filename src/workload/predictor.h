@@ -5,7 +5,6 @@
 // SDe_p. The paper evaluates robustness by perturbing the *true* values
 // with a relative estimation error (Fig. 9: -100 % ... +100 %), so the
 // reference implementation is an oracle analyzer plus an error wrapper.
-// An EWMA short-horizon demand forecaster is included for reactive use.
 #pragma once
 
 #include "util/time_series.h"
@@ -36,28 +35,10 @@ class ErrorfulForecast {
   /// Applies the error to an externally-supplied true value (the best
   /// average sprinting degree is computed by the Oracle, not the trace).
   [[nodiscard]] double apply(double true_value) const;
-  [[nodiscard]] double relative_error() const noexcept { return error_; }
-  [[nodiscard]] const BurstTruth& truth() const noexcept { return truth_; }
 
  private:
   BurstTruth truth_;
   double error_;
-};
-
-/// Exponentially-weighted moving-average demand forecaster (one-step-ahead).
-class EwmaPredictor {
- public:
-  explicit EwmaPredictor(double alpha = 0.3);
-
-  /// Feeds an observation; returns the forecast for the next step.
-  double observe(double demand);
-  [[nodiscard]] double forecast() const noexcept { return level_; }
-  [[nodiscard]] bool primed() const noexcept { return primed_; }
-
- private:
-  double alpha_;
-  double level_ = 0.0;
-  bool primed_ = false;
 };
 
 }  // namespace dcs::workload

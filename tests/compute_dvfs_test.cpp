@@ -23,14 +23,6 @@ TEST(DvfsModel, PerformanceIsFrequency) {
   EXPECT_DOUBLE_EQ(m.performance(0.8), 0.8);
 }
 
-TEST(DvfsModel, MaxFrequencyInvertsBudget) {
-  const DvfsModel m;
-  EXPECT_NEAR(m.max_frequency_for(1.728), 1.2, 1e-9);
-  // Clamped to the range edges.
-  EXPECT_DOUBLE_EQ(m.max_frequency_for(100.0), 1.3);
-  EXPECT_DOUBLE_EQ(m.max_frequency_for(0.0), 0.5);
-}
-
 TEST(DvfsModel, Validation) {
   DvfsModel::Params p;
   p.min_multiplier = 0.0;

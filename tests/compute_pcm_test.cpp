@@ -16,10 +16,22 @@ PcmHeatSink small_pcm(double watts_minutes = 90.0 * 2.0) {
   return PcmHeatSink(p);
 }
 
+/// Whole seconds at a full sprint (125 W chip, 90 W over the sustainable
+/// 35 W) until a copy of `pcm` exhausts: its unmelted capacity, read through
+/// exhausted() alone.
+int sprint_seconds_left(PcmHeatSink pcm) {
+  int seconds = 0;
+  while (!pcm.exhausted()) {
+    pcm.step(Power::watts(125.0), Duration::seconds(1));
+    ++seconds;
+  }
+  return seconds;
+}
+
 TEST(PcmHeatSink, StartsSolid) {
-  const PcmHeatSink pcm;
-  EXPECT_DOUBLE_EQ(pcm.melted_fraction(), 0.0);
-  EXPECT_FALSE(pcm.exhausted());
+  EXPECT_FALSE(PcmHeatSink().exhausted());
+  // 2 "full-sprint minutes" of capacity at 90 W excess.
+  EXPECT_EQ(sprint_seconds_left(small_pcm()), 120);
 }
 
 TEST(PcmHeatSink, SustainablePowerNeverMelts) {
@@ -27,51 +39,49 @@ TEST(PcmHeatSink, SustainablePowerNeverMelts) {
   for (int i = 0; i < 100000; ++i) {
     pcm.step(Power::watts(35.0), Duration::seconds(1));
   }
-  EXPECT_DOUBLE_EQ(pcm.melted_fraction(), 0.0);
+  // The default package holds a full sprint for 30 minutes.
+  EXPECT_EQ(sprint_seconds_left(pcm), 30 * 60);
 }
 
 TEST(PcmHeatSink, MeltsAtExcessRate) {
-  // 2 "full-sprint minutes" of capacity at 90 W excess.
   PcmHeatSink pcm = small_pcm();
   // Full sprint: 125 W chip = 90 W over the 35 W sustainable level.
   for (int i = 0; i < 60; ++i) pcm.step(Power::watts(125.0), Duration::seconds(1));
-  EXPECT_NEAR(pcm.melted_fraction(), 0.5, 1e-9);
-  for (int i = 0; i < 60; ++i) pcm.step(Power::watts(125.0), Duration::seconds(1));
+  EXPECT_EQ(sprint_seconds_left(pcm), 60);
+  for (int i = 0; i < 59; ++i) pcm.step(Power::watts(125.0), Duration::seconds(1));
+  EXPECT_FALSE(pcm.exhausted());
+  pcm.step(Power::watts(125.0), Duration::seconds(1));
   EXPECT_TRUE(pcm.exhausted());
 }
 
 TEST(PcmHeatSink, ResolidifiesWithSpareCapacity) {
   PcmHeatSink pcm = small_pcm();
   for (int i = 0; i < 60; ++i) pcm.step(Power::watts(125.0), Duration::seconds(1));
-  const double melted = pcm.melted_fraction();
-  // Idle chip (5 W): 30 W of spare removal re-freezes.
+  // Idle chip (5 W): 30 W of spare removal re-freezes. 90 W x 60 s melted,
+  // 30 W x 60 s frozen: 3,600 J of the 10,800 J stay melted, so 7,200 J
+  // (80 s at 90 W) are left.
   for (int i = 0; i < 60; ++i) pcm.step(Power::watts(5.0), Duration::seconds(1));
-  EXPECT_LT(pcm.melted_fraction(), melted);
-  // 90 W x 60 s melted, 30 W x 60 s frozen: 2/3 of the melt remains.
-  EXPECT_NEAR(pcm.melted_fraction(), melted * 2.0 / 3.0, 1e-9);
+  EXPECT_EQ(sprint_seconds_left(pcm), 80);
 }
 
 TEST(PcmHeatSink, NeverOverMeltsOrUnderFreezes) {
-  PcmHeatSink pcm = small_pcm(10.0);
+  PcmHeatSink pcm = small_pcm(10.0);  // 600 J
   for (int i = 0; i < 1000; ++i) pcm.step(Power::watts(200.0), Duration::seconds(1));
-  EXPECT_DOUBLE_EQ(pcm.melted_fraction(), 1.0);
+  EXPECT_TRUE(pcm.exhausted());
+  // Melt stops at the capacity, so one second of spare removal (35 J)
+  // already re-solidifies some of it.
+  pcm.step(Power::zero(), Duration::seconds(1));
+  EXPECT_FALSE(pcm.exhausted());
   for (int i = 0; i < 100000; ++i) pcm.step(Power::zero(), Duration::seconds(1));
-  EXPECT_DOUBLE_EQ(pcm.melted_fraction(), 0.0);
-}
-
-TEST(PcmHeatSink, TimeToExhaustion) {
-  PcmHeatSink pcm = small_pcm();
-  EXPECT_TRUE(pcm.time_to_exhaustion(Power::watts(35.0)).is_infinite());
-  EXPECT_NEAR(pcm.time_to_exhaustion(Power::watts(125.0)).min(), 2.0, 1e-9);
-  for (int i = 0; i < 60; ++i) pcm.step(Power::watts(125.0), Duration::seconds(1));
-  EXPECT_NEAR(pcm.time_to_exhaustion(Power::watts(125.0)).min(), 1.0, 1e-9);
+  // Fully solid again, and not beyond: 600 J at 90 W is 7 whole seconds.
+  EXPECT_EQ(sprint_seconds_left(pcm), 7);
 }
 
 TEST(PcmHeatSink, ResetRestoresSolid) {
   PcmHeatSink pcm = small_pcm();
   pcm.step(Power::watts(125.0), Duration::minutes(1));
   pcm.reset();
-  EXPECT_DOUBLE_EQ(pcm.melted_fraction(), 0.0);
+  EXPECT_EQ(sprint_seconds_left(pcm), 120);
 }
 
 TEST(PcmHeatSink, Validation) {

@@ -15,7 +15,7 @@ TEST(Server, PaperPowerNumbers) {
   // All 48 cores: 20 + 125 = 145 W.
   EXPECT_DOUBLE_EQ(server.peak_sprint_power().w(), 145.0);
   // Idle with 12 cores on (paper model: unutilized cores draw nothing).
-  EXPECT_DOUBLE_EQ(server.idle_power().w(), 25.0);
+  EXPECT_DOUBLE_EQ(server.power(12, 0.0).w(), 25.0);
 }
 
 TEST(Server, PowerComposition) {
@@ -26,9 +26,12 @@ TEST(Server, PowerComposition) {
 TEST(Fleet, PaperScale) {
   const Fleet fleet;
   // 909 PDUs x 200 servers = 181,800 servers ~ 10 MW peak normal.
-  EXPECT_EQ(fleet.server_count(), 181800u);
-  EXPECT_NEAR(fleet.peak_normal_power().mw(), 10.0, 0.01);
-  EXPECT_NEAR(fleet.peak_sprint_power().mw(), 26.36, 0.01);
+  EXPECT_EQ(fleet.params().pdu_count * fleet.params().servers_per_pdu,
+            181800u);
+  EXPECT_NEAR(fleet.operate(1.0, 1.0).fleet_total.mw(), 10.0, 0.01);
+  // Every core on and fully utilized: 181,800 x 145 W.
+  EXPECT_NEAR(fleet.operate_with_cores(99.0, 48).fleet_total.mw(), 26.36,
+              0.01);
 }
 
 TEST(Fleet, OperateServesDemandWithinCap) {
@@ -64,7 +67,8 @@ TEST(Fleet, AchievedNeverExceedsDemandOrCapacity) {
     for (double cap = 1.0; cap <= 4.0; cap += 0.5) {
       const auto op = fleet.operate(demand, cap);
       EXPECT_LE(op.achieved, demand + 1e-12);
-      EXPECT_LE(op.achieved, fleet.capacity(cap) + 1e-12);
+      EXPECT_LE(op.achieved,
+                fleet.throughput().throughput(fleet.cap_cores(cap)) + 1e-12);
       EXPECT_GE(op.utilization, 0.0);
       EXPECT_LE(op.utilization, 1.0);
     }
@@ -91,8 +95,10 @@ TEST(Fleet, PowerMonotoneInDemand) {
 
 TEST(Fleet, CapacityClampsAtHardware) {
   const Fleet fleet;
-  EXPECT_DOUBLE_EQ(fleet.capacity(1.0), 1.0);
-  EXPECT_DOUBLE_EQ(fleet.capacity(99.0), fleet.capacity(4.0));
+  EXPECT_DOUBLE_EQ(fleet.operate(99.0, 1.0).achieved, 1.0);
+  EXPECT_EQ(fleet.cap_cores(99.0), fleet.cap_cores(4.0));
+  EXPECT_DOUBLE_EQ(fleet.operate(99.0, 99.0).achieved,
+                   fleet.operate(99.0, 4.0).achieved);
 }
 
 TEST(Fleet, OperateWithCoresValidation) {

@@ -11,7 +11,6 @@ namespace {
 TEST(ThroughputModel, NormalizedToNormalCores) {
   const ThroughputModel m;
   EXPECT_DOUBLE_EQ(m.throughput(12), 1.0);
-  EXPECT_DOUBLE_EQ(m.throughput_for_degree(1.0), 1.0);
 }
 
 TEST(ThroughputModel, SublinearScaling) {
@@ -33,13 +32,6 @@ TEST(ThroughputModel, PerCoreThroughputDecreases) {
   }
 }
 
-TEST(ThroughputModel, PerCoreEfficiency) {
-  const ThroughputModel m;
-  EXPECT_DOUBLE_EQ(m.per_core_efficiency(12), 1.0);
-  EXPECT_NEAR(m.per_core_efficiency(48), std::pow(4.0, -0.15), 1e-12);
-  EXPECT_LT(m.per_core_efficiency(48), 1.0);
-}
-
 TEST(ThroughputModel, CoresForDemandCoversIt) {
   const ThroughputModel m;
   for (double d = 0.1; d <= 3.2; d += 0.1) {
@@ -57,17 +49,9 @@ TEST(ThroughputModel, CoresForDemandEdges) {
   EXPECT_EQ(m.cores_for_demand(1.0), 12u);
 }
 
-TEST(ThroughputModel, DegreeForDemandInverse) {
-  const ThroughputModel m;
-  for (double d = 0.5; d <= 3.5; d += 0.5) {
-    EXPECT_NEAR(m.throughput_for_degree(m.degree_for_demand(d)), d, 1e-12);
-  }
-}
-
 TEST(ThroughputModel, PerfectScalingAlphaOne) {
   const ThroughputModel m({.alpha = 1.0, .normal_cores = 12});
   EXPECT_DOUBLE_EQ(m.throughput(48), 4.0);
-  EXPECT_DOUBLE_EQ(m.per_core_efficiency(48), 1.0);
   EXPECT_EQ(m.cores_for_demand(2.0), 24u);
 }
 
@@ -80,7 +64,6 @@ TEST(ThroughputModel, Validation) {
                std::invalid_argument);
   const ThroughputModel m;
   EXPECT_THROW((void)m.cores_for_demand(-1.0), std::invalid_argument);
-  EXPECT_THROW((void)m.per_core_efficiency(0), std::invalid_argument);
 }
 
 }  // namespace

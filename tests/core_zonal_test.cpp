@@ -297,12 +297,13 @@ TEST(Zonal, CappedBaselinesRejectSeveralZones) {
   for (const Mode mode : {Mode::kPowerCapped, Mode::kDvfsCapped}) {
     EXPECT_THROW((void)dc.run({{2, &d}, {2, &d}}, nullptr, {.mode = mode}),
                  std::invalid_argument)
-        << to_string(mode);
+        << "mode " << static_cast<int>(mode);
     EXPECT_NO_THROW((void)dc.run({{4, &d}}, nullptr, {.mode = mode}));
   }
   for (const Mode mode : {Mode::kNoSprint, Mode::kUncontrolled}) {
     const RunResult r = dc.run({{2, &d}, {2, &d}}, nullptr, {.mode = mode});
-    EXPECT_EQ(r.zone_performance_factor.size(), 2u) << to_string(mode);
+    EXPECT_EQ(r.zone_performance_factor.size(), 2u)
+        << "mode " << static_cast<int>(mode);
   }
 }
 
@@ -387,8 +388,19 @@ TEST(Zonal, StepExposesPerZoneState) {
   EXPECT_DOUBLE_EQ(last.degree,
                    0.5 * ctl.group_ops()[0].degree + 0.5 * ctl.group_ops()[1].degree);
   EXPECT_GT(last.dc_load, Power::zero());
-  EXPECT_GT(pcm.melted_fraction(), 0.0);
-  EXPECT_EQ(pcm.melted_fraction(), hottest.melted_fraction());
+  // Whole seconds a copy holds 1 W over its sustainable power before it
+  // exhausts: its unmelted capacity in joules, to the joule.
+  const auto joules_left = [&](compute::PcmHeatSink copy) {
+    int seconds = 0;
+    for (; !copy.exhausted(); ++seconds) {
+      copy.step(config.chip_pcm.sustainable + Power::watts(1.0),
+                Duration::seconds(1));
+    }
+    return seconds;
+  };
+  EXPECT_LT(joules_left(pcm),
+            joules_left(compute::PcmHeatSink(config.chip_pcm)));
+  EXPECT_EQ(joules_left(pcm), joules_left(hottest));
 }
 
 TEST(Zonal, RecorderCapturesPerZoneChannels) {

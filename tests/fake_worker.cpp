@@ -69,10 +69,10 @@ dcs::exp::Shard parse_shard(const std::string& text) {
 /// Reads, increments and rewrites this shard's attempt counter. The
 /// dispatcher never runs the same shard twice concurrently, so a plain
 /// read-modify-write file is race-free.
-int bump_attempt(const std::string& attempt_dir, std::size_t shard) {
+std::size_t bump_attempt(const std::string& attempt_dir, std::size_t shard) {
   const std::string path =
       attempt_dir + "/shard_" + std::to_string(shard) + ".attempts";
-  int attempts = 0;
+  std::size_t attempts = 0;
   {
     std::ifstream in(path);
     in >> attempts;
@@ -96,28 +96,26 @@ int main(int argc, char** argv) {
     return 2;
   }
   const std::string sweep_name = args.get_string("sweep", "fake");
-  const std::size_t tasks =
-      static_cast<std::size_t>(args.get_int("tasks", 24));
-  const int sleep_ms = args.get_int("sleep_ms", 0);
+  const std::size_t tasks = args.get_count("tasks", 24);
+  const std::size_t sleep_ms = args.get_count("sleep_ms", 0);
   const exp::Shard shard = parse_shard(args.get_string("shard", "0/1"));
 
   const std::string attempt_dir = args.get_string("attempt_dir", "");
-  const int attempt =
+  const std::size_t attempt =
       attempt_dir.empty() ? 1 : bump_attempt(attempt_dir, shard.index);
-  const int fail_shard = args.get_int("fail_shard", -1);
-  const bool scripted =
-      fail_shard < 0 || static_cast<std::size_t>(fail_shard) == shard.index;
+  const bool scripted = args.get_string("fail_shard", "").empty() ||
+                        args.get_count("fail_shard", 0) == shard.index;
 
-  if (scripted && attempt <= args.get_int("fail_attempts", 0)) {
+  if (scripted && attempt <= args.get_count("fail_attempts", 0)) {
     std::cerr << "fake_worker: scripted failure on attempt " << attempt
               << "\n";
     return 1;
   }
   const bool crash_scripted =
-      scripted && attempt <= args.get_int("crash_attempts", 0);
+      scripted && attempt <= args.get_count("crash_attempts", 0);
   const bool stall_scripted =
-      scripted && attempt <= args.get_int("stall_attempts", 0);
-  const int crash_rows = args.get_int("crash_rows", 2);
+      scripted && attempt <= args.get_count("stall_attempts", 0);
+  const int crash_rows = static_cast<int>(args.get_count("crash_rows", 2));
 
   // Telemetry contract under test: the header is on disk from the start,
   // so even a crashed attempt's stream aligns; the task events and the
@@ -134,8 +132,8 @@ int main(int argc, char** argv) {
 
   std::atomic<int> rows_this_attempt{0};
   std::size_t executed = 0;
-  const int sweeps = args.get_int("sweeps", 1);
-  for (int k = 1; k <= sweeps; ++k) {
+  const std::size_t sweeps = args.get_count("sweeps", 1);
+  for (std::size_t k = 1; k <= sweeps; ++k) {
     const std::string name =
         k == 1 ? sweep_name : sweep_name + "_" + std::to_string(k);
     exp::SweepSpec spec(name, /*base_seed=*/0xFA4EULL);

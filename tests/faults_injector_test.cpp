@@ -84,30 +84,6 @@ TEST(FaultSchedule, RejectsMalformedFaults) {
   EXPECT_EQ(s.size(), 1u);
 }
 
-TEST(FaultSchedule, ActivityAndSeverityQueries) {
-  FaultSchedule s;
-  s.add(make(FaultKind::kUpsBankOutage, 10, 20, 0.3));
-  s.add(make(FaultKind::kChillerFailure, 15, 30, 0.8));
-  EXPECT_FALSE(s.any_active(Duration::seconds(5)));
-  EXPECT_TRUE(s.any_active(Duration::seconds(12)));
-  EXPECT_DOUBLE_EQ(s.severity_at(Duration::seconds(12)), 0.3);
-  EXPECT_DOUBLE_EQ(s.severity_at(Duration::seconds(16)), 0.8);  // worst wins
-  EXPECT_DOUBLE_EQ(s.severity_at(Duration::seconds(40)), 0.0);
-}
-
-TEST(FaultSchedule, ScaledMultipliesMagnitudesWithClamping) {
-  FaultSchedule s;
-  s.add(make(FaultKind::kUpsBankOutage, 0, 10, 0.4));
-  s.add(make(FaultKind::kBreakerDerating, 0, 10, 0.10));
-  const FaultSchedule half = s.scaled(0.5);
-  EXPECT_DOUBLE_EQ(half.faults()[0].magnitude, 0.2);
-  EXPECT_DOUBLE_EQ(half.faults()[1].magnitude, 0.05);
-  // Scaling far up clamps into each kind's valid range instead of throwing.
-  const FaultSchedule big = s.scaled(100.0);
-  EXPECT_LE(big.faults()[0].magnitude, 1.0);
-  EXPECT_LT(big.faults()[1].magnitude, 1.0);
-}
-
 TEST(FaultSchedule, RandomIsDeterministicAndSurvivable) {
   const Duration horizon = Duration::minutes(30);
   const FaultSchedule a = FaultSchedule::random(42, horizon, 1.0);
@@ -168,6 +144,24 @@ struct PlantFixture {
     return {&topology, &cooling, &tes, &generator};
   }
 };
+
+TEST(FaultSchedule, ActivityAndSeverityQueries) {
+  PlantFixture p;
+  FaultSchedule s;
+  s.add(make(FaultKind::kUpsBankOutage, 10, 20, 0.3));
+  s.add(make(FaultKind::kChillerFailure, 15, 30, 0.8));
+  FaultInjector inj(s, p.bindings());
+  const auto at = [&inj](double t) {
+    inj.apply(Duration::seconds(t));
+    return inj.state();
+  };
+  EXPECT_EQ(at(5).active_count, 0u);
+  EXPECT_EQ(at(12).active_count, 1u);
+  EXPECT_DOUBLE_EQ(at(12).severity, 0.3);
+  EXPECT_DOUBLE_EQ(at(16).severity, 0.8);  // worst wins
+  EXPECT_EQ(at(40).active_count, 0u);
+  EXPECT_DOUBLE_EQ(at(40).severity, 0.0);
+}
 
 TEST(FaultInjector, PushesFaultsIntoComponentsAndRevertsToNeutral) {
   PlantFixture p;

@@ -6,11 +6,8 @@
 #include "obs/counters.h"
 
 #include <gtest/gtest.h>
-#include <unistd.h>
 
 #include <cmath>
-#include <cstdio>
-#include <fstream>
 #include <limits>
 #include <string>
 #include <utility>
@@ -19,6 +16,7 @@
 #include "core/datacenter.h"
 #include "counter_tracks.h"
 #include "faults/schedule.h"
+#include "jsonl_stream.h"
 #include "obs/decision.h"
 #include "obs/query.h"
 #include "obs/trace.h"
@@ -115,19 +113,13 @@ struct Traces {
   obs::query::TraceData per_sample;
 };
 
-obs::query::TraceData load_written(const obs::Tracer& tracer,
+/// Streams `tracer` as a traced bench does and loads the file back.
+obs::query::TraceData load_written(obs::Tracer&& tracer,
                                    const std::string& name) {
-  // Per process: ctest runs each of this file's tests in its own process,
-  // concurrently, and every one builds the fixture.
-  const std::string path =
-      ::testing::TempDir() + std::to_string(::getpid()) + "_" + name;
-  {
-    std::ofstream out(path, std::ios::binary);
-    tracer.write_jsonl(out);
-  }
-  obs::query::TraceData trace = obs::query::load_trace(path);
-  std::remove(path.c_str());
-  return trace;
+  test::JsonlStream stream(name);
+  stream.tracer().merge_from(std::move(tracer));
+  (void)stream.bytes();
+  return obs::query::load_trace(stream.path());
 }
 
 /// fig09's MS trace and canonical fault pair, one lane per strategy, with
@@ -175,8 +167,8 @@ const Traces& fig09_traces() {
       per_sample.merge_from(std::move(b));
     }
     EXPECT_LT(change_only.events().size(), per_sample.events().size());
-    return Traces{load_written(change_only, "counters_change_only.jsonl"),
-                  load_written(per_sample, "counters_per_sample.jsonl")};
+    return Traces{load_written(std::move(change_only), "counters_change_only"),
+                  load_written(std::move(per_sample), "counters_per_sample")};
   }();
   return traces;
 }

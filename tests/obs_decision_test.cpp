@@ -13,6 +13,7 @@
 #include <vector>
 
 #include "obs/query.h"
+#include "obs/sink.h"
 #include "obs/trace.h"
 #include "serving/error_budget.h"
 #include "util/units.h"
@@ -170,10 +171,12 @@ std::string temp_path(const std::string& name) {
   return ::testing::TempDir() + name;
 }
 
-/// Emits a two-lane decision stream through real DecisionLogs, writes it
-/// as trace JSONL and loads it back through the query layer.
+/// Emits a two-lane decision stream through real DecisionLogs, streams
+/// it to `path` as a traced bench does and loads it back through the query
+/// layer.
 query::TraceData emitted_fixture(const std::string& path) {
-  Tracer tracer;
+  JsonlStreamSink sink(path);
+  Tracer tracer(&sink);
   {
     Tracer lane0;
     lane0.set_lane(0);
@@ -200,9 +203,7 @@ query::TraceData emitted_fixture(const std::string& path) {
     log.emit(DecisionRule::kSprintOnset, {{"degree", 1.5}}, {{"degree", 1.0}});
     tracer.merge_from(std::move(lane1));
   }
-  std::ofstream out(path, std::ios::binary);
-  tracer.write_jsonl(out);
-  out.close();
+  sink.finalize();
   return query::load_trace(path);
 }
 

@@ -1,10 +1,13 @@
 // Determinism contract of the observability layer: sim-domain trace events
 // (including decision records, obs/decision.h) collected through per-task
-// tracers and merged in task order are byte-identical regardless of how
-// many worker threads executed the sweep or how it was sharded.
+// tracers and merged in task order into a streaming tracer, as a traced
+// bench writes them, are byte-identical regardless of how many worker
+// threads executed the sweep or how it was sharded.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdint>
+#include <set>
 #include <sstream>
 #include <string>
 #include <utility>
@@ -14,6 +17,7 @@
 #include "exp/runner.h"
 #include "exp/sweep.h"
 #include "faults/schedule.h"
+#include "jsonl_stream.h"
 #include "obs/counters.h"
 #include "obs/decision.h"
 #include "obs/trace.h"
@@ -44,8 +48,19 @@ FaultSchedule scenario_schedule(std::size_t which) {
   return s;
 }
 
+/// The "lane" field of every line of a JSONL trace, in file order.
+std::vector<double> line_lanes(const std::string& jsonl) {
+  std::vector<double> lanes;
+  std::istringstream lines(jsonl);
+  std::string line;
+  while (std::getline(lines, line)) {
+    lanes.push_back(json::parse(line).at("lane").as_number());
+  }
+  return lanes;
+}
+
 /// Runs the faulted scenario sweep on `threads` workers and returns the
-/// merged sim-event stream as JSONL.
+/// JSONL its task tracers stream when merged in task order.
 std::string traced_sweep_jsonl(std::size_t threads) {
   workload::YahooTraceParams yp;
   yp.burst_degree = 3.2;
@@ -76,15 +91,14 @@ std::string traced_sweep_jsonl(std::size_t threads) {
       {.threads = threads});
   EXPECT_EQ(run.rows.size(), task_tracers.size());
 
-  obs::Tracer merged;
+  test::JsonlStream stream("obs_determinism");
   for (const exp::SweepSpec::Task& task : spec.tasks()) {
-    merged.name_lane(obs::Domain::kSim, static_cast<std::uint32_t>(task.index),
-                     spec.label(task, 0));
-    merged.merge_from(std::move(task_tracers[task.index]));
+    stream.tracer().name_lane(obs::Domain::kSim,
+                              static_cast<std::uint32_t>(task.index),
+                              spec.label(task, 0));
+    stream.tracer().merge_from(std::move(task_tracers[task.index]));
   }
-  std::ostringstream out;
-  merged.write_jsonl(out);
-  return out.str();
+  return stream.bytes();
 }
 
 TEST(ObsDeterminism, MergedTraceIsByteIdenticalAcrossThreadCounts) {
@@ -98,6 +112,14 @@ TEST(ObsDeterminism, MergedTraceIsByteIdenticalAcrossThreadCounts) {
   EXPECT_NE(serial.find("\"inject\""), std::string::npos);
   EXPECT_NE(serial.find("\"clear\""), std::string::npos);
   EXPECT_FALSE(serial.empty());
+
+  // Task order: each task's lane line, then its events, lane by lane.
+  const std::vector<double> lanes = line_lanes(serial);
+  EXPECT_TRUE(std::is_sorted(lanes.begin(), lanes.end()));
+  EXPECT_EQ(std::set<double>(lanes.begin(), lanes.end()),
+            (std::set<double>{0.0, 1.0, 2.0}));
+  EXPECT_EQ(serial.rfind("{\"t\":\"lane\",\"domain\":\"sim\",\"lane\":0,", 0),
+            0u);
 }
 
 TEST(ObsDeterminism, RepeatedRunsAreByteIdentical) {
@@ -109,7 +131,7 @@ TEST(ObsDeterminism, RepeatedRunsAreByteIdentical) {
 /// Runs the faulted scenario sweep with decision emission on, optionally
 /// split into `shards` sequentially-executed shard slices (each task still
 /// lands in its task-indexed tracer slot, so the merge is shard-agnostic),
-/// and returns the merged sim-event stream as JSONL.
+/// and returns the JSONL the task tracers stream when merged in task order.
 std::string decision_sweep_jsonl(std::size_t threads, std::size_t shards) {
   workload::YahooTraceParams yp;
   yp.burst_degree = 3.2;
@@ -144,13 +166,11 @@ std::string decision_sweep_jsonl(std::size_t threads, std::size_t shards) {
     exp::run_sweep(spec, {"perf"}, task_fn, options);
   }
 
-  obs::Tracer merged;
+  test::JsonlStream stream("decision_determinism");
   for (const exp::SweepSpec::Task& task : spec.tasks()) {
-    merged.merge_from(std::move(task_tracers[task.index]));
+    stream.tracer().merge_from(std::move(task_tracers[task.index]));
   }
-  std::ostringstream out;
-  merged.write_jsonl(out);
-  return out.str();
+  return stream.bytes();
 }
 
 TEST(ObsDeterminism, DecisionStreamIsByteIdenticalAcrossThreadCounts) {
@@ -172,8 +192,8 @@ TEST(ObsDeterminism, DecisionStreamIsByteIdenticalShardedVsUnsharded) {
 }
 
 /// Builds a small recorder, exports its channels as counter tracks through
-/// per-task tracers on `threads` workers, and returns the merged JSONL
-/// trace.
+/// per-task tracers on `threads` workers, and returns the JSONL they
+/// stream when merged in task order.
 std::string counter_sweep_jsonl(std::size_t threads) {
   exp::SweepSpec spec("counter_determinism");
   spec.add_axis("run", {"a", "b", "c", "d"});
@@ -198,13 +218,11 @@ std::string counter_sweep_jsonl(std::size_t threads) {
       },
       {.threads = threads});
 
-  obs::Tracer merged;
+  test::JsonlStream stream("counter_determinism");
   for (const exp::SweepSpec::Task& task : spec.tasks()) {
-    merged.merge_from(std::move(task_tracers[task.index]));
+    stream.tracer().merge_from(std::move(task_tracers[task.index]));
   }
-  std::ostringstream out;
-  merged.write_jsonl(out);
-  return out.str();
+  return stream.bytes();
 }
 
 TEST(ObsDeterminism, CounterTracksAreByteIdenticalAcrossThreadCounts) {

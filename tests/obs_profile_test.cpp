@@ -8,6 +8,8 @@
 #include <utility>
 #include <vector>
 
+#include "jsonl_stream.h"
+
 namespace dcs::obs {
 namespace {
 
@@ -226,9 +228,9 @@ TEST_F(ObsProfile, ExportToEmitsWallSpansAndNamesLanes) {
   EXPECT_EQ(e.cat, "profile");
   EXPECT_DOUBLE_EQ(e.ts_us, 1.0);
   EXPECT_DOUBLE_EQ(e.dur_us, 2.0);
-  std::ostringstream out;
-  tracer.write_jsonl(out);
-  EXPECT_NE(out.str().find("\"name\":\"main\""), std::string::npos);
+  EXPECT_NE(test::streamed_jsonl(std::move(tracer), "profile_main")
+                .find("\"name\":\"main\""),
+            std::string::npos);
 }
 
 TEST_F(ObsProfile, ScopeInsideASpanExportsOneSpanAndTwoSummaries) {
@@ -264,9 +266,9 @@ TEST_F(ObsProfile, ScopeInsideASpanExportsOneSpanAndTwoSummaries) {
   EXPECT_EQ(counts[0], std::make_pair(std::string("run"), std::string("1")));
   EXPECT_EQ(counts[1],
             std::make_pair(std::string("run;step"), std::string("6")));
-  std::ostringstream out;
-  tracer.write_jsonl(out);
-  EXPECT_NE(out.str().find("\"name\":\"worker-3\""), std::string::npos);
+  EXPECT_NE(test::streamed_jsonl(std::move(tracer), "profile_worker")
+                .find("\"name\":\"worker-3\""),
+            std::string::npos);
 }
 
 TEST_F(ObsProfile, ResetDropsBufferedSpans) {

@@ -7,6 +7,8 @@
 #include <string>
 #include <utility>
 
+#include "jsonl_stream.h"
+
 namespace dcs::obs {
 namespace {
 
@@ -40,9 +42,7 @@ TEST(ObsTrace, JsonlWritesOneObjectPerEventInAppendOrder) {
   Tracer tracer;
   tracer.instant(Duration::seconds(1), "a", "first");
   tracer.instant(Duration::seconds(2), "a", "second");
-  std::ostringstream out;
-  tracer.write_jsonl(out);
-  const std::string text = out.str();
+  const std::string text = test::streamed_jsonl(std::move(tracer), "order");
   std::istringstream lines(text);
   std::string line;
   int count = 0;
@@ -69,13 +69,13 @@ TEST(ObsTrace, MergeFromAppendsInOrderAndTransfersLaneNames) {
   EXPECT_EQ(a.events()[1].name, "two");
   EXPECT_EQ(a.events()[1].lane, 7u);
 
-  // The lane name leads the JSONL export as a "lane" line.
-  std::ostringstream out;
-  a.write_jsonl(out);
-  EXPECT_EQ(out.str().rfind("{\"t\":\"lane\",\"domain\":\"sim\",\"lane\":7,"
-                            "\"name\":\"task-7\"}\n",
-                            0),
-            0u);
+  // Merged into a stream, the lane name follows the events as a "lane"
+  // line.
+  const std::string text = test::streamed_jsonl(std::move(a), "lanes");
+  EXPECT_NE(text.find("{\"t\":\"lane\",\"domain\":\"sim\",\"lane\":7,"
+                      "\"name\":\"task-7\"}\n"),
+            std::string::npos);
+  EXPECT_LT(text.find("\"two\""), text.find("\"task-7\""));
 }
 
 TEST(ObsTrace, MergeClearsTheSourceSoDoubleMergeDoesNotDuplicate) {

@@ -49,6 +49,17 @@ DataCenterConfig make_config(const std::string& variant) {
 
 using ModeMatrix = std::tuple<Mode, std::string /*trace*/, std::string /*cfg*/>;
 
+std::string mode_name(Mode mode) {
+  switch (mode) {
+    case Mode::kControlled: return "controlled";
+    case Mode::kUncontrolled: return "uncontrolled";
+    case Mode::kNoSprint: return "no_sprint";
+    case Mode::kPowerCapped: return "power_capped";
+    case Mode::kDvfsCapped: return "dvfs_capped";
+  }
+  return "unknown";
+}
+
 class ModeSweep : public ::testing::TestWithParam<ModeMatrix> {};
 
 TEST_P(ModeSweep, GlobalInvariants) {
@@ -76,10 +87,10 @@ TEST_P(ModeSweep, GlobalInvariants) {
     // The uncontrolled baseline may trip; everything else must not.
     return;
   }
-  EXPECT_FALSE(r.tripped) << to_string(mode);
+  EXPECT_FALSE(r.tripped) << mode_name(mode);
   EXPECT_LT(r.recorder.series("dc_cb_heat").max_value(), 1.0);
   EXPECT_LT(r.recorder.series("pdu_cb_heat").max_value(), 1.0);
-  EXPECT_GE(r.performance_factor, 1.0 - 1e-9) << to_string(mode);
+  EXPECT_GE(r.performance_factor, 1.0 - 1e-9) << mode_name(mode);
   // Controlled / capped modes never take the room past the threshold.
   EXPECT_LE(r.peak_room_temperature.c(), 35.0 + 1e-9);
 
@@ -105,10 +116,7 @@ INSTANTIATE_TEST_SUITE_P(
                        ::testing::Values("ms", "yahoo-short", "yahoo-long"),
                        ::testing::Values("default", "no-tes", "tight", "roomy")),
     [](const ::testing::TestParamInfo<ModeMatrix>& info) {
-      std::string name{to_string(std::get<0>(info.param))};
-      for (char& c : name) {
-        if (c == '-') c = '_';
-      }
+      const std::string name = mode_name(std::get<0>(info.param));
       std::string trace = std::get<1>(info.param);
       for (char& c : trace) {
         if (c == '-') c = '_';

@@ -82,15 +82,22 @@ TEST(RoomModel, PeakTemperatureSticks) {
 
 TEST(RoomModel, TimeToThreshold) {
   RoomModel room = make_room();
-  EXPECT_NEAR(room.time_to_threshold(Power::megawatts(10)).min(), 10.0, 1e-9);
-  EXPECT_NEAR(room.time_to_threshold(Power::megawatts(20)).min(), 5.0, 1e-9);
-  EXPECT_TRUE(room.time_to_threshold(Power::zero()).is_infinite());
-  EXPECT_TRUE(room.time_to_threshold(Power::megawatts(-1)).is_infinite());
+  const auto time_left = [&room](Power gap) {
+    return room.time_to_threshold_from(room.rise(), gap);
+  };
+  EXPECT_NEAR(time_left(Power::megawatts(10)).min(), 10.0, 1e-9);
+  EXPECT_NEAR(time_left(Power::megawatts(20)).min(), 5.0, 1e-9);
+  EXPECT_TRUE(time_left(Power::zero()).is_infinite());
+  EXPECT_TRUE(time_left(Power::megawatts(-1)).is_infinite());
   // Partially heated room has less margin.
   for (int i = 0; i < 300; ++i) {
     room.step(Power::megawatts(10), Power::zero(), Duration::seconds(1));
   }
-  EXPECT_NEAR(room.time_to_threshold(Power::megawatts(10)).min(), 5.0, 1e-6);
+  EXPECT_NEAR(time_left(Power::megawatts(10)).min(), 5.0, 1e-6);
+  // Past the threshold nothing is left.
+  EXPECT_EQ(room.time_to_threshold_from(Temperature::celsius(11.0),
+                                        Power::megawatts(10)),
+            Duration::zero());
 }
 
 TEST(RoomModel, Validation) {

@@ -8,28 +8,11 @@
 namespace dcs {
 namespace {
 
-TEST(Config, ParsesKeyValueLines) {
-  const Config c = Config::from_string("a=1\nb = hello \n");
-  EXPECT_TRUE(c.contains("a"));
-  EXPECT_EQ(c.get_string("b", ""), "hello");
-}
-
-TEST(Config, SkipsCommentsAndBlankLines) {
-  const Config c = Config::from_string("# comment\n\n  \nx=2 # trailing\n");
-  EXPECT_EQ(c.get_int("x", 0), 2);
-  EXPECT_EQ(c.entries().size(), 1u);
-}
-
-TEST(Config, RejectsMalformedLines) {
-  EXPECT_THROW((void)Config::from_string("no equals sign"), std::invalid_argument);
-  EXPECT_THROW((void)Config::from_string("=value"), std::invalid_argument);
-}
-
 TEST(Config, FromArgs) {
   const std::array<const char*, 2> args = {"k=v", "n=3"};
   const Config c = Config::from_args(args);
   EXPECT_EQ(c.get_string("k", ""), "v");
-  EXPECT_EQ(c.get_int("n", 0), 3);
+  EXPECT_EQ(c.get_count("n", 0), 3u);
 }
 
 TEST(Config, FromArgsRejectsBareTokens) {
@@ -46,18 +29,20 @@ TEST(Config, FromArgsRejectsMalformedKeys) {
   EXPECT_THROW((void)Config::from_args(empty_key), std::invalid_argument);
   // Dots and underscores stay legal (config-file style keys).
   const std::array<const char*, 1> dotted = {"fleet.pdu_count=4"};
-  EXPECT_EQ(Config::from_args(dotted).get_int("fleet.pdu_count", 0), 4);
+  EXPECT_EQ(Config::from_args(dotted).get_count("fleet.pdu_count", 0), 4u);
 }
 
 TEST(Config, RequireKnownAcceptsAllowedKeys) {
-  const Config c = Config::from_string("pdus=8\ncsv=out\n");
+  const std::array<const char*, 2> args = {"pdus=8", "csv=out"};
+  const Config c = Config::from_args(args);
   const std::array<std::string_view, 3> allowed = {"pdus", "csv", "pue"};
   EXPECT_NO_THROW(c.require_known(allowed));
   EXPECT_NO_THROW(Config().require_known(allowed));
 }
 
 TEST(Config, RequireKnownRejectsUnknownKeys) {
-  const Config c = Config::from_string("pdus=8\npduss=9\n");
+  const std::array<const char*, 2> args = {"pdus=8", "pduss=9"};
+  const Config c = Config::from_args(args);
   const std::array<std::string_view, 2> allowed = {"pdus", "csv"};
   try {
     c.require_known(allowed);
@@ -72,42 +57,43 @@ TEST(Config, RequireKnownRejectsUnknownKeys) {
 }
 
 TEST(Config, TypedGettersFallBack) {
-  const Config c = Config::from_string("");
+  const Config c;
   EXPECT_EQ(c.get_string("missing", "def"), "def");
   EXPECT_DOUBLE_EQ(c.get_double("missing", 1.5), 1.5);
-  EXPECT_EQ(c.get_int("missing", 7), 7);
-  EXPECT_TRUE(c.get_bool("missing", true));
+  EXPECT_EQ(c.get_count("missing", 7), 7u);
 }
 
 TEST(Config, DoubleParsing) {
-  const Config c = Config::from_string("x=2.5\nbad=abc\npartial=1.5x");
+  const std::array<const char*, 3> args = {"x=2.5", "bad=abc", "partial=1.5x"};
+  const Config c = Config::from_args(args);
   EXPECT_DOUBLE_EQ(c.get_double("x", 0.0), 2.5);
   EXPECT_THROW((void)c.get_double("bad", 0.0), std::invalid_argument);
   EXPECT_THROW((void)c.get_double("partial", 0.0), std::invalid_argument);
 }
 
-TEST(Config, IntParsing) {
-  const Config c = Config::from_string("x=-5\nbad=1.5");
-  EXPECT_EQ(c.get_int("x", 0), -5);
-  EXPECT_THROW((void)c.get_int("bad", 0), std::invalid_argument);
-}
-
-TEST(Config, BoolParsing) {
-  const Config c = Config::from_string(
-      "a=true\nb=FALSE\nc=1\nd=off\ne=Yes\nbad=maybe");
-  EXPECT_TRUE(c.get_bool("a", false));
-  EXPECT_FALSE(c.get_bool("b", true));
-  EXPECT_TRUE(c.get_bool("c", false));
-  EXPECT_FALSE(c.get_bool("d", true));
-  EXPECT_TRUE(c.get_bool("e", false));
-  EXPECT_THROW((void)c.get_bool("bad", false), std::invalid_argument);
+TEST(Config, CountParsing) {
+  const std::array<const char*, 6> args = {
+      "x=5", "negative=-1", "fraction=1.5", "word=abc",
+      "huge=18446744073709551616", "max=18446744073709551615"};
+  const Config c = Config::from_args(args);
+  EXPECT_EQ(c.get_count("x", 0), 5u);
+  EXPECT_EQ(c.get_count("max", 0), 18446744073709551615u);
+  for (const char* key : {"negative", "fraction", "word", "huge"}) {
+    try {
+      (void)c.get_count(key, 0);
+      ADD_FAILURE() << key << " parsed as a count";
+    } catch (const std::invalid_argument& e) {
+      EXPECT_NE(std::string(e.what()).find(key), std::string::npos)
+          << "must name the key: " << e.what();
+    }
+  }
 }
 
 TEST(Config, SetOverwrites) {
   Config c;
   c.set("k", "1");
   c.set("k", "2");
-  EXPECT_EQ(c.get_int("k", 0), 2);
+  EXPECT_EQ(c.get_count("k", 0), 2u);
 }
 
 }  // namespace

@@ -66,7 +66,7 @@ TEST(TablePrinter, AlignsColumns) {
 TEST(TablePrinter, NumericAndMixedRows) {
   TablePrinter t({"k", "x", "y"});
   t.add_row("row", {1.5, 2.25}, 2);
-  t.add_numeric_row({3.0, 4.0, 5.0}, 1);
+  t.add_row("other", {3.0, 4.0}, 1);
   std::ostringstream out;
   t.print(out);
   EXPECT_NE(out.str().find("1.50"), std::string::npos);

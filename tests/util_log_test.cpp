@@ -3,60 +3,45 @@
 #include <gtest/gtest.h>
 
 #include <string>
-#include <utility>
-#include <vector>
 
 namespace dcs {
 namespace {
 
-class LogTest : public ::testing::Test {
- protected:
-  void SetUp() override {
-    set_log_level(LogLevel::kDebug);
-    set_log_sink([this](LogLevel level, const std::string& msg) {
-      captured_.emplace_back(level, msg);
-    });
-  }
-  void TearDown() override {
-    set_log_sink(nullptr);
-    set_log_level(LogLevel::kWarn);
-  }
-  std::vector<std::pair<LogLevel, std::string>> captured_;
-};
-
-TEST_F(LogTest, MacroFormatsAndRoutes) {
-  DCS_LOG_INFO << "value=" << 42;
-  ASSERT_EQ(captured_.size(), 1u);
-  EXPECT_EQ(captured_[0].first, LogLevel::kInfo);
-  EXPECT_EQ(captured_[0].second, "value=42");
+/// Runs `log` and returns what it wrote to stderr.
+template <class Log>
+std::string stderr_of(Log log) {
+  ::testing::internal::CaptureStderr();
+  log();
+  return ::testing::internal::GetCapturedStderr();
 }
 
-TEST_F(LogTest, LevelFilters) {
-  set_log_level(LogLevel::kError);
-  DCS_LOG_DEBUG << "dropped";
-  DCS_LOG_WARN << "dropped too";
-  DCS_LOG_ERROR << "kept";
-  ASSERT_EQ(captured_.size(), 1u);
-  EXPECT_EQ(captured_[0].second, "kept");
+TEST(LogTest, MacroFormatsAndRoutes) {
+  EXPECT_EQ(stderr_of([] { DCS_LOG_WARN << "value=" << 42; }),
+            "[WARN] value=42\n");
 }
 
-TEST_F(LogTest, OffSilencesEverything) {
-  set_log_level(LogLevel::kOff);
-  DCS_LOG_ERROR << "nope";
-  EXPECT_TRUE(captured_.empty());
+TEST(LogTest, LevelFilters) {
+  EXPECT_EQ(stderr_of([] {
+              DCS_LOG_DEBUG << "dropped";
+              DCS_LOG_INFO << "dropped too";
+              DCS_LOG_ERROR << "kept";
+            }),
+            "[ERROR] kept\n");
 }
 
-TEST_F(LogTest, LevelNames) {
+TEST(LogTest, LevelNames) {
   EXPECT_STREQ(to_string(LogLevel::kDebug), "DEBUG");
   EXPECT_STREQ(to_string(LogLevel::kInfo), "INFO");
   EXPECT_STREQ(to_string(LogLevel::kWarn), "WARN");
   EXPECT_STREQ(to_string(LogLevel::kError), "ERROR");
 }
 
-TEST_F(LogTest, DirectLogMessage) {
-  log_message(LogLevel::kWarn, "direct");
-  ASSERT_EQ(captured_.size(), 1u);
-  EXPECT_EQ(captured_[0].second, "direct");
+TEST(LogTest, DirectLogMessage) {
+  EXPECT_EQ(stderr_of([] {
+              log_message(LogLevel::kInfo, "below the level");
+              log_message(LogLevel::kWarn, "direct");
+            }),
+            "[WARN] direct\n");
 }
 
 }  // namespace

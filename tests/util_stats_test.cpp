@@ -47,12 +47,6 @@ TEST(RunningStats, HandlesNegatives) {
   EXPECT_DOUBLE_EQ(s.variance(), 50.0);
 }
 
-TEST(Mean, Basic) {
-  const std::vector<double> xs = {1.0, 2.0, 3.0};
-  EXPECT_DOUBLE_EQ(mean(xs), 2.0);
-  EXPECT_THROW((void)mean(std::vector<double>{}), std::invalid_argument);
-}
-
 TEST(Percentile, EndpointsAndMedian) {
   std::vector<double> xs = {5.0, 1.0, 3.0, 2.0, 4.0};
   EXPECT_DOUBLE_EQ(percentile(xs, 0), 1.0);
@@ -71,22 +65,6 @@ TEST(Percentile, Validation) {
   EXPECT_THROW((void)percentile({1.0}, -1), std::invalid_argument);
   EXPECT_THROW((void)percentile({1.0}, 101), std::invalid_argument);
   EXPECT_DOUBLE_EQ(percentile({7.0}, 50), 7.0);
-}
-
-TEST(Correlation, PerfectPositiveAndNegative) {
-  const std::vector<double> a = {1.0, 2.0, 3.0, 4.0};
-  const std::vector<double> b = {2.0, 4.0, 6.0, 8.0};
-  EXPECT_NEAR(correlation(a, b), 1.0, 1e-12);
-  const std::vector<double> c = {8.0, 6.0, 4.0, 2.0};
-  EXPECT_NEAR(correlation(a, c), -1.0, 1e-12);
-}
-
-TEST(Correlation, Validation) {
-  const std::vector<double> a = {1.0, 2.0};
-  const std::vector<double> b = {1.0};
-  EXPECT_THROW((void)correlation(a, b), std::invalid_argument);
-  const std::vector<double> constant = {3.0, 3.0};
-  EXPECT_THROW((void)correlation(a, constant), std::invalid_argument);
 }
 
 }  // namespace

@@ -70,27 +70,11 @@ TEST(TimeSeries, SliceRejectsInvertedRange) {
                std::invalid_argument);
 }
 
-TEST(TimeSeries, ResampleFixedStep) {
-  const TimeSeries r = ramp().resample(Duration::seconds(5));
-  ASSERT_EQ(r.size(), 5u);
-  EXPECT_DOUBLE_EQ(r[1].value, 0.0);
-  EXPECT_DOUBLE_EQ(r[2].value, 10.0);
-}
-
 TEST(TimeSeries, MapAndScale) {
   const TimeSeries doubled = ramp().scaled(2.0);
   EXPECT_DOUBLE_EQ(doubled.max_value(), 20.0);
   const TimeSeries shifted = ramp().map([](double v) { return v + 1.0; });
   EXPECT_DOUBLE_EQ(shifted.min_value(), 1.0);
-}
-
-TEST(TimeSeries, NormalizedToPeak) {
-  const TimeSeries n = ramp().normalized_to_peak();
-  EXPECT_DOUBLE_EQ(n.max_value(), 1.0);
-  TimeSeries zero;
-  zero.push_back(Duration::zero(), 0.0);
-  zero.push_back(Duration::seconds(1), 0.0);
-  EXPECT_THROW((void)zero.normalized_to_peak(), std::invalid_argument);
 }
 
 TEST(TimeSeries, IntegralStepSemantics) {
@@ -100,26 +84,6 @@ TEST(TimeSeries, IntegralStepSemantics) {
 
 TEST(TimeSeries, TimeWeightedMean) {
   EXPECT_DOUBLE_EQ(ramp().time_weighted_mean(), 5.0);
-}
-
-TEST(TimeSeries, TimeAboveThreshold) {
-  EXPECT_DOUBLE_EQ(ramp().time_above(5.0).sec(), 10.0);
-  EXPECT_DOUBLE_EQ(ramp().time_above(100.0).sec(), 0.0);
-  // The final sample carries no width under step semantics.
-  EXPECT_DOUBLE_EQ(ramp().time_above(-1.0).sec(), 20.0);
-}
-
-TEST(TimeSeries, SumAlignsTimestamps) {
-  TimeSeries a;
-  a.push_back(Duration::seconds(0), 1.0);
-  a.push_back(Duration::seconds(10), 2.0);
-  TimeSeries b;
-  b.push_back(Duration::seconds(5), 10.0);
-  const TimeSeries s = TimeSeries::sum(a, b);
-  ASSERT_EQ(s.size(), 3u);
-  EXPECT_DOUBLE_EQ(s.at(Duration::seconds(0)), 11.0);  // b clamps to 10
-  EXPECT_DOUBLE_EQ(s.at(Duration::seconds(5)), 11.0);
-  EXPECT_DOUBLE_EQ(s.at(Duration::seconds(10)), 12.0);
 }
 
 TEST(TimeSeries, CursorAtMatchesBinarySearchEverywhere) {

@@ -102,11 +102,7 @@ TEST(ToString, PicksSensibleUnits) {
   EXPECT_EQ(to_string(Duration::minutes(5)), "5 min");
   EXPECT_EQ(to_string(Duration::hours(2)), "2 h");
   EXPECT_EQ(to_string(Duration::infinity()), "inf");
-  EXPECT_EQ(to_string(Power::watts(55)), "55 W");
-  EXPECT_EQ(to_string(Power::kilowatts(13.75)), "13.75 kW");
-  EXPECT_EQ(to_string(Power::megawatts(10)), "10 MW");
   EXPECT_EQ(to_string(Energy::watt_hours(5.5)), "5.5 Wh");
-  EXPECT_EQ(to_string(Charge::amp_hours(0.5)), "0.5 Ah");
 }
 
 TEST(Defaults, ZeroInitialized) {

@@ -18,7 +18,6 @@ TEST(OnlinePredictor, PriorsBeforeAnyBurst) {
   const OnlineBurstPredictor p;
   EXPECT_EQ(p.bursts_completed(), 0u);
   EXPECT_NEAR(p.predicted_duration().min(), 10.0, 1e-9);
-  EXPECT_DOUBLE_EQ(p.predicted_mean_degree(), 2.0);
   EXPECT_DOUBLE_EQ(p.predicted_max_degree(), 3.0);
 }
 
@@ -27,7 +26,6 @@ TEST(OnlinePredictor, LearnsFirstBurstExactly) {
   feed_burst(p, 2.5, 300);
   EXPECT_EQ(p.bursts_completed(), 1u);
   EXPECT_NEAR(p.predicted_duration().sec(), 300.0, 1e-9);
-  EXPECT_NEAR(p.predicted_mean_degree(), 2.5, 1e-9);
   EXPECT_NEAR(p.predicted_max_degree(), 2.5, 1e-9);
 }
 
@@ -38,7 +36,7 @@ TEST(OnlinePredictor, ExponentiallyWeightsHistory) {
   feed_burst(p, 3.0, 300);
   EXPECT_EQ(p.bursts_completed(), 2u);
   EXPECT_NEAR(p.predicted_duration().sec(), 200.0, 1e-9);  // 0.5*100 + 0.5*300
-  EXPECT_NEAR(p.predicted_mean_degree(), 2.5, 1e-9);
+  EXPECT_NEAR(p.predicted_max_degree(), 2.5, 1e-9);        // 0.5*2 + 0.5*3
 }
 
 TEST(OnlinePredictor, CurrentBurstRaisesFloor) {
@@ -68,7 +66,7 @@ TEST(OnlinePredictor, CountsMsTraceBursts) {
   // ending below capacity (so every burst completes).
   EXPECT_GE(p.bursts_completed(), 3u);
   EXPECT_LE(p.bursts_completed(), 6u);
-  EXPECT_GT(p.predicted_mean_degree(), 1.5);
+  EXPECT_GT(p.predicted_max_degree(), 1.5);
 }
 
 TEST(OnlinePredictor, Validation) {
@@ -76,7 +74,7 @@ TEST(OnlinePredictor, Validation) {
   bad.learning_rate = 0.0;
   EXPECT_THROW((void)OnlineBurstPredictor{bad}, std::invalid_argument);
   bad = {};
-  bad.prior_max_degree = 1.0;  // below prior mean
+  bad.prior_max_degree = 0.5;  // below the normal degree
   EXPECT_THROW((void)OnlineBurstPredictor{bad}, std::invalid_argument);
   OnlineBurstPredictor p;
   EXPECT_THROW((void)p.observe(-1.0, Duration::seconds(1)), std::invalid_argument);

@@ -49,28 +49,6 @@ TEST(ErrorfulForecast, MinusHundredPercentIsZero) {
   EXPECT_THROW((void)ErrorfulForecast(truth, -1.5), std::invalid_argument);
 }
 
-TEST(EwmaPredictor, FirstObservationPrimes) {
-  EwmaPredictor p(0.5);
-  EXPECT_FALSE(p.primed());
-  EXPECT_DOUBLE_EQ(p.observe(2.0), 2.0);
-  EXPECT_TRUE(p.primed());
-}
-
-TEST(EwmaPredictor, ConvergesToConstant) {
-  EwmaPredictor p(0.3);
-  for (int i = 0; i < 100; ++i) p.observe(5.0);
-  EXPECT_NEAR(p.forecast(), 5.0, 1e-9);
-}
-
-TEST(EwmaPredictor, TracksStepChange) {
-  EwmaPredictor p(0.5);
-  p.observe(1.0);
-  p.observe(3.0);
-  EXPECT_DOUBLE_EQ(p.forecast(), 2.0);
-  EXPECT_THROW((void)EwmaPredictor(0.0), std::invalid_argument);
-  EXPECT_THROW((void)p.observe(-1.0), std::invalid_argument);
-}
-
 TEST(Admission, ServesUpToCapacity) {
   AdmissionController a;
   EXPECT_DOUBLE_EQ(a.admit(0.5, 1.0, Duration::seconds(1)), 0.5);
@@ -91,14 +69,6 @@ TEST(Admission, IntegratesServedAndDropped) {
 TEST(Admission, NoOfferNoDropFraction) {
   const AdmissionController a;
   EXPECT_DOUBLE_EQ(a.drop_fraction(), 0.0);
-}
-
-TEST(Admission, ResetClears) {
-  AdmissionController a;
-  a.admit(2.0, 1.0, Duration::seconds(1));
-  a.reset();
-  EXPECT_DOUBLE_EQ(a.offered_integral(), 0.0);
-  EXPECT_DOUBLE_EQ(a.degraded_time().sec(), 0.0);
 }
 
 TEST(Admission, Validation) {
