@@ -12,6 +12,7 @@
 #include <limits>
 #include <memory>
 #include <span>
+#include <stdexcept>
 #include <string>
 #include <string_view>
 #include <vector>
@@ -89,6 +90,29 @@ inline Config read_args(int argc, char** argv, std::span<const Key> keys) {
   }
 }
 
+/// Makes what a run builds from the values of `keys` (`make` constructs,
+/// generates or validates it) and returns it, before any run starts. The
+/// checks `make` runs itself are the rules: a value out of their domain is
+/// a usage error naming `what` and the keys the command line set.
+template <typename Make>
+decltype(auto) checked(const char* program, const Config& args,
+                       std::initializer_list<std::string_view> keys,
+                       std::string_view what, Make&& make) {
+  try {
+    return make();
+  } catch (const std::invalid_argument& e) {
+    std::string given;
+    for (const std::string_view key : keys) {
+      const auto it = args.entries().find(std::string(key));
+      if (it == args.entries().end()) continue;
+      given += (given.empty() ? "" : ", ") + it->first + "=" + it->second;
+    }
+    usage_error(program, "no valid " + std::string(what) + " from " +
+                             (given.empty() ? "the defaults" : given) + ": " +
+                             e.what());
+  }
+}
+
 /// Whether this run should record sim trace events: a trace= export wants
 /// them, and so does a telemetry stream (they are its "ev" payload). A
 /// traced controller run records its channels, exports
@@ -142,14 +166,8 @@ inline Config parse_args(int argc, char** argv,
   std::vector<Key> keys(std::begin(kCommonKeys), std::end(kCommonKeys));
   keys.insert(keys.end(), extra.begin(), extra.end());
   const Config args = read_args(argc, argv, keys);
-  try {
-    bench_config(args).validate();
-  } catch (const std::exception& e) {
-    usage_error(argv[0],
-                std::string("pdus, dc_headroom and pue give no valid data "
-                            "center: ") +
-                    e.what());
-  }
+  checked(argv[0], args, {"pdus", "dc_headroom", "pue"}, "data center",
+          [&] { bench_config(args).validate(); });
   const std::string shard = args.get_string("shard", "");
   if (!shard.empty()) (void)parse_shard(shard);
   return args;

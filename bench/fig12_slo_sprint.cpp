@@ -13,9 +13,11 @@
 //    admission sheds requests to protect latency; generous admission
 //    queues them and leans on sprinting to make the p99.
 //
-// Knobs beyond the common set: slo=<ms> (target p99), queue_model=mg1|ps,
+// Knobs beyond the common set: slo=<ms> (target p99),
 // placement=round_robin|jsq, rps=<peak requests/s>, servers=<n>,
 // admit=<factor> (budget sweep only — the admission sweep owns that axis).
+// Each server is one queue (serving/queue_model.h). A value the serving
+// layer or the SLO strategy rejects exits 2 before any run.
 //
 // Runs on the src/exp sweep runner: rows are bit-identical for any thread
 // count, and checkpoint=/shard= make it dispatchable (tools/dispatch_sweep).
@@ -62,38 +64,43 @@ int main(int argc, char** argv) {
   using bench::Kind;
   const Config args = bench::parse_args(
       argc, argv,
-      {{"slo", Kind::kNumber}, {"queue_model"}, {"placement"},
+      {{"slo", Kind::kNumber}, {"placement"},
        {"rps", Kind::kNumber}, {"servers", Kind::kCount},
        {"admit", Kind::kNumber}});
-  bench::StreamTraceSinks stream = bench::obs_setup(args, "fig12_slo_sprint");
-  const bool tracing = bench::tracing_enabled(args);
-
   const double slo_ms = args.get_double("slo", 250.0);
   serving::ServingParams base_serving;
   base_serving.servers = args.get_count("servers", 8);
   base_serving.peak_rps = args.get_double("rps", 400.0);
-  base_serving.queue_model = args.get_string("queue_model", "mg1");
   base_serving.placement = args.get_string("placement", "round_robin");
   base_serving.admit_factor = args.get_double("admit", 2.0);
+  const SloSprintParams slo_params{.target_p99_s = slo_ms * 1e-3};
 
   workload::YahooTraceParams yp;
   yp.burst_degree = 3.2;
   yp.burst_duration = Duration::minutes(15);
   const TimeSeries trace = workload::generate_yahoo_trace(yp);
 
+  // Every task builds its serving layer and strategy from these values, so
+  // one of each, built here, makes their checks before any task runs.
+  base_serving.demand = &trace;
+  bench::checked(argv[0], args, {"servers", "rps", "placement", "admit"},
+                 "serving layer",
+                 [&] { (void)serving::ServingLayer(base_serving); });
+  bench::checked(argv[0], args, {"slo"}, "SLO strategy",
+                 [&] { (void)SloSprintStrategy(slo_params); });
+  bench::StreamTraceSinks stream = bench::obs_setup(args, "fig12_slo_sprint");
+  const bool tracing = bench::tracing_enabled(args);
+
   // One task: run `trace` through the controller with the serving layer
   // ticking after each control period; the SLO strategy (when selected)
   // closes the loop from the serving window p99 back into the sprint bound.
   const auto run_task = [&](const DataCenterConfig& config,
                             const std::string& strategy_name,
-                            const serving::ServingParams& serving_template,
+                            const serving::ServingParams& serving_params,
                             obs::Tracer* tracer) {
-    serving::ServingParams sp = serving_template;
-    sp.demand = &trace;
-    serving::ServingLayer serving(sp);
+    serving::ServingLayer serving(serving_params);
     sim::Recorder serving_recorder;
-    SloSprintStrategy slo(
-        SloSprintParams{.target_p99_s = slo_ms * 1e-3});
+    SloSprintStrategy slo(slo_params);
     GreedyStrategy greedy;
     ConstantBoundStrategy nosprint(1.0, "nosprint");
     Strategy* strategy = nullptr;
@@ -178,7 +185,7 @@ int main(int argc, char** argv) {
 
   std::cout << "=== Fig 12a: serving p99 vs ESD sprint budget (Yahoo 3.2x"
                " burst, SLO " << format_double(slo_ms, 0) << " ms, "
-            << base_serving.queue_model << "/" << base_serving.placement
+            << base_serving.placement
             << ") ===\n";
   TablePrinter budget_table({"budget x  strategy", "p50 ms", "p99 ms",
                              "p999 ms", "drop %", "sprint min", "perf"});

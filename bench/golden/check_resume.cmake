@@ -3,13 +3,16 @@
 # and no checkpoint, then once with checkpoint=; cuts every
 # <sweep>.ckpt.jsonl down to its header, its first KEEP rows and the first
 # half of the next row (the torn line a kill mid-append leaves); resumes
-# with checkpoint= csv= perf=. Fails unless every CSV in CSVS and the
-# stdout tables are byte-identical to the uncheckpointed run's, and every
-# sweep's perf record counts as many executed_tasks as rows were cut from
-# its checkpoint (the torn row included):
+# with checkpoint= csv= perf=, then resumes those checkpoints once more.
+# Fails unless, after each resume, every CSV in CSVS and the stdout tables
+# are byte-identical to the uncheckpointed run's, and unless every sweep's
+# perf record counts as many executed_tasks as rows were cut from its
+# checkpoint (the torn row included) on the first resume and none on the
+# second:
 #
 #   cmake -DBENCH=<bench> "-DARGS=<a;b>" -DKEEP=<k> "-DCSVS=<x.csv;...>" \
 #         -DWORKDIR=<dir> -P bench/golden/check_resume.cmake
+cmake_policy(SET CMP0054 NEW)  # "cut" below is a word, not a variable
 foreach(var BENCH ARGS KEEP CSVS WORKDIR)
   if(NOT DEFINED ${var})
     message(FATAL_ERROR "check_resume.cmake needs -D${var}=...")
@@ -17,8 +20,7 @@ foreach(var BENCH ARGS KEEP CSVS WORKDIR)
 endforeach()
 
 file(REMOVE_RECURSE "${WORKDIR}")
-file(MAKE_DIRECTORY "${WORKDIR}/clean" "${WORKDIR}/ckpt" "${WORKDIR}/resumed"
-     "${WORKDIR}/perf")
+file(MAKE_DIRECTORY "${WORKDIR}/clean" "${WORKDIR}/ckpt")
 
 # Runs the bench with ARGS plus ARGN; its stdout tables (the lines that do
 # not start with "[", which name files and timings) land in `out_var`.
@@ -73,37 +75,52 @@ foreach(checkpoint ${checkpoints})
   list(APPEND sweeps ${sweep})
 endforeach()
 
-run_bench(resumed_tables "checkpoint=${WORKDIR}/ckpt"
-          "csv=${WORKDIR}/resumed" "perf=${WORKDIR}/perf")
+# Resumes from the checkpoints into WORKDIR/<run>; every sweep's perf
+# record must count `executed` executed_tasks, or the rows cut from its
+# checkpoint when `executed` is "cut".
+function(resume run executed)
+  file(MAKE_DIRECTORY "${WORKDIR}/${run}/perf")
+  run_bench(tables "checkpoint=${WORKDIR}/ckpt" "csv=${WORKDIR}/${run}"
+            "perf=${WORKDIR}/${run}/perf")
+  foreach(csv ${CSVS})
+    file(READ "${WORKDIR}/clean/${csv}" want)
+    file(READ "${WORKDIR}/${run}/${csv}" got)
+    if(NOT got STREQUAL want)
+      message(FATAL_ERROR "${run} ${csv} differs from the uncheckpointed "
+                          "run's (see ${WORKDIR}/clean and ${WORKDIR}/${run})")
+    endif()
+  endforeach()
+  if(NOT tables STREQUAL clean_tables)
+    message(FATAL_ERROR "the ${run} run's tables differ from the "
+                        "uncheckpointed run's:\n${tables}")
+  endif()
 
-foreach(csv ${CSVS})
-  file(READ "${WORKDIR}/clean/${csv}" want)
-  file(READ "${WORKDIR}/resumed/${csv}" got)
-  if(NOT got STREQUAL want)
-    message(FATAL_ERROR "resumed ${csv} differs from the uncheckpointed run "
-                        "(see ${WORKDIR}/clean and ${WORKDIR}/resumed)")
+  set(records 0)
+  foreach(sweep ${sweeps})
+    set(record "${WORKDIR}/${run}/perf/BENCH_${sweep}.json")
+    if(NOT EXISTS "${record}")
+      continue()  # a sweep that only prints its table writes no perf record
+    endif()
+    set(want ${executed})
+    if(want STREQUAL "cut")
+      set(want ${cut_${sweep}})
+    endif()
+    file(READ "${record}" json)
+    string(JSON got GET "${json}" executed_tasks)
+    if(NOT got EQUAL want)
+      message(FATAL_ERROR "${sweep}: the ${run} run executed ${got} tasks, "
+                          "expected ${want} (${cut_${sweep}} rows were cut "
+                          "from its checkpoint)")
+    endif()
+    math(EXPR records "${records} + 1")
+  endforeach()
+  if(records EQUAL 0)
+    message(FATAL_ERROR "the ${run} run wrote no perf record under "
+                        "${WORKDIR}/${run}/perf")
   endif()
-endforeach()
-if(NOT resumed_tables STREQUAL clean_tables)
-  message(FATAL_ERROR "the resumed run's tables differ from the "
-                      "uncheckpointed run's:\n${resumed_tables}")
-endif()
+endfunction()
 
-set(records 0)
-foreach(sweep ${sweeps})
-  set(record "${WORKDIR}/perf/BENCH_${sweep}.json")
-  if(NOT EXISTS "${record}")
-    continue()  # a sweep that only prints its table writes no perf record
-  endif()
-  file(READ "${record}" json)
-  string(JSON executed GET "${json}" executed_tasks)
-  if(NOT executed EQUAL cut_${sweep})
-    message(FATAL_ERROR "${sweep}: the resume executed ${executed} tasks, "
-                        "but ${cut_${sweep}} rows were cut from its checkpoint")
-  endif()
-  math(EXPR records "${records} + 1")
-endforeach()
-if(records EQUAL 0)
-  message(FATAL_ERROR "the resumed run wrote no perf record under "
-                      "${WORKDIR}/perf")
-endif()
+# The first resume runs the rows that were cut; its writer cuts each torn
+# line before appending, so the second replays every row and runs none.
+resume(resumed cut)
+resume(replayed 0)

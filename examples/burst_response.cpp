@@ -37,7 +37,8 @@ int main(int argc, char** argv) {
 
   DataCenterConfig config;
   config.fleet.pdu_count = args.get_count("pdus", 8);
-  DataCenter dc(config);
+  DataCenter dc = bench::checked(argv[0], args, {"pdus"}, "data center",
+                                 [&] { return DataCenter(config); });
 
   workload::YahooTraceParams tp;
   tp.burst_degree = degree;
@@ -45,8 +46,14 @@ int main(int argc, char** argv) {
   if (tp.burst_start + tp.burst_duration + Duration::minutes(5) > tp.length) {
     tp.length = tp.burst_start + tp.burst_duration + Duration::minutes(5);
   }
-  const TimeSeries trace = workload::generate_yahoo_trace(tp);
+  const TimeSeries trace =
+      bench::checked(argv[0], args, {"degree", "minutes"}, "burst trace",
+                     [&] { return workload::generate_yahoo_trace(tp); });
   const workload::BurstTruth truth = workload::measure_burst_truth(trace);
+  const workload::ErrorfulForecast forecast =
+      bench::checked(argv[0], args, {"error"}, "forecast", [&] {
+        return workload::ErrorfulForecast(truth, error);
+      });
 
   std::cout << "Burst: degree " << format_double(degree, 1) << "x for "
             << format_double(minutes, 0) << " min (forecast error "
@@ -64,7 +71,6 @@ int main(int argc, char** argv) {
   ConstantBoundStrategy oracle_strategy(oracle.best_bound, "oracle");
   const RunResult oracle_run = dc.run(trace, &oracle_strategy);
 
-  const workload::ErrorfulForecast forecast(truth, error);
   GreedyStrategy greedy;
   PredictionStrategy prediction(forecast.predicted_duration(), &table);
   HeuristicStrategy heuristic(forecast.apply(oracle_run.avg_sprint_degree),

@@ -50,7 +50,9 @@ int main(int argc, char** argv) {
   workload::YahooTraceParams tp;
   tp.burst_degree = degree;
   tp.burst_duration = Duration::minutes(minutes);
-  const TimeSeries trace = workload::generate_yahoo_trace(tp);
+  const TimeSeries trace =
+      bench::checked(argv[0], args, {"degree", "minutes"}, "burst trace",
+                     [&] { return workload::generate_yahoo_trace(tp); });
 
   std::cout << "Sizing for a " << format_double(degree, 1) << "x / "
             << format_double(minutes, 0) << "-min burst, target avg perf >= "

@@ -32,9 +32,15 @@ int main(int argc, char** argv) {
   const double utilization = args.get_double("utilization", 1.0);
   const double ut_over_u0 = args.get_double("ut_over_u0", 4.0);
 
-  const ProfitabilityAnalysis analysis{CostModel{cost_params}, RevenueModel{}};
-  const ProfitBreakdown p =
-      analysis.analyze(n, minutes, bursts, utilization, ut_over_u0);
+  const ProfitabilityAnalysis analysis = bench::checked(
+      argv[0], args, {"servers", "core_usd"}, "cost model", [&] {
+        return ProfitabilityAnalysis{CostModel{cost_params}, RevenueModel{}};
+      });
+  const ProfitBreakdown p = bench::checked(
+      argv[0], args, {"N", "minutes", "bursts", "utilization", "ut_over_u0"},
+      "profit analysis", [&] {
+        return analysis.analyze(n, minutes, bursts, utilization, ut_over_u0);
+      });
 
   std::cout << "Data center: " << cost_params.servers << " servers, max"
             << " sprinting degree " << format_double(n, 1) << "\n"

@@ -38,11 +38,15 @@ int main(int argc, char** argv) {
   tp.burst_duration = Duration::minutes(15);
   const TimeSeries trace = workload::generate_yahoo_trace(tp);
 
-  TimeSeries supply;
-  supply.push_back(Duration::zero(), 1.0);
-  supply.push_back(Duration::minutes(at_min), dip);
-  supply.push_back(Duration::minutes(at_min + dip_min), 1.0);
-  supply.push_back(trace.end_time(), 1.0);
+  const TimeSeries supply =
+      bench::checked(argv[0], args, {"at_min", "dip_min"}, "supply trace", [&] {
+        TimeSeries dipped;
+        dipped.push_back(Duration::zero(), 1.0);
+        dipped.push_back(Duration::minutes(at_min), dip);
+        dipped.push_back(Duration::minutes(at_min + dip_min), 1.0);
+        dipped.push_back(trace.end_time(), 1.0);
+        return dipped;
+      });
 
   power::DieselGenerator generator(
       "gen", {.rated = config.dc_rated(),

@@ -25,7 +25,9 @@ int main(int argc, char** argv) {
   // the same at any count (see datacenter.h); only absolute powers scale.
   config.fleet.pdu_count = args.get_count("pdus", 8);
   config.dc_headroom = args.get_double("dc_headroom", 0.10);
-  core::DataCenter dc(config);
+  core::DataCenter dc = bench::checked(
+      argv[0], args, {"pdus", "dc_headroom"}, "data center",
+      [&] { return core::DataCenter(config); });
 
   const TimeSeries demand = workload::generate_ms_trace();
   const workload::BurstStats stats = workload::analyze_bursts(demand);

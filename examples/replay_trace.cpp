@@ -55,7 +55,8 @@ int main(int argc, char** argv) {
 
   DataCenterConfig config;
   config.fleet.pdu_count = args.get_count("pdus", 8);
-  DataCenter dc(config);
+  DataCenter dc = bench::checked(argv[0], args, {"pdus"}, "data center",
+                                 [&] { return DataCenter(config); });
 
   TablePrinter table({"policy", "avg perf", "drop %", "sprint min",
                       "UPS events", "tripped"});

@@ -25,17 +25,20 @@ int main(int argc, char** argv) {
   } else if (policy_name == "cbonly") {
     policy = Policy::kCbOnly;
   } else if (policy_name != "ours") {
-    std::cerr << "unknown policy '" << policy_name
-              << "' (want ours|cbfirst|cbonly)\n";
-    return 1;
+    bench::usage_error(argv[0], "unknown policy '" + policy_name +
+                                    "' (want ours|cbfirst|cbonly)");
   }
   const Duration reserve = Duration::seconds(args.get_double("reserve", 30.0));
 
   TestbedParams params;
   params.ups_capacity = Energy::watt_hours(args.get_double("ups_wh", 10.0));
-  Testbed tb(params);
+  Testbed tb = bench::checked(argv[0], args, {"ups_wh"}, "testbed",
+                              [&] { return Testbed(params); });
   const TimeSeries util = reference_utilization();
-  const TestbedOutcome r = tb.run(util, policy, reserve);
+  // The run checks the reserve before its first step and prints nothing.
+  const TestbedOutcome r =
+      bench::checked(argv[0], args, {"reserve"}, "testbed run",
+                     [&] { return tb.run(util, policy, reserve); });
 
   std::cout << "policy " << policy_name << ", reserved trip time "
             << to_string(reserve) << ", UPS "

@@ -3,6 +3,8 @@
 #include <bit>
 #include <cstdint>
 #include <cstdio>
+#include <filesystem>
+#include <iterator>
 #include <sstream>
 #include <stdexcept>
 #include <utility>
@@ -232,11 +234,25 @@ CheckpointWriter::CheckpointWriter(const std::string& path,
                                    const SweepSpec& spec,
                                    const std::vector<std::string>& metrics)
     : path_(path) {
-  // Header only when starting a fresh file; an append to an existing
-  // checkpoint continues after the rows load_checkpoint already returned.
-  std::ifstream probe(path_);
-  const bool fresh = !probe || probe.peek() == std::ifstream::traits_type::eof();
-  probe.close();
+  // An append to an existing checkpoint continues after the rows
+  // load_checkpoint already returned. A kill mid-append leaves a torn last
+  // line, where that load stopped: cut the file back to its last newline
+  // first, or the first appended row would share the torn line and every
+  // later load would stop there too. A file without a complete line starts
+  // afresh, header first.
+  std::size_t complete = 0;  // bytes up to and including the last newline
+  {
+    std::ifstream probe(path_, std::ios::binary);
+    const std::string text{std::istreambuf_iterator<char>(probe), {}};
+    const std::size_t newline = text.rfind('\n');
+    if (newline != std::string::npos) complete = newline + 1;
+    if (complete < text.size()) {
+      std::error_code error;
+      std::filesystem::resize_file(path_, complete, error);
+      if (error) return;  // ok_ stays false
+    }
+  }
+  const bool fresh = complete == 0;
   out_.open(path_, std::ios::app);
   ok_ = static_cast<bool>(out_);
   if (ok_ && fresh) {

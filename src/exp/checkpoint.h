@@ -17,7 +17,8 @@
 // Crash safety follows the JSONL discipline of obs/sink.h: the file is
 // append-only and every line is flushed as soon as it is written, so it is
 // valid up to the last flushed line no matter when the process dies; a
-// torn trailing line (kill mid-append) is tolerated and simply re-run.
+// torn trailing line (kill mid-append) is tolerated and simply re-run, and
+// the resume's writer cuts it off before appending.
 #pragma once
 
 #include <cstdint>
@@ -88,7 +89,8 @@ void write_checkpoint(std::ostream& out, const CheckpointData& data);
     const std::vector<CheckpointData>& shards);
 
 /// Append-only checkpoint writer used by run_sweep. Opens `path` for
-/// append, emitting the header first when the file is new or empty.
+/// append, first cutting a torn last line back to the last newline, and
+/// emits the header first when the file holds no complete line.
 /// `append` is thread-safe (workers complete tasks concurrently) and
 /// flushes each line, dropping to `ok() == false` the moment the stream
 /// fails (disk full, unlinked directory) — mirroring obs::JsonlStreamSink.

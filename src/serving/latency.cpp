@@ -127,9 +127,6 @@ std::vector<std::size_t> LatencyHistogram::bucket_counts() const {
   return {counts_.begin(), counts_.end()};
 }
 
-LatencyTracker::LatencyTracker(std::size_t window_ticks)
-    : window_ticks_(window_ticks == 0 ? 1 : window_ticks) {}
-
 void LatencyTracker::observe(double seconds) noexcept {
   if (!(seconds >= 0.0)) seconds = 0.0;  // NaN / negative guard
   add(LatencyHistogram::slot(seconds), 1, seconds, seconds);
@@ -142,7 +139,7 @@ void LatencyTracker::add(std::size_t slot, std::size_t n, double sum,
 }
 
 void LatencyTracker::end_tick() noexcept {
-  if (++ticks_in_window_ < window_ticks_) return;
+  if (++ticks_in_window_ < kWindowTicks) return;
   if (window_.count() > 0) last_window_p99_ = window_.quantile(0.99);
   window_.reset();
   ticks_in_window_ = 0;

@@ -10,7 +10,7 @@
 // deterministic inputs, so histograms built from the same sample stream are
 // bit-identical regardless of which thread ran the task — the same contract
 // as every sweep-runner row. add() takes a run of samples known to share a
-// slot in one step (the queue models' fluid runs).
+// slot in one step (the queue's fluid runs).
 //
 // LatencyTracker wraps two histograms: the run-total distribution (the
 // figure metric) and a short sliding window whose p99 is the controller's
@@ -73,9 +73,9 @@ class LatencyHistogram {
 
 class LatencyTracker {
  public:
-  /// `window_ticks`: control periods per sliding SLO window (the window
-  /// histogram resets every that many end_tick() calls).
-  explicit LatencyTracker(std::size_t window_ticks = 10);
+  /// Control periods per sliding SLO window (the p99 signal's horizon): the
+  /// window histogram resets every that many end_tick() calls.
+  static constexpr std::size_t kWindowTicks = 10;
 
   /// Records one request's response time into the run-total and window
   /// histograms.
@@ -97,7 +97,6 @@ class LatencyTracker {
   [[nodiscard]] double p999() const noexcept { return total_.quantile(0.999); }
 
  private:
-  std::size_t window_ticks_;
   std::size_t ticks_in_window_ = 0;
   double last_window_p99_ = 0.0;
   LatencyHistogram total_;

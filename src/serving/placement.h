@@ -45,20 +45,12 @@ class PlacementPolicy {
   /// (one entry per server). `servers` is never empty.
   virtual void place(std::span<const ServerLoad> servers,
                      std::size_t admitted, std::span<std::size_t> counts) = 0;
-
-  virtual void reset() {}
-
-  [[nodiscard]] virtual std::string_view name() const noexcept = 0;
 };
 
 class RoundRobinPlacement final : public PlacementPolicy {
  public:
   void place(std::span<const ServerLoad> servers, std::size_t admitted,
              std::span<std::size_t> counts) override;
-  void reset() override { cursor_ = 0; }
-  [[nodiscard]] std::string_view name() const noexcept override {
-    return "round_robin";
-  }
 
  private:
   /// The server the next request goes to.
@@ -73,9 +65,6 @@ class JoinShortestQueuePlacement final : public PlacementPolicy {
 
   void place(std::span<const ServerLoad> servers, std::size_t admitted,
              std::span<std::size_t> counts) override;
-  [[nodiscard]] std::string_view name() const noexcept override {
-    return "jsq";
-  }
 
  private:
   /// The servers with a finite backlog, in index order.

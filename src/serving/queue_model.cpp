@@ -3,8 +3,6 @@
 #include <algorithm>
 #include <cmath>
 
-#include "util/check.h"
-
 namespace dcs::serving {
 
 double mg1_mean_response_s(double lambda_rps, double mu_rps,
@@ -15,6 +13,10 @@ double mg1_mean_response_s(double lambda_rps, double mu_rps,
 }
 
 namespace {
+
+/// Utilization above which the stationary draws give way to the fluid
+/// overload regime.
+constexpr double kRhoMax = 0.95;
 
 /// Records the fluid FIFO run (backlog + i + 1) / mu, i in [0, n), one
 /// bucket at a time. The run is non-decreasing in i and so is its slot, so
@@ -61,61 +63,33 @@ void observe_fluid_run(double backlog, std::size_t n, double mu,
 
 }  // namespace
 
-void AnalyticQueue::step(std::size_t arrivals, double mu_rps, Duration dt,
-                         Rng& rng, LatencyTracker& latencies) {
+double serve_period(double backlog, std::size_t arrivals, double mu_rps,
+                    Duration dt, Rng& rng, LatencyTracker& latencies) {
   // A fully shed / powered-off server (mu = 0) cannot serve: every request
   // pends and its modeled response saturates the histogram's top bucket.
   if (mu_rps <= 0.0) {
-    backlog_ += static_cast<double>(arrivals);
     if (arrivals > 0) {
       constexpr double kTop = LatencyHistogram::kMaxSeconds;
       latencies.add(LatencyHistogram::slot(kTop), arrivals,
                     static_cast<double>(arrivals) * kTop, kTop);
     }
-    return;
+    return backlog + static_cast<double>(arrivals);
   }
   const double lambda = static_cast<double>(arrivals) / dt.sec();
   const double rho = lambda / mu_rps;
-  if (backlog_ <= 0.0 && rho < params_.rho_max) {
-    observe_stationary(arrivals, lambda, mu_rps, rng, latencies);
-    return;
+  if (backlog <= 0.0 && rho < kRhoMax) {
+    // Stationary M/M/1: exponential responses at the closed-form mean.
+    const double rate = 1.0 / mg1_mean_response_s(lambda, mu_rps, 1.0);
+    for (std::size_t i = 0; i < arrivals; ++i) {
+      latencies.observe(rng.exponential(rate));
+    }
+    return backlog;
   }
   // Fluid FIFO overload: request i queues behind the backlog plus the i
   // requests ahead of it this period, all draining at mu.
-  observe_fluid_run(backlog_, arrivals, mu_rps, latencies);
-  backlog_ = std::max(
-      backlog_ + static_cast<double>(arrivals) - mu_rps * dt.sec(), 0.0);
-}
-
-void Mg1Queue::observe_stationary(std::size_t arrivals, double lambda_rps,
-                                  double mu_rps, Rng& rng,
-                                  LatencyTracker& latencies) const {
-  const double mean = mg1_mean_response_s(lambda_rps, mu_rps, params().cv2);
-  const double rate = 1.0 / mean;
-  for (std::size_t i = 0; i < arrivals; ++i) {
-    latencies.observe(rng.exponential(rate));
-  }
-}
-
-void ProcessorSharingQueue::observe_stationary(
-    std::size_t arrivals, double lambda_rps, double mu_rps, Rng& rng,
-    LatencyTracker& latencies) const {
-  const double rho = lambda_rps / mu_rps;
-  const double stretch = 1.0 - rho;
-  for (std::size_t i = 0; i < arrivals; ++i) {
-    latencies.observe(rng.exponential(mu_rps) / stretch);
-  }
-}
-
-std::unique_ptr<QueueModel> make_queue_model(std::string_view name,
-                                             QueueModelParams params) {
-  DCS_REQUIRE(params.cv2 >= 0.0, "cv2 must be non-negative");
-  DCS_REQUIRE(params.rho_max > 0.0 && params.rho_max < 1.0,
-              "rho_max must lie in (0, 1)");
-  if (name == "mg1") return std::make_unique<Mg1Queue>(params);
-  if (name == "ps") return std::make_unique<ProcessorSharingQueue>(params);
-  DCS_REQUIRE(false, "unknown queue model (want mg1 or ps)");
-  return nullptr;
+  observe_fluid_run(backlog, arrivals, mu_rps, latencies);
+  return std::max(backlog + static_cast<double>(arrivals) - mu_rps * dt.sec(),
+                  0.0);
 }
 
 }  // namespace dcs::serving

@@ -6,6 +6,7 @@
 #include <span>
 #include <string>
 
+#include "serving/queue_model.h"
 #include "util/check.h"
 
 namespace dcs::serving {
@@ -26,16 +27,13 @@ ServingLayer::ServingLayer(ServingParams params)
     : params_(std::move(params)),
       source_(RequestSourceParams{params_.peak_rps, params_.seed}),
       placement_(make_placement(params_.placement, params_.servers)),
-      tracker_(params_.window_ticks),
       base_(Rng(params_.seed).fork(0x5e72f1ceULL)) {
+  DCS_REQUIRE(params_.queue_model == "mg1",
+              "unknown queue model (the one queue is mg1)");
   DCS_REQUIRE(params_.servers > 0, "need at least one server");
   DCS_REQUIRE(params_.admit_factor > 0.0, "admit_factor must be positive");
   DCS_REQUIRE(params_.demand != nullptr && !params_.demand->empty(),
               "serving layer needs a demand trace");
-  queues_.reserve(params_.servers);
-  for (std::size_t i = 0; i < params_.servers; ++i) {
-    queues_.push_back(make_queue_model(params_.queue_model, params_.queue));
-  }
   loads_.resize(params_.servers);
   per_server_.resize(params_.servers);
 }
@@ -67,7 +65,7 @@ double ServingLayer::drop_fraction() const noexcept {
 
 double ServingLayer::backlog_total() const noexcept {
   double total = 0.0;
-  for (const auto& queue : queues_) total += queue->backlog();
+  for (const ServerLoad& load : loads_) total += load.backlog;
   return total;
 }
 
@@ -101,8 +99,8 @@ void ServingLayer::tick(Duration now, Duration dt) {
   const Rng tick_rng = base_.fork(tick_index_);
   for (std::size_t s = 0; s < params_.servers; ++s) {
     Rng server_rng = tick_rng.fork(s);
-    queues_[s]->step(per_server_[s], mu, dt, server_rng, tracker_);
-    loads_[s].backlog = queues_[s]->backlog();
+    loads_[s].backlog = serve_period(loads_[s].backlog, per_server_[s], mu,
+                                     dt, server_rng, tracker_);
   }
   tracker_.end_tick();
 

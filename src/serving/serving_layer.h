@@ -6,12 +6,13 @@
 // arrivals beyond admit_factor x current capacity are dropped, the
 // request-level face of workload/admission — (3) splits the admitted
 // requests over the servers through the PlacementPolicy, in one call per
-// period, (4) advances every server's QueueModel at the service rate
-// implied by the *currently active core set* (capacity degree published by
-// the controller through set_capacity_degree), and (5) folds the response
-// times into a LatencyTracker whose sliding-window p99 feeds the SLO
-// callback (wired to core::SloSprintStrategy::observe_latency by the
-// bench/test layer — core never links against serving). The Poisson
+// period, (4) serves every server's queue for the period (serve_period,
+// serving/queue_model.h) at the service rate implied by the *currently
+// active core set* (capacity degree published by the controller through
+// set_capacity_degree), and (5) folds the response times into a
+// LatencyTracker whose 10-tick sliding-window p99 feeds the SLO callback
+// (wired to core::SloSprintStrategy::observe_latency by the bench/test
+// layer — core never links against serving). The Poisson
 // arrival draw costs the same at any rate, placement O(servers log
 // servers) a period and a fluid-overload run O(log arrivals) per latency
 // bucket; only the stationary response draws grow with the request rate,
@@ -37,7 +38,6 @@
 #include "serving/error_budget.h"
 #include "serving/latency.h"
 #include "serving/placement.h"
-#include "serving/queue_model.h"
 #include "serving/request_source.h"
 #include "sim/component.h"
 #include "sim/recorder.h"
@@ -55,16 +55,14 @@ struct ServingParams {
   /// Request rate at demand 1.0; positive and finite.
   double peak_rps = 400.0;
   std::uint64_t seed = 0x5e91ce5eedULL;
-  /// Queue model name: "mg1" | "ps" (serving/queue_model.h).
+  /// Queue model name. There is one queue (serving/queue_model.h), so it
+  /// must be "mg1"; the name stays for callers that still set it.
   std::string queue_model = "mg1";
-  QueueModelParams queue;
   /// Placement policy name: "round_robin" | "jsq".
   std::string placement = "round_robin";
   /// Admission cap as a multiple of current capacity: arrivals beyond
   /// admit_factor x degree x peak_rps x dt are dropped.
   double admit_factor = 2.0;
-  /// Control periods per sliding SLO window (the p99 signal's horizon).
-  std::size_t window_ticks = 10;
   /// Demand trace driving the arrivals; must outlive the layer. Same
   /// normalized trace the controller runs.
   const TimeSeries* demand = nullptr;
@@ -132,8 +130,8 @@ class ServingLayer final : public sim::Component {
  private:
   ServingParams params_;
   RequestSource source_;
-  std::vector<std::unique_ptr<QueueModel>> queues_;
   std::unique_ptr<PlacementPolicy> placement_;
+  /// Each server's view for placement; its backlog is the server's queue.
   std::vector<ServerLoad> loads_;
   std::vector<std::size_t> per_server_;
   LatencyTracker tracker_;

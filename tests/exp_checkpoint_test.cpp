@@ -7,6 +7,7 @@
 #include <cmath>
 #include <cstdint>
 #include <fstream>
+#include <iterator>
 #include <limits>
 #include <sstream>
 #include <stdexcept>
@@ -272,6 +273,56 @@ TEST(ExpCheckpoint, ToleratesTornTrailingLine) {
   const SweepRun clean =
       run_sweep(spec, {"index", "x"}, seed_row, {.threads = 2});
   EXPECT_EQ(rows_csv(spec, resumed), rows_csv(spec, clean));
+  std::remove(path.c_str());
+}
+
+TEST(ExpCheckpoint, WriterCutsATornLastLineBeforeAppending) {
+  const SweepSpec spec = small_spec();
+  const std::vector<std::string> metrics = {"index", "x"};
+  const std::string path = unique_path("ckpt_torn_writer.jsonl");
+  const std::string torn = "{\"index\": 9, \"seed\": \"123\", \"row\": [1.0,";
+  const auto read_file = [&path] {
+    std::ifstream in(path);
+    return std::string{std::istreambuf_iterator<char>(in), {}};
+  };
+  const auto tear = [&] {
+    std::ofstream out(path, std::ios::app);
+    out << torn;
+  };
+  std::remove(path.c_str());
+
+  (void)run_sweep(spec, metrics, seed_row,
+                  {.threads = 1, .checkpoint_path = path, .shard = {0, 2}});
+  const std::string complete = read_file();
+  tear();
+  {
+    CheckpointWriter writer(path, spec, metrics);
+    ASSERT_TRUE(writer.ok());
+    const SweepSpec::Task task = spec.tasks()[11];
+    writer.append(task.index, task.seed, seed_row(task));
+  }
+  // The fragment is gone and the new row is a line of its own after the
+  // complete ones, so the next load reads it.
+  const std::string text = read_file();
+  EXPECT_EQ(text.substr(0, complete.size()), complete);
+  EXPECT_EQ(text.find(torn), std::string::npos) << text;
+  EXPECT_EQ(text.back(), '\n');
+  const auto [first, last] = shard_range(spec.task_count(), {0, 2});
+  const CheckpointData data = load_checkpoint(path);
+  EXPECT_EQ(data.rows.size(), last - first + 1);
+  EXPECT_EQ(data.rows.count(11), 1u);
+
+  // A resume over a torn checkpoint leaves one the next resume replays
+  // whole: it executes nothing.
+  tear();
+  RunnerOptions resume;
+  resume.threads = 2;
+  resume.checkpoint_path = path;
+  const SweepRun resumed = run_sweep(spec, metrics, seed_row, resume);
+  EXPECT_EQ(resumed.executed_tasks, spec.task_count() - data.rows.size());
+  const SweepRun replay = run_sweep(spec, metrics, seed_row, resume);
+  EXPECT_EQ(replay.executed_tasks, 0u);
+  EXPECT_EQ(rows_csv(spec, replay), rows_csv(spec, resumed));
   std::remove(path.c_str());
 }
 

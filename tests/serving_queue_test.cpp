@@ -1,9 +1,9 @@
 // Request-level serving layer: Poisson arrival sampling, the log latency
-// histogram, the M/G/1 and processor-sharing queue models against their
-// closed forms, placement policies, admission drops, the bit-identity
-// contract (same inputs -> same histograms and sweep rows, regardless of
-// thread count), and the per-tick placement, queue steps and histogram
-// slots against request-by-request oracles.
+// histogram, the server queue against its M/M/1 closed form, placement
+// policies, admission drops, the bit-identity contract (same inputs -> same
+// histograms and sweep rows, regardless of thread count), and the per-tick
+// placement, queue steps and histogram slots against request-by-request
+// oracles.
 #include "serving/serving_layer.h"
 
 #include <gtest/gtest.h>
@@ -245,11 +245,14 @@ TEST(ServingHistogram, BucketsAndQuantiles) {
 }
 
 TEST(ServingTracker, WindowP99FallsBackToLastCompletedWindow) {
-  LatencyTracker tracker(/*window_ticks=*/2);
+  static_assert(LatencyTracker::kWindowTicks == 10);
+  LatencyTracker tracker;
   tracker.observe(0.100);
   tracker.observe(0.100);
   EXPECT_GT(tracker.window_p99(), 0.0);  // current window has samples
-  tracker.end_tick();
+  for (int tick = 1; tick < 10; ++tick) tracker.end_tick();
+  // One tick short of the window: the current window still holds them.
+  EXPECT_GT(tracker.window_p99(), 0.05);
   tracker.end_tick();  // window completes; snapshot taken, window resets
   const double snapshot = tracker.window_p99();
   EXPECT_GT(snapshot, 0.05);  // falls back to the completed window's p99
@@ -258,95 +261,71 @@ TEST(ServingTracker, WindowP99FallsBackToLastCompletedWindow) {
   EXPECT_DOUBLE_EQ(tracker.window_p99(), snapshot);
 }
 
-/// Drives a queue with a deterministic `arrivals` per tick for `ticks`
-/// periods and returns the tracker.
-LatencyTracker drive(QueueModel& queue, std::size_t arrivals, double mu,
-                     std::size_t ticks, std::uint64_t seed) {
-  LatencyTracker tracker;
+/// One server's latencies and backlog after `ticks` periods of a
+/// deterministic `arrivals` each.
+struct Served {
+  LatencyTracker latencies;
+  double backlog = 0.0;
+};
+
+Served drive(std::size_t arrivals, double mu, std::size_t ticks,
+             std::uint64_t seed) {
+  Served out;
   const Rng base(seed);
   for (std::size_t t = 0; t < ticks; ++t) {
     Rng rng = base.fork(t);
-    queue.step(arrivals, mu, Duration::seconds(1), rng, tracker);
-    tracker.end_tick();
+    out.backlog = serve_period(out.backlog, arrivals, mu,
+                               Duration::seconds(1), rng, out.latencies);
+    out.latencies.end_tick();
   }
-  return tracker;
+  return out;
 }
 
 TEST(ServingQueue, Mg1MatchesPollaczekKhinchineMean) {
-  // M/M/1 case (cv2 = 1): W = 1/mu + lambda/(mu^2 (1 - rho)).
-  for (const double cv2 : {1.0, 0.0, 4.0}) {
-    Mg1Queue queue(QueueModelParams{cv2, 0.95});
-    const LatencyTracker t = drive(queue, /*arrivals=*/50, /*mu=*/100.0,
-                                   /*ticks=*/2000, /*seed=*/7);
-    const double expected = mg1_mean_response_s(50.0, 100.0, cv2);
-    // 100k exponential samples: relative standard error ~0.3%.
-    EXPECT_NEAR(t.total().mean_seconds(), expected, 0.05 * expected) << cv2;
-    EXPECT_DOUBLE_EQ(queue.backlog(), 0.0);
-  }
+  // M/M/1 (cv2 = 1): W = 1/mu + lambda/(mu^2 (1 - rho)) = 1/(mu - lambda).
+  const Served t = drive(/*arrivals=*/50, /*mu=*/100.0, /*ticks=*/2000,
+                         /*seed=*/7);
+  const double expected = mg1_mean_response_s(50.0, 100.0, 1.0);
+  // 100k exponential samples: relative standard error ~0.3%.
+  EXPECT_NEAR(t.latencies.total().mean_seconds(), expected, 0.05 * expected);
+  EXPECT_DOUBLE_EQ(t.backlog, 0.0);
   // Closed form sanity: the M/M/1 mean at rho=0.5 is 2/mu.
   EXPECT_NEAR(mg1_mean_response_s(50.0, 100.0, 1.0), 0.02, 1e-12);
-}
-
-TEST(ServingQueue, ProcessorSharingMatchesClosedFormAndIgnoresCv2) {
-  ProcessorSharingQueue queue(QueueModelParams{1.0, 0.95});
-  const LatencyTracker t = drive(queue, 50, 100.0, 2000, 7);
-  const double expected = 1.0 / (100.0 - 50.0);  // 1/(mu-lambda)
-  EXPECT_NEAR(t.total().mean_seconds(), expected, 0.05 * expected);
-
-  // PS is insensitive to the service-time distribution beyond its mean: a
-  // different cv2 with the same seed produces a bit-identical histogram.
-  ProcessorSharingQueue other(QueueModelParams{4.0, 0.95});
-  const LatencyTracker u = drive(other, 50, 100.0, 2000, 7);
-  EXPECT_TRUE(same_histogram(t.total(), u.total()));
 
   // Exponential response shape: p99/mean ~ ln(100), read through the log
   // histogram's ~15% bucket resolution.
-  EXPECT_NEAR(t.p99() / t.total().mean_seconds(), std::log(100.0), 1.0);
+  EXPECT_NEAR(t.latencies.p99() / t.latencies.total().mean_seconds(),
+              std::log(100.0), 1.0);
 }
 
 TEST(ServingQueue, FluidOverloadIsDeterministicAndMonotoneInMu) {
   // arrivals > mu * dt: the fluid regime, no sampling at all.
-  Mg1Queue queue;
+  const Duration dt = Duration::seconds(1);
   LatencyTracker tracker;
   Rng rng(1);
-  queue.step(200, 100.0, Duration::seconds(1), rng, tracker);
-  EXPECT_DOUBLE_EQ(queue.backlog(), 100.0);  // 200 in, 100 served
+  double backlog = serve_period(0.0, 200, 100.0, dt, rng, tracker);
+  EXPECT_DOUBLE_EQ(backlog, 100.0);  // 200 in, 100 served
   // First request waits 1/mu, last waits (199+1)/mu = 2 s.
   EXPECT_DOUBLE_EQ(tracker.total().max_seconds(), 2.0);
 
-  // The backlog drains at mu when arrivals stop — step() with zero
+  // The backlog drains at mu when arrivals stop — a period with zero
   // arrivals must keep integrating.
-  queue.step(0, 100.0, Duration::seconds(1), rng, tracker);
-  EXPECT_DOUBLE_EQ(queue.backlog(), 0.0);
+  backlog = serve_period(backlog, 0, 100.0, dt, rng, tracker);
+  EXPECT_DOUBLE_EQ(backlog, 0.0);
 
   // More capacity (a deeper sprint) means strictly lower response times —
   // the monotonicity behind the p99-vs-budget curves.
   double prev_mean = 1e9;
   for (const double mu : {100.0, 150.0, 200.0}) {
-    Mg1Queue q;
-    const LatencyTracker t = drive(q, 180, mu, 50, 3);
-    EXPECT_LT(t.total().mean_seconds(), prev_mean) << mu;
-    prev_mean = t.total().mean_seconds();
+    const Served t = drive(180, mu, 50, 3);
+    EXPECT_LT(t.latencies.total().mean_seconds(), prev_mean) << mu;
+    prev_mean = t.latencies.total().mean_seconds();
   }
 
   // mu = 0 (fully shed server): requests pend and saturate the histogram.
-  Mg1Queue dead;
   LatencyTracker sat;
-  dead.step(5, 0.0, Duration::seconds(1), rng, sat);
-  EXPECT_DOUBLE_EQ(dead.backlog(), 5.0);
+  EXPECT_DOUBLE_EQ(serve_period(0.0, 5, 0.0, dt, rng, sat), 5.0);
   EXPECT_DOUBLE_EQ(sat.total().max_seconds(), LatencyHistogram::kMaxSeconds);
-  dead.reset();
-  EXPECT_DOUBLE_EQ(dead.backlog(), 0.0);
-}
-
-TEST(ServingQueue, FactoryValidatesNamesAndParams) {
-  EXPECT_EQ(make_queue_model("mg1")->name(), "mg1");
-  EXPECT_EQ(make_queue_model("ps")->name(), "ps");
-  EXPECT_THROW((void)make_queue_model("lifo"), std::invalid_argument);
-  EXPECT_THROW((void)make_queue_model("mg1", {-1.0, 0.95}),
-               std::invalid_argument);
-  EXPECT_THROW((void)make_queue_model("mg1", {1.0, 1.5}),
-               std::invalid_argument);
 }
 
 TEST(ServingPlacement, PoliciesPickDeterministically) {
@@ -367,8 +346,6 @@ TEST(ServingPlacement, PoliciesPickDeterministically) {
   EXPECT_EQ(pick(rr, three), 1u);
   EXPECT_EQ(pick(rr, three), 2u);
   EXPECT_EQ(pick(rr, three), 0u);
-  rr.reset();
-  EXPECT_EQ(pick(rr, three), 0u);
 
   JoinShortestQueuePlacement jsq(3);
   EXPECT_EQ(pick(jsq, {{2.0}, {0.0}, {1.0}}), 1u);
@@ -379,8 +356,11 @@ TEST(ServingPlacement, PoliciesPickDeterministically) {
   jsq.place(std::vector<ServerLoad>{{0.0}, {0.5}}, 2, counts);
   EXPECT_EQ(counts, (std::vector<std::size_t>{1, 1}));
 
-  EXPECT_EQ(make_placement("round_robin", 1)->name(), "round_robin");
-  EXPECT_EQ(make_placement("jsq", 1)->name(), "jsq");
+  // The factory maps each name to its rule: from server 0 round-robin
+  // starts there, JSQ goes to the shortest queue.
+  const std::vector<ServerLoad> uneven{{2.0}, {0.0}, {1.0}};
+  EXPECT_EQ(pick(*make_placement("round_robin", 3), uneven), 0u);
+  EXPECT_EQ(pick(*make_placement("jsq", 3), uneven), 1u);
   EXPECT_THROW((void)make_placement("random", 1), std::invalid_argument);
   EXPECT_THROW((void)make_placement("thermal", 1), std::invalid_argument);
 }
@@ -431,8 +411,6 @@ void expect_histogram_matches(const LatencyHistogram& got,
 
 /// One queue step, one response time per request.
 struct OracleQueue {
-  bool processor_sharing = false;
-  QueueModelParams params;
   double backlog = 0.0;
 
   void step(std::size_t arrivals, double mu, Duration dt, Rng& rng,
@@ -446,13 +424,10 @@ struct OracleQueue {
     }
     const double lambda = static_cast<double>(arrivals) / dt.sec();
     const double rho = lambda / mu;
-    if (backlog <= 0.0 && rho < params.rho_max) {
+    if (backlog <= 0.0 && rho < 0.95) {
       for (std::size_t i = 0; i < arrivals; ++i) {
         latencies.observe(
-            processor_sharing
-                ? rng.exponential(mu) / (1.0 - lambda / mu)
-                : rng.exponential(
-                      1.0 / mg1_mean_response_s(lambda, mu, params.cv2)));
+            rng.exponential(1.0 / mg1_mean_response_s(lambda, mu, 1.0)));
       }
       return;
     }
@@ -468,14 +443,13 @@ bool same_double(double a, double b) {
   return a == b || (std::isnan(a) && std::isnan(b));
 }
 
-/// Steps `model` and the oracle through the same (arrivals, mu) periods;
-/// the backlogs must agree after every period.
+/// Serves one server and steps the oracle through the same (arrivals, mu)
+/// periods; the backlogs must agree after every period.
 void expect_queue_matches_oracle(
-    const std::string& model, QueueModelParams params,
     const std::vector<std::pair<std::size_t, double>>& periods,
     const std::string& where) {
-  const auto queue = make_queue_model(model, params);
-  OracleQueue oracle{model == "ps", params};
+  double backlog = 0.0;
+  OracleQueue oracle;
   LatencyTracker tracker;
   OracleHistogram want;
   const Rng base(0x0dac1e);
@@ -484,10 +458,10 @@ void expect_queue_matches_oracle(
     const auto [arrivals, mu] = periods[k];
     Rng a = base.fork(k);
     Rng b = base.fork(k);
-    queue->step(arrivals, mu, dt, a, tracker);
+    backlog = serve_period(backlog, arrivals, mu, dt, a, tracker);
     oracle.step(arrivals, mu, dt, b, want);
-    ASSERT_TRUE(same_double(queue->backlog(), oracle.backlog))
-        << where << " period " << k << ": " << queue->backlog() << " vs "
+    ASSERT_TRUE(same_double(backlog, oracle.backlog))
+        << where << " period " << k << ": " << backlog << " vs "
         << oracle.backlog;
     tracker.end_tick();
   }
@@ -495,45 +469,33 @@ void expect_queue_matches_oracle(
 }
 
 TEST(ServingOracle, QueueStepsMatchPerRequestLoop) {
-  for (const char* model : {"mg1", "ps"}) {
-    for (const double cv2 : {1.0, 0.0, 4.0}) {
-      const QueueModelParams params{cv2, 0.95};
-      const std::string where = std::string(model) + " cv2 " +
-                                std::to_string(cv2);
-      // Stationary: light load, every response a draw.
-      expect_queue_matches_oracle(
-          model, params,
-          std::vector<std::pair<std::size_t, double>>(200, {50, 100.0}),
-          where + " stationary");
-      // mu = 0 pends everything at the top bucket; the backlog then drains.
-      expect_queue_matches_oracle(
-          model, params, {{5, 0.0}, {0, 0.0}, {7, 0.0}, {3, 4.0}, {0, 4.0},
-                          {2, 100.0}},
-          where + " mu = 0");
-      // A NaN rate makes every fluid value NaN, which reads as 0 s.
-      expect_queue_matches_oracle(model, params, {{40, std::nan("")}},
-                                  where + " NaN mu");
-    }
-    // One fluid run from underflow ((0 + 1) / mu < 100 us) through every
-    // bucket into overflow (n / mu > 1000 s).
-    expect_queue_matches_oracle(model, {}, {{12'500'000, 12'000.0}},
-                                std::string(model) +
-                                    " underflow-to-overflow run");
-    // A random walk through both regimes: light and heavy load, rates from
-    // 0.01 to 1e5 requests/s, shed servers and idle periods.
-    Rng rng(71);
-    std::vector<std::pair<std::size_t, double>> periods;
-    for (int k = 0; k < 400; ++k) {
-      const double mu = rng.uniform() < 0.05
-                            ? 0.0
-                            : std::pow(10.0, rng.uniform(-2.0, 5.0));
-      const double load = rng.uniform() < 0.1 ? 0.0 : rng.uniform(0.0, 3.0);
-      periods.emplace_back(
-          static_cast<std::size_t>(std::min(load * mu, 50'000.0)), mu);
-    }
-    expect_queue_matches_oracle(model, {1.0, 0.95}, periods,
-                                std::string(model) + " random walk");
+  // Stationary: light load, every response a draw.
+  expect_queue_matches_oracle(
+      std::vector<std::pair<std::size_t, double>>(200, {50, 100.0}),
+      "stationary");
+  // mu = 0 pends everything at the top bucket; the backlog then drains.
+  expect_queue_matches_oracle(
+      {{5, 0.0}, {0, 0.0}, {7, 0.0}, {3, 4.0}, {0, 4.0}, {2, 100.0}},
+      "mu = 0");
+  // A NaN rate makes every fluid value NaN, which reads as 0 s.
+  expect_queue_matches_oracle({{40, std::nan("")}}, "NaN mu");
+  // One fluid run from underflow ((0 + 1) / mu < 100 us) through every
+  // bucket into overflow (n / mu > 1000 s).
+  expect_queue_matches_oracle({{12'500'000, 12'000.0}},
+                              "underflow-to-overflow run");
+  // A random walk through both regimes: light and heavy load, rates from
+  // 0.01 to 1e5 requests/s, shed servers and idle periods.
+  Rng rng(71);
+  std::vector<std::pair<std::size_t, double>> periods;
+  for (int k = 0; k < 400; ++k) {
+    const double mu = rng.uniform() < 0.05
+                          ? 0.0
+                          : std::pow(10.0, rng.uniform(-2.0, 5.0));
+    const double load = rng.uniform() < 0.1 ? 0.0 : rng.uniform(0.0, 3.0);
+    periods.emplace_back(
+        static_cast<std::size_t>(std::min(load * mu, 50'000.0)), mu);
   }
+  expect_queue_matches_oracle(periods, "random walk");
 }
 
 /// One pick per request against the live queue lengths (backlog plus the
@@ -729,18 +691,15 @@ TEST(ServingLayer, MoreCapacityMeansLowerTail) {
 
 TEST(ServingLayer, HistogramsAreBitIdenticalAcrossRuns) {
   const TimeSeries trace = burst_trace();
-  for (const char* model : {"mg1", "ps"}) {
-    for (const char* placement : {"round_robin", "jsq"}) {
-      ServingParams params;
-      params.queue_model = model;
-      params.placement = placement;
-      const ServingLayer a = run_layer(trace, params, 1.5);
-      const ServingLayer b = run_layer(trace, params, 1.5);
-      EXPECT_TRUE(same_histogram(a.latency().total(), b.latency().total()))
-          << model << "/" << placement;
-      EXPECT_EQ(a.offered_total(), b.offered_total());
-      EXPECT_EQ(a.dropped_total(), b.dropped_total());
-    }
+  for (const char* placement : {"round_robin", "jsq"}) {
+    ServingParams params;
+    params.placement = placement;
+    const ServingLayer a = run_layer(trace, params, 1.5);
+    const ServingLayer b = run_layer(trace, params, 1.5);
+    EXPECT_TRUE(same_histogram(a.latency().total(), b.latency().total()))
+        << placement;
+    EXPECT_EQ(a.offered_total(), b.offered_total());
+    EXPECT_EQ(a.dropped_total(), b.dropped_total());
   }
 }
 
@@ -748,28 +707,25 @@ TEST(ServingLayer, TickAllocatesNothing) {
   // Scratch is sized at construction: ticking through stationary, fluid
   // and shed (degree 0) periods allocates nothing, whatever the policy.
   const TimeSeries trace = burst_trace();
-  for (const char* model : {"mg1", "ps"}) {
-    for (const char* placement : {"round_robin", "jsq"}) {
-      for (const std::size_t servers : {1u, 8u, 512u}) {
-        ServingParams params;
-        params.demand = &trace;
-        params.queue_model = model;
-        params.placement = placement;
-        params.servers = servers;
-        params.peak_rps = 4000.0;
-        ServingLayer layer(params);
-        const Duration dt = Duration::seconds(1);
-        const std::size_t before = g_allocations.load();
-        int tick = 0;
-        for (Duration now = Duration::zero(); now < trace.end_time();
-             now += dt, ++tick) {
-          layer.set_capacity_degree(tick % 50 < 5 ? 0.0 : 1.2);
-          layer.tick(now, dt);
-        }
-        EXPECT_EQ(g_allocations.load() - before, 0u)
-            << model << "/" << placement << " x" << servers;
-        EXPECT_GT(layer.backlog_total(), 0.0);
+  for (const char* placement : {"round_robin", "jsq"}) {
+    for (const std::size_t servers : {1u, 8u, 512u}) {
+      ServingParams params;
+      params.demand = &trace;
+      params.placement = placement;
+      params.servers = servers;
+      params.peak_rps = 4000.0;
+      ServingLayer layer(params);
+      const Duration dt = Duration::seconds(1);
+      const std::size_t before = g_allocations.load();
+      int tick = 0;
+      for (Duration now = Duration::zero(); now < trace.end_time();
+           now += dt, ++tick) {
+        layer.set_capacity_degree(tick % 50 < 5 ? 0.0 : 1.2);
+        layer.tick(now, dt);
       }
+      EXPECT_EQ(g_allocations.load() - before, 0u)
+          << placement << " x" << servers;
+      EXPECT_GT(layer.backlog_total(), 0.0);
     }
   }
 }
@@ -777,12 +733,12 @@ TEST(ServingLayer, TickAllocatesNothing) {
 TEST(ServingLayer, SweepRowsBitIdenticalAcrossThreadCounts) {
   const TimeSeries trace = burst_trace();
   exp::SweepSpec spec("serving_determinism");
-  spec.add_axis("model", std::vector<std::string>{"mg1", "ps"});
+  spec.add_axis("placement", std::vector<std::string>{"round_robin", "jsq"});
   spec.add_axis("admit", std::vector<double>{1.0, 2.0, 4.0}, 0);
 
   const auto task = [&trace](const exp::SweepSpec::Task& t) {
     ServingParams params;
-    params.queue_model = t.level[0] == 0 ? "mg1" : "ps";
+    params.placement = t.level[0] == 0 ? "round_robin" : "jsq";
     params.admit_factor = std::vector<double>{1.0, 2.0, 4.0}[t.level[1]];
     const ServingLayer layer = run_layer(trace, params, 1.2);
     return std::vector<double>{layer.latency().p50(), layer.latency().p99(),
@@ -841,6 +797,10 @@ TEST(ServingLayer, SloCallbackSeesWindowP99AndRecorderChannels) {
   bad.demand = &trace;
   bad.servers = 0;
   EXPECT_THROW((void)ServingLayer(bad), std::invalid_argument);
+  ServingParams other_queue;
+  other_queue.demand = &trace;
+  other_queue.queue_model = "ps";  // one queue remains
+  EXPECT_THROW((void)ServingLayer(other_queue), std::invalid_argument);
 }
 
 }  // namespace
