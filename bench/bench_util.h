@@ -91,9 +91,10 @@ inline Config read_args(int argc, char** argv, std::span<const Key> keys) {
 }
 
 /// Makes what a run builds from the values of `keys` (`make` constructs,
-/// generates or validates it) and returns it, before any run starts. The
-/// checks `make` runs itself are the rules: a value out of their domain is
-/// a usage error naming `what` and the keys the command line set.
+/// generates or validates it, or is the run when the run checks the value
+/// before its first tick) and returns it. The checks `make` runs itself are
+/// the rules: a value out of their domain is a usage error naming `what`
+/// and the keys the command line set.
 template <typename Make>
 decltype(auto) checked(const char* program, const Config& args,
                        std::initializer_list<std::string_view> keys,
@@ -159,8 +160,9 @@ inline core::DataCenterConfig bench_config(const Config& args) {
 }
 
 /// Reads a bench's arguments: the common keys plus `extra` (read_args).
-/// The data-center keys must also give a valid data center and shard= a
-/// valid slice; anything else is the same usage error, before any run.
+/// The data-center keys must also give a valid data center, shard= a valid
+/// slice, and at most one of trace= and telemetry= may be set; anything
+/// else is the same usage error, before any run.
 inline Config parse_args(int argc, char** argv,
                          std::initializer_list<Key> extra = {}) {
   std::vector<Key> keys(std::begin(kCommonKeys), std::end(kCommonKeys));
@@ -170,6 +172,12 @@ inline Config parse_args(int argc, char** argv,
           [&] { bench_config(args).validate(); });
   const std::string shard = args.get_string("shard", "");
   if (!shard.empty()) (void)parse_shard(shard);
+  if (!args.get_string("trace", "").empty() &&
+      !args.get_string("telemetry", "").empty()) {
+    usage_error(argv[0],
+                "trace= and telemetry= both given: a run streams one sink "
+                "(the telemetry stream holds the trace's lines)");
+  }
   return args;
 }
 
@@ -284,30 +292,29 @@ inline void maybe_export_sweep(const Config& args, const exp::SweepSpec& spec,
   }
 }
 
-/// The streaming sinks of one bench run, fed through one tee: under
-/// trace=<dir>, the JSONL trace `<dir>/<name>_trace.jsonl` (the run's one
-/// trace encoding; `trace_query perfetto` renders it to
-/// `<name>_trace.perfetto` afterwards); under telemetry=<path>
-/// (appended by dispatch_sweep --telemetry), the worker telemetry stream,
-/// whose header is on disk as soon as it opens. Memory stays bounded
-/// whatever the trace length. With neither key the struct is inactive and
-/// sink() is null, so `obs::Tracer tracer(stream.sink())` buffers nothing
-/// a bench does not trace.
+/// The streaming sink of one bench run: under trace=<dir>, the JSONL trace
+/// `<dir>/<name>_trace.jsonl` (the run's one trace encoding; `trace_query
+/// perfetto` renders it to `<name>_trace.perfetto` afterwards); under
+/// telemetry=<path> (appended by dispatch_sweep --telemetry), the worker
+/// telemetry stream, the same lines under a header that is on disk as soon
+/// as it opens. A run gives at most one of the two keys (parse_args).
+/// Memory stays bounded whatever the trace length. With neither key the
+/// struct is inactive and sink() is null, so `obs::Tracer
+/// tracer(stream.sink())` buffers nothing a bench does not trace.
 struct StreamTraceSinks {
   std::unique_ptr<obs::JsonlStreamSink> jsonl;
-  std::unique_ptr<obs::TelemetrySink> telemetry;
-  std::unique_ptr<obs::TeeSink> tee;
+  /// `jsonl` when it is the telemetry stream, else null.
+  obs::TelemetrySink* telemetry = nullptr;
 
-  [[nodiscard]] bool active() const noexcept { return tee != nullptr; }
-  [[nodiscard]] obs::TraceSink* sink() const noexcept { return tee.get(); }
+  [[nodiscard]] bool active() const noexcept { return jsonl != nullptr; }
+  [[nodiscard]] obs::TraceSink* sink() const noexcept { return jsonl.get(); }
 
-  /// Finalizes every sink, then reports "[obs] streamed N events to
-  /// <path>" (or "[obs] cannot write <path>") for the JSONL trace on
-  /// `diag`.
+  /// Finalizes the sink, then reports "[obs] streamed N events to <path>"
+  /// (or "[obs] cannot write <path>") for the JSONL trace on `diag`.
   void finalize(std::ostream* diag = nullptr) {
     if (!active()) return;
-    tee->finalize();
-    if (diag == nullptr || jsonl == nullptr) return;
+    jsonl->finalize();
+    if (diag == nullptr || telemetry != nullptr) return;
     if (jsonl->ok()) {
       *diag << "[obs] streamed " << jsonl->events_written() << " events to "
             << jsonl->path() << "\n";
@@ -317,37 +324,32 @@ struct StreamTraceSinks {
   }
 };
 
-/// Opens the sinks trace= and telemetry= ask for (see StreamTraceSinks).
+/// Opens the sink trace= or telemetry= asks for (see StreamTraceSinks).
 inline StreamTraceSinks maybe_stream_sinks(const Config& args,
                                            const std::string& name) {
   StreamTraceSinks sinks;
-  std::vector<obs::TraceSink*> children;
   const std::string trace_dir = args.get_string("trace", "");
+  const std::string telemetry = args.get_string("telemetry", "");
   if (!trace_dir.empty()) {
     sinks.jsonl = std::make_unique<obs::JsonlStreamSink>(
         trace_dir + "/" + name + "_trace.jsonl");
-    children = {sinks.jsonl.get()};
-  }
-  const std::string telemetry = args.get_string("telemetry", "");
-  if (!telemetry.empty()) {
-    sinks.telemetry = std::make_unique<obs::TelemetrySink>(
+  } else if (!telemetry.empty()) {
+    auto stream = std::make_unique<obs::TelemetrySink>(
         telemetry, obs::TelemetryOptions{
                        .name = name, .shard = args.get_string("shard", "")});
-    if (!sinks.telemetry->ok()) {
+    if (!stream->ok()) {
       std::cerr << "[obs] cannot write telemetry stream " << telemetry
                 << "\n";
     }
-    children.push_back(sinks.telemetry.get());
-  }
-  if (!children.empty()) {
-    sinks.tee = std::make_unique<obs::TeeSink>(std::move(children));
+    sinks.telemetry = stream.get();
+    sinks.jsonl = std::move(stream);
   }
   return sinks;
 }
 
 /// The observability setup step, once near the top of main() before any
 /// run: turns the wall-clock profiler on when trace= or telemetry= is
-/// given (tracing_enabled), and opens the run's streaming sinks. A traced
+/// given (tracing_enabled), and opens the run's streaming sink. A traced
 /// bench then builds `obs::Tracer tracer(stream.sink())`; finish_obs is
 /// the matching last step.
 [[nodiscard]] inline StreamTraceSinks obs_setup(const Config& args,
@@ -358,8 +360,8 @@ inline StreamTraceSinks maybe_stream_sinks(const Config& args,
 
 /// The observability finish step, after the bench's last run: appends the
 /// profiler's wall spans and scope path totals to the stream
-/// (obs::export_to, through a wall-only tracer over the tee), then the
-/// telemetry stream's folded stacks, then finalizes the sinks, reporting
+/// (obs::export_to, through a wall-only tracer over the sink), then the
+/// telemetry stream's folded stacks, then finalizes the sink, reporting
 /// the trace file on stdout.
 inline void finish_obs(StreamTraceSinks& stream) {
   if (!stream.active()) return;

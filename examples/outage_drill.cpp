@@ -52,17 +52,21 @@ int main(int argc, char** argv) {
       "gen", {.rated = config.dc_rated(),
               .start_delay = Duration::seconds(gen_delay)});
 
+  // The run checks the feed's supply fraction before its first tick.
+  GreedyStrategy greedy;
+  const RunResult r =
+      bench::checked(argv[0], args, {"dip"}, "supply fraction", [&] {
+        return dc.run(trace, &greedy,
+                      {.record = true,
+                       .supply_fraction = &supply,
+                       .generator = &generator});
+      });
+
   std::cout << "Burst 3.0x for 15 min; feed dips to "
             << format_double(dip * 100.0, 0) << "% at minute "
             << format_double(at_min, 0) << " for "
             << format_double(dip_min, 0) << " min; generator start delay "
             << format_double(gen_delay, 0) << " s\n\n";
-
-  GreedyStrategy greedy;
-  const RunResult r = dc.run(trace, &greedy,
-                             {.record = true,
-                              .supply_fraction = &supply,
-                              .generator = &generator});
 
   TablePrinter table({"min", "demand", "achieved", "degree", "supply",
                       "UPS MW", "UPS SoC", "dc CB heat"});

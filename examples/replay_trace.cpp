@@ -38,9 +38,11 @@ int main(int argc, char** argv) {
               << ")\n\n";
   }
 
-  TimeSeries demand = workload::load_trace_csv(path);
-  const double capacity = args.get_double("capacity", 1.0);
-  if (capacity != 1.0) demand = demand.scaled(1.0 / capacity);
+  const TimeSeries demand = bench::checked(
+      argv[0], args, {"trace", "capacity"}, "demand trace", [&] {
+        return workload::load_trace_csv(path,
+                                        args.get_double("capacity", 1.0));
+      });
 
   const workload::BurstStats stats = workload::analyze_bursts(demand);
   std::cout << "Trace: " << format_double(demand.span().min(), 1)

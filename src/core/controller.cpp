@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <string>
 
 #include "obs/profile.h"
 #include "util/check.h"
@@ -17,7 +18,8 @@ const Power kPowerEps = Power::watts(1e-6);
 constexpr double kSevereFaultSeverity = 0.5;
 
 /// Release band of the trip-margin watch edge: once low, the margin must
-/// recover past watch * this factor before a recovered instant fires.
+/// recover past watch * this factor before the breaker screen can fire
+/// again.
 constexpr double kMarginReleaseFactor = 1.25;
 
 }  // namespace
@@ -92,6 +94,17 @@ SprintingController::SprintingController(const DataCenterConfig& config,
   if (deps_.tes != nullptr) {
     tes_activation_time_ = config_.tes_activation_time();
   }
+}
+
+void SprintingController::set_supply_fraction(const TimeSeries* fraction) {
+  if (fraction != nullptr) {
+    for (const Sample& s : fraction->samples()) {
+      DCS_REQUIRE(s.value >= 0.0 && s.value <= 1.0,
+                  "supply fraction " + std::to_string(s.value) +
+                      " outside [0, 1]");
+    }
+  }
+  supply_fraction_ = fraction;
 }
 
 Power SprintingController::power_per_degree() const {
@@ -425,7 +438,7 @@ StepResult SprintingController::step_controlled(Duration now, double demand,
   // bridge whatever the derated feed cannot carry.
   double supply = 1.0;
   if (supply_fraction_ != nullptr) {
-    supply = std::clamp(supply_fraction_->at(now, supply_cursor_), 0.0, 1.0);
+    supply = supply_fraction_->at(now, supply_cursor_);
   }
   grid_limited_ = supply < 1.0 - 1e-9;
   if (generator_ != nullptr) {
@@ -871,16 +884,10 @@ void SprintingController::trace_transitions(Duration now,
   const DegradationLevel prev_level = prev_degradation_;
   if (result.degradation != prev_level) {
     // Ladder moves are the reactive safety actions of Section IV-A: rare,
-    // and worth a log line even without a tracer attached.
+    // and worth a log line even without a decision log attached.
     DCS_LOG_INFO << "degradation " << to_string(prev_level) << " -> "
                  << to_string(result.degradation) << " at t=" << now.sec()
                  << "s (degree " << result.degree << ")";
-    if (tracer_ != nullptr) {
-      tracer_->instant(now, "controller", "degradation",
-                       {obs::arg("from", to_string(prev_level)),
-                        obs::arg("to", to_string(result.degradation)),
-                        obs::arg("degree", result.degree)});
-    }
   }
   prev_degradation_ = result.degradation;
 
@@ -932,30 +939,25 @@ void SprintingController::trace_transitions(Duration now,
 
   // Remaining-trip-time margin on the substation breaker: crossing below
   // twice the governor's reserve is the early warning that the shrinking
-  // overload bound is about to bind. Two guards keep this off the hot
-  // path: the inline can_trip_at screen skips the curve lookup while the
-  // load is pinned at or below the no-trip boundary (the common case),
-  // and a Schmitt-trigger release band stops the edge from chattering —
-  // the governor holds the load right where the margin hovers at the
-  // watch threshold, which would otherwise toggle an instant every tick.
-  const power::CircuitBreaker& dc_breaker = deps_.topology->dc_breaker();
-  const Duration watch = config_.cb_reserve * 2.0;
-  bool margin_low = false;
-  if (dc_breaker.can_trip_at(result.dc_load)) {
-    margin_low = dc_breaker.trips_within(
-        result.dc_load,
-        prev_margin_low_ ? watch * kMarginReleaseFactor : watch);
-  }
-  if (margin_low != prev_margin_low_) {
-    const Duration margin = dc_breaker.time_to_trip_at(result.dc_load);
-    const double margin_s = margin.is_infinite() ? -1.0 : margin.sec();
-    if (tracer_ != nullptr) {
-      tracer_->instant(now, "controller",
-                       margin_low ? "trip-margin-low" : "trip-margin-recovered",
-                       {obs::arg("margin_s", margin_s),
-                        obs::arg("reserve_s", config_.cb_reserve.sec())});
+  // overload bound is about to bind (the margin itself is the recorded
+  // cb_trip_margin_s channel). Two guards keep this off the hot path: the
+  // inline can_trip_at screen skips the curve lookup while the load is
+  // pinned at or below the no-trip boundary (the common case), and a
+  // Schmitt-trigger release band stops the edge from chattering — the
+  // governor holds the load right where the margin hovers at the watch
+  // threshold, which would otherwise screen the breaker every other tick.
+  if (decisions_ != nullptr) {
+    const power::CircuitBreaker& dc_breaker = deps_.topology->dc_breaker();
+    const Duration watch = config_.cb_reserve * 2.0;
+    bool margin_low = false;
+    if (dc_breaker.can_trip_at(result.dc_load)) {
+      margin_low = dc_breaker.trips_within(
+          result.dc_load,
+          prev_margin_low_ ? watch * kMarginReleaseFactor : watch);
     }
-    if (decisions_ != nullptr && margin_low) {
+    if (margin_low && !prev_margin_low_) {
+      const Duration margin = dc_breaker.time_to_trip_at(result.dc_load);
+      const double margin_s = margin.is_infinite() ? -1.0 : margin.sec();
       decisions_->emit(obs::DecisionRule::kBreakerScreen,
                        {{"margin_s", margin_s}}, {{"watch_s", watch.sec()}});
     }

@@ -155,11 +155,10 @@ class SprintingController {
 
   /// Utility-feed health over time as a fraction of the DC rating in [0, 1]
   /// (1 = healthy; below 1 models the paper's "unexpected power spikes in
-  /// the utility power supply", which immediately end the sprint). The
-  /// series must outlive the controller; nullptr restores a healthy feed.
-  void set_supply_fraction(const TimeSeries* fraction) noexcept {
-    supply_fraction_ = fraction;
-  }
+  /// the utility power supply", which immediately end the sprint). Throws
+  /// std::invalid_argument when a sample lies outside [0, 1]. The series
+  /// must outlive the controller; nullptr restores a healthy feed.
+  void set_supply_fraction(const TimeSeries* fraction);
   /// Optional backup generator, started automatically on a disturbance.
   void attach_generator(power::DieselGenerator* generator) noexcept {
     generator_ = generator;
@@ -171,10 +170,11 @@ class SprintingController {
   void set_fault_injector(faults::FaultInjector* injector) noexcept {
     injector_ = injector;
   }
-  /// Optional structured-trace sink. step() emits one instant per state
-  /// transition: sprint-phase changes, degradation-ladder moves, DC-breaker
-  /// overload entry/exit, remaining-trip-time threshold crossings, and
-  /// UPS/TES activation edges. Must outlive the controller.
+  /// Optional structured-trace sink. step() emits one instant per plant
+  /// state edge that has no DecisionRecord: sprint-phase changes, DC-breaker
+  /// overload entry/exit, and UPS/TES activation edges. Ladder moves and
+  /// the breaker's trip-margin screen are decisions (set_decision_log).
+  /// Must outlive the controller.
   void set_tracer(obs::Tracer* tracer) noexcept { tracer_ = tracer; }
   /// Optional decision-provenance log (obs/decision.h). step() emits one
   /// DecisionRecord per rule firing — burst/supply/breaker-screen triggers,

@@ -116,7 +116,6 @@ RunResult DataCenter::run(const std::vector<Zone>& zones, Strategy* strategy,
         faults::FaultInjector::Bindings{&plant->topology, &plant->cooling,
                                         plant->tes.get(), options.generator},
         options.fault_seed);
-    injector->set_tracer(options.tracer);
     injector->set_decision_log(options.decisions);
     controller.set_fault_injector(injector.get());
   }
@@ -124,7 +123,6 @@ RunResult DataCenter::run(const std::vector<Zone>& zones, Strategy* strategy,
       config_.battery_per_server.reserve_floor,
       /*check_breakers=*/options.mode != Mode::kUncontrolled,
       /*check_room=*/options.mode != Mode::kUncontrolled});
-  watchdog.set_tracer(options.tracer);
   watchdog.set_decision_log(options.decisions);
 
   // One PDU group per zone; every PDU in a group shares its state. The

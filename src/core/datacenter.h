@@ -44,8 +44,8 @@ struct RunOptions {
   /// Record full per-tick channels into RunResult::recorder.
   bool record = false;
   /// Optional utility-feed health over time (fraction of the DC rating in
-  /// [0, 1]); must outlive the run. See
-  /// SprintingController::set_supply_fraction.
+  /// [0, 1]; a sample outside it throws before the first tick); must
+  /// outlive the run. See SprintingController::set_supply_fraction.
   const TimeSeries* supply_fraction = nullptr;
   /// Optional backup generator used during supply disturbances; it is reset
   /// to a stopped, fault-free state at the start of every run.
@@ -55,11 +55,12 @@ struct RunOptions {
   const faults::FaultSchedule* faults = nullptr;
   /// Seed for the injector's sensor-noise stream.
   std::uint64_t fault_seed = 0x5eedu;
-  /// Optional structured-trace sink wired through the run loop (run-start /
-  /// run-end instants), controller, injector and watchdog; must outlive
-  /// the run. All events carry sim time, so the stream is bit-identical
-  /// regardless of who else runs in parallel. Null keeps the untraced fast
-  /// path.
+  /// Optional structured-trace sink for the run loop's run-start / run-end
+  /// instants and the controller's plant-state edges; must outlive the
+  /// run. Rule firings (fault edges, ladder moves, the breaker screen,
+  /// watchdog episodes) are recorded once, as decisions. All events carry
+  /// sim time, so the stream is bit-identical regardless of who else runs
+  /// in parallel. Null keeps the untraced fast path.
   obs::Tracer* tracer = nullptr;
   /// Optional decision-provenance log (obs/decision.h), usually built over
   /// the same tracer. The run loop stamps its sim time each control

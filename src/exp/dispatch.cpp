@@ -680,6 +680,12 @@ void append_attempt_json(std::ostringstream& out, const AttemptResult& a) {
 
 DispatchReport dispatch_sweep(const DispatchOptions& options) {
   DCS_REQUIRE(!options.command.empty(), "dispatch: empty worker command");
+  for (std::size_t i = 1; i < options.command.size(); ++i) {
+    DCS_REQUIRE(options.command[i].rfind("trace=", 0) != 0,
+                "dispatch: the worker command sets " + options.command[i] +
+                    ", so every shard would write one trace file; "
+                    "--telemetry streams each shard's trace to its own file");
+  }
   DCS_REQUIRE(options.shards >= 1, "dispatch: need at least one shard");
   DCS_REQUIRE(!options.work_dir.empty(), "dispatch: work_dir is required");
   DCS_REQUIRE(options.poll_interval_s > 0.0,

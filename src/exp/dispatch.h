@@ -58,7 +58,9 @@ namespace dcs::exp {
 
 struct DispatchOptions {
   /// Worker command template (argv[0] + args). The dispatcher appends
-  /// `shard=i/N` and `checkpoint=<work_dir>/shard_i` for shard i.
+  /// `shard=i/N` and `checkpoint=<work_dir>/shard_i` for shard i. It must
+  /// not set `trace=`: every shard would write the same file (`telemetry`
+  /// gives each attempt its own stream).
   std::vector<std::string> command;
   /// Worker process count N (one contiguous task slice each).
   std::size_t shards = 1;
@@ -190,8 +192,9 @@ struct DispatchReport {
 
 /// Runs the supervision loop to completion (or drain) and merges the shard
 /// checkpoints. Throws std::invalid_argument on unusable options (empty
-/// command, zero shards, empty work_dir); worker-level failures never throw
-/// — they land in the report as "degraded".
+/// command, a command that sets trace=, zero shards, empty work_dir);
+/// worker-level failures never throw — they land in the report as
+/// "degraded".
 [[nodiscard]] DispatchReport dispatch_sweep(const DispatchOptions& options);
 
 /// Machine-readable report (schema documented in EXPERIMENTS.md).

@@ -23,13 +23,6 @@ void FaultInjector::apply(Duration now) {
     const bool active = f.active_at(now);
     if (active != was_active_[i]) {
       const std::string_view kind = to_string(f.kind);
-      if (tracer_ != nullptr) {
-        tracer_->instant(now, "fault", active ? "inject" : "clear",
-                         {obs::arg("kind", kind),
-                          obs::arg("index", static_cast<double>(i)),
-                          obs::arg("magnitude", f.magnitude),
-                          obs::arg("severity", severity_of(f))});
-      }
       if (decisions_ != nullptr) {
         decisions_->emit(active ? obs::DecisionRule::kFaultInject
                                 : obs::DecisionRule::kFaultClear,

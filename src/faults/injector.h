@@ -17,7 +17,6 @@
 
 #include "faults/schedule.h"
 #include "obs/decision.h"
-#include "obs/trace.h"
 #include "power/generator.h"
 #include "power/topology.h"
 #include "thermal/cooling_plant.h"
@@ -65,12 +64,10 @@ class FaultInjector {
   /// True once any fault has been active during the run.
   [[nodiscard]] bool ever_active() const noexcept { return ever_active_; }
 
-  /// Optional structured-trace sink: apply() emits one "inject" instant when
-  /// a scheduled fault becomes active and one "clear" instant when it ends.
-  void set_tracer(obs::Tracer* tracer) noexcept { tracer_ = tracer; }
-  /// Optional decision-provenance log: the same activation edges emit
-  /// fault-inject / fault-clear trigger records, so every downstream
-  /// ladder move or sprint end can cite the fault that set it off.
+  /// Optional decision-provenance log: apply() emits one fault-inject
+  /// trigger record when a scheduled fault becomes active and one
+  /// fault-clear record when it ends, so every downstream ladder move or
+  /// sprint end can cite the fault that set it off.
   void set_decision_log(obs::DecisionLog* decisions) noexcept {
     decisions_ = decisions;
   }
@@ -98,7 +95,6 @@ class FaultInjector {
   State last_pushed_;
   bool pushed_ = false;
   Rng rng_;
-  obs::Tracer* tracer_ = nullptr;
   obs::DecisionLog* decisions_ = nullptr;
   bool ever_active_ = false;
   SensorState sensors_[3];

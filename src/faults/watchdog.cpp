@@ -72,12 +72,6 @@ void Watchdog::check(Duration now, const power::PowerTopology& topology,
 void Watchdog::fail(Duration now, std::string message) {
   ++report_.violations;
   last_message_ = message;
-  if (tracer_ != nullptr) {
-    tracer_->instant(
-        now, "watchdog", "violation",
-        {obs::arg("message", message),
-         obs::arg("total", static_cast<double>(report_.violations))});
-  }
   if (report_.first_message.empty()) {
     // Only the first violation logs; a persistent breach fails every tick
     // and would otherwise flood stderr.

@@ -16,7 +16,6 @@
 #include <string>
 
 #include "obs/decision.h"
-#include "obs/trace.h"
 #include "power/topology.h"
 #include "thermal/room_model.h"
 #include "thermal/tes_tank.h"
@@ -56,13 +55,10 @@ class Watchdog {
     return report_;
   }
 
-  /// Optional structured-trace sink: fail() emits one "violation" instant
-  /// per violating (tick, invariant) pair.
-  void set_tracer(obs::Tracer* tracer) noexcept { tracer_ = tracer; }
   /// Optional decision-provenance log: check() emits one
   /// watchdog-violation trigger per violation *episode* (the tick a clean
   /// state turns violating), not per persisting tick — chains want the
-  /// onset, the per-tick stream is the tracer's job.
+  /// onset, and the report counts every violating tick.
   void set_decision_log(obs::DecisionLog* decisions) noexcept {
     decisions_ = decisions;
   }
@@ -72,7 +68,6 @@ class Watchdog {
 
   Options options_;
   WatchdogReport report_;
-  obs::Tracer* tracer_ = nullptr;
   obs::DecisionLog* decisions_ = nullptr;
   bool prev_violating_ = false;
   std::string last_message_;

@@ -20,7 +20,6 @@
 #include <map>
 #include <ostream>
 #include <string>
-#include <vector>
 
 #include "obs/profile.h"
 #include "obs/trace.h"
@@ -122,35 +121,6 @@ class TelemetrySink final : public JsonlStreamSink {
   /// One "stack" line per folded stack (obs::folded_stacks); call before
   /// finalize().
   void write_stacks(const FoldedStacks& stacks);
-};
-
-/// Fans one event stream out to several sinks: the bench glue's JSONL
-/// trace and the worker telemetry stream. Does not own the sinks.
-class TeeSink final : public TraceSink {
- public:
-  explicit TeeSink(std::vector<TraceSink*> sinks) : sinks_(std::move(sinks)) {}
-
-  void write(const TraceEvent& event) override {
-    for (TraceSink* s : sinks_) s->write(event);
-  }
-  void write_lane_name(Domain domain, std::uint32_t lane,
-                       const std::string& name) override {
-    for (TraceSink* s : sinks_) s->write_lane_name(domain, lane, name);
-  }
-  void finalize() override {
-    for (TraceSink* s : sinks_) s->finalize();
-  }
-  /// Unhealthy as soon as any fanned-out sink is: a partial failure (one
-  /// file on a full disk) must not read as overall success.
-  [[nodiscard]] bool healthy() const override {
-    for (const TraceSink* s : sinks_) {
-      if (!s->healthy()) return false;
-    }
-    return true;
-  }
-
- private:
-  std::vector<TraceSink*> sinks_;
 };
 
 }  // namespace dcs::obs

@@ -66,9 +66,9 @@ struct TraceEvent {
 };
 
 /// Consumer of a Tracer's event stream. Implementations decide what storing
-/// an event means: the Tracer's built-in buffer, a bounded-memory file
-/// stream (obs/sink.h), a tee, ... Sinks see events in append order; lane
-/// metadata may arrive at any point before finalize().
+/// an event means: the Tracer's built-in buffer, or a bounded-memory file
+/// stream (obs/sink.h). Sinks see events in append order; lane metadata
+/// may arrive at any point before finalize().
 class TraceSink {
  public:
   virtual ~TraceSink() = default;
@@ -80,9 +80,8 @@ class TraceSink {
   /// contract violation.
   virtual void finalize() = 0;
   /// False once the sink can no longer store events (file sinks: a write
-  /// failed, e.g. disk full). Composite sinks (TeeSink) report unhealthy as
-  /// soon as any child does, so one full disk cannot silently truncate one
-  /// of several outputs while the run reports success.
+  /// failed, e.g. disk full), so a full disk cannot silently truncate the
+  /// output while the run reports success.
   [[nodiscard]] virtual bool healthy() const { return true; }
 };
 

@@ -1,5 +1,6 @@
 #include "workload/trace_io.h"
 
+#include <cmath>
 #include <fstream>
 #include <sstream>
 #include <string>
@@ -63,10 +64,12 @@ TimeSeries read_trace_csv(std::istream& in) {
   return out;
 }
 
-TimeSeries load_trace_csv(const std::string& path) {
+TimeSeries load_trace_csv(const std::string& path, double capacity) {
+  DCS_REQUIRE(capacity > 0.0 && std::isfinite(capacity),
+              "trace capacity must be positive and finite");
   std::ifstream in(path);
   DCS_REQUIRE(in.good(), "cannot open trace file: " + path);
-  return read_trace_csv(in);
+  return read_trace_csv(in).scaled(1.0 / capacity);
 }
 
 void write_trace_csv(std::ostream& out, const TimeSeries& trace) {

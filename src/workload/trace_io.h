@@ -17,9 +17,12 @@ namespace dcs::workload {
 /// input (bad numbers, non-increasing time, wrong column count).
 [[nodiscard]] TimeSeries read_trace_csv(std::istream& in);
 
-/// Loads a trace from a file; throws std::invalid_argument when the file
-/// cannot be opened.
-[[nodiscard]] TimeSeries load_trace_csv(const std::string& path);
+/// Loads a trace from a file in units of `capacity`, the value that maps
+/// to 1.0 (the sprint-free peak; the default keeps the file's values).
+/// Throws std::invalid_argument when `capacity` is not positive and finite
+/// or the file cannot be opened.
+[[nodiscard]] TimeSeries load_trace_csv(const std::string& path,
+                                        double capacity = 1.0);
 
 /// Writes "time_s,value" rows (with header).
 void write_trace_csv(std::ostream& out, const TimeSeries& trace);

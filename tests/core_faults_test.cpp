@@ -1,11 +1,18 @@
 // DataCenter-level fault injection: the degradation ladder, the invariant
-// watchdog, and the zero-cost guarantee (a run without active faults is
-// bit-identical to a run without an injector at all).
+// watchdog, the zero-cost guarantee (a run without active faults is
+// bit-identical to a run without an injector at all), and one trace record
+// per rule firing.
 #include <gtest/gtest.h>
+
+#include <map>
+#include <string>
+#include <vector>
 
 #include "core/datacenter.h"
 #include "faults/fault.h"
 #include "faults/schedule.h"
+#include "obs/decision.h"
+#include "obs/trace.h"
 #include "power/generator.h"
 #include "workload/yahoo_trace.h"
 
@@ -252,6 +259,66 @@ TEST(DegradationLadder, GeneratorStartFailureStillBridgedByUps) {
   EXPECT_TRUE(r.watchdog.ok()) << r.watchdog.first_message;
   // The dip ends the sprint; the baseline load rides through on the UPS.
   EXPECT_DOUBLE_EQ(r.recorder.series("degree").at(Duration::minutes(9)), 1.0);
+}
+
+// ---------------------------------------------------------------------------
+// Tracing: one record per rule firing
+// ---------------------------------------------------------------------------
+
+TEST(FaultTrace, EachRuleFiringIsOneDecisionRecord) {
+  // A burst under a UPS outage and a chiller loss moves the ladder and
+  // screens the DC breaker; an unavoidable overheat trips the watchdog.
+  // Each of those rule firings is a DecisionRecord, and no plain instant
+  // repeats it. The fault past the trace's end never becomes active.
+  struct Case {
+    DataCenterConfig config;
+    TimeSeries demand;
+    FaultSchedule faults;
+    std::size_t active_faults = 0;
+  };
+  std::vector<Case> cases(2);
+  cases[0].config = small_config();
+  cases[0].demand = burst_trace();
+  cases[0].faults.add(window_min(FaultKind::kUpsBankOutage, 7, 13, 0.4));
+  cases[0].faults.add(window_min(FaultKind::kChillerFailure, 15, 18, 0.6));
+  cases[0].faults.add(window_min(FaultKind::kBreakerDerating, 100, 110, 0.2));
+  cases[0].active_faults = 2;
+  cases[1].config = small_config();
+  cases[1].config.has_tes = false;
+  cases[1].demand.push_back(Duration::zero(), 1.0);
+  cases[1].demand.push_back(Duration::minutes(35), 1.0);
+  cases[1].faults.add(window_min(FaultKind::kChillerFailure, 5, 35, 0.49));
+  cases[1].active_faults = 1;
+
+  std::map<std::string, std::size_t> decisions_seen;
+  for (const Case& c : cases) {
+    DataCenter dc(c.config);
+    obs::Tracer tracer;
+    obs::DecisionLog decisions(&tracer);
+    GreedyStrategy greedy;
+    (void)dc.run(c.demand, &greedy,
+                 {.record = true,
+                  .faults = &c.faults,
+                  .tracer = &tracer,
+                  .decisions = &decisions});
+    std::map<std::string, std::size_t> names;
+    for (const obs::TraceEvent& e : tracer.events()) {
+      ++names[e.name];
+      if (e.cat == "decision") ++decisions_seen[e.name];
+    }
+    for (const char* twin : {"inject", "clear", "violation", "degradation",
+                             "trip-margin-low", "trip-margin-recovered"}) {
+      EXPECT_EQ(names.count(twin), 0u) << twin << " repeats a decision";
+    }
+    EXPECT_EQ(names["fault-inject"], c.active_faults);
+  }
+  // Every twin's decision fired somewhere, so each absence above counts.
+  EXPECT_GT(decisions_seen["fault-clear"], 0u);
+  EXPECT_GT(decisions_seen["ladder-derate"] + decisions_seen["ladder-shed"] +
+                decisions_seen["ladder-sprint-ended"],
+            0u);
+  EXPECT_GT(decisions_seen["breaker-screen"], 0u);
+  EXPECT_GT(decisions_seen["watchdog-violation"], 0u);
 }
 
 }  // namespace

@@ -79,11 +79,13 @@ std::string traced_sweep_jsonl(std::size_t threads) {
       [&](const exp::SweepSpec::Task& task) {
         obs::Tracer& tracer = task_tracers[task.index];
         tracer.set_lane(static_cast<std::uint32_t>(task.index));
+        obs::DecisionLog decisions(&tracer);
         const FaultSchedule schedule = scenario_schedule(task.level[0]);
         DataCenter dc(config);
         GreedyStrategy greedy;
         RunOptions opts;
         opts.tracer = &tracer;
+        opts.decisions = &decisions;
         if (!schedule.empty()) opts.faults = &schedule;
         const core::RunResult r = dc.run(trace, &greedy, opts);
         return std::vector<double>{r.performance_factor};
@@ -107,10 +109,10 @@ TEST(ObsDeterminism, MergedTraceIsByteIdenticalAcrossThreadCounts) {
   EXPECT_EQ(serial, parallel);
 
   // The stream actually exercises the instrumented paths: controller phase
-  // transitions and fault injection edges must both appear.
+  // transitions and the fault edges' decision records must both appear.
   EXPECT_NE(serial.find("\"phase\""), std::string::npos);
-  EXPECT_NE(serial.find("\"inject\""), std::string::npos);
-  EXPECT_NE(serial.find("\"clear\""), std::string::npos);
+  EXPECT_NE(serial.find("\"fault-inject\""), std::string::npos);
+  EXPECT_NE(serial.find("\"fault-clear\""), std::string::npos);
   EXPECT_FALSE(serial.empty());
 
   // Task order: each task's lane line, then its events, lane by lane.

@@ -27,7 +27,10 @@
 //                          worker attempts) merges into
 //                          WORKDIR/merged/timeline.{jsonl,perfetto} +
 //                          dispatch_stacks.folded (every worker's scope
-//                          paths, valued at self microseconds)
+//                          paths, valued at self microseconds); this is
+//                          how a dispatched run traces, since a command
+//                          that sets trace= (one file for every shard) is
+//                          a usage error
 //   --status-interval=S    cadence of the per-shard done/total, rate and
 //                          ETA lines, read from the shard checkpoints with
 //                          or without --telemetry (default 5; 0 disables)
