@@ -349,20 +349,28 @@ inline StreamTraceSinks maybe_stream_sinks(const Config& args,
 
 /// The observability setup step, once near the top of main() before any
 /// run: turns the wall-clock profiler on when trace= or telemetry= is
-/// given (tracing_enabled), and opens the run's streaming sink. A traced
-/// bench then builds `obs::Tracer tracer(stream.sink())`; finish_obs is
-/// the matching last step.
+/// given (tracing_enabled), and opens the run's streaming sink. A sink
+/// that does not open is a usage error naming the key and the file. A
+/// traced bench then builds `obs::Tracer tracer(stream.sink())`;
+/// finish_obs is the matching last step.
 [[nodiscard]] inline StreamTraceSinks obs_setup(const Config& args,
                                                 const std::string& name) {
   if (tracing_enabled(args)) obs::Profiler::instance().set_enabled(true);
-  return maybe_stream_sinks(args, name);
+  StreamTraceSinks stream = maybe_stream_sinks(args, name);
+  if (stream.active() && !stream.jsonl->ok()) {
+    const std::string key = stream.telemetry != nullptr ? "telemetry" : "trace";
+    usage_error(name.c_str(), key + "=" + args.get_string(key, "") +
+                                  ": cannot write " + stream.jsonl->path());
+  }
+  return stream;
 }
 
 /// The observability finish step, after the bench's last run: appends the
 /// profiler's wall spans and scope path totals to the stream
 /// (obs::export_to, through a wall-only tracer over the sink), then the
 /// telemetry stream's folded stacks, then finalizes the sink, reporting
-/// the trace file on stdout.
+/// the trace file on stdout. A sink that failed on the way exits 1, so a
+/// run that lost its stream never reads as complete.
 inline void finish_obs(StreamTraceSinks& stream) {
   if (!stream.active()) return;
   const obs::Profile profile = obs::Profiler::instance().collect();
@@ -372,6 +380,10 @@ inline void finish_obs(StreamTraceSinks& stream) {
     stream.telemetry->write_stacks(obs::folded_stacks(profile.paths));
   }
   stream.finalize(&std::cout);
+  if (!stream.jsonl->ok()) {
+    std::cerr << "error: writing " << stream.jsonl->path() << " failed\n";
+    std::exit(1);
+  }
 }
 
 }  // namespace dcs::bench

@@ -199,9 +199,9 @@ BENCHMARK(BM_OracleSearch)
     ->UseRealTime();
 
 void BM_UpperBoundTable(benchmark::State& state) {
-  // Args = {worker threads for the table's cells, PDUs}: fig09's 5 x 5
+  // Args = {worker threads for the candidate runs, PDUs}: fig09's 5 x 5
   // (burst duration x max degree) table at core stride 4, one oracle
-  // search per cell on a flat-topped Yahoo burst.
+  // search per degree over its five flat-topped Yahoo bursts.
   core::DataCenterConfig config;
   config.fleet.pdu_count = static_cast<std::size_t>(state.range(1));
   core::DataCenter dc(config);

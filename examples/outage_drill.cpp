@@ -48,9 +48,12 @@ int main(int argc, char** argv) {
         return dipped;
       });
 
-  power::DieselGenerator generator(
-      "gen", {.rated = config.dc_rated(),
-              .start_delay = Duration::seconds(gen_delay)});
+  power::DieselGenerator generator =
+      bench::checked(argv[0], args, {"gen_delay"}, "generator", [&] {
+        return power::DieselGenerator(
+            "gen", {.rated = config.dc_rated(),
+                    .start_delay = Duration::seconds(gen_delay)});
+      });
 
   // The run checks the feed's supply fraction before its first tick.
   GreedyStrategy greedy;

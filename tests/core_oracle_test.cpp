@@ -187,6 +187,100 @@ TEST(OracleSearch, MatchesExhaustiveSearchBitForBit) {
                             "samples at the threshold");
 }
 
+/// The cells of one degree of Fig. 9's table, as build_upper_bound_table
+/// makes them: up to its last burst tick each is the 25-min cell's trace.
+std::vector<TimeSeries> table_cells(double degree) {
+  std::vector<TimeSeries> cells;
+  for (const double minutes : {1.0, 5.0, 10.0, 15.0, 25.0}) {
+    workload::YahooTraceParams p;
+    p.burst_duration = Duration::minutes(minutes);
+    p.burst_degree = degree;
+    cells.push_back(workload::generate_yahoo_trace(p));
+  }
+  return cells;
+}
+
+/// The search over several traces at once must give each trace the whole
+/// result of the exhaustive search on that trace alone, bit for bit, at any
+/// worker count: a trace that rides on another's run reads that run's
+/// integrals at its own cut, no tick early or late.
+void expect_each_matches_exhaustive(const DataCenterConfig& config,
+                                    const std::vector<TimeSeries>& demands,
+                                    std::size_t core_stride) {
+  std::vector<OracleResult> references;
+  for (const TimeSeries& demand : demands) {
+    references.push_back(exhaustive_search(config, demand, core_stride));
+  }
+  for (const std::size_t threads : {1u, 3u}) {
+    const std::vector<OracleResult> searched =
+        oracle_search(DataCenter(config), demands, core_stride, threads);
+    ASSERT_EQ(searched.size(), demands.size());
+    for (std::size_t i = 0; i < demands.size(); ++i) {
+      SCOPED_TRACE("threads " + std::to_string(threads) + ", trace " +
+                   std::to_string(i));
+      EXPECT_EQ(searched[i].sweep, references[i].sweep);
+      EXPECT_EQ(searched[i].best_bound, references[i].best_bound);
+      EXPECT_EQ(searched[i].best_performance, references[i].best_performance);
+    }
+  }
+}
+
+TEST(OracleSearch, TracesOfOneDegreeMatchExhaustiveSearchEach) {
+  // Every cell rides on the 25-min cell's run.
+  expect_each_matches_exhaustive(small_config(), table_cells(2.6), 4);
+}
+
+TEST(OracleSearch, TraceThatDiffersBeforeItsCutIsNotHosted) {
+  // A copy of the 10-min cell whose last burst tick asks for less: its cut
+  // is the cell's, but up to there it is no longer a prefix of any other
+  // trace, so it must run on its own.
+  std::vector<TimeSeries> demands = table_cells(2.6);
+  std::vector<Sample> samples = demands[2].samples();
+  for (Sample& sample : samples) {
+    if (sample.time == Duration::minutes(15) - Duration::seconds(1)) {
+      sample.value = 1.2;
+    }
+  }
+  demands.emplace_back(std::move(samples));
+  expect_each_matches_exhaustive(small_config(), demands, 4);
+}
+
+TEST(OracleSearch, MixedTracesMatchExhaustiveSearchEach) {
+  // Traces no other trace hosts (the MS trace, 2-s samples), one that
+  // simulates nothing (no burst) and the table cells of two degrees, which
+  // share samples before every cut but must not share runs.
+  std::vector<TimeSeries> demands = {workload::generate_ms_trace()};
+  workload::YahooTraceParams flat;
+  flat.burst_degree = 1.0;
+  demands.push_back(workload::generate_yahoo_trace(flat));
+  workload::YahooTraceParams coarse;
+  coarse.step = Duration::seconds(2);
+  demands.push_back(workload::generate_yahoo_trace(coarse));
+  for (const double degree : {2.0, 3.6}) {
+    for (TimeSeries& cell : table_cells(degree)) {
+      demands.push_back(std::move(cell));
+    }
+  }
+  expect_each_matches_exhaustive(small_config(), demands, 4);
+}
+
+TEST(OracleSearch, TracesAtAnOddControlPeriodMatchExhaustiveSearchEach) {
+  // Ticks of 0.7 s: a 1-s cell's cut falls past the first sample after its
+  // burst, so it runs on its own, while cells sampled every 0.7 s (on the
+  // ticks' own clock) ride on their longest.
+  DataCenterConfig odd_period = small_config();
+  odd_period.control_period = Duration::seconds(0.7);
+  std::vector<TimeSeries> demands = table_cells(2.6);
+  for (const double minutes : {1.0, 5.0, 10.0, 15.0, 25.0}) {
+    workload::YahooTraceParams p;
+    p.step = Duration::seconds(0.7);
+    p.burst_duration = Duration::minutes(minutes);
+    p.burst_degree = 2.6;
+    demands.push_back(workload::generate_yahoo_trace(p));
+  }
+  expect_each_matches_exhaustive(odd_period, demands, 4);
+}
+
 TEST(OracleSearch, StrideValidation) {
   DataCenter dc(small_config());
   EXPECT_THROW((void)oracle_search(dc, workload::generate_yahoo_trace(), 0),
