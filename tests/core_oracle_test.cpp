@@ -188,11 +188,14 @@ TEST(OracleSearch, MatchesExhaustiveSearchBitForBit) {
 }
 
 /// The cells of one degree of Fig. 9's table, as build_upper_bound_table
-/// makes them: up to its last burst tick each is the 25-min cell's trace.
-std::vector<TimeSeries> table_cells(double degree) {
+/// makes them (sampled every `step`): up to its last burst tick each is the
+/// 25-min cell's trace.
+std::vector<TimeSeries> table_cells(double degree,
+                                    Duration step = Duration::seconds(1)) {
   std::vector<TimeSeries> cells;
   for (const double minutes : {1.0, 5.0, 10.0, 15.0, 25.0}) {
     workload::YahooTraceParams p;
+    p.step = step;
     p.burst_duration = Duration::minutes(minutes);
     p.burst_degree = degree;
     cells.push_back(workload::generate_yahoo_trace(p));
@@ -271,12 +274,8 @@ TEST(OracleSearch, TracesAtAnOddControlPeriodMatchExhaustiveSearchEach) {
   DataCenterConfig odd_period = small_config();
   odd_period.control_period = Duration::seconds(0.7);
   std::vector<TimeSeries> demands = table_cells(2.6);
-  for (const double minutes : {1.0, 5.0, 10.0, 15.0, 25.0}) {
-    workload::YahooTraceParams p;
-    p.step = Duration::seconds(0.7);
-    p.burst_duration = Duration::minutes(minutes);
-    p.burst_degree = 2.6;
-    demands.push_back(workload::generate_yahoo_trace(p));
+  for (TimeSeries& cell : table_cells(2.6, Duration::seconds(0.7))) {
+    demands.push_back(std::move(cell));
   }
   expect_each_matches_exhaustive(odd_period, demands, 4);
 }
